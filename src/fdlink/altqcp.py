@@ -6,22 +6,27 @@ the receiver will see; the precoder step solves a per-direction convex
 quadratically-constrained program in closed form, with a scalar dual variable
 enforcing the distortion-aware transmit power budget.
 
-All updates take an optional list of channel scenarios (used by the robust
-cutting-set loop, which designs against an averaged objective); the nominal
-algorithm is the single-scenario case with the estimated channels.
+run_altqcp_scenarios is the one block-coordinate driver of the package: the
+weighted sum-rate designer (wmmse), the cutting-set inner design (robust) and
+the threshold baselines (baselines) are this loop with its weight block or its
+self-interference cap switched on. All updates take a list of channel
+scenarios (the cutting set designs against an averaged objective); the
+nominal algorithm is the single-scenario case with the estimated channels.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (DIRECTIONS, ChannelRealization, PerformanceReport,
-                    SystemConfig, TransceiverDesign, covariance_stacks,
-                    mse_matrix, power_usage, rate)
-from .util import ConfigError, DualSearchError, crandn, dagger, herm, rng_from, stabilized
+from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
+                    TransceiverDesign, _design_objective, _scenario_sigma,
+                    design_report, identity_weights, mse_stacks, power_usage,
+                    rate_surrogate, weighted_rate)
+from .util import (LN2, ConfigError, DualSearchError, crandn, dagger, herm,
+                   rng_from, stabilized)
 
 
 @dataclass(frozen=True)
@@ -33,13 +38,6 @@ class SolverOptions:
     init_seed: int = None
     max_cuts: int = 8             # cutting-set loop only
     cut_rel_tol: float = 1e-3
-
-
-def identity_weights(config: SystemConfig):
-    return [np.broadcast_to(np.eye(config.streams[i], dtype=complex),
-                            (config.subcarriers, config.streams[i],
-                             config.streams[i])).copy()
-            for i in DIRECTIONS]
 
 
 def init_precoders(channels: ChannelRealization, config: SystemConfig,
@@ -72,33 +70,19 @@ def init_precoders(channels: ChannelRealization, config: SystemConfig,
 # possible truth; SIC is always referenced to the estimated channels.
 # ---------------------------------------------------------------------------
 
-def _scenario_sigma(precoders, g, sic, config):
-    """Design-model interference covariance stacks for one scenario, including
-    the SIC residual when the scenario deviates from the SIC reference."""
-    sigmas = covariance_stacks(precoders, g, config)
-    for i in DIRECTIONS:
-        j = 1 - i
-        d = g[(i, j)] - sic[(i, j)]
-        if np.any(d):
-            dv = d @ precoders[j]
-            sigmas[i] = sigmas[i] + np.einsum("kmd,kpd->kmp", dv, dv.conj())
-    return sigmas
-
-
 def _receiver_step(precoders, scenarios, sic, config):
     """Linear MMSE receivers for the (scenario-averaged) design objective."""
-    decoders = []
-    for i in DIRECTIONS:
-        m = config.rx_antennas[i]
-        acc = np.zeros((config.subcarriers, m, m), dtype=complex)
-        rhs = np.zeros((config.subcarriers, m, config.streams[i]), dtype=complex)
-        for weight, g in scenarios:
-            sig = _scenario_sigma(precoders, g, sic, config)[i]
+    acc = [np.zeros((config.subcarriers, config.rx_antennas[i],
+                     config.rx_antennas[i]), dtype=complex) for i in DIRECTIONS]
+    rhs = [np.zeros((config.subcarriers, config.rx_antennas[i],
+                     config.streams[i]), dtype=complex) for i in DIRECTIONS]
+    for weight, g in scenarios:
+        sigmas = _scenario_sigma(precoders, g, sic, config)
+        for i in DIRECTIONS:
             hv = g[(i, i)] @ precoders[i]
-            acc += weight * (sig + np.einsum("kmd,kpd->kmp", hv, hv.conj()))
-            rhs += weight * hv
-        decoders.append(np.linalg.solve(stabilized(herm(acc)), rhs))
-    return decoders
+            acc[i] += weight * (sigmas[i] + np.einsum("kmd,kpd->kmp", hv, hv.conj()))
+            rhs[i] += weight * hv
+    return [np.linalg.solve(stabilized(herm(acc[i])), rhs[i]) for i in DIRECTIONS]
 
 
 def _weighted_decoder_grams(decoders, mse_weights):
@@ -208,42 +192,85 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
     return v, float(iota)
 
 
-def _precoder_step(decoders, mse_weights, scenarios, sic, config, dual_tol):
+def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap):
+    """_solve_power_dual with one more constraint, sum_k ||cross^k V^k||_F^2 <=
+    cap (the self-interference power the precoder puts into its own node's
+    receiver), by bisection on that constraint's multiplier mu, which adds
+    mu cross^H cross to the quadratic. Returns (V stack, iota, mu)."""
+    if cap <= 0:
+        return np.zeros_like(rhs), 0.0, np.inf
+    cross_gram = herm(np.einsum("kmn,kmp->knp", cross.conj(), cross))
+
+    def solve_at(mu):
+        v, iota = _solve_power_dual(herm(quad + mu * cross_gram), rhs,
+                                    scale_diag, p_max, tol)
+        fv = cross @ v
+        return v, iota, float(np.einsum("kmd,kmd->", fv, fv.conj()).real)
+
+    v, iota, si = solve_at(0.0)
+    if si <= cap + tol:
+        return v, iota, 0.0
+    hi = 1.0
+    for _ in range(200):
+        v, iota, si = solve_at(hi)
+        if si <= cap:
+            break
+        hi *= 2.0
+    else:
+        raise DualSearchError("interference-cap dual bracket expansion failed")
+    lo = 0.0
+    mu = hi
+    for _ in range(200):
+        if abs(si - cap) <= max(tol, 1e-9 * cap):
+            break
+        mu = 0.5 * (lo + hi)
+        v, iota, si = solve_at(mu)
+        if si > cap:
+            lo = mu
+        else:
+            hi = mu
+    return v, iota, mu
+
+
+def _precoder_step(decoders, mse_weights, scenarios, sic, config, dual_tol,
+                   si_caps=None):
     """Exact minimizer of the (scenario-averaged) weighted MSE over both
-    directions' precoders, each under its own power constraint."""
+    directions' precoders, each under its own power constraint and, when
+    si_caps is given, under a cap on the self-interference power it puts into
+    its own node's receiver through the estimated cross channel.
+
+    Returns (precoders, power duals, self-interference duals)."""
     grams = _weighted_decoder_grams(decoders, mse_weights)
-    precoders, duals = [], []
-    for i in DIRECTIONS:
-        n = config.tx_antennas[i]
-        quad = np.zeros((config.subcarriers, n, n), dtype=complex)
-        rhs = np.zeros((config.subcarriers, n, config.streams[i]), dtype=complex)
-        for weight, g in scenarios:
-            leak = _leakage_stacks(decoders, mse_weights, g, config)[i]
+    quads = [np.zeros((config.subcarriers, config.tx_antennas[i],
+                       config.tx_antennas[i]), dtype=complex) for i in DIRECTIONS]
+    rhss = [np.zeros((config.subcarriers, config.tx_antennas[i],
+                      config.streams[i]), dtype=complex) for i in DIRECTIONS]
+    for weight, g in scenarios:
+        leaks = _leakage_stacks(decoders, mse_weights, g, config)
+        for i in DIRECTIONS:
             hu = np.einsum("kmn,kmd->knd", g[(i, i)].conj(), decoders[i])
             signal = np.einsum("knd,kde,kpe->knp", hu, mse_weights[i], hu.conj())
-            quad += weight * (leak + signal)
-            rhs += weight * np.einsum("knd,kde->kne", hu, mse_weights[i])
+            quads[i] += weight * (leaks[i] + signal)
+            rhss[i] += weight * np.einsum("knd,kde->kne", hu, mse_weights[i])
             j = 1 - i
             d = g[(j, i)] - sic[(j, i)]      # residual SI leaks through the error
             if np.any(d):
-                quad += weight * np.einsum("kmn,kmp,kpq->knq", d.conj(), grams[j], d)
+                quads[i] += weight * np.einsum("kmn,kmp,kpq->knq", d.conj(), grams[j], d)
+    precoders, duals, si_duals = [], [], []
+    for i in DIRECTIONS:
         scale = 1.0 + config.subcarriers * config.tx_distortion[i]
-        v, iota = _solve_power_dual(herm(quad), rhs, scale, config.p_max[i], dual_tol)
+        if si_caps is None:
+            v, iota = _solve_power_dual(herm(quads[i]), rhss[i], scale,
+                                        config.p_max[i], dual_tol)
+            mu = 0.0
+        else:
+            v, iota, mu = _capped_power_dual(herm(quads[i]), rhss[i], scale,
+                                             config.p_max[i], dual_tol,
+                                             sic[(1 - i, i)], si_caps[i])
         precoders.append(v)
         duals.append(iota)
-    return precoders, tuple(duals)
-
-
-def _design_objective(precoders, decoders, mse_weights, scenarios, sic, config):
-    total = 0.0
-    for weight, g in scenarios:
-        sigmas = _scenario_sigma(precoders, g, sic, config)
-        for i in DIRECTIONS:
-            for k in range(config.subcarriers):
-                e = mse_matrix(decoders[i][k], precoders[i][k], sigmas[i][k],
-                               g[(i, i)][k])
-                total += weight * np.trace(mse_weights[i][k] @ e).real
-    return float(total)
+        si_duals.append(mu)
+    return precoders, tuple(duals), tuple(si_duals)
 
 
 # ---------------------------------------------------------------------------
@@ -256,70 +283,97 @@ def update_receivers(precoders, channels: ChannelRealization, config: SystemConf
 
 def update_precoders(decoders, mse_weights, channels: ChannelRealization,
                      config: SystemConfig, dual_tol: float = 1e-9):
-    return _precoder_step(decoders, mse_weights, [(1.0, channels.h_est)],
-                          channels.h_est, config, dual_tol)
+    precoders, duals, _ = _precoder_step(decoders, mse_weights,
+                                         [(1.0, channels.h_est)],
+                                         channels.h_est, config, dual_tol)
+    return precoders, duals
 
 
-def _design_view_report(precoders, decoders, mse_weights, scenarios, sic, config):
-    """Design-time per-(i, k) metrics for the report (first scenario's view)."""
-    _, g = scenarios[0]
-    sigmas = _scenario_sigma(precoders, g, sic, config)
-    k_count = config.subcarriers
-    mse = np.zeros((2, k_count))
-    rate_bits = np.zeros((2, k_count))
-    for i in DIRECTIONS:
-        for k in range(k_count):
-            e = mse_matrix(decoders[i][k], precoders[i][k], sigmas[i][k],
-                           g[(i, i)][k])
-            mse[i, k] = np.trace(e).real
-            rate_bits[i, k] = rate(precoders[i][k], sigmas[i][k], g[(i, i)][k])
-    power = np.array([power_usage(precoders[i], config.tx_distortion[i], k_count)
-                      for i in DIRECTIONS])
-    return mse, rate_bits, power
+def _weight_block(precoders, decoders, g, sic, config):
+    """S = E^{-1} at the current point; returns (S, the rate surrogate there,
+    the design-model weighted sum rate in bits)."""
+    errors, _ = mse_stacks(precoders, decoders, g, sic, config)
+    weights = [herm(np.linalg.inv(e)) for e in errors]
+    return (weights, rate_surrogate(errors, weights, config),
+            weighted_rate(precoders, g, sic, config))
 
 
 def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
                          options: SolverOptions, mse_weights=None,
-                         init_precoders_override=None, channels_for_init=None):
-    """Core loop shared by the nominal solver and the cutting-set designer."""
-    weights = mse_weights if mse_weights is not None else identity_weights(config)
+                         init_precoders_override=None, channels_for_init=None,
+                         weight_block=False, si_caps=None):
+    """The block-coordinate driver behind every designer.
+
+    One iteration updates the precoders (exact QCQP; with si_caps also capping
+    each direction's self-interference power), then the MMSE receivers, then,
+    with weight_block, the MSE weights S = E^{-1}, whose rate-weighted copy
+    omega_i S_i the next precoder step minimizes (WMMSE, Shi et al. 2011).
+    The tracked objective is the scenario-averaged weighted MSE, or with
+    weight_block the rate surrogate on the first scenario; the loop stops
+    when it moves by at most rel_tol. The report is the design view of the
+    first scenario.
+    """
     if init_precoders_override is not None:
         precoders = [v.copy() for v in init_precoders_override]
     else:
         precoders = init_precoders(channels_for_init, config, options.init,
                                    options.init_seed)
+    g0 = scenarios[0][1]
     decoders = _receiver_step(precoders, scenarios, sic, config)
-    trace = [_design_objective(precoders, decoders, weights, scenarios, sic, config)]
-    seconds, half_steps, slackness = [], [], []
-    duals = (0.0, 0.0)
+
+    def objective():
+        if weight_block:
+            errors, _ = mse_stacks(precoders, decoders, g0, sic, config)
+            return rate_surrogate(errors, weights, config)
+        return _design_objective(precoders, decoders, weights, scenarios, sic, config)
+
+    rate_trace = None
+    if weight_block:
+        weights, value, rate_now = _weight_block(precoders, decoders, g0, sic, config)
+        rate_trace = [rate_now]
+    else:
+        weights = mse_weights if mse_weights is not None else identity_weights(config)
+        value = objective()
+    trace = [value]
+    seconds, blocks, slackness, tightness = [], [], [], []
+    duals = si_duals = (0.0, 0.0)
     converged = False
-    iterations = 0
     for _ in range(options.max_iters):
         t0 = time.perf_counter()
-        precoders, duals = _precoder_step(decoders, weights, scenarios, sic,
-                                          config, options.dual_tol)
-        after_v = _design_objective(precoders, decoders, weights, scenarios, sic, config)
+        step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
+                        if weight_block else weights)
+        precoders, duals, si_duals = _precoder_step(
+            decoders, step_weights, scenarios, sic, config, options.dual_tol, si_caps)
+        block = [objective()]
         decoders = _receiver_step(precoders, scenarios, sic, config)
-        after_u = _design_objective(precoders, decoders, weights, scenarios, sic, config)
+        block.append(objective())
+        if weight_block:
+            weights, value, rate_now = _weight_block(precoders, decoders, g0, sic, config)
+            block.append(value)
+            rate_trace.append(rate_now)
+            tightness.append(abs(value - LN2 * rate_now))
         seconds.append(time.perf_counter() - t0)
-        half_steps.append((after_v, after_u))
+        blocks.append(tuple(block))
         slackness.append(tuple(
             (duals[i], power_usage(precoders[i], config.tx_distortion[i],
                                    config.subcarriers)) for i in DIRECTIONS))
-        trace.append(after_u)
-        iterations += 1
+        trace.append(block[-1])
         if abs(trace[-1] - trace[-2]) <= options.rel_tol * max(abs(trace[-2]), 1e-300):
             converged = True
             break
     design = TransceiverDesign(precoders=tuple(precoders), decoders=tuple(decoders),
                                mse_weights=tuple(weights), duals=duals)
-    mse, rate_bits, power = _design_view_report(precoders, decoders, weights,
-                                                scenarios, sic, config)
-    report = PerformanceReport(
-        mse=mse, rate_bits=rate_bits, power=power, objective_trace=trace,
-        iteration_seconds=seconds, iterations=iterations, converged=converged,
-        extras={"half_step_objectives": half_steps, "power_slackness": slackness},
-    )
+    extras = {"power_slackness": slackness}
+    if weight_block:
+        extras.update(surrogate_blocks=blocks, tightness_gap=tightness)
+    else:
+        extras["half_step_objectives"] = blocks
+    if si_caps is not None:
+        extras.update(si_duals=si_duals, thresholds=tuple(si_caps))
+    report = replace(design_report(precoders, decoders, g0, sic, config),
+                     objective_trace=trace, iteration_seconds=seconds,
+                     iterations=len(seconds), converged=converged,
+                     rate_trace=rate_trace, extras=extras)
     return design, report
 
 
@@ -327,8 +381,6 @@ def run_altqcp(channels: ChannelRealization, config: SystemConfig,
                options: SolverOptions = None, mse_weights=None):
     """Weighted sum-MSE minimizer (identity weights by default), designing on
     the estimated channels. Returns (TransceiverDesign, PerformanceReport)."""
-    options = options or SolverOptions(max_iters=config.max_iters,
-                                       rel_tol=config.rel_tol)
     return run_altqcp_scenarios([(1.0, channels.h_est)], channels.h_est, config,
-                                options, mse_weights=mse_weights,
+                                options or SolverOptions(), mse_weights=mse_weights,
                                 channels_for_init=channels)

@@ -13,26 +13,31 @@ design itself assumed. Modes:
   pth_*     classic interference-threshold design: ignore distortion, assume
             perfect cancellation, but cap the predicted self-interference
             power each transmitter may put into its own receiver
-            (pth_inf: no cap; pth_high: cap = budget; pth_low: cap = budget/10).
+            (pth_high: cap = budget; pth_low: cap = budget/10). Without a
+            cap this is kappa0.
+
+Every design runs through the one block-coordinate driver,
+altqcp.run_altqcp_scenarios: hd, kappa0 and sc through the chosen designer,
+pth_* as the driver on the distortion-blind config with its
+self-interference cap switched on.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .altqcp import (SolverOptions, _solve_power_dual, init_precoders,
-                     run_altqcp)
-from .model import (DIRECTIONS, PAIRS, ChannelRealization, PerformanceReport,
-                    SystemConfig, TransceiverDesign, evaluate_design,
-                    mse_matrix, power_usage)
-from .util import ConfigError, DualSearchError, herm
+from .altqcp import SolverOptions, run_altqcp, run_altqcp_scenarios
+from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
+                    TransceiverDesign, evaluate_design)
+from .util import ConfigError
 from .wmmse import run_wmmse
 
 DESIGNERS = {"altqcp": run_altqcp, "wmmse": run_wmmse}
 
-BASELINE_MODES = ("hd", "kappa0", "sc", "pth", "pth_inf", "pth_high", "pth_low")
+BASELINE_MODES = ("hd", "kappa0", "sc", "pth_high", "pth_low")
+
+# pth_* self-interference cap: the transmit power budget divided by this
+_CAP_DIVISOR = {"pth_high": 1.0, "pth_low": 10.0}
 
 
 def half_duplex_world(channels: ChannelRealization) -> ChannelRealization:
@@ -81,175 +86,27 @@ def _single_carrier_pieces(channels: ChannelRealization, config: SystemConfig):
     return flat, cfg
 
 
-def _pth_value(mode: str, p_max_j: float, p_th) -> float:
-    if mode == "pth":
-        return np.inf if p_th is None else float(p_th)
-    return {"pth_inf": np.inf, "pth_high": p_max_j,
-            "pth_low": p_max_j / 10.0}[mode]
-
-
-def _pth_receivers(precoders, h_est, config):
-    """MMSE receivers under the threshold design's model: perfect cancellation,
-    ideal hardware, so the covariance is noise alone."""
-    decoders = []
-    for i in DIRECTIONS:
-        hv = h_est[(i, i)] @ precoders[i]
-        m = config.rx_antennas[i]
-        acc = np.einsum("kmd,kpd->kmp", hv, hv.conj())
-        acc[:, np.arange(m), np.arange(m)] += config.noise_var[i][:, None]
-        decoders.append(np.linalg.solve(herm(acc), hv))
-    return decoders
-
-
-def _pth_mse_stack(precoders, decoders, h_est, config, i):
-    k_count = config.subcarriers
-    d = config.streams[i]
-    out = np.empty((k_count, d, d), dtype=complex)
-    for k in range(k_count):
-        sigma = config.noise_var[i][k] * np.eye(config.rx_antennas[i])
-        out[k] = mse_matrix(decoders[i][k], precoders[i][k], sigma,
-                            h_est[(i, i)][k])
-    return out
-
-
-def _pth_precoder_step(decoders, weights, h_est, config, thresholds, dual_tol):
-    """Per-direction minimizer of the design-model weighted MSE under both the
-    power budget and the predicted self-interference cap, via a scalar outer
-    bisection on the cap's multiplier around the power-dual inner solve."""
-    precoders, power_duals, si_duals = [], [], []
-    for j in DIRECTIONS:
-        h = h_est[(j, j)]
-        hu = np.einsum("kmn,kmd->knd", h.conj(), decoders[j])
-        quad = herm(np.einsum("knd,kde,kpe->knp", hu, weights[j], hu.conj()))
-        rhs = np.einsum("knd,kde->kne", hu, weights[j])
-        cross = h_est[(1 - j, j)]
-        cross_gram = herm(np.einsum("kmn,kmp->knp", cross.conj(), cross))
-        ones = np.ones(config.tx_antennas[j])
-        cap = thresholds[j]
-
-        def solve_at(mu):
-            v, iota = _solve_power_dual(herm(quad + mu * cross_gram), rhs,
-                                        ones, config.p_max[j], dual_tol)
-            fv = cross @ v
-            si = float(np.einsum("kmd,kmd->", fv, fv.conj()).real)
-            return v, iota, si
-
-        if cap <= 0:
-            precoders.append(np.zeros_like(rhs))
-            power_duals.append(0.0)
-            si_duals.append(np.inf)
-            continue
-        v, iota, si = solve_at(0.0)
-        mu = 0.0
-        if np.isfinite(cap) and si > cap + dual_tol:
-            hi = 1.0
-            for _ in range(200):
-                v, iota, si = solve_at(hi)
-                if si <= cap:
-                    break
-                hi *= 2.0
-            else:
-                raise DualSearchError("interference-cap dual bracket expansion failed")
-            lo = 0.0
-            mu = hi
-            for _ in range(200):
-                if abs(si - cap) <= max(dual_tol, 1e-9 * cap):
-                    break
-                mu = 0.5 * (lo + hi)
-                v, iota, si = solve_at(mu)
-                if si > cap:
-                    lo = mu
-                else:
-                    hi = mu
-        precoders.append(v)
-        power_duals.append(iota)
-        si_duals.append(mu)
-    return precoders, tuple(power_duals), tuple(si_duals)
-
-
-def _run_pth(channels: ChannelRealization, config: SystemConfig,
-             options: SolverOptions, designer: str, thresholds):
-    blind = _blind_config(config)
-    h_est = channels.h_est
-    precoders = init_precoders(channels, blind, options.init, options.init_seed)
-    decoders = _pth_receivers(precoders, h_est, blind)
-    use_rate_weights = designer == "wmmse"
-    if use_rate_weights:
-        weights = [config.rate_weights[i]
-                   * herm(np.linalg.inv(_pth_mse_stack(precoders, decoders,
-                                                       h_est, blind, i)))
-                   for i in DIRECTIONS]
-    else:
-        weights = [np.broadcast_to(np.eye(config.streams[i], dtype=complex),
-                                   (config.subcarriers, config.streams[i],
-                                    config.streams[i])).copy()
-                   for i in DIRECTIONS]
-
-    def objective():
-        total = 0.0
-        for i in DIRECTIONS:
-            errors = _pth_mse_stack(precoders, decoders, h_est, blind, i)
-            total += float(np.einsum("kde,ked->", weights[i], errors).real)
-        return total
-
-    trace = [objective()]
-    seconds = []
-    converged = False
-    iterations = 0
-    power_duals = (0.0, 0.0)
-    si_duals = (0.0, 0.0)
-    for _ in range(options.max_iters):
-        t0 = time.perf_counter()
-        precoders, power_duals, si_duals = _pth_precoder_step(
-            decoders, weights, h_est, blind, thresholds, options.dual_tol)
-        decoders = _pth_receivers(precoders, h_est, blind)
-        if use_rate_weights:
-            weights = [config.rate_weights[i]
-                       * herm(np.linalg.inv(_pth_mse_stack(precoders, decoders,
-                                                           h_est, blind, i)))
-                       for i in DIRECTIONS]
-        seconds.append(time.perf_counter() - t0)
-        trace.append(objective())
-        iterations += 1
-        if abs(trace[-1] - trace[-2]) <= options.rel_tol * max(abs(trace[-2]), 1e-300):
-            converged = True
-            break
-    design = TransceiverDesign(
-        precoders=tuple(precoders), decoders=tuple(decoders),
-        mse_weights=tuple(np.asarray(w) for w in weights), duals=power_duals)
-    meta = {"objective_trace": trace, "iteration_seconds": seconds,
-            "iterations": iterations, "converged": converged,
-            "si_duals": si_duals, "thresholds": tuple(thresholds)}
-    return design, meta
-
-
 def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
-                 options: SolverOptions = None, designer: str = "altqcp",
-                 p_th: float = None):
+                 options: SolverOptions = None, designer: str = "altqcp"):
     """Design with the named simplified strategy, evaluate under the true model.
 
-    designer picks the optimizer reused inside hd/kappa0/sc ("altqcp" for
-    weighted-MSE, "wmmse" for weighted sum rate) and, for pth_*', whether the
-    MSE weights are iteratively refit.
+    designer picks the optimizer ("altqcp" for weighted-MSE, "wmmse" for
+    weighted sum rate): the one reused inside hd/kappa0/sc, and for pth_*
+    whether the driver's MSE-weight block is on.
     """
     if mode not in BASELINE_MODES:
         raise ConfigError(f"unknown baseline mode {mode!r}")
     if designer not in DESIGNERS:
         raise ConfigError(f"unknown designer {designer!r}")
-    options = options or SolverOptions(max_iters=config.max_iters,
-                                       rel_tol=config.rel_tol)
+    options = options or SolverOptions()
     design_fn = DESIGNERS[designer]
+    eval_channels = channels
 
     if mode == "hd":
-        world = half_duplex_world(channels)
-        design, run_rep = design_fn(world, config, options)
-        report = evaluate_design(design, world, config)
-        report.rate_bits = 0.5 * report.rate_bits
-        eval_channels = world
+        eval_channels = half_duplex_world(channels)
+        design, run_rep = design_fn(eval_channels, config, options)
     elif mode == "kappa0":
         design, run_rep = design_fn(channels, _blind_config(config), options)
-        report = evaluate_design(design, channels, config)
-        eval_channels = channels
     elif mode == "sc":
         flat, cfg_flat = _single_carrier_pieces(channels, config)
         flat_design, run_rep = design_fn(flat, cfg_flat, options)
@@ -262,26 +119,23 @@ def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
             mse_weights=tuple(np.repeat(flat_design.mse_weights[i], k, axis=0)
                               for i in DIRECTIONS),
             duals=flat_design.duals)
-        report = evaluate_design(design, channels, config)
-        eval_channels = channels
     else:
-        thresholds = tuple(_pth_value(mode, config.p_max[j], p_th)
-                           for j in DIRECTIONS)
-        design, meta = _run_pth(channels, config, options, designer, thresholds)
-        report = evaluate_design(design, channels, config)
-        report.objective_trace = meta["objective_trace"]
-        report.iteration_seconds = meta["iteration_seconds"]
-        report.iterations = meta["iterations"]
-        report.converged = meta["converged"]
-        report.extras = {"mode": mode, "si_duals": meta["si_duals"],
-                         "thresholds": meta["thresholds"],
-                         "eval_channels": channels}
-        return design, report
+        caps = tuple(config.p_max[j] / _CAP_DIVISOR[mode] for j in DIRECTIONS)
+        design, run_rep = run_altqcp_scenarios(
+            [(1.0, channels.h_est)], channels.h_est, _blind_config(config),
+            options, channels_for_init=channels,
+            weight_block=designer == "wmmse", si_caps=caps)
 
+    report = evaluate_design(design, eval_channels, config)
+    if mode == "hd":
+        report.rate_bits = 0.5 * report.rate_bits
     report.objective_trace = run_rep.objective_trace
     report.iteration_seconds = run_rep.iteration_seconds
     report.iterations = run_rep.iterations
     report.converged = run_rep.converged
     report.extras = {"mode": mode, "design_extras": run_rep.extras,
                      "eval_channels": eval_channels}
+    for key in ("si_duals", "thresholds"):
+        if key in run_rep.extras:
+            report.extras[key] = run_rep.extras[key]
     return design, report

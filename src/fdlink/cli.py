@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration/spec errors, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -23,12 +24,7 @@ def _cmd_run(args) -> int:
     with open(args.spec) as f:
         spec = harness.ExperimentSpec.from_json(f.read())
     if args.seed is not None:
-        spec = harness.ExperimentSpec(
-            config=spec.config, channel=spec.channel,
-            sweep_param=spec.sweep_param, sweep_values=spec.sweep_values,
-            algorithms=spec.algorithms, n_trials=spec.n_trials,
-            seed=args.seed, output=spec.output,
-            baseline_designer=spec.baseline_designer)
+        spec = dataclasses.replace(spec, seed=args.seed)
     out_dir = args.out or os.environ.get("FDLINK_OUT") or spec.output
     os.makedirs(out_dir, exist_ok=True)
     rows, timings = harness.run_experiment(spec, processes=args.jobs)
@@ -79,8 +75,7 @@ def _cmd_validate_model(args) -> int:
     from .distortion import simulate_blocks
     from .model import SystemConfig, aggregate_covariance
 
-    config = SystemConfig.from_scalars(kappa=10 ** -2, csi_radius=0.0,
-                                       max_iters=25)
+    config = SystemConfig.from_scalars(kappa=10 ** -2, csi_radius=0.0)
     channels = draw_channels(config, ChannelStats(), args.seed)
     design, report = run_altqcp(channels, config,
                                 SolverOptions(max_iters=25, init_seed=args.seed))

@@ -50,8 +50,6 @@ class SystemConfig:
     rx_distortion: tuple           # per direction: (M_i,) = beta_l / K
     rate_weights: tuple = (1.0, 1.0)
     csi_radius: np.ndarray = None  # (2, 2, K) Frobenius radii of the error sets
-    max_iters: int = 100
-    rel_tol: float = 1e-6
 
     def __post_init__(self):
         if self.subcarriers < 1:
@@ -89,8 +87,8 @@ class SystemConfig:
     @classmethod
     def from_scalars(cls, subcarriers=4, antennas=2, streams=1, p_max=1.0,
                      noise_var=1e-3, kappa=1e-3, beta=None, csi_radius=10 ** -1.5,
-                     rate_weights=(1.0, 1.0), max_iters=100, rel_tol=1e-6,
-                     tx_antennas=None, rx_antennas=None) -> "SystemConfig":
+                     rate_weights=(1.0, 1.0), tx_antennas=None,
+                     rx_antennas=None) -> "SystemConfig":
         """Uniform construction from scalar parameters (kappa/beta are per-chain,
         linear; they get divided by the subcarrier count internally)."""
         if beta is None:
@@ -109,8 +107,6 @@ class SystemConfig:
             rx_distortion=tuple(np.full(n_rx[i], float(beta) / k) for i in DIRECTIONS),
             rate_weights=tuple(rate_weights),
             csi_radius=np.full((2, 2, k), float(csi_radius)),
-            max_iters=max_iters,
-            rel_tol=rel_tol,
         )
 
     def replace(self, **kw) -> "SystemConfig":
@@ -229,16 +225,19 @@ def covariance_stacks(precoders, channels_dict, config: SystemConfig):
     return out
 
 
-def sic_residual_stacks(precoders, channels: ChannelRealization):
-    """Covariance of the SI term that cancellation misses when h_est != h:
-    (h - h_est)_cross V_j V_j^H (h - h_est)_cross^H, per direction and subcarrier."""
-    out = []
+def _scenario_sigma(precoders, g, sic, config: SystemConfig):
+    """Design-model interference covariance stacks when the channels are g and
+    self-interference cancellation is referenced to sic: covariance_stacks on g
+    plus the cancellation residual (g - sic)_ij V_j V_j^H (g - sic)_ij^H of the
+    cross links, j = 1 - i. Returns [ (K, M_i, M_i) ]_i."""
+    sigmas = covariance_stacks(precoders, g, config)
     for i in DIRECTIONS:
         j = 1 - i
-        d = channels.h[(i, j)] - channels.h_est[(i, j)]
-        dv = d @ precoders[j]
-        out.append(np.einsum("kmd,kpd->kmp", dv, dv.conj()))
-    return out
+        d = g[(i, j)] - sic[(i, j)]
+        if np.any(d):
+            dv = d @ precoders[j]
+            sigmas[i] = sigmas[i] + np.einsum("kmd,kpd->kmp", dv, dv.conj())
+    return sigmas
 
 
 def aggregate_covariance(design: TransceiverDesign, channels: ChannelRealization,
@@ -261,9 +260,10 @@ def aggregate_covariance(design: TransceiverDesign, channels: ChannelRealization
 
 def mse_matrix(decoder: np.ndarray, precoder: np.ndarray, sigma: np.ndarray,
                h_direct: np.ndarray) -> np.ndarray:
-    """E = (U^H H V - I)(U^H H V - I)^H + U^H Sigma U for one (i, k)."""
-    d = precoder.shape[1]
-    if decoder.shape[0] != h_direct.shape[0] or precoder.shape[0] != h_direct.shape[1]:
+    """E = (U^H H V - I)(U^H H V - I)^H + U^H Sigma U for one (i, k), or for a
+    whole (K, ., .) stack of them."""
+    d = precoder.shape[-1]
+    if decoder.shape[-2] != h_direct.shape[-2] or precoder.shape[-2] != h_direct.shape[-1]:
         raise ConfigError("decoder/precoder dimensions do not match the channel")
     r = dagger(decoder) @ h_direct @ precoder - np.eye(d)
     return herm(r @ dagger(r) + dagger(decoder) @ sigma @ decoder)
@@ -279,18 +279,20 @@ def mmse_error_matrix(precoder: np.ndarray, sigma: np.ndarray,
 
 
 def rate(precoder: np.ndarray, sigma: np.ndarray, h_direct: np.ndarray,
-         streams: int = None) -> float:
-    """Per-subcarrier mutual information in bits: log2 det(I + V^H H^H Sigma^{-1} H V).
+         streams: int = None):
+    """Mutual information in bits, log2 det(I + V^H H^H Sigma^{-1} H V): a float
+    for one subcarrier, a (K,) array for a (K, ., .) stack.
 
     Raises numpy.linalg.LinAlgError if sigma is singular.
     """
     hv = h_direct @ precoder
     gram = dagger(hv) @ np.linalg.solve(stabilized(sigma), hv)
-    d = streams if streams is not None else precoder.shape[1]
+    d = streams if streams is not None else precoder.shape[-1]
     sign, logdet = np.linalg.slogdet(np.eye(d) + gram)
-    if sign.real <= 0:
+    if np.any(sign.real <= 0):
         raise np.linalg.LinAlgError("rate argument lost positive definiteness")
-    return max(float(logdet) / LN2, 0.0)
+    bits = np.maximum(logdet / LN2, 0.0)
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def power_usage(precoders_i: np.ndarray, tx_distortion_i: np.ndarray,
@@ -302,23 +304,84 @@ def power_usage(precoders_i: np.ndarray, tx_distortion_i: np.ndarray,
     return float(gram_diag.sum() + k * (tx_distortion_i * gram_diag).sum())
 
 
+# ---------------------------------------------------------------------------
+# scenario evaluators: channels g as the truth, cancellation against sic.
+# (g, sic) = (h_est, h_est) is the design view, (h, h_est) the true model.
+# ---------------------------------------------------------------------------
+
+def identity_weights(config: SystemConfig):
+    return [np.broadcast_to(np.eye(config.streams[i], dtype=complex),
+                            (config.subcarriers, config.streams[i],
+                             config.streams[i])).copy()
+            for i in DIRECTIONS]
+
+
+def mse_stacks(precoders, decoders, g, sic, config: SystemConfig):
+    """MSE matrices [ (K, d_i, d_i) ]_i of every (i, k) and the scenario
+    covariances [ (K, M_i, M_i) ]_i they were built from."""
+    sigmas = _scenario_sigma(precoders, g, sic, config)
+    errors = [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)])
+              for i in DIRECTIONS]
+    return errors, sigmas
+
+
+def _design_objective(precoders, decoders, mse_weights, scenarios, sic, config):
+    """sum over (weight, g) scenarios of weight * sum_i sum_k tr(S_i^k E_i^k).
+
+    Terms are added one at a time in (scenario, i, k) order, the order the
+    recorded objective traces and worst-case values have always used."""
+    total = 0.0
+    for weight, g in scenarios:
+        errors, _ = mse_stacks(precoders, decoders, g, sic, config)
+        for i in DIRECTIONS:
+            for value in np.trace(mse_weights[i] @ errors[i], axis1=1, axis2=2).real:
+                total += weight * value
+    return float(total)
+
+
+def rate_surrogate(errors, mse_weights, config: SystemConfig) -> float:
+    """sum_i omega_i sum_k (ln det S_i^k + d_i - tr(S_i^k E_i^k)), natural log.
+
+    Raises numpy.linalg.LinAlgError if a weight matrix is not positive definite.
+    """
+    total = 0.0
+    for i in DIRECTIONS:
+        sign, logdet = np.linalg.slogdet(mse_weights[i])
+        if np.any(sign.real <= 0):
+            raise np.linalg.LinAlgError("MSE weight matrix is not positive definite")
+        fit = np.trace(mse_weights[i] @ errors[i], axis1=1, axis2=2).real
+        for value, misfit in zip(logdet, fit):
+            total += config.rate_weights[i] * (value + config.streams[i] - misfit)
+    return float(total)
+
+
+def weighted_rate(precoders, g, sic, config: SystemConfig) -> float:
+    """sum_i omega_i sum_k rate_i^k in bits per channel use."""
+    sigmas = _scenario_sigma(precoders, g, sic, config)
+    return float(sum(config.rate_weights[i]
+                     * np.sum(rate(precoders[i], sigmas[i], g[(i, i)]))
+                     for i in DIRECTIONS))
+
+
+def design_report(precoders, decoders, g, sic, config: SystemConfig) -> PerformanceReport:
+    """Per-(i, k) unweighted MSE tr(E) with the given decoders, MMSE-receiver
+    rates, and the distortion-aware power of each direction."""
+    errors, sigmas = mse_stacks(precoders, decoders, g, sic, config)
+    mse = np.array([np.trace(errors[i], axis1=1, axis2=2).real for i in DIRECTIONS])
+    rate_bits = np.array([rate(precoders[i], sigmas[i], g[(i, i)]) for i in DIRECTIONS])
+    power = np.array([power_usage(precoders[i], config.tx_distortion[i],
+                                  config.subcarriers) for i in DIRECTIONS])
+    return PerformanceReport(mse=mse, rate_bits=rate_bits, power=power)
+
+
 def weighted_mse_objective(design: TransceiverDesign, channels: ChannelRealization,
                            config: SystemConfig, use_weights: bool = True,
                            use_estimate: bool = False) -> float:
     """sum_i sum_k tr(S_i^k E_i^k); S = I when use_weights is False."""
     source = channels.h_est if use_estimate else channels.h
-    sigmas = covariance_stacks(design.precoders, source, config)
-    total = 0.0
-    for i in DIRECTIONS:
-        h_ii = source[(i, i)]
-        for k in range(config.subcarriers):
-            e = mse_matrix(design.decoders[i][k], design.precoders[i][k],
-                           sigmas[i][k], h_ii[k])
-            if use_weights:
-                total += np.trace(design.mse_weights[i][k] @ e).real
-            else:
-                total += np.trace(e).real
-    return float(total)
+    weights = design.mse_weights if use_weights else identity_weights(config)
+    return _design_objective(design.precoders, design.decoders, weights,
+                             [(1.0, source)], source, config)
 
 
 def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
@@ -329,18 +392,5 @@ def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
     MSE uses the design's own decoders (identity weights); rates assume the
     desired-link receiver can realize the MMSE front end for the true channel.
     """
-    k_count = config.subcarriers
-    sigmas = covariance_stacks(design.precoders, channels.h, config)
-    residual = sic_residual_stacks(design.precoders, channels)
-    mse = np.zeros((2, k_count))
-    rate_bits = np.zeros((2, k_count))
-    for i in DIRECTIONS:
-        h_ii = channels.h[(i, i)]
-        for k in range(k_count):
-            sig = sigmas[i][k] + residual[i][k]
-            e = mse_matrix(design.decoders[i][k], design.precoders[i][k], sig, h_ii[k])
-            mse[i, k] = np.trace(e).real
-            rate_bits[i, k] = rate(design.precoders[i][k], sig, h_ii[k])
-    power = np.array([power_usage(design.precoders[i], config.tx_distortion[i],
-                                  k_count) for i in DIRECTIONS])
-    return PerformanceReport(mse=mse, rate_bits=rate_bits, power=power)
+    return design_report(design.precoders, design.decoders, channels.h,
+                         channels.h_est, config)

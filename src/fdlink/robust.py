@@ -19,7 +19,7 @@ import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
-                    TransceiverDesign, covariance_stacks, mse_matrix)
+                    TransceiverDesign, _design_objective)
 from .util import ConfigError, dagger, herm, unvec, vec
 
 
@@ -61,23 +61,11 @@ def weighted_mse_with_errors(design: TransceiverDesign,
     if deltas is None:
         deltas = channels.delta()
     weights = mse_weights if mse_weights is not None else design.mse_weights
-    g = {}
-    for pair in PAIRS:
-        d = deltas.get(pair)
-        g[pair] = channels.h_est[pair] + d if d is not None else channels.h_est[pair].copy()
-    sigmas = covariance_stacks(design.precoders, g, config)
-    total = 0.0
-    for i in DIRECTIONS:
-        j = 1 - i
-        resid = g[(i, j)] - channels.h_est[(i, j)]
-        if np.any(resid):
-            dv = resid @ design.precoders[j]
-            sigmas[i] = sigmas[i] + np.einsum("kmd,kpd->kmp", dv, dv.conj())
-        for k in range(config.subcarriers):
-            e = mse_matrix(design.decoders[i][k], design.precoders[i][k],
-                           sigmas[i][k], g[(i, i)][k])
-            total += np.trace(weights[i][k] @ e).real
-    return float(total)
+    g = {pair: channels.h_est[pair] + deltas[pair]
+         if deltas.get(pair) is not None else channels.h_est[pair]
+         for pair in PAIRS}
+    return _design_objective(design.precoders, design.decoders, weights,
+                             [(1.0, g)], channels.h_est, config)
 
 
 def build_quadratic_form(design: TransceiverDesign,
@@ -308,8 +296,7 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
     average of the scenario set and appending the current worst-case channel
     hypothesis, until the worst case is within cut_rel_tol of the design
     objective (or max_cuts scenarios accumulate)."""
-    options = options or SolverOptions(max_iters=config.max_iters,
-                                       rel_tol=config.rel_tol)
+    options = options or SolverOptions()
     scenarios = [channels.h_est]
     history = []
     best = None                      # (wc_value, cut index, design, report)

@@ -4,20 +4,20 @@ The surrogate sum_i omega_i sum_k (ln det S_i^k + d_i - tr(S_i^k E_i^k)) is
 maximized by cycling precoders -> receivers -> weights; after the receiver and
 weight updates it equals ln(2) times the weighted sum rate of the design
 model, so the rate itself is monotone across outer iterations.
+
+The loop is the package's one block-coordinate driver,
+altqcp.run_altqcp_scenarios, with its weight block switched on; this module
+holds the public entry point and the single-step views on estimated channels.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .altqcp import (SolverOptions, _precoder_step, _receiver_step,
-                     _scenario_sigma, init_precoders)
-from .model import (DIRECTIONS, ChannelRealization, PerformanceReport,
-                    SystemConfig, TransceiverDesign, mse_matrix, power_usage,
-                    rate)
-from .util import LN2, herm
+from .altqcp import SolverOptions, run_altqcp_scenarios
+from .model import (ChannelRealization, SystemConfig, TransceiverDesign,
+                    mse_stacks, rate_surrogate, weighted_rate)
+from .util import herm
 
 
 def update_weights(design: TransceiverDesign, channels: ChannelRealization,
@@ -26,65 +26,23 @@ def update_weights(design: TransceiverDesign, channels: ChannelRealization,
 
     Raises numpy.linalg.LinAlgError if an MSE matrix is singular.
     """
-    weights = []
-    for i in DIRECTIONS:
-        sigma = _scenario_sigma(design.precoders, channels.h_est,
-                                channels.h_est, config)[i]
-        stack = np.empty((config.subcarriers, config.streams[i],
-                          config.streams[i]), dtype=complex)
-        for k in range(config.subcarriers):
-            e = mse_matrix(design.decoders[i][k], design.precoders[i][k],
-                           sigma[k], channels.h_est[(i, i)][k])
-            stack[k] = herm(np.linalg.inv(e))
-        weights.append(stack)
-    return weights
-
-
-def _mse_stacks(precoders, decoders, h_est, config):
-    out = []
-    for i in DIRECTIONS:
-        sigma = _scenario_sigma(precoders, h_est, h_est, config)[i]
-        stack = np.empty((config.subcarriers, config.streams[i],
-                          config.streams[i]), dtype=complex)
-        for k in range(config.subcarriers):
-            stack[k] = mse_matrix(decoders[i][k], precoders[i][k], sigma[k],
-                                  h_est[(i, i)][k])
-        out.append(stack)
-    return out
-
-
-def _surrogate(precoders, decoders, mse_weights, h_est, config):
-    total = 0.0
-    errors = _mse_stacks(precoders, decoders, h_est, config)
-    for i in DIRECTIONS:
-        omega = config.rate_weights[i]
-        for k in range(config.subcarriers):
-            sign, logdet = np.linalg.slogdet(mse_weights[i][k])
-            if sign.real <= 0:
-                raise np.linalg.LinAlgError("MSE weight matrix is not positive definite")
-            total += omega * (logdet + config.streams[i]
-                              - np.trace(mse_weights[i][k] @ errors[i][k]).real)
-    return float(total)
+    errors, _ = mse_stacks(design.precoders, design.decoders, channels.h_est,
+                           channels.h_est, config)
+    return [herm(np.linalg.inv(e)) for e in errors]
 
 
 def surrogate_objective(design: TransceiverDesign, channels: ChannelRealization,
                         config: SystemConfig) -> float:
     """Natural-log rate surrogate of a design, on estimated channels."""
-    return _surrogate(design.precoders, design.decoders, design.mse_weights,
-                      channels.h_est, config)
+    errors, _ = mse_stacks(design.precoders, design.decoders, channels.h_est,
+                           channels.h_est, config)
+    return rate_surrogate(errors, design.mse_weights, config)
 
 
 def weighted_rate_bits(precoders, channels: ChannelRealization,
                        config: SystemConfig) -> float:
     """Design-model weighted sum rate (bits/channel use) over both directions."""
-    sigmas = [_scenario_sigma(precoders, channels.h_est, channels.h_est,
-                              config)[i] for i in DIRECTIONS]
-    total = 0.0
-    for i in DIRECTIONS:
-        for k in range(config.subcarriers):
-            total += config.rate_weights[i] * rate(
-                precoders[i][k], sigmas[i][k], channels.h_est[(i, i)][k])
-    return float(total)
+    return weighted_rate(precoders, channels.h_est, channels.h_est, config)
 
 
 def run_wmmse(channels: ChannelRealization, config: SystemConfig,
@@ -94,68 +52,6 @@ def run_wmmse(channels: ChannelRealization, config: SystemConfig,
     objective_trace holds the surrogate (natural log); rate_trace holds the
     design-model weighted sum rate in bits per channel use.
     """
-    options = options or SolverOptions(max_iters=config.max_iters,
-                                       rel_tol=config.rel_tol)
-    scenarios = [(1.0, channels.h_est)]
-    sic = channels.h_est
-    precoders = init_precoders(channels, config, options.init, options.init_seed)
-    decoders = _receiver_step(precoders, scenarios, sic, config)
-    design = TransceiverDesign(tuple(precoders), tuple(decoders),
-                               tuple(np.broadcast_to(np.eye(config.streams[i], dtype=complex),
-                                                     (config.subcarriers, config.streams[i],
-                                                      config.streams[i])).copy()
-                                     for i in DIRECTIONS))
-    weights = update_weights(design, channels, config)
-    trace = [_surrogate(precoders, decoders, weights, sic, config)]
-    rate_trace = [weighted_rate_bits(precoders, channels, config)]
-    seconds, blocks, slackness, tightness = [], [], [], []
-    duals = (0.0, 0.0)
-    converged = False
-    iterations = 0
-    scaled = [config.rate_weights[i] * weights[i] for i in DIRECTIONS]
-    for _ in range(options.max_iters):
-        t0 = time.perf_counter()
-        precoders, duals = _precoder_step(decoders, scaled, scenarios, sic,
-                                          config, options.dual_tol)
-        after_v = _surrogate(precoders, decoders, weights, sic, config)
-        decoders = _receiver_step(precoders, scenarios, sic, config)
-        after_u = _surrogate(precoders, decoders, weights, sic, config)
-        design = TransceiverDesign(tuple(precoders), tuple(decoders), tuple(weights))
-        weights = update_weights(design, channels, config)
-        scaled = [config.rate_weights[i] * weights[i] for i in DIRECTIONS]
-        after_s = _surrogate(precoders, decoders, weights, sic, config)
-        seconds.append(time.perf_counter() - t0)
-        blocks.append((after_v, after_u, after_s))
-        slackness.append(tuple(
-            (duals[i], power_usage(precoders[i], config.tx_distortion[i],
-                                   config.subcarriers)) for i in DIRECTIONS))
-        rate_now = weighted_rate_bits(precoders, channels, config)
-        rate_trace.append(rate_now)
-        tightness.append(abs(after_s - LN2 * rate_now))
-        trace.append(after_s)
-        iterations += 1
-        if abs(trace[-1] - trace[-2]) <= options.rel_tol * max(abs(trace[-2]), 1e-300):
-            converged = True
-            break
-    design = TransceiverDesign(precoders=tuple(precoders), decoders=tuple(decoders),
-                               mse_weights=tuple(weights), duals=duals)
-    sigmas = [_scenario_sigma(precoders, sic, sic, config)[i] for i in DIRECTIONS]
-    k_count = config.subcarriers
-    mse = np.zeros((2, k_count))
-    rate_bits = np.zeros((2, k_count))
-    for i in DIRECTIONS:
-        for k in range(k_count):
-            e = mse_matrix(decoders[i][k], precoders[i][k], sigmas[i][k],
-                           sic[(i, i)][k])
-            mse[i, k] = np.trace(e).real
-            rate_bits[i, k] = rate(precoders[i][k], sigmas[i][k], sic[(i, i)][k])
-    power = np.array([power_usage(precoders[i], config.tx_distortion[i], k_count)
-                      for i in DIRECTIONS])
-    report = PerformanceReport(
-        mse=mse, rate_bits=rate_bits, power=power, objective_trace=trace,
-        iteration_seconds=seconds, iterations=iterations, converged=converged,
-        rate_trace=rate_trace,
-        extras={"surrogate_blocks": blocks, "power_slackness": slackness,
-                "tightness_gap": tightness},
-    )
-    return design, report
+    return run_altqcp_scenarios([(1.0, channels.h_est)], channels.h_est, config,
+                                options or SolverOptions(),
+                                channels_for_init=channels, weight_block=True)

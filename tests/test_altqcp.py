@@ -367,8 +367,7 @@ def test_run_single_direction_reaches_mmse_fixed_point():
     # objective of an extra iteration moves less than 1e-8
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
                                        p_max=(1.0, 0.0), noise_var=0.1,
-                                       kappa=0.0, beta=0.0, csi_radius=0.0,
-                                       max_iters=100, rel_tol=1e-14)
+                                       kappa=0.0, beta=0.0, csi_radius=0.0)
     channels = _flat_channels({(0, 0): 1.1 - 0.4j, (1, 1): 0.7,
                                (0, 1): 0.3 + 0.2j, (1, 0): -0.5j})
     design, report = run_altqcp(channels, config,

@@ -312,3 +312,30 @@ def test_evaluate_design_report_contents(perfect_channels, perfect_csi_config):
         expected = power_usage(precoders[i], config.tx_distortion[i],
                                config.subcarriers)
         assert abs(report.power[i] - expected) < 1e-12
+
+
+def test_evaluate_design_matches_per_subcarrier_loop(default_config,
+                                                     default_channels):
+    # the stacked evaluator against one mse_matrix / rate call per (i, k),
+    # with the cancellation residual of the CSI error added by hand; the
+    # arithmetic per subcarrier is the same, so the results are equal
+    rng = np.random.default_rng(13)
+    config, channels = default_config, default_channels
+    precoders = [crandn_t(rng, (config.subcarriers, config.tx_antennas[i],
+                                config.streams[i])) for i in DIRECTIONS]
+    decoders = [crandn_t(rng, (config.subcarriers, config.rx_antennas[i],
+                               config.streams[i])) for i in DIRECTIONS]
+    report = evaluate_design(_design_from(precoders, decoders, config),
+                             channels, config)
+    stacks = covariance_stacks(precoders, channels.h, config)
+    for i in DIRECTIONS:
+        j = 1 - i
+        resid = channels.h[(i, j)] - channels.h_est[(i, j)]
+        assert np.any(resid)
+        for k in range(config.subcarriers):
+            dv = resid[k] @ precoders[j][k]
+            sigma = stacks[i][k] + dv @ dv.conj().T
+            h = channels.h[(i, i)][k]
+            e = mse_matrix(decoders[i][k], precoders[i][k], sigma, h)
+            assert report.mse[i, k] == np.trace(e).real
+            assert report.rate_bits[i, k] == rate(precoders[i][k], sigma, h)

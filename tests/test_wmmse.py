@@ -7,6 +7,7 @@ import pytest
 from conftest import crandn_t
 from fdlink import (ChannelRealization, SystemConfig, TransceiverDesign,
                     run_wmmse)
+from fdlink.altqcp import SolverOptions
 from fdlink.model import DIRECTIONS, PAIRS
 from fdlink.util import LN2
 from fdlink.wmmse import (surrogate_objective, update_weights,
@@ -126,11 +127,11 @@ def test_scalar_link_reaches_waterfilling_capacity():
     h00 = 0.9 - 0.3j
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
                                        p_max=(p, 0.0), noise_var=sigma2,
-                                       kappa=0.0, beta=0.0, csi_radius=0.0,
-                                       max_iters=300, rel_tol=1e-13)
+                                       kappa=0.0, beta=0.0, csi_radius=0.0)
     channels = _flat_channels({(0, 0): h00, (1, 1): 0.4,
                                (0, 1): 0.1, (1, 0): 0.2j})
-    design, report = run_wmmse(channels, config)
+    design, report = run_wmmse(channels, config,
+                               SolverOptions(max_iters=300, rel_tol=1e-13))
     capacity = np.log2(1 + p * abs(h00) ** 2 / sigma2)
     assert abs(report.weighted_sum_rate() - capacity) < 1e-6 * capacity
     assert np.max(np.abs(design.precoders[1])) == 0.0
