@@ -23,8 +23,8 @@ import numpy as np
 
 from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
-                    design_report, identity_weights, mse_stacks, power_usage,
-                    rate_surrogate, weighted_rate)
+                    _weighted_rate, design_report, identity_weights,
+                    mse_stacks, power_usage, rate_surrogate)
 from .util import (LN2, ConfigError, DualSearchError, crandn, dagger, herm,
                    rng_from, stabilized)
 
@@ -290,12 +290,12 @@ def update_precoders(decoders, mse_weights, channels: ChannelRealization,
 
 
 def _weight_block(precoders, decoders, g, sic, config):
-    """S = E^{-1} at the current point; returns (S, the rate surrogate there,
-    the design-model weighted sum rate in bits)."""
-    errors, _ = mse_stacks(precoders, decoders, g, sic, config)
+    """S = E^{-1} at the current point from one MSE evaluation; returns (E, S,
+    the rate surrogate there, the design-model weighted sum rate in bits)."""
+    errors, sigmas = mse_stacks(precoders, decoders, g, sic, config)
     weights = [herm(np.linalg.inv(e)) for e in errors]
-    return (weights, rate_surrogate(errors, weights, config),
-            weighted_rate(precoders, g, sic, config))
+    return (errors, weights, rate_surrogate(errors, weights, config),
+            _weighted_rate(precoders, sigmas, g, config))
 
 
 def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
@@ -329,7 +329,7 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
 
     rate_trace = None
     if weight_block:
-        weights, value, rate_now = _weight_block(precoders, decoders, g0, sic, config)
+        _, weights, value, rate_now = _weight_block(precoders, decoders, g0, sic, config)
         rate_trace = [rate_now]
     else:
         weights = mse_weights if mse_weights is not None else identity_weights(config)
@@ -346,12 +346,16 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
             decoders, step_weights, scenarios, sic, config, options.dual_tol, si_caps)
         block = [objective()]
         decoders = _receiver_step(precoders, scenarios, sic, config)
-        block.append(objective())
         if weight_block:
-            weights, value, rate_now = _weight_block(precoders, decoders, g0, sic, config)
-            block.append(value)
+            # the new point's MSE matrices also give the old-weight surrogate
+            errors, new, value, rate_now = _weight_block(precoders, decoders, g0,
+                                                         sic, config)
+            block += [rate_surrogate(errors, weights, config), value]
+            weights = new
             rate_trace.append(rate_now)
             tightness.append(abs(value - LN2 * rate_now))
+        else:
+            block.append(objective())
         seconds.append(time.perf_counter() - t0)
         blocks.append(tuple(block))
         slackness.append(tuple(

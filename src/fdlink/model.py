@@ -357,7 +357,11 @@ def rate_surrogate(errors, mse_weights, config: SystemConfig) -> float:
 
 def weighted_rate(precoders, g, sic, config: SystemConfig) -> float:
     """sum_i omega_i sum_k rate_i^k in bits per channel use."""
-    sigmas = _scenario_sigma(precoders, g, sic, config)
+    return _weighted_rate(precoders, _scenario_sigma(precoders, g, sic, config), g, config)
+
+
+def _weighted_rate(precoders, sigmas, g, config: SystemConfig) -> float:
+    """weighted_rate from already built scenario covariances."""
     return float(sum(config.rate_weights[i]
                      * np.sum(rate(precoders[i], sigmas[i], g[(i, i)]))
                      for i in DIRECTIONS))

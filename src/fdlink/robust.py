@@ -7,8 +7,9 @@ receive-distortion pickup), and no term couples two different error matrices.
 The objective therefore splits exactly into a Delta-independent remainder plus
 one convex quadratic ||C vec(Delta) + c||^2 per (receiver, transmitter,
 subcarrier) triple, each maximized in closed form over its own ellipsoid by a
-trust-region-style secular equation. A cutting-set loop turns the resulting
-worst-case oracle into a robust design.
+trust-region-style secular equation. One oracle pass gives both the certified
+worst case and the pessimizing channel that attains it; a cutting-set loop
+appends that channel to its scenario set to reach a robust design.
 """
 
 from __future__ import annotations
@@ -90,13 +91,10 @@ def build_quadratic_form(design: TransceiverDesign,
     v = design.precoders[j][k]
     h_nom = channels.h_est[(i, j)][k]
     # weights enter as W with tr(W E) = tr(W^(1/2)^H E W^(1/2)); use a factor
-    w_stack = weights[i]
-    w_fac = np.empty_like(w_stack)
-    for kk in range(config.subcarriers):
-        lam, q = np.linalg.eigh(herm(w_stack[kk]))
-        if lam.min() < -1e-12 * max(abs(lam).max(), 1.0):
-            raise ConfigError("MSE weight matrices must be positive semidefinite")
-        w_fac[kk] = q * np.sqrt(np.maximum(lam, 0.0))[None, :]
+    lam, q = np.linalg.eigh(herm(weights[i]))
+    if np.any(lam.min(axis=1) < -1e-12 * np.maximum(abs(lam).max(axis=1), 1.0)):
+        raise ConfigError("MSE weight matrices must be positive semidefinite")
+    w_fac = q * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
 
     a1 = dagger(w_fac[k]) @ dagger(u)                      # (d_i, M_i)
     blocks_map = []
@@ -252,15 +250,14 @@ def _delta_from(form: QuadraticErrorForm, b: np.ndarray) -> np.ndarray:
     return unvec(vecd, form.rows, form.cols)
 
 
-def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,
-                   config: SystemConfig, mse_weights=None) -> float:
-    """Exact worst-case weighted MSE over the product of per-(i, j, k) error
-    ellipsoids: the nominal objective plus each form's worst-case increment
-    (the objective is additively separable across error matrices)."""
+def _worst_case(design, channels, config, mse_weights=None):
+    """(worst_case_mse, the channel dict attaining it): each positive-radius
+    form is solved once; its increment joins the nominal objective and its
+    maximizer is added to h_est^k."""
     zero = {pair: np.zeros_like(channels.h_est[pair]) for pair in PAIRS}
-    nominal = weighted_mse_with_errors(design, channels, config, deltas=zero,
-                                       mse_weights=mse_weights)
-    total = nominal
+    total = weighted_mse_with_errors(design, channels, config, deltas=zero,
+                                     mse_weights=mse_weights)
+    worst = {pair: channels.h_est[pair].copy() for pair in PAIRS}
     for (i, j) in PAIRS:
         radii = channels.csi_radius[(i, j)]
         for k in range(config.subcarriers):
@@ -271,23 +268,16 @@ def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,
             result = worst_case_error(form)
             base = float(np.vdot(form.offset, form.offset).real)
             total += max(result.value - base, 0.0)
-    return float(total)
+            worst[(i, j)][k] += result.delta_star
+    return float(total), worst
 
 
-def _worst_scenario(design, channels, config, mse_weights=None):
-    """Assemble one full channel dict from the per-(i, j, k) worst errors."""
-    g = {}
-    for (i, j) in PAIRS:
-        base = channels.h_est[(i, j)].copy()
-        radii = channels.csi_radius[(i, j)]
-        for k in range(config.subcarriers):
-            if radii[k] <= 0:
-                continue
-            form = build_quadratic_form(design, channels, config, i, j, k,
-                                        mse_weights=mse_weights)
-            base[k] = base[k] + worst_case_error(form).delta_star
-        g[(i, j)] = base
-    return g
+def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,
+                   config: SystemConfig, mse_weights=None) -> float:
+    """Exact worst-case weighted MSE over the product of per-(i, j, k) error
+    ellipsoids: the nominal objective plus each form's worst-case increment
+    (the objective is additively separable across error matrices)."""
+    return _worst_case(design, channels, config, mse_weights)[0]
 
 
 def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
@@ -309,8 +299,7 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
             init_precoders_override=warm, channels_for_init=channels)
         warm = design.precoders
         design_value = report.objective_trace[-1]
-        wc_value = worst_case_mse(design, channels, config,
-                                  mse_weights=mse_weights)
+        wc_value, worst = _worst_case(design, channels, config, mse_weights)
         gap = (wc_value - design_value) / max(abs(design_value), 1e-300)
         history.append({"scenarios": len(scenarios), "design": design_value,
                         "worst_case": wc_value, "gap": gap})
@@ -319,8 +308,7 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
         if gap < options.cut_rel_tol:
             robust_converged = True
             break
-        scenarios.append(_worst_scenario(design, channels, config,
-                                         mse_weights=mse_weights))
+        scenarios.append(worst)
     # the averaged objective is a proxy, so keep the incumbent with the best
     # certified worst case rather than whatever the last cut produced
     wc_value, cut, design, report = best

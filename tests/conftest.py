@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fdlink import ChannelStats, SystemConfig, draw_channels, perturb_csi
+from fdlink.model import PAIRS
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +38,14 @@ def random_psd(rng, n, scale=1.0):
 
 def crandn_t(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def with_shaping(channels, seed):
+    """The realization with ellipsoidal error sets D^k = A A^H + I per pair."""
+    rng = np.random.default_rng(seed)
+    shaping = {}
+    for pair in PAIRS:
+        k, m, _ = channels.h[pair].shape
+        a = crandn_t(rng, (k, m, m))
+        shaping[pair] = a @ a.conj().transpose(0, 2, 1) + np.eye(m)
+    return dataclasses.replace(channels, shaping=shaping)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import with_shaping
 from fdlink import (ChannelStats, ConfigError, SystemConfig,
                     channels_from_json, channels_to_json, draw_channels,
                     perturb_csi)
@@ -105,6 +106,22 @@ def test_json_round_trip(default_config):
         assert np.array_equal(back.h[pair], ch.h[pair])
         assert np.array_equal(back.h_est[pair], ch.h_est[pair])
         assert np.array_equal(back.csi_radius[pair], ch.csi_radius[pair])
+
+
+def test_shaped_sets_boundary_and_json_round_trip(default_config):
+    # ellipsoidal sets {Delta : ||D^k Delta||_F <= radius}: boundary draws sit
+    # on the shaped sphere, and the JSON round trip keeps D bit for bit
+    ch = with_shaping(draw_channels(default_config, ChannelStats(), 21), 22)
+    err, ch = perturb_csi(ch, default_config, 23, mode="boundary")
+    assert err.max_violation() <= 1e-12
+    for pair in PAIRS:
+        shaped = ch.shaping[pair] @ err.delta[pair]
+        norms = np.linalg.norm(shaped, axis=(1, 2))
+        assert np.allclose(norms, ch.csi_radius[pair], rtol=1e-12)
+    back = channels_from_json(channels_to_json(ch))
+    for pair in PAIRS:
+        assert np.array_equal(back.shaping[pair], ch.shaping[pair])
+        assert np.array_equal(back.h_est[pair], ch.h_est[pair])
 
 
 def test_json_malformed_raises():

@@ -111,8 +111,8 @@ def test_csv_round_trip_and_determinism(tiny_rows, tmp_path):
 
 def test_worker_processes_do_not_change_results():
     # cells farmed out to worker processes give the same bytes as a serial run
-    spec = ExperimentSpec.from_json(
-        dict(TINY_SPEC, algorithms=["altqcp", "wmmse", "kappa0", "pth_low"]))
+    spec = ExperimentSpec.from_json(dict(
+        TINY_SPEC, algorithms=["altqcp", "wmmse", "cutting_set", "kappa0", "pth_low"]))
     serial, _ = run_experiment(spec, processes=1)
     pooled, _ = run_experiment(spec, processes=2)
     assert results_to_csv_text(pooled, spec) == results_to_csv_text(serial, spec)

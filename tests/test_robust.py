@@ -5,15 +5,16 @@ dominance, KKT/duality certificates, and worst-case design behavior."""
 import numpy as np
 import pytest
 
-from conftest import crandn_t
+from conftest import crandn_t, random_psd, with_shaping
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_cutting_set)
 from fdlink.altqcp import SolverOptions, identity_weights
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
-from fdlink.robust import (QuadraticErrorForm, build_quadratic_form,
-                           weighted_mse_with_errors, worst_case_error,
-                           worst_case_mse)
+from fdlink.robust import (QuadraticErrorForm, _worst_case,
+                           build_quadratic_form, weighted_mse_with_errors,
+                           worst_case_error, worst_case_mse)
+from fdlink.util import unvec
 
 
 def _make_form(rng, out_dim, n, radius, scale=1.0):
@@ -34,6 +35,16 @@ def _zero_deltas(channels):
 def designed(default_config, default_channels):
     design, _ = run_altqcp(default_channels, default_config)
     return design
+
+
+@pytest.fixture(scope="module")
+def two_stream_case():
+    """(config, channels, design) with two streams per direction."""
+    config = SystemConfig.from_scalars(antennas=3, streams=2)
+    channels = draw_channels(config, ChannelStats(), 51)
+    _, channels = perturb_csi(channels, config, 52, "interior")
+    design, _ = run_altqcp(channels, config)
+    return config, channels, design
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +84,46 @@ def test_forms_reproduce_objective_shift(default_config, default_channels,
                         < 1e-9 * max(abs(direct), 1.0)
                     checked += 1
     assert checked >= 100
+
+
+def test_shaped_forms_reproduce_objective_shift(default_config, designed):
+    """Ellipsoidal sets D^k = A A^H + I: the lifted form through its whitener
+    reproduces the objective shift, and every maximizer stays in its set."""
+    config = default_config
+    shaped = with_shaping(draw_channels(config, ChannelStats(), 31), 32)
+    _, channels = perturb_csi(shaped, config, 33, "interior")
+    rng = np.random.default_rng(34)
+    base = weighted_mse_with_errors(designed, channels, config,
+                                    deltas=_zero_deltas(channels))
+    for (i, j) in PAIRS:
+        for k in range(config.subcarriers):
+            form = build_quadratic_form(designed, channels, config, i, j, k)
+            assert form.whitener is not None
+            b = crandn_t(rng, (form.whitener.shape[1],))
+            b *= form.radius / np.linalg.norm(b)
+            deltas = _zero_deltas(channels)
+            deltas[(i, j)][k] = unvec(form.whitener @ b, form.rows, form.cols)
+            direct = weighted_mse_with_errors(designed, channels, config,
+                                              deltas=deltas)
+            lifted = form.map @ form.whitener @ b + form.offset
+            predicted = (base - float(np.vdot(form.offset, form.offset).real)
+                         + float(np.vdot(lifted, lifted).real))
+            assert abs(direct - predicted) < 1e-9 * max(abs(direct), 1.0)
+            star = worst_case_error(form).delta_star
+            shaped_norm = np.linalg.norm(channels.shaping[(i, j)][k] @ star)
+            assert shaped_norm <= form.radius * (1 + 1e-9)
+
+
+def test_weights_indefinite_on_one_subcarrier_raise(two_stream_case):
+    config, channels, design = two_stream_case
+    weights = identity_weights(config)
+    weights[0][2] = np.diag([1.0, 0.0]).astype(complex)      # PSD, singular
+    build_quadratic_form(design, channels, config, 0, 0, 0,
+                         mse_weights=weights)
+    weights[0][2] = np.diag([1.0, -1.0]).astype(complex)     # indefinite
+    with pytest.raises(ConfigError):
+        build_quadratic_form(design, channels, config, 0, 0, 0,
+                             mse_weights=weights)
 
 
 def test_form_index_validation(default_config, default_channels, designed):
@@ -278,9 +329,86 @@ def test_worst_case_mse_idle_design_bounded(default_config, default_channels):
     assert wc <= total + 1e-9
 
 
+def _oracle_case(name, default_config, default_channels, designed,
+                 two_stream_case):
+    if name == "identity":
+        return (default_config, default_channels, designed,
+                identity_weights(default_config))
+    if name == "weighted":
+        config, channels, design = two_stream_case
+        rng = np.random.default_rng(61)
+        weights = [np.stack([random_psd(rng, config.streams[i])
+                             for _ in range(config.subcarriers)])
+                   for i in DIRECTIONS]
+        return config, channels, design, weights
+    if name == "zero_radii":
+        radius = np.array(default_config.csi_radius)
+        radius[0, 1, 2] = radius[1, 1, 0] = 0.0
+        radius[1, 0, :] = 0.0
+        config = default_config.replace(csi_radius=radius)
+        channels = draw_channels(config, ChannelStats(), 62)
+        _, channels = perturb_csi(channels, config, 63, "interior")
+        return config, channels, designed, None
+    shaped = with_shaping(draw_channels(default_config, ChannelStats(), 64), 65)
+    _, channels = perturb_csi(shaped, default_config, 66, "interior")
+    return default_config, channels, designed, None
+
+
+@pytest.mark.parametrize("name", ["identity", "weighted", "zero_radii",
+                                  "shaped"])
+def test_worst_scenario_attains_certified_value(name, default_config,
+                                                default_channels, designed,
+                                                two_stream_case):
+    """The channel dict the oracle returns (and the cutting set appends)
+    evaluates to the certified worst case: the objective separates across
+    error matrices, so the per-form maximizers are jointly worst."""
+    config, channels, design, weights = _oracle_case(
+        name, default_config, default_channels, designed, two_stream_case)
+    _, worst = _worst_case(design, channels, config, weights)
+    certified = worst_case_mse(design, channels, config, mse_weights=weights)
+    deltas = {p: worst[p] - channels.h_est[p] for p in PAIRS}
+    attained = weighted_mse_with_errors(design, channels, config,
+                                        deltas=deltas, mse_weights=weights)
+    assert attained == pytest.approx(certified, rel=1e-9)
+    nominal = weighted_mse_with_errors(design, channels, config,
+                                       deltas=_zero_deltas(channels),
+                                       mse_weights=weights)
+    assert certified > nominal
+    for pair in PAIRS:
+        radii = channels.csi_radius[pair]
+        for k in range(config.subcarriers):
+            if radii[k] <= 0:
+                assert np.array_equal(worst[pair][k], channels.h_est[pair][k])
+                continue
+            shaping = channels.shaping[pair]
+            err = deltas[pair][k] if shaping is None else shaping[k] @ deltas[pair][k]
+            assert np.linalg.norm(err) <= radii[k] * (1 + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # cutting-set loop
 # ---------------------------------------------------------------------------
+
+def test_cutting_set_solves_each_form_once_per_cut(default_config,
+                                                   default_channels,
+                                                   monkeypatch):
+    # one oracle pass per cut gives both the certified value and the next
+    # scenario: 4 K forms per cut, none after the last cut
+    import fdlink.robust as robust
+    built = []
+    inner = robust.build_quadratic_form
+
+    def counted(*args, **kwargs):
+        built.append(args[4:7])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(robust, "build_quadratic_form", counted)
+    _, report = run_cutting_set(default_channels, default_config,
+                                options=SolverOptions(max_cuts=3))
+    cuts = len(report.extras["cuts"])
+    assert cuts == 3 and not report.extras["robust_converged"]
+    assert all(np.all(r > 0) for r in default_channels.csi_radius.values())
+    assert len(built) == 4 * default_config.subcarriers * cuts
 
 def test_cutting_set_zero_radius_single_cut():
     config = SystemConfig.from_scalars(csi_radius=0.0)

@@ -169,3 +169,23 @@ def test_weights_raise_on_singular_error(default_config):
     # the MSE matrix is exactly zero -> inverse must fail loudly
     with pytest.raises(np.linalg.LinAlgError):
         update_weights(design, channels, config)
+
+
+def test_run_builds_three_covariances_per_iteration(default_config,
+                                                    default_channels,
+                                                    monkeypatch):
+    # per iteration: the post-precoder surrogate, the receiver step, and one
+    # MSE evaluation shared by the post-receiver surrogate, the weight update
+    # and the rate; plus the initial receivers, weights and the final report
+    import fdlink.model as model
+    calls = []
+    inner = model.covariance_stacks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(model, "covariance_stacks", counted)
+    _, report = run_wmmse(default_channels, default_config)
+    assert report.iterations > 1
+    assert len(calls) == 3 + 3 * report.iterations
