@@ -25,8 +25,8 @@ from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
                     _weighted_rate, design_report, identity_weights,
                     mse_stacks, power_usage, rate_surrogate)
-from .util import (LN2, ConfigError, DualSearchError, crandn, dagger, herm,
-                   rng_from, stabilized)
+from .util import (LN2, ConfigError, DualSearchError, _rational_root,
+                   _root_search, crandn, dagger, herm, rng_from, stabilized)
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,10 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
     """min_V sum_k tr(V^H A^k V) - 2 Re tr(C^k^H V) s.t. tr(B sum_k V V^H) <= P
     with B = diag(scale_diag) > 0; returns (V stack, dual iota >= 0).
 
-    V(iota) = (A + iota B)^{-1} C; the power is a rational function of iota
-    whose coefficients come from one batched eigendecomposition, so the
-    bracketing/bisection runs on scalars.
+    V(iota) = (A + iota B)^{-1} C; the power is a sum of inverse squares in
+    iota whose coefficients come from one batched eigendecomposition, so the
+    root search runs on scalars.
     """
-    k, n, _ = quad.shape
     if p_max <= 0 or not np.any(rhs):
         return np.zeros_like(rhs), 0.0
     bs = 1.0 / np.sqrt(scale_diag)
@@ -142,12 +141,6 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
     total = weight.sum()
     if total <= 0:
         return np.zeros_like(rhs), 0.0
-
-    def power_of(iota):
-        return float((weight / (lam + iota) ** 2).sum())
-
-    def slope_of(iota):
-        return float((-2.0 * weight / (lam + iota) ** 3).sum())
 
     # power at iota -> 0+: null-space weights of an exactly-consistent system
     # are pure roundoff; treat them as zero, otherwise the limit is infinite
@@ -165,29 +158,7 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
         v = np.linalg.solve(stabilized(quad), rhs)
         return v, 0.0
 
-    hi = 1.0
-    for _ in range(60):
-        if power_of(hi) < p_max:
-            break
-        hi *= 2.0
-    else:
-        raise DualSearchError("power dual bracket expansion exceeded 60 doublings")
-    lo = 0.0
-    iota = hi
-    residual = power_of(iota) - p_max
-    for _ in range(400):
-        if abs(residual) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        # Newton candidate accelerates the tail; fall back to plain bisection
-        slope = slope_of(iota)
-        newton = iota - residual / slope if slope < 0 else mid
-        iota = newton if lo < newton < hi else mid
-        residual = power_of(iota) - p_max
-        if residual > 0:
-            lo = iota
-        else:
-            hi = iota
+    iota = _rational_root(lam, weight, p_max, tol)
     v = np.linalg.solve(quad + iota * np.diag(scale_diag)[None, :, :], rhs)
     return v, float(iota)
 
@@ -195,40 +166,34 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
 def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap):
     """_solve_power_dual with one more constraint, sum_k ||cross^k V^k||_F^2 <=
     cap (the self-interference power the precoder puts into its own node's
-    receiver), by bisection on that constraint's multiplier mu, which adds
-    mu cross^H cross to the quadratic. Returns (V stack, iota, mu)."""
+    receiver), through that constraint's multiplier mu, which adds
+    mu cross^H cross to the quadratic. The interference power has no
+    closed-form bound in mu, so mu doubles from 1 until the cap holds and the
+    root search closes that bracket. Returns (V stack, iota, mu)."""
     if cap <= 0:
         return np.zeros_like(rhs), 0.0, np.inf
     cross_gram = herm(np.einsum("kmn,kmp->knp", cross.conj(), cross))
+    probes = {}                       # mu -> (V, iota, interference power)
 
-    def solve_at(mu):
-        v, iota = _solve_power_dual(herm(quad + mu * cross_gram), rhs,
-                                    scale_diag, p_max, tol)
-        fv = cross @ v
-        return v, iota, float(np.einsum("kmd,kmd->", fv, fv.conj()).real)
+    def si_at(mu):
+        if mu not in probes:
+            v, iota = _solve_power_dual(herm(quad + mu * cross_gram), rhs,
+                                        scale_diag, p_max, tol)
+            fv = cross @ v
+            probes[mu] = (v, iota, float(np.einsum("kmd,kmd->", fv, fv.conj()).real))
+        return probes[mu][2]
 
-    v, iota, si = solve_at(0.0)
-    if si <= cap + tol:
-        return v, iota, 0.0
-    hi = 1.0
-    for _ in range(200):
-        v, iota, si = solve_at(hi)
-        if si <= cap:
-            break
-        hi *= 2.0
-    else:
-        raise DualSearchError("interference-cap dual bracket expansion failed")
-    lo = 0.0
-    mu = hi
-    for _ in range(200):
-        if abs(si - cap) <= max(tol, 1e-9 * cap):
-            break
-        mu = 0.5 * (lo + hi)
-        v, iota, si = solve_at(mu)
-        if si > cap:
-            lo = mu
+    mu = 0.0
+    if si_at(mu) > cap + tol:
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            if si_at(hi) <= cap:
+                break
+            lo, hi = hi, 2.0 * hi
         else:
-            hi = mu
+            raise DualSearchError("interference-cap dual bracket expansion failed")
+        mu = _root_search(si_at, lo, hi, cap, max(tol, 1e-9 * cap))
+    v, iota, _ = probes[mu]
     return v, iota, mu
 
 

@@ -62,7 +62,6 @@ def _blind_config(config: SystemConfig) -> SystemConfig:
     return config.replace(
         tx_distortion=tuple(np.zeros_like(config.tx_distortion[i]) for i in DIRECTIONS),
         rx_distortion=tuple(np.zeros_like(config.rx_distortion[i]) for i in DIRECTIONS),
-        csi_radius=np.zeros_like(config.csi_radius),
     )
 
 

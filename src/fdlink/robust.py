@@ -21,7 +21,7 @@ import numpy as np
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective)
-from .util import ConfigError, dagger, herm, unvec, vec
+from .util import ConfigError, _rational_root, dagger, herm, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -136,44 +136,6 @@ def build_quadratic_form(design: TransceiverDesign,
                               radius=float(channels.csi_radius[(i, j)][k]))
 
 
-def _secular_solve(lam, w, radius, lam_top):
-    """Root of sum w_n / (rho - lam_n)^2 = radius^2 on (lam_top, inf)."""
-    # zero-weight terms contribute nothing but can sit exactly at the root
-    # (rho == lam_n), where the cubed gap underflows; drop them up front
-    keep = w > 0
-    lam, w = lam[keep], w[keep]
-    total = w.sum()
-    hi = lam_top + np.sqrt(total) / radius
-    lo = lam_top
-
-    def phi(rho):
-        # a denormal-small gap can overflow the quotient; inf just means
-        # "far above the root" to the bracketing logic below
-        with np.errstate(divide="ignore", over="ignore"):
-            return float((w / (rho - lam) ** 2).sum())
-
-    rho = hi
-    for _ in range(200):
-        val = phi(rho)
-        if abs(np.sqrt(val) - radius) <= 1e-13 * radius:
-            break
-        if val > radius ** 2:
-            lo = rho
-        else:
-            hi = rho
-        # Newton step on 1/sqrt(phi) - 1/radius = 0, monotone and safeguarded
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            grad = float((-2.0 * w / (rho - lam) ** 3).sum())
-        if np.isfinite(grad) and grad < 0 and np.isfinite(val) and val > 0:
-            f = val ** -0.5 - 1.0 / radius
-            fp = -0.5 * val ** -1.5 * grad
-            cand = rho - f / fp
-        else:
-            cand = 0.5 * (lo + hi)
-        rho = cand if lo < cand < hi else 0.5 * (lo + hi)
-    return rho
-
-
 def worst_case_error(form: QuadraticErrorForm, radius: float = None) -> WorstCaseResult:
     """max_{||b|| <= radius} ||G b + c||^2 with G = map @ whitener.
 
@@ -233,8 +195,11 @@ def worst_case_error(form: QuadraticErrorForm, radius: float = None) -> WorstCas
         # the secular equation, dropping the (zero-weight) top terms
         w = np.where(top, 0.0, w)
         mh = np.where(top, 0.0, mh)
-    rho = _secular_solve(lam, w, z, lam_top)
-    gap = rho - lam
+    # secular equation sum_n w_n / (rho - lam_n)^2 = z^2 on rho >= lam_top,
+    # solved for t = rho - lam_top so the top gap carries no cancellation
+    t = _rational_root(lam_top - lam, w, z * z, 1e-13 * z * z)
+    rho = lam_top + t
+    gap = (lam_top - lam) + t
     gap[gap <= 0] = np.inf                # only zero-weight terms can hit this
     b = basis @ (mh / gap)
     b = b * (z / np.linalg.norm(b))      # polish onto the boundary exactly

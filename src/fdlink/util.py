@@ -67,6 +67,69 @@ def stabilized(sigma: np.ndarray) -> np.ndarray:
     return sigma + ridge[..., None, None] * np.eye(m)
 
 
+_ROOT_ITERS = 100
+
+
+def _root_search(f, lo, hi, target, tol):
+    """x in (lo, hi] with |f(x) - target| <= tol, for a decreasing f with
+    f(lo) > target >= f(hi).
+
+    Regula falsi with the Illinois modification runs on f^(-1/2), which is
+    nearly linear for the sums of inverse squares searched here; a candidate
+    outside the bracket falls back to bisection. A bracket that no float can
+    split returns its upper end, the root to machine precision.
+    """
+    goal = target ** -0.5
+
+    def residual(value):
+        with np.errstate(divide="ignore"):
+            return np.float64(value) ** -0.5 - goal
+
+    f_hi = f(hi)
+    if f_hi >= target - tol:
+        return hi
+    r_lo, r_hi = residual(f(lo)), residual(f_hi)
+    kept = 0                          # +1: lo kept last step, -1: hi kept
+    for _ in range(_ROOT_ITERS):
+        x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return hi
+        value = f(x)
+        if abs(value - target) <= tol:
+            return x
+        if value > target:
+            lo, r_lo = x, residual(value)
+            if kept < 0:
+                r_hi *= 0.5
+            kept = -1
+        else:
+            hi, r_hi = x, residual(value)
+            if kept > 0:
+                r_lo *= 0.5
+            kept = 1
+    raise DualSearchError(f"scalar root search did not reach tolerance {tol:g} "
+                          f"in {_ROOT_ITERS} steps")
+
+
+def _rational_root(gap, weight, target, tol):
+    """t >= 0 with |sum_n weight_n / (gap_n + t)^2 - target| <= tol, for
+    gap >= 0, weight >= 0 and the sum above target at t = 0. Every gap is
+    nonnegative, so the sum is at most sum(weight) / t^2 and the root lies
+    below sqrt(sum(weight) / target)."""
+    # zero-weight terms can sit exactly at t = 0 with a zero gap (0/0)
+    keep = weight > 0
+    gap, weight = gap[keep], weight[keep]
+
+    def f(t):
+        # a zero or denormal gap gives inf, which only means "below the root"
+        with np.errstate(divide="ignore", over="ignore"):
+            return float((weight / (gap + t) ** 2).sum())
+
+    return _root_search(f, 0.0, float(np.sqrt(weight.sum() / target)), target, tol)
+
+
 def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed

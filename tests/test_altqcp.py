@@ -8,7 +8,7 @@ import pytest
 from conftest import crandn_t
 from fdlink import (ChannelRealization, ConfigError, SystemConfig,
                     mmse_error_matrix, mse_matrix, power_usage, run_altqcp,
-                    update_precoders, update_receivers)
+                    run_baseline, update_precoders, update_receivers)
 from fdlink.altqcp import (SolverOptions, _design_objective, _solve_power_dual,
                            identity_weights, init_precoders, leakage_matrix,
                            run_altqcp_scenarios)
@@ -237,6 +237,69 @@ def test_power_dual_zero_budget_and_zero_rhs():
     rhs = np.ones((2, 2, 1), dtype=complex)
     v, iota = _solve_power_dual(quad, rhs, np.ones(2), 0.0, 1e-9)
     assert iota == 0.0 and np.all(v == 0)
+
+
+def _bisected_power_dual(quad, rhs, scale, budget, steps=200):
+    # reference: plain bisection on iota with the power from direct solves
+    def power(iota):
+        v = np.linalg.solve(quad + iota * np.diag(scale)[None], rhs)
+        return float(np.einsum("knd,n,knd->", v, scale, v.conj()).real)
+
+    lo, hi = 0.0, 1.0
+    while power(hi) > budget:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if power(mid) > budget else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_power_dual_matches_bisection():
+    # rank-deficient stack: the power is unbounded as iota -> 0, so every
+    # budget binds; at 1e-12 the dual is far above the spectrum, and at 1e10
+    # a 1e-9 residual is below float resolution and the search must still end
+    rng = np.random.default_rng(11)
+    k, n, d = 3, 4, 2
+    a = crandn_t(rng, (k, n, n - 1))
+    quad = np.einsum("kij,klj->kil", a, a.conj())
+    rhs = crandn_t(rng, (k, n, d))
+    scale = 1.0 + 4 * np.abs(rng.standard_normal(n)) * 1e-3
+    for budget in (1e-12, 1e-3, 1.0, 1e10):
+        _, iota = _solve_power_dual(quad, rhs, scale, budget,
+                                    min(1e-9, 1e-12 * budget))
+        reference = _bisected_power_dual(quad, rhs, scale, budget)
+        assert abs(iota - reference) <= 1e-8 * reference
+
+
+@pytest.mark.parametrize("designer", ["altqcp", "wmmse"])
+def test_capped_dual_probes_and_cap_residual(default_config, default_channels,
+                                             monkeypatch, designer):
+    # mu doubles to a bracket that the shared root search closes; counts the
+    # _solve_power_dual probes of each _capped_power_dual call
+    import fdlink.altqcp as altqcp
+    solve, capped = altqcp._solve_power_dual, altqcp._capped_power_dual
+    probes, calls = [], []
+
+    def counted_solve(*args):
+        probes[-1] += 1
+        return solve(*args)
+
+    def recorded_capped(quad, rhs, scale, p_max, tol, cross, cap):
+        probes.append(0)
+        v, iota, mu = capped(quad, rhs, scale, p_max, tol, cross, cap)
+        fv = cross @ v
+        calls.append((mu, float(np.vdot(fv, fv).real), cap, tol))
+        return v, iota, mu
+
+    monkeypatch.setattr(altqcp, "_solve_power_dual", counted_solve)
+    monkeypatch.setattr(altqcp, "_capped_power_dual", recorded_capped)
+    for mode in ("pth_low", "pth_high"):
+        run_baseline(mode, default_channels, default_config, designer=designer)
+    assert max(probes) <= 20
+    assert any(mu > 0 for mu, _, _, _ in calls)
+    for mu, si, cap, tol in calls:
+        if mu > 0:
+            assert abs(si - cap) <= max(tol, 1e-9 * cap)
 
 
 def _recover_quadratic(func, n, step=0.5):

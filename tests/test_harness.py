@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from fdlink import ConfigError
+from fdlink import ConfigError, worst_case_mse
 from fdlink.cli import main
 from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
                             emit_plot_data, read_results_csv, results_to_csv_text,
                             run_experiment, summarize, write_results_csv)
+from fdlink.model import identity_weights
 
 TINY_SPEC = {
     "config": {"subcarriers": 2, "antennas": 2, "streams": 1,
@@ -116,6 +117,34 @@ def test_worker_processes_do_not_change_results():
     serial, _ = run_experiment(spec, processes=1)
     pooled, _ = run_experiment(spec, processes=2)
     assert results_to_csv_text(pooled, spec) == results_to_csv_text(serial, spec)
+
+
+def test_cutting_set_row_reuses_certified_worst_case(monkeypatch):
+    # the cut loop already certified the selected design with identity
+    # weights, so the harness runs no oracle pass of its own for it
+    import fdlink.harness as harness
+    import fdlink.robust as robust
+    spec = ExperimentSpec.from_json(dict(TINY_SPEC, algorithms=["cutting_set"]))
+    passes, runs = [], []
+    oracle, designer = robust._worst_case, harness.run_cutting_set
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return oracle(*args, **kwargs)
+
+    def recorded(channels, config, options):
+        design, report = designer(channels, config, options)
+        runs.append((design, report, channels, config))
+        return design, report
+
+    monkeypatch.setattr(robust, "_worst_case", counted)
+    monkeypatch.setattr(harness, "run_cutting_set", recorded)
+    rows, _ = harness.run_trial(spec, spec.sweep_values[0], 0)
+    (design, report, channels, config), = runs
+    assert len(passes) == len(report.extras["cuts"])
+    wc_row, = [r["value"] for r in rows if r["metric"] == "wc_mse"]
+    assert wc_row == worst_case_mse(design, channels, config,
+                                    identity_weights(config))
 
 
 def test_summarize_matches_manual_stats(tiny_rows):

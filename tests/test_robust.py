@@ -210,6 +210,21 @@ def test_engineered_degenerate_instance():
     assert abs(result.rho_star - 4.0) < 1e-10
 
 
+def test_degenerate_instance_reaching_the_ball_uses_secular_root():
+    # top eigenspace orthogonal to the linear term again, but the interior
+    # solve alone leaves the ball: G = diag(2, 1), c = (0, 3), M = diag(4, 1),
+    # m = (0, 3), ||b_perp|| = 3 / (4 - 1) = 1 >= zeta = 0.5.  The top terms
+    # drop out and 9 / (rho - 1)^2 = 1/4 gives rho = 7, b = (0, 0.5).
+    form = QuadraticErrorForm(map=np.diag([2.0 + 0j, 1.0]),
+                              offset=np.array([0.0j, 3.0]), whitener=None,
+                              rows=2, cols=1, target=(0, 0, 0), radius=0.5)
+    result = worst_case_error(form)
+    assert not result.hard_case
+    assert abs(result.value - 12.25) < 1e-12
+    assert np.max(np.abs(result.b_star - np.array([0.0, 0.5]))) < 1e-12
+    assert abs(result.rho_star - 7.0) < 1e-10
+
+
 def test_brute_force_never_beats_oracle():
     """Random instances: dense boundary sampling plus conditional-gradient
     refinement never exceeds the oracle, and the refined best comes within
