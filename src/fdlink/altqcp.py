@@ -33,7 +33,7 @@ from .util import (LN2, ConfigError, DualSearchError, _rational_root,
 class SolverOptions:
     max_iters: int = 100
     rel_tol: float = 1e-6
-    dual_tol: float = 1e-9        # absolute tolerance on the power residual
+    dual_tol: float = 1e-9        # power residual tolerance, relative to the budget
     init: str = "rsm"             # "rsm" (right-singular-vector) or "random"
     init_seed: int = None
     max_cuts: int = 8             # cutting-set loop only
@@ -224,13 +224,14 @@ def _precoder_step(decoders, mse_weights, scenarios, sic, config, dual_tol,
     precoders, duals, si_duals = [], [], []
     for i in DIRECTIONS:
         scale = 1.0 + config.subcarriers * config.tx_distortion[i]
+        tol = dual_tol * config.p_max[i]
         if si_caps is None:
             v, iota = _solve_power_dual(herm(quads[i]), rhss[i], scale,
-                                        config.p_max[i], dual_tol)
+                                        config.p_max[i], tol)
             mu = 0.0
         else:
             v, iota, mu = _capped_power_dual(herm(quads[i]), rhss[i], scale,
-                                             config.p_max[i], dual_tol,
+                                             config.p_max[i], tol,
                                              sic[(1 - i, i)], si_caps[i])
         precoders.append(v)
         duals.append(iota)

@@ -15,19 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DIRECTIONS, ChannelRealization, SystemConfig, TransceiverDesign
-from .util import crandn, rng_from
+from .util import ConfigError, crandn, rng_from
 
 
 def time_to_freq(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Unitary DFT (1/sqrt(K) scaling)."""
-    k = x.shape[axis]
-    return np.fft.fft(x, axis=axis) / np.sqrt(k)
+    return np.fft.fft(x, axis=axis, norm="ortho")
 
 
 def freq_to_time(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Unitary inverse DFT."""
-    k = x.shape[axis]
-    return np.fft.ifft(x, axis=axis) * np.sqrt(k)
+    return np.fft.ifft(x, axis=axis, norm="ortho")
 
 
 def freq_distortion_variance(precoders_i: np.ndarray,
@@ -73,72 +71,73 @@ class SimulationStats:
     et_var_analytic: list = field(default_factory=list)   # per direction (N,)
 
 
-def _physical_coefficients(config: SystemConfig, i: int):
-    """Per-chain kappa/beta of the hardware (config stores them divided by K)."""
-    k = config.subcarriers
-    return k * config.tx_distortion[i], k * config.rx_distortion[i]
+def _draw(rng: np.random.Generator, n: int, k: int, chains: int, var=1.0):
+    """crandn draws of shape (n, K, chains), stored subcarrier-major as
+    (K, n, chains) so that each subcarrier's n blocks form one matrix."""
+    return np.ascontiguousarray(crandn(rng, (n, k, chains), var).swapaxes(0, 1))
+
+
+def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a^k x_b^k for a (K, P, Q) stack and (K, n, Q) blocks; (K, n, P)."""
+    return np.matmul(x, a.swapaxes(1, 2))
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """sum_b x_b^k x_b^k^H for (K, n, P) blocks; (K, P, P)."""
+    return np.matmul(x.swapaxes(1, 2), x.conj())
 
 
 def _simulate_batch(design: TransceiverDesign, channels: ChannelRealization,
                     config: SystemConfig, n: int, rng: np.random.Generator):
-    """Simulate n blocks at once; returns a dict of (n, K, chains) arrays."""
+    """Simulate n blocks at once; returns per-direction (K, n, chains) arrays
+    of the draws and the frequency-domain signals (sample_block rebuilds the
+    time-domain ones). Draw order: per direction the symbols, then the
+    transmit distortion; then per direction the noise, then the receive
+    distortion."""
     k = config.subcarriers
-    out = {key: [] for key in ("symbols", "v_freq", "v_time", "et_time", "et_freq",
-                               "x_time", "x_freq", "noise_freq", "u_freq", "u_time",
-                               "er_time", "er_freq", "y_freq", "residual")}
+    v = design.precoders
+    out = {key: [] for key in ("symbols", "v_freq", "et_time", "et_freq",
+                               "noise_freq", "u_freq", "er_time", "er_freq",
+                               "y_freq", "residual")}
 
-    # transmit side, per direction
+    # transmit side: white in time, so E|e_t(t)|^2 is the flat per-subcarrier variance
+    tx_var = [freq_distortion_variance(v[j], config.tx_distortion[j]) for j in DIRECTIONS]
     for j in DIRECTIONS:
-        v = design.precoders[j]
-        s = crandn(rng, (n, k, v.shape[2]))
-        v_freq = np.einsum("knd,bkd->bkn", v, s)
-        v_time = freq_to_time(v_freq, axis=1)
-        kappa_j, _ = _physical_coefficients(config, j)
-        chain_power = np.einsum("knd,knd->n", v, v.conj()).real / k  # E|v_l(t)|^2
-        et_time = crandn(rng, v_time.shape, var=(kappa_j * chain_power)[None, None, :])
-        x_time = v_time + et_time
+        s = _draw(rng, n, k, v[j].shape[2])
+        et_time = _draw(rng, n, k, v[j].shape[1], tx_var[j])
         out["symbols"].append(s)
-        out["v_freq"].append(v_freq)
-        out["v_time"].append(v_time)
+        out["v_freq"].append(_apply(v[j], s))
         out["et_time"].append(et_time)
-        out["et_freq"].append(time_to_freq(et_time, axis=1))
-        out["x_time"].append(x_time)
-        out["x_freq"].append(time_to_freq(x_time, axis=1))
+        out["et_freq"].append(time_to_freq(et_time))
+    # the DFT is linear, so x_freq = DFT(v_time + et_time) = v_freq + et_freq
+    x_freq = [out["v_freq"][j] + out["et_freq"][j] for j in DIRECTIONS]
 
     # receive side
     for i in DIRECTIONS:
         m_i = config.rx_antennas[i]
-        noise = crandn(rng, (n, k, m_i),
-                       var=config.noise_var[i][None, :, None])
+        noise = _draw(rng, n, k, m_i, config.noise_var[i][None, :, None])
         u_freq = noise.copy()
         received_power = config.noise_var[i].sum() * np.ones(m_i)  # sum_k E|u^k|^2 per chain
+        hv = []
         for j in DIRECTIONS:
             h = channels.h[(i, j)]
-            u_freq += np.einsum("kmn,bkn->bkm", h, out["x_freq"][j])
-            hv = h @ design.precoders[j]
-            received_power += np.einsum("kmd,kmd->m", hv, hv.conj()).real
-            kappa_j, _ = _physical_coefficients(config, j)
-            chain_power = np.einsum("knd,knd->n", design.precoders[j],
-                                    design.precoders[j].conj()).real / k
-            received_power += np.einsum("kmn,n,kmn->m", h, kappa_j * chain_power,
-                                        h.conj()).real
-        _, beta_i = _physical_coefficients(config, i)
-        er_var = beta_i * received_power / k    # E|u_l(t)|^2 = (1/K) sum_k E|u_l^k|^2
-        u_time = freq_to_time(u_freq, axis=1)
-        er_time = crandn(rng, u_time.shape, var=er_var[None, None, :])
-        y_freq = u_freq + time_to_freq(er_time, axis=1)
+            u_freq += _apply(h, x_freq[j])
+            hv.append(h @ v[j])
+            received_power += np.einsum("kmd,kmd->m", hv[j], hv[j].conj()).real
+            received_power += np.einsum("kmn,n,kmn->m", h, tx_var[j], h.conj()).real
+        # beta_l E|u_l(t)|^2 = (K rx_distortion_l) (1/K) sum_k E|u_l^k|^2
+        er_time = _draw(rng, n, k, m_i, config.rx_distortion[i] * received_power)
+        er_freq = time_to_freq(er_time)
+        y_freq = u_freq + er_freq
 
         # SIC with the estimated loopback channel, then strip the desired signal
         j = 1 - i
-        y_tilde = y_freq - np.einsum("kmn,knd,bkd->bkm", channels.h_est[(i, j)],
-                                     design.precoders[j], out["symbols"][j])
-        residual = y_tilde - np.einsum("kmn,knd,bkd->bkm", channels.h[(i, i)],
-                                       design.precoders[i], out["symbols"][i])
+        residual = y_freq - _apply(channels.h_est[(i, j)] @ v[j], out["symbols"][j])
+        residual -= _apply(hv[i], out["symbols"][i])
         out["noise_freq"].append(noise)
         out["u_freq"].append(u_freq)
-        out["u_time"].append(u_time)
         out["er_time"].append(er_time)
-        out["er_freq"].append(time_to_freq(er_time, axis=1))
+        out["er_freq"].append(er_freq)
         out["y_freq"].append(y_freq)
         out["residual"].append(residual)
     return out
@@ -147,8 +146,13 @@ def _simulate_batch(design: TransceiverDesign, channels: ChannelRealization,
 def sample_block(design: TransceiverDesign, channels: ChannelRealization,
                  config: SystemConfig, seed) -> BlockSample:
     """One block with all intermediate signals exposed (testing/diagnostics)."""
-    batch = _simulate_batch(design, channels, config, 1, rng_from(seed))
-    return BlockSample(**{key: [arr[0] for arr in val] for key, val in batch.items()})
+    block = {key: [arr[:, 0] for arr in val] for key, val in
+             _simulate_batch(design, channels, config, 1, rng_from(seed)).items()}
+    block["v_time"] = [freq_to_time(v) for v in block["v_freq"]]
+    block["x_time"] = [v + e for v, e in zip(block["v_time"], block["et_time"])]
+    block["x_freq"] = [time_to_freq(x) for x in block["x_time"]]
+    block["u_time"] = [freq_to_time(u) for u in block["u_freq"]]
+    return BlockSample(**block)
 
 
 def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
@@ -156,40 +160,33 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
                     chunk: int = 20000) -> SimulationStats:
     """Monte Carlo over n_blocks OFDM blocks; accumulates sample covariances of
     the post-SIC residual and the per-chain distortion statistics."""
+    n_blocks = int(n_blocks)
+    if n_blocks < 1:
+        raise ConfigError(f"n_blocks must be at least 1, got {n_blocks}")
     rng = rng_from(seed)
     k = config.subcarriers
-    nu_acc = [np.zeros((k, config.rx_antennas[i], config.rx_antennas[i]), dtype=complex)
-              for i in DIRECTIONS]
-    et2 = [np.zeros((k, config.tx_antennas[i])) for i in DIRECTIONS]
-    er2 = [np.zeros((k, config.rx_antennas[i])) for i in DIRECTIONS]
-    ev = [np.zeros((k, config.tx_antennas[i]), dtype=complex) for i in DIRECTIONS]
-    v2 = [np.zeros((k, config.tx_antennas[i])) for i in DIRECTIONS]
-    ee = [np.zeros((k, config.tx_antennas[i], config.tx_antennas[i]), dtype=complex)
-          for i in DIRECTIONS]
+    # per-direction sums over the blocks; the first batch sets their shapes
+    nu_acc, ee, er2, ev, v2 = ([0.0, 0.0] for _ in range(5))
 
-    remaining = int(n_blocks)
+    remaining = n_blocks
     while remaining > 0:
         n = min(remaining, chunk)
         batch = _simulate_batch(design, channels, config, n, rng)
         for i in DIRECTIONS:
-            nu = batch["residual"][i]
-            nu_acc[i] += np.einsum("bkm,bkp->kmp", nu, nu.conj())
-            et = batch["et_freq"][i]
-            vf = batch["v_freq"][i]
-            et2[i] += np.einsum("bkn,bkn->kn", et, et.conj()).real
-            er = batch["er_freq"][i]
-            er2[i] += np.einsum("bkm,bkm->km", er, er.conj()).real
-            ev[i] += np.einsum("bkn,bkn->kn", et, vf.conj())
-            v2[i] += np.einsum("bkn,bkn->kn", vf, vf.conj()).real
-            ee[i] += np.einsum("bkn,bkp->knp", et, et.conj())
+            et, vf, er = batch["et_freq"][i], batch["v_freq"][i], batch["er_freq"][i]
+            nu_acc[i] += _gram(batch["residual"][i])
+            ee[i] += _gram(et)
+            er2[i] += np.einsum("kbm,kbm->km", er, er.conj()).real
+            ev[i] += np.einsum("kbn,kbn->kn", et, vf.conj())
+            v2[i] += np.einsum("kbn,kbn->kn", vf, vf.conj()).real
         remaining -= n
 
-    n = float(n_blocks)
+    et2 = [np.einsum("knn->kn", acc).real for acc in ee]   # the Gram diagonal
     stats = SimulationStats(
-        n_blocks=int(n_blocks),
-        nu_cov=[acc / n for acc in nu_acc],
-        et_var=[acc / n for acc in et2],
-        er_var=[acc / n for acc in er2],
+        n_blocks=n_blocks,
+        nu_cov=[acc / n_blocks for acc in nu_acc],
+        et_var=[acc / n_blocks for acc in et2],
+        er_var=[acc / n_blocks for acc in er2],
         et_signal_corr=[], et_chain_corr=[],
         et_var_analytic=[freq_distortion_variance(design.precoders[i],
                                                   config.tx_distortion[i])
@@ -199,10 +196,9 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
         denom = np.sqrt(et2[i] * np.maximum(v2[i], 1e-300))
         stats.et_signal_corr.append(np.abs(ev[i]) / np.maximum(denom, 1e-300))
         # cross-chain correlation: normalize the Gram accumulator, zero the diagonal
-        d = np.sqrt(np.einsum("knn->kn", ee[i]).real)
+        d = np.sqrt(et2[i])
         norm = np.maximum(d[:, :, None] * d[:, None, :], 1e-300)
         corr = np.abs(ee[i]) / norm
-        n_tx = corr.shape[1]
-        corr[:, np.arange(n_tx), np.arange(n_tx)] = 0.0
+        corr[:, np.eye(corr.shape[1], dtype=bool)] = 0.0
         stats.et_chain_corr.append(corr.reshape(k, -1).max(axis=1))
     return stats

@@ -39,8 +39,11 @@ def parse_level(value) -> float:
 
 def crandn(rng: np.random.Generator, shape, var=1.0):
     """Circularly-symmetric complex Gaussian, E|x|^2 = var."""
-    scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= np.sqrt(np.asarray(var, dtype=float) / 2.0)
+    return out
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

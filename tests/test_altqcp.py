@@ -460,6 +460,23 @@ def test_scenario_average_stays_monotone(default_config, default_channels):
     assert np.all(np.diff(trace) <= 1e-9)
 
 
+def test_power_tolerance_scales_with_budget(default_config, default_channels):
+    # scaling the budget and the noise together only rescales the problem, so
+    # the run must be the same: an absolute 1e-9 power tolerance stops the
+    # dual search at a fraction of a 1e-12 budget and the run never converges
+    _, reference = run_altqcp(default_channels, default_config)
+    for scale in (1e-12, 1e6):
+        config = SystemConfig.from_scalars(p_max=scale, noise_var=1e-3 * scale)
+        design, report = run_altqcp(default_channels, config)
+        assert report.converged
+        assert report.iterations == reference.iterations
+        assert (abs(report.objective_trace[-1] - reference.objective_trace[-1])
+                <= 1e-9 * reference.objective_trace[-1])
+        for i in DIRECTIONS:
+            used = power_usage(design.precoders[i], config.tx_distortion[i])
+            assert abs(used - scale) <= 1e-8 * scale
+
+
 def test_run_is_deterministic(default_config, default_channels):
     d1, r1 = run_altqcp(default_channels, default_config)
     d2, r2 = run_altqcp(default_channels, default_config)

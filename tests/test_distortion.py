@@ -2,12 +2,12 @@
 bookkeeping, whiteness, and agreement with the closed-form covariance."""
 
 import numpy as np
+import pytest
 
 from conftest import crandn_t
-from fdlink import (ChannelStats, SystemConfig, TransceiverDesign,
-                    aggregate_covariance, draw_channels,
-                    freq_distortion_variance, run_altqcp, sample_block,
-                    simulate_blocks)
+from fdlink import (ChannelStats, ConfigError, SystemConfig, TransceiverDesign,
+                    aggregate_covariance, draw_channels, freq_distortion_variance,
+                    perturb_csi, run_altqcp, sample_block, simulate_blocks)
 from fdlink.distortion import freq_to_time, time_to_freq
 from fdlink.model import DIRECTIONS
 
@@ -121,3 +121,95 @@ def test_block_sample_deterministic():
     for i in DIRECTIONS:
         assert np.array_equal(a.y_freq[i], b.y_freq[i])
         assert np.array_equal(a.symbols[i], b.symbols[i])
+
+
+def _reference_block(design, channels, config, seed):
+    """One block by the textbook recipe: an explicit unitary DFT matrix, a
+    per-subcarrier matrix product loop, and the simulator's draw order (per
+    direction the symbols then the transmit distortion, then per direction
+    the noise then the receive distortion; real parts before imaginary)."""
+    rng = np.random.default_rng(seed)
+    k = config.subcarriers
+    idx = np.arange(k)
+    dft = np.exp(-2j * np.pi * np.outer(idx, idx) / k) / np.sqrt(k)
+
+    def draw(chains, var):
+        re = rng.standard_normal((k, chains))
+        im = rng.standard_normal((k, chains))
+        return np.sqrt(np.asarray(var) / 2.0) * (re + 1j * im)
+
+    symbols, x_freq, tx_var = [], [], []
+    for j in DIRECTIONS:
+        v = design.precoders[j]
+        s = draw(v.shape[2], 1.0)
+        v_freq = np.array([v[kk] @ s[kk] for kk in range(k)])
+        chain_power = sum(np.diag(v[kk] @ v[kk].conj().T).real for kk in range(k)) / k
+        tx_var.append(k * config.tx_distortion[j] * chain_power)
+        et_time = draw(v.shape[1], tx_var[j])
+        x_time = dft.conj().T @ v_freq + et_time
+        symbols.append(s)
+        x_freq.append(dft @ x_time)
+    residual, received = [], []
+    for i in DIRECTIONS:
+        m = config.rx_antennas[i]
+        noise = draw(m, config.noise_var[i][:, None])
+        u_freq = noise.copy()
+        power = np.full(m, config.noise_var[i].sum())
+        for j in DIRECTIONS:
+            h, v = channels.h[(i, j)], design.precoders[j]
+            for kk in range(k):
+                u_freq[kk] += h[kk] @ x_freq[j][kk]
+                hv = h[kk] @ v[kk]
+                power += np.diag(hv @ hv.conj().T).real
+                power += np.diag(h[kk] @ np.diag(tx_var[j]) @ h[kk].conj().T).real
+        er_time = draw(m, k * config.rx_distortion[i] * power / k)
+        y_freq = u_freq + dft @ er_time
+        received.append(y_freq)
+        j = 1 - i
+        residual.append(np.array([
+            y_freq[kk]
+            - channels.h_est[(i, j)][kk] @ design.precoders[j][kk] @ symbols[j][kk]
+            - channels.h[(i, i)][kk] @ design.precoders[i][kk] @ symbols[i][kk]
+            for kk in range(k)]))
+    return residual, received
+
+
+def test_block_simulation_matches_per_block_reference():
+    # asymmetric antennas, per-chain coefficients, per-subcarrier noise and
+    # an estimation error on every channel
+    base = SystemConfig.from_scalars(subcarriers=4, tx_antennas=(3, 2),
+                                     rx_antennas=(2, 4), streams=(2, 1),
+                                     csi_radius=0.1)
+    config = base.replace(
+        noise_var=np.array([[1e-3, 2e-3, 5e-4, 1e-3], [3e-3, 1e-3, 1e-3, 2e-3]]),
+        tx_distortion=(np.array([1e-2, 3e-3, 5e-3]) / 4, np.array([2e-3, 8e-3]) / 4),
+        rx_distortion=(np.array([4e-3, 1e-2]) / 4, np.array([1e-3, 2e-3, 6e-3, 3e-3]) / 4))
+    true = draw_channels(config, ChannelStats(), 21)
+    _, channels = perturb_csi(true, config, 22, mode="boundary")
+    design = _random_design(np.random.default_rng(23), config)
+    expected, received = _reference_block(design, channels, config, 24)
+
+    block = sample_block(design, channels, config, 24)
+    stats = simulate_blocks(design, channels, config, 1, 24)
+    for i in DIRECTIONS:
+        scale = np.max(np.abs(expected[i]))
+        assert np.max(np.abs(block.residual[i] - expected[i])) <= 1e-12 * scale
+        assert (np.max(np.abs(block.y_freq[i] - received[i]))
+                <= 1e-12 * np.max(np.abs(received[i])))
+        outer = np.einsum("km,kp->kmp", expected[i], expected[i].conj())
+        assert np.max(np.abs(stats.nu_cov[i] - outer)) <= 1e-12 * scale ** 2
+        # the signals sample_block rebuilds agree with the ones it simulates
+        x_time = block.v_time[i] + block.et_time[i]
+        assert np.max(np.abs(block.x_time[i] - x_time)) <= 1e-12
+        assert np.max(np.abs(block.x_freq[i] - time_to_freq(x_time))) <= 1e-12
+        assert np.max(np.abs(block.x_freq[i] - block.v_freq[i] - block.et_freq[i])) <= 1e-12
+        assert np.max(np.abs(block.u_time[i] - freq_to_time(block.u_freq[i]))) <= 1e-12
+        assert np.max(np.abs(time_to_freq(block.v_time[i]) - block.v_freq[i])) <= 1e-12
+
+
+@pytest.mark.parametrize("n_blocks", [0, -5])
+def test_simulate_blocks_rejects_empty_run(perfect_csi_config, perfect_channels,
+                                           n_blocks):
+    design, _ = run_altqcp(perfect_channels, perfect_csi_config)
+    with pytest.raises(ConfigError):
+        simulate_blocks(design, perfect_channels, perfect_csi_config, n_blocks, 0)

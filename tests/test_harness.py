@@ -3,11 +3,13 @@ byte-level determinism, aggregation, plot tables, and the CLI surface."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fdlink import ConfigError, worst_case_mse
+from fdlink import ConfigError, distortion, worst_case_mse
 from fdlink.cli import main
 from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
                             emit_plot_data, read_results_csv, results_to_csv_text,
@@ -243,3 +245,29 @@ def test_cli_seed_override_changes_hashes(tmp_path):
 
 def test_cli_validate_model_smoke():
     assert main(["validate-model", "--blocks", "4000", "--seed", "3"]) == 0
+
+
+def test_module_entry_point_runs_cli():
+    import fdlink
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdlink.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fdlink", "validate-model",
+                           "--blocks", "0"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "n_blocks must be at least 1" in proc.stderr
+
+
+def test_cli_validate_model_rejects_empty_and_nan(monkeypatch):
+    assert main(["validate-model", "--blocks", "0"]) == 2
+    assert main(["validate-model", "--blocks", "-5"]) == 2
+    # a NaN covariance mismatch is a failed check, not a passing 0.0
+    real = distortion.simulate_blocks
+
+    def nan_covariance(*args, **kwargs):
+        stats = real(*args, **kwargs)
+        stats.nu_cov[1] = np.full_like(stats.nu_cov[1], np.nan)
+        return stats
+
+    monkeypatch.setattr(distortion, "simulate_blocks", nan_covariance)
+    assert main(["validate-model", "--blocks", "200"]) == 3
