@@ -4,8 +4,8 @@ alternating weighted-MSE and weighted sum-rate designers, a worst-case /
 cutting-set robustness layer, reference baselines, a distortion-level
 simulator, and a deterministic experiment harness."""
 
-from .altqcp import (SolverOptions, init_precoders, leakage_matrix,
-                     run_altqcp, update_precoders, update_receivers)
+from .altqcp import (SolverOptions, init_precoders, run_altqcp,
+                     update_precoders, update_receivers)
 from .baselines import half_duplex_world, run_baseline
 from .channels import (ChannelStats, CsiErrorSet, channels_from_json,
                        channels_to_json, draw_channels, perturb_csi)

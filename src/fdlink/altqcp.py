@@ -23,8 +23,8 @@ import numpy as np
 
 from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
-                    _weighted_rate, design_report, identity_weights,
-                    mse_stacks, power_usage, rate_surrogate)
+                    design_report, identity_weights, mse_stacks,
+                    power_usage, rate_surrogate, weighted_rate)
 from .util import (LN2, ConfigError, DualSearchError, _rational_root,
                    _root_search, crandn, dagger, herm, rng_from, stabilized)
 
@@ -70,19 +70,16 @@ def init_precoders(channels: ChannelRealization, config: SystemConfig,
 # possible truth; SIC is always referenced to the estimated channels.
 # ---------------------------------------------------------------------------
 
-def _receiver_step(precoders, scenarios, sic, config):
+def _receiver_step(precoders, scenarios, sigmas, config):
     """Linear MMSE receivers for the (scenario-averaged) design objective."""
-    acc = [np.zeros((config.subcarriers, config.rx_antennas[i],
-                     config.rx_antennas[i]), dtype=complex) for i in DIRECTIONS]
-    rhs = [np.zeros((config.subcarriers, config.rx_antennas[i],
-                     config.streams[i]), dtype=complex) for i in DIRECTIONS]
-    for weight, g in scenarios:
-        sigmas = _scenario_sigma(precoders, g, sic, config)
-        for i in DIRECTIONS:
-            hv = g[(i, i)] @ precoders[i]
-            acc[i] += weight * (sigmas[i] + np.einsum("kmd,kpd->kmp", hv, hv.conj()))
-            rhs[i] += weight * hv
-    return [np.linalg.solve(stabilized(herm(acc[i])), rhs[i]) for i in DIRECTIONS]
+    out = []
+    for i in DIRECTIONS:
+        hv = [g[(i, i)] @ precoders[i] for _, g in scenarios]
+        acc = sum(w * (sig[i] + np.einsum("kmd,kpd->kmp", x, x.conj()))
+                  for (w, _), sig, x in zip(scenarios, sigmas, hv))
+        rhs = sum(w * x for (w, _), x in zip(scenarios, hv))
+        out.append(np.linalg.solve(stabilized(herm(acc)), rhs))
+    return out
 
 
 def _weighted_decoder_grams(decoders, mse_weights):
@@ -91,14 +88,13 @@ def _weighted_decoder_grams(decoders, mse_weights):
                       decoders[j].conj()) for j in DIRECTIONS]
 
 
-def _leakage_stacks(decoders, mse_weights, g, config):
+def _leakage_stacks(grams, g, config):
     """Distortion-leakage quadratic terms for the precoder update of every
-    direction, all subcarriers at once.
+    direction, all subcarriers at once, from the decoder grams W_j.
 
     J_i^k = sum_l sum_j [ H_ji^k^H diag(U_j^l S_j^l U_j^l^H Theta_rx,j) H_ji^k
                           + diag(H_ji^l^H U_j^l S_j^l U_j^l^H H_ji^l Theta_tx,i) ]
     """
-    grams = _weighted_decoder_grams(decoders, mse_weights)
     rx_profile = [config.rx_distortion[j]
                   * np.einsum("kmm->m", grams[j]).real for j in DIRECTIONS]
     out = []
@@ -114,12 +110,6 @@ def _leakage_stacks(decoders, mse_weights, g, config):
         term1[:, np.arange(n), np.arange(n)] += diag2[None, :]
         out.append(herm(term1))
     return out
-
-
-def leakage_matrix(decoders, mse_weights, channels: ChannelRealization,
-                   config: SystemConfig, i: int, k: int) -> np.ndarray:
-    """Public single-(i, k) view of the leakage term, on estimated channels."""
-    return _leakage_stacks(decoders, mse_weights, channels.h_est, config)[i][k]
 
 
 def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
@@ -158,7 +148,8 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
         v = np.linalg.solve(stabilized(quad), rhs)
         return v, 0.0
 
-    iota = _rational_root(lam, weight, p_max, tol)
+    pos = weight > 0                  # zero-weight terms add nothing to any sum
+    iota = _rational_root(lam[pos][None], weight[pos][None], p_max, tol)[0]
     v = np.linalg.solve(quad + iota * np.diag(scale_diag)[None, :, :], rhs)
     return v, float(iota)
 
@@ -192,7 +183,8 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap):
             lo, hi = hi, 2.0 * hi
         else:
             raise DualSearchError("interference-cap dual bracket expansion failed")
-        mu = _root_search(si_at, lo, hi, cap, max(tol, 1e-9 * cap))
+        mu = _root_search(lambda x: np.array([si_at(x[0])]), lo, hi, cap,
+                          max(tol, 1e-9 * cap))[0]
     v, iota, _ = probes[mu]
     return v, iota, mu
 
@@ -211,7 +203,7 @@ def _precoder_step(decoders, mse_weights, scenarios, sic, config, dual_tol,
     rhss = [np.zeros((config.subcarriers, config.tx_antennas[i],
                       config.streams[i]), dtype=complex) for i in DIRECTIONS]
     for weight, g in scenarios:
-        leaks = _leakage_stacks(decoders, mse_weights, g, config)
+        leaks = _leakage_stacks(grams, g, config)
         for i in DIRECTIONS:
             hu = np.einsum("kmn,kmd->knd", g[(i, i)].conj(), decoders[i])
             signal = np.einsum("knd,kde,kpe->knp", hu, mse_weights[i], hu.conj())
@@ -244,7 +236,8 @@ def _precoder_step(decoders, mse_weights, scenarios, sic, config, dual_tol,
 # ---------------------------------------------------------------------------
 
 def update_receivers(precoders, channels: ChannelRealization, config: SystemConfig):
-    return _receiver_step(precoders, [(1.0, channels.h_est)], channels.h_est, config)
+    sigmas = _scenario_sigma(precoders, channels.h_est, channels.h_est, config)
+    return _receiver_step(precoders, [(1.0, channels.h_est)], [sigmas], config)
 
 
 def update_precoders(decoders, mse_weights, channels: ChannelRealization,
@@ -255,13 +248,13 @@ def update_precoders(decoders, mse_weights, channels: ChannelRealization,
     return precoders, duals
 
 
-def _weight_block(precoders, decoders, g, sic, config):
+def _weight_block(precoders, decoders, g, sigmas, config):
     """S = E^{-1} at the current point from one MSE evaluation; returns (E, S,
     the rate surrogate there, the design-model weighted sum rate in bits)."""
-    errors, sigmas = mse_stacks(precoders, decoders, g, sic, config)
+    errors = mse_stacks(precoders, decoders, g, sigmas)
     weights = [herm(np.linalg.inv(e)) for e in errors]
     return (errors, weights, rate_surrogate(errors, weights, config),
-            _weighted_rate(precoders, sigmas, g, config))
+            weighted_rate(precoders, sigmas, g, config))
 
 
 def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
@@ -277,7 +270,8 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
     The tracked objective is the scenario-averaged weighted MSE, or with
     weight_block the rate surrogate on the first scenario; the loop stops
     when it moves by at most rel_tol. The report is the design view of the
-    first scenario.
+    first scenario. Each precoder update builds every scenario's covariances
+    once, for all readers until the next update.
     """
     if init_precoders_override is not None:
         precoders = [v.copy() for v in init_precoders_override]
@@ -285,17 +279,20 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
         precoders = init_precoders(channels_for_init, config, options.init,
                                    options.init_seed)
     g0 = scenarios[0][1]
-    decoders = _receiver_step(precoders, scenarios, sic, config)
 
     def objective():
         if weight_block:
-            errors, _ = mse_stacks(precoders, decoders, g0, sic, config)
+            errors = mse_stacks(precoders, decoders, g0, sigmas[0])
             return rate_surrogate(errors, weights, config)
-        return _design_objective(precoders, decoders, weights, scenarios, sic, config)
+        return _design_objective(precoders, decoders, weights, scenarios, sigmas)
+
+    sigmas = [_scenario_sigma(precoders, g, sic, config) for _, g in scenarios]
+    decoders = _receiver_step(precoders, scenarios, sigmas, config)
 
     rate_trace = None
     if weight_block:
-        _, weights, value, rate_now = _weight_block(precoders, decoders, g0, sic, config)
+        _, weights, value, rate_now = _weight_block(precoders, decoders, g0,
+                                                    sigmas[0], config)
         rate_trace = [rate_now]
     else:
         weights = mse_weights if mse_weights is not None else identity_weights(config)
@@ -310,12 +307,13 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
                         if weight_block else weights)
         precoders, duals, si_duals = _precoder_step(
             decoders, step_weights, scenarios, sic, config, options.dual_tol, si_caps)
+        sigmas = [_scenario_sigma(precoders, g, sic, config) for _, g in scenarios]
         block = [objective()]
-        decoders = _receiver_step(precoders, scenarios, sic, config)
+        decoders = _receiver_step(precoders, scenarios, sigmas, config)
         if weight_block:
             # the new point's MSE matrices also give the old-weight surrogate
             errors, new, value, rate_now = _weight_block(precoders, decoders, g0,
-                                                         sic, config)
+                                                         sigmas[0], config)
             block += [rate_surrogate(errors, weights, config), value]
             weights = new
             rate_trace.append(rate_now)
@@ -340,7 +338,7 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
         extras["half_step_objectives"] = blocks
     if si_caps is not None:
         extras.update(si_duals=si_duals, thresholds=tuple(si_caps))
-    report = replace(design_report(precoders, decoders, g0, sic, config),
+    report = replace(design_report(precoders, decoders, g0, sigmas[0], config),
                      objective_trace=trace, iteration_seconds=seconds,
                      iterations=len(seconds), converged=converged,
                      rate_trace=rate_trace, extras=extras)

@@ -71,6 +71,18 @@ class SimulationStats:
     et_var_analytic: list = field(default_factory=list)   # per direction (N,)
 
 
+_MAX_BATCH, _BATCH_BYTES = 20000, 256 * 2 ** 20
+
+
+def _batch_blocks(config: SystemConfig) -> int:
+    """Blocks per batch: at most _MAX_BATCH, within _BATCH_BYTES of the complex
+    signals of a block (per direction: symbols, 4 transmit-, 6 receive-chain)."""
+    per_block = 16 * config.subcarriers * sum(
+        config.streams[i] + 4 * config.tx_antennas[i] + 6 * config.rx_antennas[i]
+        for i in DIRECTIONS)
+    return max(1, min(_MAX_BATCH, _BATCH_BYTES // per_block))
+
+
 def _draw(rng: np.random.Generator, n: int, k: int, chains: int, var=1.0):
     """crandn draws of shape (n, K, chains), stored subcarrier-major as
     (K, n, chains) so that each subcarrier's n blocks form one matrix."""
@@ -156,8 +168,7 @@ def sample_block(design: TransceiverDesign, channels: ChannelRealization,
 
 
 def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
-                    config: SystemConfig, n_blocks: int, seed,
-                    chunk: int = 20000) -> SimulationStats:
+                    config: SystemConfig, n_blocks: int, seed) -> SimulationStats:
     """Monte Carlo over n_blocks OFDM blocks; accumulates sample covariances of
     the post-SIC residual and the per-chain distortion statistics."""
     n_blocks = int(n_blocks)
@@ -168,10 +179,10 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
     # per-direction sums over the blocks; the first batch sets their shapes
     nu_acc, ee, er2, ev, v2 = ([0.0, 0.0] for _ in range(5))
 
-    remaining = n_blocks
-    while remaining > 0:
-        n = min(remaining, chunk)
-        batch = _simulate_batch(design, channels, config, n, rng)
+    step = _batch_blocks(config)
+    for start in range(0, n_blocks, step):
+        batch = _simulate_batch(design, channels, config,
+                                min(step, n_blocks - start), rng)
         for i in DIRECTIONS:
             et, vf, er = batch["et_freq"][i], batch["v_freq"][i], batch["er_freq"][i]
             nu_acc[i] += _gram(batch["residual"][i])
@@ -179,7 +190,6 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
             er2[i] += np.einsum("kbm,kbm->km", er, er.conj()).real
             ev[i] += np.einsum("kbn,kbn->kn", et, vf.conj())
             v2[i] += np.einsum("kbn,kbn->kn", vf, vf.conj()).real
-        remaining -= n
 
     et2 = [np.einsum("knn->kn", acc).real for acc in ee]   # the Gram diagonal
     stats = SimulationStats(

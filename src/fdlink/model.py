@@ -316,23 +316,22 @@ def identity_weights(config: SystemConfig):
             for i in DIRECTIONS]
 
 
-def mse_stacks(precoders, decoders, g, sic, config: SystemConfig):
-    """MSE matrices [ (K, d_i, d_i) ]_i of every (i, k) and the scenario
-    covariances [ (K, M_i, M_i) ]_i they were built from."""
-    sigmas = _scenario_sigma(precoders, g, sic, config)
-    errors = [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)])
-              for i in DIRECTIONS]
-    return errors, sigmas
+def mse_stacks(precoders, decoders, g, sigmas):
+    """MSE matrices [ (K, d_i, d_i) ]_i of every (i, k) on channels g, from
+    that scenario's covariances sigmas (_scenario_sigma)."""
+    return [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)])
+            for i in DIRECTIONS]
 
 
-def _design_objective(precoders, decoders, mse_weights, scenarios, sic, config):
-    """sum over (weight, g) scenarios of weight * sum_i sum_k tr(S_i^k E_i^k).
+def _design_objective(precoders, decoders, mse_weights, scenarios, sigmas):
+    """sum over (weight, g) scenarios of weight * sum_i sum_k tr(S_i^k E_i^k),
+    with sigmas[s] the covariances of scenario s.
 
     Terms are added one at a time in (scenario, i, k) order, the order the
     recorded objective traces and worst-case values have always used."""
     total = 0.0
-    for weight, g in scenarios:
-        errors, _ = mse_stacks(precoders, decoders, g, sic, config)
+    for (weight, g), sig in zip(scenarios, sigmas):
+        errors = mse_stacks(precoders, decoders, g, sig)
         for i in DIRECTIONS:
             for value in np.trace(mse_weights[i] @ errors[i], axis1=1, axis2=2).real:
                 total += weight * value
@@ -355,22 +354,19 @@ def rate_surrogate(errors, mse_weights, config: SystemConfig) -> float:
     return float(total)
 
 
-def weighted_rate(precoders, g, sic, config: SystemConfig) -> float:
-    """sum_i omega_i sum_k rate_i^k in bits per channel use."""
-    return _weighted_rate(precoders, _scenario_sigma(precoders, g, sic, config), g, config)
-
-
-def _weighted_rate(precoders, sigmas, g, config: SystemConfig) -> float:
-    """weighted_rate from already built scenario covariances."""
+def weighted_rate(precoders, sigmas, g, config: SystemConfig) -> float:
+    """sum_i omega_i sum_k rate_i^k in bits per channel use, on channels g
+    with their covariances sigmas."""
     return float(sum(config.rate_weights[i]
                      * np.sum(rate(precoders[i], sigmas[i], g[(i, i)]))
                      for i in DIRECTIONS))
 
 
-def design_report(precoders, decoders, g, sic, config: SystemConfig) -> PerformanceReport:
+def design_report(precoders, decoders, g, sigmas, config: SystemConfig) -> PerformanceReport:
     """Per-(i, k) unweighted MSE tr(E) with the given decoders, MMSE-receiver
-    rates, and the distortion-aware power of each direction."""
-    errors, sigmas = mse_stacks(precoders, decoders, g, sic, config)
+    rates, and the distortion-aware power of each direction, on channels g
+    with their covariances sigmas."""
+    errors = mse_stacks(precoders, decoders, g, sigmas)
     mse = np.array([np.trace(errors[i], axis1=1, axis2=2).real for i in DIRECTIONS])
     rate_bits = np.array([rate(precoders[i], sigmas[i], g[(i, i)]) for i in DIRECTIONS])
     power = np.array([power_usage(precoders[i], config.tx_distortion[i],
@@ -384,8 +380,9 @@ def weighted_mse_objective(design: TransceiverDesign, channels: ChannelRealizati
     """sum_i sum_k tr(S_i^k E_i^k); S = I when use_weights is False."""
     source = channels.h_est if use_estimate else channels.h
     weights = design.mse_weights if use_weights else identity_weights(config)
+    sigmas = _scenario_sigma(design.precoders, source, source, config)
     return _design_objective(design.precoders, design.decoders, weights,
-                             [(1.0, source)], source, config)
+                             [(1.0, source)], [sigmas])
 
 
 def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
@@ -396,5 +393,5 @@ def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
     MSE uses the design's own decoders (identity weights); rates assume the
     desired-link receiver can realize the MMSE front end for the true channel.
     """
-    return design_report(design.precoders, design.decoders, channels.h,
-                         channels.h_est, config)
+    sigmas = _scenario_sigma(design.precoders, channels.h, channels.h_est, config)
+    return design_report(design.precoders, design.decoders, channels.h, sigmas, config)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
-                    TransceiverDesign, _design_objective)
-from .util import ConfigError, _rational_root, dagger, herm, unvec, vec
+                    TransceiverDesign, _design_objective, _scenario_sigma)
+from .util import ConfigError, _rational_root, dagger, herm, unvec
 
 
 @dataclass(frozen=True)
@@ -65,175 +65,162 @@ def weighted_mse_with_errors(design: TransceiverDesign,
     g = {pair: channels.h_est[pair] + deltas[pair]
          if deltas.get(pair) is not None else channels.h_est[pair]
          for pair in PAIRS}
+    sigmas = _scenario_sigma(design.precoders, g, channels.h_est, config)
     return _design_objective(design.precoders, design.decoders, weights,
-                             [(1.0, g)], channels.h_est, config)
+                             [(1.0, g)], [sigmas])
+
+
+def _kron_stack(b, a):
+    """kron(b^k^T, a^k) for every k of a (K, n, c) and a (K, r, m) stack: the
+    (K, c r, n m) maps with vec(a^k X b^k) = map^k vec(X), column-major vec."""
+    return np.einsum("knc,krm->kcrnm", b, a).reshape(len(a), b.shape[2] * a.shape[1], -1)
+
+
+def _pair_forms(design, channels, config, i, j, weights):
+    """Exact quadratic dependence of the weighted MSE on Delta_ij^k for all k
+    at once, from pair-level pieces built once: (K, rows, M_i N_j) maps,
+    (K, rows) offsets and, for shaped sets, (K, M_i N_j, M_i N_j) whiteners.
+
+    Three stacked blocks: (1) the filtered direct/residual term
+    W^H U^H Delta V (minus the nominal target when j == i; cancellation
+    removes the nominal cross term when j != i); (2) transmit-distortion
+    leakage through Delta with chain power profile Q_tx^(1/2); (3) the
+    receive-distortion pickup, one row scaling sqrt(g_hat) per antenna.
+    """
+    # weights enter as W with tr(W E) = tr(W^(1/2)^H E W^(1/2)); use a factor
+    lam, q = np.linalg.eigh(herm(weights[i]))
+    if np.any(lam.min(axis=1) < -1e-12 * np.maximum(abs(lam).max(axis=1), 1.0)):
+        raise ConfigError("MSE weight matrices must be positive semidefinite")
+    w_fac = q * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+    u, v, h_nom = design.decoders[i], design.precoders[j], channels.h_est[(i, j)]
+    k, m_i, n_j = h_nom.shape
+    a1 = dagger(w_fac) @ dagger(u)                          # (K, d_i, M_i)
+    c1 = (a1 @ h_nom @ v - dagger(w_fac) if j == i     # cancelled nominally
+          else np.zeros((k, a1.shape[1], v.shape[2])))
+    # (2) white across chains, flat across k
+    q_tx = np.sqrt(config.tx_distortion[j] * np.einsum("knd,knd->n", v, v.conj()).real)
+    b2 = np.broadcast_to(np.diag(q_tx.astype(complex)), (k, n_j, n_j))
+    # (3) every subcarrier's chain power feels Delta_ij^k, so the K rows
+    # collapse into one with summed filter gains
+    gw = np.einsum("kmd,kde->kme", u, w_fac)
+    g_hat = config.rx_distortion[i] * np.einsum("kme,kme->m", gw, gw.conj()).real
+    a3 = np.broadcast_to(np.diag(np.sqrt(g_hat).astype(complex)), (k, m_i, m_i))
+    maps = np.concatenate([_kron_stack(v, a1), _kron_stack(b2, a1),
+                           _kron_stack(v, a3)], axis=1)
+    offsets = np.concatenate([x.swapaxes(1, 2).reshape(k, -1) for x in   # vec
+                              (c1, a1 @ h_nom @ b2, a3 @ h_nom @ v)], axis=1)
+    shaping = channels.shaping.get((i, j)) if channels.shaping else None
+    if shaping is None:
+        return maps, offsets, None
+    eye = np.broadcast_to(np.eye(n_j, dtype=complex), (k, n_j, n_j))
+    return maps, offsets, _kron_stack(eye, np.linalg.inv(shaping))  # vec(Delta) = W b
 
 
 def build_quadratic_form(design: TransceiverDesign,
                          channels: ChannelRealization, config: SystemConfig,
                          i: int, j: int, k: int,
                          mse_weights=None) -> QuadraticErrorForm:
-    """Exact quadratic dependence of the weighted MSE on Delta_ij^k.
-
-    Three stacked blocks: (1) the filtered direct/residual term
-    W^H U^H Delta V (minus the nominal target when j == i, with the nominal
-    cross term removed by cancellation when j != i); (2) transmit-distortion
-    leakage through Delta with per-chain power profile Q_tx^(1/2); (3)
-    receive-distortion pickup, whose subcarrier sum collapses into one row
-    scaling sqrt(g_hat) per receive antenna.
-    """
+    """The form of Delta_ij^k alone: subcarrier k of the pair's stack."""
     if i not in DIRECTIONS or j not in DIRECTIONS:
         raise ConfigError(f"direction indices must be 0 or 1, got ({i}, {j})")
     if not 0 <= k < config.subcarriers:
         raise ConfigError(f"subcarrier index {k} out of range")
     weights = mse_weights if mse_weights is not None else design.mse_weights
-    u = design.decoders[i][k]
-    v = design.precoders[j][k]
-    h_nom = channels.h_est[(i, j)][k]
-    # weights enter as W with tr(W E) = tr(W^(1/2)^H E W^(1/2)); use a factor
-    lam, q = np.linalg.eigh(herm(weights[i]))
-    if np.any(lam.min(axis=1) < -1e-12 * np.maximum(abs(lam).max(axis=1), 1.0)):
-        raise ConfigError("MSE weight matrices must be positive semidefinite")
-    w_fac = q * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
-
-    a1 = dagger(w_fac[k]) @ dagger(u)                      # (d_i, M_i)
-    blocks_map = []
-    blocks_off = []
-    # (1) filtered signal / residual interference at subcarrier k
-    blocks_map.append(np.kron(v.T, a1))
-    c1 = a1 @ h_nom @ v
-    if j == i:
-        c1 = c1 - dagger(w_fac[k])
-    else:
-        c1 = np.zeros_like(c1)                            # cancelled nominally
-    blocks_off.append(vec(c1))
-    # (2) transmit-distortion leakage: white across chains, flat across k
-    chain_power = np.einsum("knd,knd->n", design.precoders[j],
-                            design.precoders[j].conj()).real
-    q_tx = np.sqrt(config.tx_distortion[j] * chain_power)
-    b2 = np.diag(q_tx.astype(complex))
-    blocks_map.append(np.kron(b2.T, a1))
-    blocks_off.append(vec(a1 @ h_nom @ b2))
-    # (3) receive-distortion pickup: every subcarrier's chain power feels
-    # Delta_ij^k, so the K rows collapse into one with summed filter gains
-    gw = np.einsum("kmd,kde->kme", design.decoders[i], w_fac)
-    g_hat = config.rx_distortion[i] * np.einsum(
-        "kme,kme->m", gw, gw.conj()).real
-    a3 = np.diag(np.sqrt(g_hat).astype(complex))
-    blocks_map.append(np.kron(v.T, a3))
-    blocks_off.append(vec(a3 @ h_nom @ v))
-
-    cmat = np.vstack(blocks_map)
-    coff = np.concatenate(blocks_off)
-    shaping = channels.shaping.get((i, j)) if channels.shaping else None
-    whitener = None
-    if shaping is not None:
-        n_cols = h_nom.shape[1]
-        whitener = np.kron(np.eye(n_cols), np.linalg.inv(shaping[k]))
-    return QuadraticErrorForm(map=cmat, offset=coff, whitener=whitener,
-                              rows=h_nom.shape[0], cols=h_nom.shape[1],
-                              target=(i, j, k),
+    maps, offsets, whiteners = _pair_forms(design, channels, config, i, j, weights)
+    rows, cols = channels.h_est[(i, j)].shape[1:]
+    return QuadraticErrorForm(map=maps[k], offset=offsets[k],
+                              whitener=None if whiteners is None else whiteners[k],
+                              rows=rows, cols=cols, target=(i, j, k),
                               radius=float(channels.csi_radius[(i, j)][k]))
 
 
-def worst_case_error(form: QuadraticErrorForm, radius: float = None) -> WorstCaseResult:
-    """max_{||b|| <= radius} ||G b + c||^2 with G = map @ whitener.
+def _solve_forms(g, c, z):
+    """max_{||b|| <= z} ||G b + c||^2 for (F, rows, n) maps G, (F, rows)
+    offsets c and (F,) radii z > 0: (maximizers, multipliers rho, values,
+    hard-case flags, KKT residuals), one per form.
 
-    Solved through the eigendecomposition of G^H G: boundary stationarity
-    gives (rho I - M) b = m with rho >= lam_max; the degenerate (hard) case,
-    where m has no component on the top eigenspace, adds a top-eigenvector
-    component to reach the boundary.
+    Boundary stationarity gives (rho I - M) b = m with rho >= lam_max,
+    M = G^H G, m = G^H c: one stacked eigh of M and one batched secular
+    equation solve it. In the hard case of More and Sorensen (1983), m has no
+    component on the top eigenspace; if the solve off that space stays inside
+    the ball, a top-eigenvector component pads it to the boundary.
     """
+    m_mat = herm(dagger(g) @ g)
+    m_vec = np.einsum("frn,fr->fn", g.conj(), c)
+    lam, basis = np.linalg.eigh(m_mat)
+    lam = np.maximum(lam, 0.0)
+    lam_top, top_vec = lam[:, -1:], basis[:, :, -1]
+    mh = np.einsum("fnm,fn->fm", basis.conj(), m_vec)
+    w = (mh * mh.conj()).real
+    top = lam >= lam_top - 1e-12 * np.maximum(lam_top, 1.0)
+    hard = np.sqrt(np.where(top, w, 0.0).sum(axis=1)) <= 1e-10 * np.sqrt(w.sum(axis=1))
+    coeff = np.divide(mh, lam_top - lam, out=np.zeros_like(mh), where=~top)
+    b_perp = np.einsum("fnm,fm->fn", basis, coeff)
+    norm_perp = np.linalg.norm(b_perp, axis=1)
+    padded = hard & (norm_perp < z)
+    # the rest solve sum_n w_n / (rho - lam_n)^2 = z^2 on rho >= lam_top for
+    # t = rho - lam_top, so the top gap carries no cancellation; hard forms
+    # drop their (zero-weight) top terms
+    w, mh = np.where(hard[:, None] & top, 0.0, w), np.where(hard[:, None] & top, 0.0, mh)
+    t, zs = np.zeros(z.shape), z[~padded]
+    t[~padded] = _rational_root((lam_top - lam)[~padded], w[~padded], zs * zs,
+                                1e-13 * zs * zs)
+    gap = (lam_top - lam) + t[:, None]
+    gap[gap <= 0] = np.inf                # only zero-weight terms can hit this
+    b = np.einsum("fnm,fm->fn", basis, mh / gap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b *= (z / np.linalg.norm(b, axis=1))[:, None]   # onto the boundary exactly
+    # m = 0 with M = 0: nothing depends on b, so b stays 0
+    tau = np.sqrt(np.maximum(z * z - norm_perp * norm_perp, 0.0)) * (lam_top[:, 0] > 0)
+    b = np.where(padded[:, None], b_perp + tau[:, None] * top_vec, b)
+    rho = lam_top[:, 0] + t
+    r = np.einsum("frn,fn->fr", g, b) + c
+    kkt = rho[:, None] * b - np.einsum("fnm,fm->fn", m_mat, b) - m_vec
+    return b, rho, (r * r.conj()).real.sum(axis=1), padded, np.linalg.norm(kkt, axis=1)
+
+
+def worst_case_error(form: QuadraticErrorForm, radius: float = None) -> WorstCaseResult:
+    """max_{||b|| <= radius} ||G b + c||^2 with G = map @ whitener: one form
+    through the stacked solve."""
     z = form.radius if radius is None else float(radius)
     if z < 0:
         raise ConfigError("error-set radius must be nonnegative")
     g = form.map @ form.whitener if form.whitener is not None else form.map
-    c = form.offset
-    n = g.shape[1]
-    base = float(np.vdot(c, c).real)
     if z == 0.0:
-        b = np.zeros(n, dtype=complex)
-        return WorstCaseResult(b_star=b, rho_star=np.inf, value=base,
-                               delta_star=_delta_from(form, b))
-    m_mat = herm(dagger(g) @ g)
-    m_vec = dagger(g) @ c
-    lam, basis = np.linalg.eigh(m_mat)
-    lam = np.maximum(lam, 0.0)
-    lam_top = lam[-1]
-    mh = dagger(basis) @ m_vec
-    w = (mh * mh.conj()).real
-    m_norm = np.sqrt(w.sum())
-
-    top = lam >= lam_top - 1e-12 * max(lam_top, 1.0)
-    if m_norm <= 1e-300:
-        # pure homogeneous quadratic: any top eigenvector direction is worst
-        if lam_top <= 0:
-            b = np.zeros(n, dtype=complex)
-            return WorstCaseResult(b_star=b, rho_star=0.0, value=base,
-                                   delta_star=_delta_from(form, b))
-        b = z * basis[:, -1]
-        value = float(np.vdot(g @ b + c, g @ b + c).real)
-        return WorstCaseResult(b_star=b, rho_star=float(lam_top), value=value,
-                               delta_star=_delta_from(form, b))
-
-    hard = np.sqrt(w[top].sum()) <= 1e-10 * m_norm
-    if hard:
-        coeff = np.zeros_like(mh)
-        np.divide(mh, lam_top - lam, out=coeff, where=~top)
-        b_perp = basis @ coeff
-        norm_perp = float(np.linalg.norm(b_perp))
-        if norm_perp < z:
-            tau = np.sqrt(z * z - norm_perp * norm_perp)
-            b = b_perp + tau * basis[:, -1]
-            rho = float(lam_top)
-            value = float(np.vdot(g @ b + c, g @ b + c).real)
-            resid = float(np.linalg.norm((rho * np.eye(n) - m_mat) @ b - m_vec))
-            return WorstCaseResult(b_star=b, rho_star=rho, value=value,
-                                   delta_star=_delta_from(form, b),
-                                   hard_case=True, kkt_residual=resid)
-        # perpendicular part alone already reaches the ball: fall through to
-        # the secular equation, dropping the (zero-weight) top terms
-        w = np.where(top, 0.0, w)
-        mh = np.where(top, 0.0, mh)
-    # secular equation sum_n w_n / (rho - lam_n)^2 = z^2 on rho >= lam_top,
-    # solved for t = rho - lam_top so the top gap carries no cancellation
-    t = _rational_root(lam_top - lam, w, z * z, 1e-13 * z * z)
-    rho = lam_top + t
-    gap = (lam_top - lam) + t
-    gap[gap <= 0] = np.inf                # only zero-weight terms can hit this
-    b = basis @ (mh / gap)
-    b = b * (z / np.linalg.norm(b))      # polish onto the boundary exactly
-    value = float(np.vdot(g @ b + c, g @ b + c).real)
-    resid = float(np.linalg.norm((rho * np.eye(n) - m_mat) @ b - m_vec))
-    return WorstCaseResult(b_star=b, rho_star=float(rho), value=value,
-                           delta_star=_delta_from(form, b),
-                           kkt_residual=resid)
-
-
-def _delta_from(form: QuadraticErrorForm, b: np.ndarray) -> np.ndarray:
+        b = np.zeros(g.shape[1], dtype=complex)
+        rho, value, hard, kkt = np.inf, np.vdot(form.offset, form.offset).real, False, 0.0
+    else:
+        b, rho, value, hard, kkt = (x[0] for x in _solve_forms(
+            g[None], form.offset[None], np.array([z])))
     vecd = form.whitener @ b if form.whitener is not None else b
-    return unvec(vecd, form.rows, form.cols)
+    return WorstCaseResult(b_star=b, rho_star=float(rho), value=float(value),
+                           delta_star=unvec(vecd, form.rows, form.cols),
+                           hard_case=bool(hard), kkt_residual=float(kkt))
 
 
 def _worst_case(design, channels, config, mse_weights=None):
-    """(worst_case_mse, the channel dict attaining it): each positive-radius
-    form is solved once; its increment joins the nominal objective and its
-    maximizer is added to h_est^k."""
-    zero = {pair: np.zeros_like(channels.h_est[pair]) for pair in PAIRS}
-    total = weighted_mse_with_errors(design, channels, config, deltas=zero,
-                                     mse_weights=mse_weights)
+    """(worst_case_mse, the channel dict attaining it): each pair builds and
+    solves its positive-radius forms as one stack; their increments join the
+    nominal objective and their maximizers are added to h_est^k."""
+    weights = mse_weights if mse_weights is not None else design.mse_weights
+    total = weighted_mse_with_errors(design, channels, config, deltas={},
+                                     mse_weights=weights)
     worst = {pair: channels.h_est[pair].copy() for pair in PAIRS}
     for (i, j) in PAIRS:
         radii = channels.csi_radius[(i, j)]
-        for k in range(config.subcarriers):
-            if radii[k] <= 0:
-                continue
-            form = build_quadratic_form(design, channels, config, i, j, k,
-                                        mse_weights=mse_weights)
-            result = worst_case_error(form)
-            base = float(np.vdot(form.offset, form.offset).real)
-            total += max(result.value - base, 0.0)
-            worst[(i, j)][k] += result.delta_star
+        live = radii > 0
+        if not live.any():
+            continue
+        maps, offsets, whiteners = _pair_forms(design, channels, config, i, j, weights)
+        g, c = maps[live], offsets[live]
+        if whiteners is not None:
+            g = g @ whiteners[live]
+        b, _, value, _, _ = _solve_forms(g, c, radii[live])
+        total += float(np.maximum(value - (c * c.conj()).real.sum(axis=1), 0.0).sum())
+        if whiteners is not None:
+            b = np.einsum("fnm,fm->fn", whiteners[live], b)
+        rows, cols = worst[(i, j)].shape[1:]
+        worst[(i, j)][live] += b.reshape(-1, cols, rows).swapaxes(1, 2)
     return float(total), worst
 
 

@@ -23,10 +23,6 @@ def linear_to_db(x):
     return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
-def format_db(x) -> str:
-    return f"{float(linear_to_db(x)):.6f}"
-
-
 def parse_level(value) -> float:
     """Parse a linear power-like quantity; strings with a dB suffix convert as 10^(x/10)."""
     if isinstance(value, str):
@@ -54,11 +50,6 @@ def herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    # column-major so that vec(A X B) = (B^T kron A) vec(X)
-    return a.reshape(-1, order="F")
-
-
 def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return x.reshape(rows, cols, order="F")
 
@@ -74,63 +65,77 @@ _ROOT_ITERS = 100
 
 
 def _root_search(f, lo, hi, target, tol):
-    """x in (lo, hi] with |f(x) - target| <= tol, for a decreasing f with
-    f(lo) > target >= f(hi).
+    """x in (lo, hi] with |f(x) - target| <= tol per element of (F,) arrays
+    of brackets, targets and tolerances (scalars broadcast); f maps an (F,)
+    array of points to their values, each decreasing, with f(lo) > target >=
+    f(hi). A scalar search is the batch of one.
 
-    Regula falsi with the Illinois modification runs on f^(-1/2), which is
-    nearly linear for the sums of inverse squares searched here; a candidate
-    outside the bracket falls back to bisection. A bracket that no float can
-    split returns its upper end, the root to machine precision.
+    Regula falsi with the Illinois modification runs on f^(-1/2), nearly
+    linear for the sums of inverse squares searched here; a candidate outside
+    its bracket falls back to bisection, and a bracket no float can split
+    returns its upper end. Each step evaluates f once for the batch, and each
+    element stops at its own tolerance. The bracket updates are scalar float
+    arithmetic: on batches this small numpy calls cost more than the
+    arithmetic, and numpy's SIMD pow can round apart from the C library's.
     """
-    goal = target ** -0.5
-
-    def residual(value):
-        with np.errstate(divide="ignore"):
-            return np.float64(value) ** -0.5 - goal
-
-    f_hi = f(hi)
-    if f_hi >= target - tol:
-        return hi
-    r_lo, r_hi = residual(f(lo)), residual(f_hi)
-    kept = 0                          # +1: lo kept last step, -1: hi kept
-    for _ in range(_ROOT_ITERS):
-        x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                return hi
-        value = f(x)
-        if abs(value - target) <= tol:
-            return x
-        if value > target:
-            lo, r_lo = x, residual(value)
-            if kept < 0:
-                r_hi *= 0.5
-            kept = -1
-        else:
-            hi, r_hi = x, residual(value)
-            if kept > 0:
-                r_lo *= 0.5
-            kept = 1
-    raise DualSearchError(f"scalar root search did not reach tolerance {tol:g} "
-                          f"in {_ROOT_ITERS} steps")
+    shape = np.zeros(np.size(hi))
+    lo, hi, target, tol = ((np.asarray(a, dtype=float) + shape).tolist()
+                           for a in (lo, hi, target, tol))
+    x = list(hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = f(np.array(x)).tolist()
+        live = [e for e, v in enumerate(value) if not v >= target[e] - tol[e]]
+        goal = [t ** -0.5 for t in target]
+        r_hi = [np.float64(v) ** -0.5 - g for v, g in zip(value, goal)]
+        r_lo = [np.float64(v) ** -0.5 - g for v, g in zip(f(np.array(lo)).tolist(), goal)]
+        kept = [0] * len(x)               # +1: lo kept last step, -1: hi kept
+        for _ in range(_ROOT_ITERS):
+            stepping = []
+            for e in live:
+                lo_e, hi_e = lo[e], hi[e]
+                x[e] = lo_e - r_lo[e] * (hi_e - lo_e) / (r_hi[e] - r_lo[e])
+                if not lo_e < x[e] < hi_e:
+                    x[e] = 0.5 * (lo_e + hi_e)
+                    if not lo_e < x[e] < hi_e:
+                        x[e] = hi_e
+                        continue
+                stepping.append(e)
+            if not stepping:
+                return np.array(x)
+            value = f(np.array(x)).tolist()
+            live = [e for e in stepping if not abs(value[e] - target[e]) <= tol[e]]
+            for e in live:
+                r = np.float64(value[e]) ** -0.5 - goal[e]
+                if value[e] > target[e]:
+                    lo[e], r_lo[e] = x[e], r
+                    if kept[e] < 0:
+                        r_hi[e] *= 0.5
+                    kept[e] = -1
+                else:
+                    hi[e], r_hi[e] = x[e], r
+                    if kept[e] > 0:
+                        r_lo[e] *= 0.5
+                    kept[e] = 1
+    if live:
+        raise DualSearchError(f"root search did not reach tolerance "
+                              f"{min(tol[e] for e in live):g} in {_ROOT_ITERS} steps")
+    return np.array(x)
 
 
 def _rational_root(gap, weight, target, tol):
-    """t >= 0 with |sum_n weight_n / (gap_n + t)^2 - target| <= tol, for
-    gap >= 0, weight >= 0 and the sum above target at t = 0. Every gap is
-    nonnegative, so the sum is at most sum(weight) / t^2 and the root lies
-    below sqrt(sum(weight) / target)."""
-    # zero-weight terms can sit exactly at t = 0 with a zero gap (0/0)
-    keep = weight > 0
-    gap, weight = gap[keep], weight[keep]
+    """(F,) roots t >= 0 of sum_n weight_n / (gap_n + t)^2 = target within tol,
+    per row of (F, n) arrays gap >= 0 and weight >= 0 whose sums exceed target
+    at t = 0. Every gap is nonnegative, so a row's sum is at most
+    sum(weight) / t^2 and its root lies below sqrt(sum(weight) / target)."""
+    # zero-weight terms add nothing; a unit gap keeps them from 0/0 at t = 0
+    gap = np.where(weight > 0, gap, 1.0)
 
     def f(t):
         # a zero or denormal gap gives inf, which only means "below the root"
-        with np.errstate(divide="ignore", over="ignore"):
-            return float((weight / (gap + t) ** 2).sum())
+        return (weight / (gap + t[:, None]) ** 2).sum(axis=1)
 
-    return _root_search(f, 0.0, float(np.sqrt(weight.sum() / target)), target, tol)
+    hi = np.sqrt(weight.sum(axis=1) / target)
+    return _root_search(f, np.zeros(hi.shape), hi, target, tol)
 
 
 def rng_from(seed) -> np.random.Generator:

@@ -9,10 +9,11 @@ from conftest import crandn_t
 from fdlink import (ChannelRealization, ConfigError, SystemConfig,
                     mmse_error_matrix, mse_matrix, power_usage, run_altqcp,
                     run_baseline, update_precoders, update_receivers)
-from fdlink.altqcp import (SolverOptions, _design_objective, _solve_power_dual,
-                           identity_weights, init_precoders, leakage_matrix,
+from fdlink.altqcp import (SolverOptions, _design_objective, _leakage_stacks,
+                           _solve_power_dual, _weighted_decoder_grams,
+                           identity_weights, init_precoders,
                            run_altqcp_scenarios)
-from fdlink.model import DIRECTIONS, PAIRS, covariance_stacks
+from fdlink.model import DIRECTIONS, PAIRS, _scenario_sigma, covariance_stacks
 
 
 def _flat_channels(values, subcarriers=1):
@@ -153,10 +154,12 @@ def test_leakage_zero_cases(default_config, default_channels):
     v = init_precoders(default_channels, config0, "rsm")
     u = update_receivers(v, default_channels, config0)
     s = identity_weights(config0)
-    j = leakage_matrix(u, s, default_channels, config0, 0, 0)
+    j = _leakage_stacks(_weighted_decoder_grams(u, s), default_channels.h_est,
+                        config0)[0][0]
     assert np.max(np.abs(j)) < 1e-15
     zero_u = [np.zeros_like(x) for x in u]
-    j = leakage_matrix(zero_u, s, default_channels, default_config, 1, 2)
+    j = _leakage_stacks(_weighted_decoder_grams(zero_u, s),
+                        default_channels.h_est, default_config)[1][2]
     assert np.max(np.abs(j)) < 1e-15
 
 
@@ -179,7 +182,8 @@ def test_leakage_scalar_hand_expansion():
             abs(h[(j, i)]) ** 2 * abs([u0, u1][j]) ** 2 * [s0, s1][j]
             * (beta + kappa)
             for j in DIRECTIONS)
-        got = leakage_matrix(decoders, weights, channels, config, i, 0)
+        got = _leakage_stacks(_weighted_decoder_grams(decoders, weights),
+                              channels.h_est, config)[i][0]
         assert abs(got[0, 0] - expected) < 1e-12
 
 
@@ -377,9 +381,13 @@ def test_precoder_update_matches_independent_convex_solver(default_config,
             stack[i] = z.reshape(shape)
             return stack
 
+        def objective(v):
+            sigmas = [_scenario_sigma(v, g, channels.h_est, config)
+                      for _, g in scenarios]
+            return _design_objective(v, u, s, scenarios, sigmas)
+
         def func(x):
-            return _design_objective(embed(x), u, s, scenarios,
-                                     channels.h_est, config)
+            return objective(embed(x))
 
         quad, lin, base = _recover_quadratic(func, n_real)
         # constraint: sum over complex entries of scale_n |v|^2 <= P
@@ -391,9 +399,9 @@ def test_precoder_update_matches_independent_convex_solver(default_config,
             x0 = rng.standard_normal(n_real)
             _, val = _accelerated_pgd(quad, lin, scale, config.p_max[i], x0)
             best = min(best, val + base)
-        solver_val = _design_objective(
+        solver_val = objective(
             [v_star[j] if j == i else np.zeros_like(v_star[j])
-             for j in DIRECTIONS], u, s, scenarios, channels.h_est, config)
+             for j in DIRECTIONS])
         assert solver_val <= best + 1e-9
         assert abs(solver_val - best) < 1e-6 * max(abs(best), 1.0)
     del duals
@@ -482,3 +490,30 @@ def test_run_is_deterministic(default_config, default_channels):
     d2, r2 = run_altqcp(default_channels, default_config)
     assert np.array_equal(d1.precoders[0], d2.precoders[0])
     assert r1.objective_trace == r2.objective_trace
+
+
+@pytest.mark.parametrize("n_scenarios", [1, 3])
+def test_run_builds_one_covariance_per_scenario_and_iteration(
+        default_config, default_channels, n_scenarios, monkeypatch):
+    # each precoder update builds every scenario's covariances once; the
+    # objectives, the receiver step and the final report all read that build
+    import fdlink.model as model
+    calls = []
+    inner = model.covariance_stacks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    rng = np.random.default_rng(9)
+    scenarios = [(1.0 / n_scenarios, default_channels.h_est)] + [
+        (1.0 / n_scenarios,
+         {pair: default_channels.h_est[pair]
+          + 0.01 * crandn_t(rng, default_channels.h_est[pair].shape)
+          for pair in PAIRS}) for _ in range(n_scenarios - 1)]
+    monkeypatch.setattr(model, "covariance_stacks", counted)
+    _, report = run_altqcp_scenarios(scenarios, default_channels.h_est,
+                                     default_config, SolverOptions(),
+                                     channels_for_init=default_channels)
+    assert report.iterations > 1
+    assert len(calls) == n_scenarios * (1 + report.iterations)

@@ -213,3 +213,39 @@ def test_simulate_blocks_rejects_empty_run(perfect_csi_config, perfect_channels,
     design, _ = run_altqcp(perfect_channels, perfect_csi_config)
     with pytest.raises(ConfigError):
         simulate_blocks(design, perfect_channels, perfect_csi_config, n_blocks, 0)
+
+
+def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
+                                     monkeypatch):
+    import fdlink.distortion as distortion
+    config, channels = perfect_csi_config, perfect_channels
+    design, _ = run_altqcp(channels, config)
+    # the default budget keeps K=4 runs at 20,000-block batches and 2,000
+    # K=64, M=N=4 blocks in one batch, so their draws do not move
+    assert distortion._batch_blocks(config) == 20_000
+    big = SystemConfig.from_scalars(subcarriers=64, antennas=4, streams=2)
+    assert 2_000 <= distortion._batch_blocks(big) < 20_000
+    per_block = 16 * 4 * 2 * (1 + 4 * 2 + 6 * 2)       # K=4, 2x2, one stream
+    monkeypatch.setattr(distortion, "_BATCH_BYTES", per_block - 1)
+    assert distortion._batch_blocks(config) == 1
+    monkeypatch.setattr(distortion, "_BATCH_BYTES", 3 * per_block + 1)
+    assert distortion._batch_blocks(config) == 3
+
+    sizes = []
+    inner = distortion._simulate_batch
+
+    def counted(design, channels, config, n, rng):
+        sizes.append(n)
+        return inner(design, channels, config, n, rng)
+
+    monkeypatch.setattr(distortion, "_simulate_batch", counted)
+    for n_blocks, split in ((3, [3]), (7, [3, 3, 1])):
+        sizes.clear()
+        stats = simulate_blocks(design, channels, config, n_blocks, 41)
+        assert sizes == split
+        # the batches draw one after another from one generator
+        rng = np.random.default_rng(41)
+        batches = [inner(design, channels, config, n, rng) for n in split]
+        for i in DIRECTIONS:
+            gram = sum(distortion._gram(b["residual"][i]) for b in batches)
+            assert np.array_equal(stats.nu_cov[i], gram / n_blocks)

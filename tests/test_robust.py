@@ -5,6 +5,7 @@ dominance, KKT/duality certificates, and worst-case design behavior."""
 import numpy as np
 import pytest
 
+import fdlink.robust as robust
 from conftest import crandn_t, random_psd, with_shaping
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_cutting_set)
@@ -14,7 +15,7 @@ from fdlink.model import DIRECTIONS, PAIRS
 from fdlink.robust import (QuadraticErrorForm, _worst_case,
                            build_quadratic_form, weighted_mse_with_errors,
                            worst_case_error, worst_case_mse)
-from fdlink.util import unvec
+from fdlink.util import _rational_root, unvec
 
 
 def _make_form(rng, out_dim, n, radius, scale=1.0):
@@ -401,6 +402,166 @@ def test_worst_scenario_attains_certified_value(name, default_config,
 
 
 # ---------------------------------------------------------------------------
+# the stacked oracle against a per-form reference
+# ---------------------------------------------------------------------------
+
+def _reference_form(design, channels, config, i, j, k, weights):
+    """(map, offset, whitener) of Delta_ij^k alone, by explicit Kronecker
+    products: vec(A X B) = (B^T kron A) vec(X) with column-major vec."""
+    lam, q = np.linalg.eigh(weights[i])
+    w_fac = (q * np.sqrt(np.maximum(lam, 0.0))[:, None, :])[k]
+    u, v = design.decoders[i][k], design.precoders[j][k]
+    h_nom = channels.h_est[(i, j)][k]
+    a1 = w_fac.conj().T @ u.conj().T
+    chain_power = np.einsum("knd,knd->n", design.precoders[j],
+                            design.precoders[j].conj()).real
+    b2 = np.diag(np.sqrt(config.tx_distortion[j] * chain_power)).astype(complex)
+    gw = np.einsum("kmd,kde->kme", design.decoders[i],
+                   q * np.sqrt(np.maximum(lam, 0.0))[:, None, :])
+    g_hat = config.rx_distortion[i] * np.einsum("kme,kme->m", gw, gw.conj()).real
+    a3 = np.diag(np.sqrt(g_hat)).astype(complex)
+    c1 = (a1 @ h_nom @ v - w_fac.conj().T if i == j
+          else np.zeros((a1.shape[0], v.shape[1]), dtype=complex))
+    mapping = np.vstack([np.kron(v.T, a1), np.kron(b2.T, a1), np.kron(v.T, a3)])
+    offset = np.concatenate([x.reshape(-1, order="F")
+                             for x in (c1, a1 @ h_nom @ b2, a3 @ h_nom @ v)])
+    shaping = channels.shaping[(i, j)]
+    whitener = (None if shaping is None else
+                np.kron(np.eye(h_nom.shape[1]), np.linalg.inv(shaping[k])))
+    return mapping, offset, whitener
+
+
+def _reference_solve(g, c, z):
+    """(b, value, hard) maximizing ||G b + c||^2 over ||b|| <= z > 0 for one
+    form: one eigendecomposition and a bisection on the secular equation."""
+    m_mat = g.conj().T @ g
+    lam, basis = np.linalg.eigh(0.5 * (m_mat + m_mat.conj().T))
+    lam = np.maximum(lam, 0.0)
+    mh = basis.conj().T @ (g.conj().T @ c)
+    w = np.abs(mh) ** 2
+    top = lam >= lam[-1] - 1e-12 * max(lam[-1], 1.0)
+    hard = np.sqrt(w[top].sum()) <= 1e-10 * np.sqrt(w.sum())
+    if hard:
+        coeff = np.zeros_like(mh)
+        coeff[~top] = mh[~top] / (lam[-1] - lam[~top])
+        b_perp = basis @ coeff
+        if np.linalg.norm(b_perp) < z:
+            if lam[-1] > 0:
+                tau = np.sqrt(z * z - np.linalg.norm(b_perp) ** 2)
+                b_perp = b_perp + tau * basis[:, -1]
+            return b_perp, float(np.linalg.norm(g @ b_perp + c) ** 2), True
+        w[top], mh[top] = 0.0, 0.0
+    gap, live = lam[-1] - lam, w > 0
+    lo, hi = 0.0, float(np.sqrt(w.sum())) / z
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if (w[live] / (gap[live] + mid) ** 2).sum() > z * z:
+            lo = mid
+        else:
+            hi = mid
+    b = basis @ (mh / np.where(gap + hi > 0, gap + hi, np.inf))
+    b *= z / np.linalg.norm(b)
+    return b, float(np.linalg.norm(g @ b + c) ** 2), False
+
+
+def _reference_worst_case(design, channels, config, weights):
+    weights = weights if weights is not None else design.mse_weights
+    total = weighted_mse_with_errors(design, channels, config,
+                                     deltas=_zero_deltas(channels),
+                                     mse_weights=weights)
+    worst = {pair: channels.h_est[pair].copy() for pair in PAIRS}
+    for (i, j) in PAIRS:
+        for k in range(config.subcarriers):
+            z = float(channels.csi_radius[(i, j)][k])
+            if z <= 0:
+                continue
+            mapping, offset, whitener = _reference_form(design, channels, config,
+                                                        i, j, k, weights)
+            g = mapping if whitener is None else mapping @ whitener
+            b, value, _ = _reference_solve(g, offset, z)
+            total += max(value - float(np.vdot(offset, offset).real), 0.0)
+            vecd = b if whitener is None else whitener @ b
+            worst[(i, j)][k] += vecd.reshape(worst[(i, j)].shape[1:], order="F")
+    return total, worst
+
+
+@pytest.mark.parametrize("name", ["identity", "weighted", "zero_radii",
+                                  "shaped"])
+def test_stacked_oracle_matches_per_form_reference(name, default_config,
+                                                   default_channels, designed,
+                                                   two_stream_case):
+    """The per-pair stacks give the certified value and the worst channel of
+    per-form Kronecker builds and scalar secular solves."""
+    config, channels, design, weights = _oracle_case(
+        name, default_config, default_channels, designed, two_stream_case)
+    expected, expected_worst = _reference_worst_case(design, channels, config,
+                                                     weights)
+    value, worst = _worst_case(design, channels, config, weights)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+    assert worst_case_mse(design, channels, config, mse_weights=weights) == value
+    for pair in PAIRS:
+        scale = np.max(np.abs(expected_worst[pair]))
+        assert np.max(np.abs(worst[pair] - expected_worst[pair])) <= 1e-9 * scale
+        k = 1
+        form = build_quadratic_form(design, channels, config, *pair, k,
+                                    mse_weights=weights)
+        mapping, offset, whitener = _reference_form(
+            design, channels, config, *pair, k,
+            weights if weights is not None else design.mse_weights)
+        assert np.max(np.abs(form.map - mapping)) <= 1e-12 * np.max(np.abs(mapping))
+        assert np.max(np.abs(form.offset - offset)) <= 1e-12 * max(
+            np.max(np.abs(offset)), 1.0)
+        if whitener is None:
+            assert form.whitener is None
+        else:
+            assert np.array_equal(form.whitener, whitener)
+
+
+def test_stacked_solve_matches_scalar_reference_on_hard_cases():
+    """One stack holding a hard-case form padded along the top eigenvector,
+    a hard-case form whose solve off the top space reaches the ball (secular
+    root), a pure quadratic (m = 0) and generic forms."""
+    rng = np.random.default_rng(27)
+    forms = [(np.diag([2.0 + 0j, 1.0]), np.array([0.0j, 1.0]), 1.0),
+             (np.diag([2.0 + 0j, 1.0]), np.array([0.0j, 3.0]), 0.5),
+             (np.diag([2.0 + 0j, 1.0]), np.zeros(2, dtype=complex), 0.7)]
+    forms += [(crandn_t(rng, (2, 2)), crandn_t(rng, (2,)),
+               float(rng.uniform(0.1, 1.5))) for _ in range(5)]
+    g = np.stack([f[0] for f in forms])
+    c = np.stack([f[1] for f in forms])
+    z = np.array([f[2] for f in forms])
+    b, rho, value, hard, kkt = robust._solve_forms(g, c, z)
+    assert list(hard[:3]) == [True, False, True] and not hard[3:].any()
+    for n, (gf, cf, zf) in enumerate(forms):
+        ref_b, ref_value, _ = _reference_solve(gf, cf, zf)
+        assert abs(value[n] - ref_value) <= 1e-12 * max(ref_value, 1.0)
+        assert np.max(np.abs(b[n] - ref_b)) <= 1e-9 * zf
+        assert kkt[n] < 1e-9
+    assert rho[0] == pytest.approx(4.0) and rho[1] == pytest.approx(7.0)
+
+
+def test_root_search_batch_equals_batches_of_one():
+    """Each element of a batched secular solve takes the same steps as its
+    own batch-of-one search: equal roots, bit for bit, at per-element
+    tolerances, including rows with zero weights and zero gaps."""
+    rng = np.random.default_rng(28)
+    gap = rng.exponential(size=(12, 5))
+    gap -= gap.min(axis=1, keepdims=True)
+    weight = rng.uniform(0.0, 1.0, (12, 5))
+    weight[3, 1:] = 0.0
+    weight[7, np.argmin(gap[7])] = 0.0
+    roots = rng.uniform(0.05, 2.0, 12)
+    target = (weight / (gap + roots[:, None]) ** 2).sum(axis=1)
+    tol = np.where(np.arange(12) % 2 == 0, 1e-13, 1e-6) * target
+    batch = _rational_root(gap, weight, target, tol)
+    single = [_rational_root(gap[e:e + 1], weight[e:e + 1], target[e], tol[e])[0]
+              for e in range(12)]
+    assert np.array_equal(batch, np.array(single))
+    reached = (weight / (gap + batch[:, None]) ** 2).sum(axis=1)
+    assert np.all(np.abs(reached - target) <= tol)
+
+
+# ---------------------------------------------------------------------------
 # cutting-set loop
 # ---------------------------------------------------------------------------
 
@@ -408,22 +569,23 @@ def test_cutting_set_solves_each_form_once_per_cut(default_config,
                                                    default_channels,
                                                    monkeypatch):
     # one oracle pass per cut gives both the certified value and the next
-    # scenario: 4 K forms per cut, none after the last cut
-    import fdlink.robust as robust
+    # scenario: one stacked build of each pair's K forms per cut, none after
+    # the last cut
     built = []
-    inner = robust.build_quadratic_form
+    inner = robust._pair_forms
 
     def counted(*args, **kwargs):
-        built.append(args[4:7])
+        built.append(args[3:5])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(robust, "build_quadratic_form", counted)
+    monkeypatch.setattr(robust, "_pair_forms", counted)
     _, report = run_cutting_set(default_channels, default_config,
                                 options=SolverOptions(max_cuts=3))
     cuts = len(report.extras["cuts"])
     assert cuts == 3 and not report.extras["robust_converged"]
     assert all(np.all(r > 0) for r in default_channels.csi_radius.values())
-    assert len(built) == 4 * default_config.subcarriers * cuts
+    assert built == list(PAIRS) * cuts
+
 
 def test_cutting_set_zero_radius_single_cut():
     config = SystemConfig.from_scalars(csi_radius=0.0)

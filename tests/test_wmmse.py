@@ -171,12 +171,12 @@ def test_weights_raise_on_singular_error(default_config):
         update_weights(design, channels, config)
 
 
-def test_run_builds_three_covariances_per_iteration(default_config,
-                                                    default_channels,
-                                                    monkeypatch):
-    # per iteration: the post-precoder surrogate, the receiver step, and one
-    # MSE evaluation shared by the post-receiver surrogate, the weight update
-    # and the rate; plus the initial receivers, weights and the final report
+def test_run_builds_one_covariance_per_iteration(default_config,
+                                                 default_channels,
+                                                 monkeypatch):
+    # one build per precoder update, shared by the surrogates, the receiver
+    # step, the weight update and the rate; the initial build also serves the
+    # first receivers and weights, the last one the final report
     import fdlink.model as model
     calls = []
     inner = model.covariance_stacks
@@ -188,4 +188,4 @@ def test_run_builds_three_covariances_per_iteration(default_config,
     monkeypatch.setattr(model, "covariance_stacks", counted)
     _, report = run_wmmse(default_channels, default_config)
     assert report.iterations > 1
-    assert len(calls) == 3 + 3 * report.iterations
+    assert len(calls) == 1 + report.iterations
