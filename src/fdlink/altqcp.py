@@ -9,9 +9,10 @@ enforcing the distortion-aware transmit power budget.
 run_altqcp_scenarios is the one block-coordinate driver of the package: the
 weighted sum-rate designer (wmmse), the cutting-set inner design (robust) and
 the threshold baselines (baselines) are this loop with its weight block or its
-self-interference cap switched on. All updates take a list of channel
-scenarios (the cutting set designs against an averaged objective); the
-nominal algorithm is the single-scenario case with the estimated channels.
+self-interference cap switched on. All updates take a scenario stack, (S,)
+weights and (S, K, M, N) channels, and reduce over its leading axis (the
+cutting set designs against a weighted objective); the nominal algorithm is
+the one-scenario stack of the estimated channels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
-                    design_report, identity_weights, mse_stacks,
+                    _stack, design_report, identity_weights, mse_stacks,
                     power_usage, rate_surrogate, weighted_rate)
 from .util import (LN2, ConfigError, DualSearchError, _rational_root,
                    _root_search, crandn, dagger, herm, rng_from, stabilized)
@@ -66,18 +67,18 @@ def init_precoders(channels: ChannelRealization, config: SystemConfig,
 
 
 # ---------------------------------------------------------------------------
-# scenario plumbing: a scenario is a full channel dict the design treats as a
-# possible truth; SIC is always referenced to the estimated channels.
+# scenario stack: (S,) weights and (S, K, M, N) channels the design treats as
+# possible truths; SIC is always referenced to the estimated channels.
 # ---------------------------------------------------------------------------
 
-def _receiver_step(precoders, scenarios, sigmas, config):
-    """Linear MMSE receivers for the (scenario-averaged) design objective."""
+def _receiver_step(precoders, shares, g, sigmas, config):
+    """Linear MMSE receivers for the scenario-weighted design objective."""
     out = []
     for i in DIRECTIONS:
-        hv = [g[(i, i)] @ precoders[i] for _, g in scenarios]
-        acc = sum(w * (sig[i] + np.einsum("kmd,kpd->kmp", x, x.conj()))
-                  for (w, _), sig, x in zip(scenarios, sigmas, hv))
-        rhs = sum(w * x for (w, _), x in zip(scenarios, hv))
+        hv = g[(i, i)] @ precoders[i]
+        acc = (np.einsum("s,skmp->kmp", shares, sigmas[i])
+               + np.einsum("s,skmd,skpd->kmp", shares, hv, hv.conj()))
+        rhs = np.einsum("s,skmd->kmd", shares, hv)
         out.append(np.linalg.solve(stabilized(herm(acc)), rhs))
     return out
 
@@ -88,26 +89,27 @@ def _weighted_decoder_grams(decoders, mse_weights):
                       decoders[j].conj()) for j in DIRECTIONS]
 
 
-def _leakage_stacks(grams, g, config):
-    """Distortion-leakage quadratic terms for the precoder update of every
-    direction, all subcarriers at once, from the decoder grams W_j.
+def _leakage_stacks(grams, shares, g, config):
+    """Scenario-weighted distortion-leakage quadratic terms for the precoder
+    update of every direction, all subcarriers at once, from the decoder
+    grams W_j^l = U_j^l S_j^l U_j^l^H, with H the channels of scenario s:
 
-    J_i^k = sum_l sum_j [ H_ji^k^H diag(U_j^l S_j^l U_j^l^H Theta_rx,j) H_ji^k
-                          + diag(H_ji^l^H U_j^l S_j^l U_j^l^H H_ji^l Theta_tx,i) ]
+    J_i^k = sum_s shares_s sum_l sum_j [ H_ji^k^H diag(W_j^l Theta_rx,j) H_ji^k
+                                         + diag(H_ji^l^H W_j^l H_ji^l Theta_tx,i) ]
     """
     rx_profile = [config.rx_distortion[j]
                   * np.einsum("kmm->m", grams[j]).real for j in DIRECTIONS]
     out = []
     for i in DIRECTIONS:
         n = config.tx_antennas[i]
-        term1 = np.zeros((config.subcarriers, n, n), dtype=complex)
-        diag2 = np.zeros(n)
+        term1, diag2 = 0.0, 0.0
         for j in DIRECTIONS:
             h = g[(j, i)]
-            term1 += np.einsum("kmn,m,kmp->knp", h.conj(), rx_profile[j], h)
-            diag2 += np.einsum("kmn,kmp,kpn->n", h.conj(), grams[j], h).real
-        diag2 = config.tx_distortion[i] * diag2
-        term1[:, np.arange(n), np.arange(n)] += diag2[None, :]
+            term1 = term1 + np.einsum("s,skmn,m,skmp->knp", shares, h.conj(),
+                                      rx_profile[j], h)
+            diag2 = diag2 + np.einsum("s,skmn,kmp,skpn->n", shares, h.conj(),
+                                      grams[j], h).real
+        term1[:, np.arange(n), np.arange(n)] += config.tx_distortion[i] * diag2
         out.append(herm(term1))
     return out
 
@@ -154,13 +156,16 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
     return v, float(iota)
 
 
-def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap):
+def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu_start):
     """_solve_power_dual with one more constraint, sum_k ||cross^k V^k||_F^2 <=
     cap (the self-interference power the precoder puts into its own node's
     receiver), through that constraint's multiplier mu, which adds
-    mu cross^H cross to the quadratic. The interference power has no
-    closed-form bound in mu, so mu doubles from 1 until the cap holds and the
-    root search closes that bracket. Returns (V stack, iota, mu)."""
+    mu cross^H cross to the quadratic. The interference power si(mu) has no
+    closed-form bound, so the search probes mu_start (the last iterate's
+    root; 0 when that is 0 or not finite), steps away from it, doubling the
+    step until si crosses the cap, and the root search closes that bracket.
+    Returns (V stack, iota, mu); mu = 0 when the cap is inactive,
+    si(0) <= cap + tol."""
     if cap <= 0:
         return np.zeros_like(rhs), 0.0, np.inf
     cross_gram = herm(np.einsum("kmn,kmp->knp", cross.conj(), cross))
@@ -174,61 +179,54 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap):
             probes[mu] = (v, iota, float(np.einsum("kmd,kmd->", fv, fv.conj()).real))
         return probes[mu][2]
 
-    mu = 0.0
-    if si_at(mu) > cap + tol:
-        lo, hi = 0.0, 1.0
+    si_tol = max(tol, 1e-9 * cap)
+    mu = start = float(mu_start) if 0 < mu_start < np.inf else 0.0
+    si0 = si_at(start)
+    if (si0 > cap + tol) if start == 0 else (abs(si0 - cap) > si_tol):
+        # the root moves by about si0 / cap - 1 over si's elasticity in mu; a
+        # step for an elasticity of 1/3 mostly brackets it at once (1 from 0)
+        up, near = si0 > cap, start
+        step = min(3.0 * abs(si0 / cap - 1.0), 1.0) * start if start > 0 else 1.0
         for _ in range(200):
-            if si_at(hi) <= cap:
+            far = start + step if up else max(start - step, 0.0)
+            if (si_at(far) <= cap) == up or far == 0:
                 break
-            lo, hi = hi, 2.0 * hi
+            near, step = far, 2.0 * step
         else:
             raise DualSearchError("interference-cap dual bracket expansion failed")
-        mu = _root_search(lambda x: np.array([si_at(x[0])]), lo, hi, cap,
-                          max(tol, 1e-9 * cap))[0]
-    v, iota, _ = probes[mu]
-    return v, iota, mu
+        mu = 0.0 if far == 0 and si_at(far) <= cap + tol else _root_search(
+            lambda x: np.array([si_at(x[0])]), *sorted((near, far)), cap, si_tol)[0]
+    return (*probes[mu][:2], mu)
 
 
-def _precoder_step(decoders, mse_weights, scenarios, sic, config, dual_tol,
-                   si_caps=None):
-    """Exact minimizer of the (scenario-averaged) weighted MSE over both
-    directions' precoders, each under its own power constraint and, when
-    si_caps is given, under a cap on the self-interference power it puts into
-    its own node's receiver through the estimated cross channel.
+def _precoder_step(decoders, mse_weights, shares, g, sic, config, dual_tol,
+                   si_caps=None, si_duals=(0.0, 0.0)):
+    """Exact minimizer of the scenario-weighted MSE over both directions'
+    precoders, each under its own power constraint and, when si_caps is
+    given, under a cap on the self-interference power it puts into its own
+    node's receiver through the estimated cross channel; si_duals are the
+    previous caps' multipliers, where their searches start.
 
     Returns (precoders, power duals, self-interference duals)."""
     grams = _weighted_decoder_grams(decoders, mse_weights)
-    quads = [np.zeros((config.subcarriers, config.tx_antennas[i],
-                       config.tx_antennas[i]), dtype=complex) for i in DIRECTIONS]
-    rhss = [np.zeros((config.subcarriers, config.tx_antennas[i],
-                      config.streams[i]), dtype=complex) for i in DIRECTIONS]
-    for weight, g in scenarios:
-        leaks = _leakage_stacks(grams, g, config)
-        for i in DIRECTIONS:
-            hu = np.einsum("kmn,kmd->knd", g[(i, i)].conj(), decoders[i])
-            signal = np.einsum("knd,kde,kpe->knp", hu, mse_weights[i], hu.conj())
-            quads[i] += weight * (leaks[i] + signal)
-            rhss[i] += weight * np.einsum("knd,kde->kne", hu, mse_weights[i])
-            j = 1 - i
-            d = g[(j, i)] - sic[(j, i)]      # residual SI leaks through the error
-            if np.any(d):
-                quads[i] += weight * np.einsum("kmn,kmp,kpq->knq", d.conj(), grams[j], d)
-    precoders, duals, si_duals = [], [], []
+    leaks = _leakage_stacks(grams, shares, g, config)
+    out = []
     for i in DIRECTIONS:
-        scale = 1.0 + config.subcarriers * config.tx_distortion[i]
-        tol = dual_tol * config.p_max[i]
-        if si_caps is None:
-            v, iota = _solve_power_dual(herm(quads[i]), rhss[i], scale,
-                                        config.p_max[i], tol)
-            mu = 0.0
-        else:
-            v, iota, mu = _capped_power_dual(herm(quads[i]), rhss[i], scale,
-                                             config.p_max[i], tol,
-                                             sic[(1 - i, i)], si_caps[i])
-        precoders.append(v)
-        duals.append(iota)
-        si_duals.append(mu)
-    return precoders, tuple(duals), tuple(si_duals)
+        j = 1 - i
+        hu = np.einsum("skmn,kmd->sknd", g[(i, i)].conj(), decoders[i])
+        quad = leaks[i] + np.einsum("s,sknd,kde,skpe->knp", shares, hu,
+                                    mse_weights[i], hu.conj())
+        rhs = np.einsum("s,sknd,kde->kne", shares, hu, mse_weights[i])
+        d = g[(j, i)] - sic[(j, i)]          # residual SI leaks through the error
+        if np.any(d):
+            quad = quad + np.einsum("s,skmn,kmp,skpq->knq", shares, d.conj(),
+                                    grams[j], d)
+        args = (herm(quad), rhs, 1.0 + config.subcarriers * config.tx_distortion[i],
+                config.p_max[i], dual_tol * config.p_max[i])
+        out.append((*_solve_power_dual(*args), 0.0) if si_caps is None else
+                   _capped_power_dual(*args, sic[(j, i)], si_caps[i], si_duals[i]))
+    precoders, duals, mus = zip(*out)
+    return list(precoders), duals, mus
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +234,15 @@ def _precoder_step(decoders, mse_weights, scenarios, sic, config, dual_tol,
 # ---------------------------------------------------------------------------
 
 def update_receivers(precoders, channels: ChannelRealization, config: SystemConfig):
-    sigmas = _scenario_sigma(precoders, channels.h_est, channels.h_est, config)
-    return _receiver_step(precoders, [(1.0, channels.h_est)], [sigmas], config)
+    shares, g = _stack([(1.0, channels.h_est)])
+    sigmas = _scenario_sigma(precoders, g, channels.h_est, config)
+    return _receiver_step(precoders, shares, g, sigmas, config)
 
 
 def update_precoders(decoders, mse_weights, channels: ChannelRealization,
                      config: SystemConfig, dual_tol: float = 1e-9):
-    precoders, duals, _ = _precoder_step(decoders, mse_weights,
-                                         [(1.0, channels.h_est)],
+    shares, g = _stack([(1.0, channels.h_est)])
+    precoders, duals, _ = _precoder_step(decoders, mse_weights, shares, g,
                                          channels.h_est, config, dual_tol)
     return precoders, duals
 
@@ -267,32 +266,36 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
     each direction's self-interference power), then the MMSE receivers, then,
     with weight_block, the MSE weights S = E^{-1}, whose rate-weighted copy
     omega_i S_i the next precoder step minimizes (WMMSE, Shi et al. 2011).
-    The tracked objective is the scenario-averaged weighted MSE, or with
+    The tracked objective is the scenario-weighted MSE, or with
     weight_block the rate surrogate on the first scenario; the loop stops
     when it moves by at most rel_tol. The report is the design view of the
-    first scenario. Each precoder update builds every scenario's covariances
-    once, for all readers until the next update.
+    first scenario. The scenarios are stacked once per run, and each precoder
+    update builds the whole stack's covariances once for all their readers.
     """
     if init_precoders_override is not None:
         precoders = [v.copy() for v in init_precoders_override]
     else:
         precoders = init_precoders(channels_for_init, config, options.init,
                                    options.init_seed)
+    shares, g = _stack(scenarios)
     g0 = scenarios[0][1]
+
+    def first():                      # the first scenario's covariances
+        return [s[0] for s in sigmas]
 
     def objective():
         if weight_block:
-            errors = mse_stacks(precoders, decoders, g0, sigmas[0])
+            errors = mse_stacks(precoders, decoders, g0, first())
             return rate_surrogate(errors, weights, config)
-        return _design_objective(precoders, decoders, weights, scenarios, sigmas)
+        return _design_objective(precoders, decoders, weights, shares, g, sigmas)
 
-    sigmas = [_scenario_sigma(precoders, g, sic, config) for _, g in scenarios]
-    decoders = _receiver_step(precoders, scenarios, sigmas, config)
+    sigmas = _scenario_sigma(precoders, g, sic, config)
+    decoders = _receiver_step(precoders, shares, g, sigmas, config)
 
     rate_trace = None
     if weight_block:
         _, weights, value, rate_now = _weight_block(precoders, decoders, g0,
-                                                    sigmas[0], config)
+                                                    first(), config)
         rate_trace = [rate_now]
     else:
         weights = mse_weights if mse_weights is not None else identity_weights(config)
@@ -306,14 +309,15 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
                         if weight_block else weights)
         precoders, duals, si_duals = _precoder_step(
-            decoders, step_weights, scenarios, sic, config, options.dual_tol, si_caps)
-        sigmas = [_scenario_sigma(precoders, g, sic, config) for _, g in scenarios]
+            decoders, step_weights, shares, g, sic, config, options.dual_tol,
+            si_caps, si_duals)
+        sigmas = _scenario_sigma(precoders, g, sic, config)
         block = [objective()]
-        decoders = _receiver_step(precoders, scenarios, sigmas, config)
+        decoders = _receiver_step(precoders, shares, g, sigmas, config)
         if weight_block:
             # the new point's MSE matrices also give the old-weight surrogate
             errors, new, value, rate_now = _weight_block(precoders, decoders, g0,
-                                                         sigmas[0], config)
+                                                         first(), config)
             block += [rate_surrogate(errors, weights, config), value]
             weights = new
             rate_trace.append(rate_now)
@@ -338,7 +342,7 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
         extras["half_step_objectives"] = blocks
     if si_caps is not None:
         extras.update(si_duals=si_duals, thresholds=tuple(si_caps))
-    report = replace(design_report(precoders, decoders, g0, sigmas[0], config),
+    report = replace(design_report(precoders, decoders, g0, first(), config),
                      objective_trace=trace, iteration_seconds=seconds,
                      iterations=len(seconds), converged=converged,
                      rate_trace=rate_trace, extras=extras)

@@ -27,7 +27,7 @@ from .baselines import BASELINE_MODES, run_baseline
 from .channels import ChannelStats, draw_channels, perturb_csi
 from .model import SystemConfig, evaluate_design, identity_weights
 from .robust import run_cutting_set, worst_case_mse
-from .util import ConfigError, parse_level
+from .util import ConfigError, DualSearchError, parse_level
 from .wmmse import run_wmmse
 
 RESULT_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm",
@@ -203,14 +203,18 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
 
     for algorithm in spec.algorithms:
         t0 = time.perf_counter()
-        design, design_rep, eval_rep, eval_channels = _dispatch(
-            algorithm, channels, config, options, spec.baseline_designer)
-        if algorithm == "cutting_set":
-            # certified by the cut loop, also with identity weights
-            wc = design_rep.extras["worst_case"]
-        else:
-            wc = worst_case_mse(design, eval_channels, config,
-                                mse_weights=identity_weights(config))
+        try:
+            design, design_rep, eval_rep, eval_channels = _dispatch(
+                algorithm, channels, config, options, spec.baseline_designer)
+            if algorithm == "cutting_set":
+                # certified by the cut loop, also with identity weights
+                wc = design_rep.extras["worst_case"]
+            else:
+                wc = worst_case_mse(design, eval_channels, config,
+                                    mse_weights=identity_weights(config))
+        except (DualSearchError, np.linalg.LinAlgError, FloatingPointError) as err:
+            raise type(err)(f"{spec.sweep_param}={float(sweep_value)} trial={trial} "
+                            f"algorithm={algorithm} seed={spec.seed}: {err}") from err
         elapsed = time.perf_counter() - t0
         add(algorithm, "sum_mse", -1, eval_rep.sum_mse())
         add(algorithm, "wc_mse", -1, wc)

@@ -202,9 +202,9 @@ def covariance_stacks(precoders, channels_dict, config: SystemConfig):
         sum_j H_ij^k Theta_tx,j diag(sum_l V_j^l V_j^l^H) H_ij^k^H
         + sigma_ik^2 I
         + Theta_rx,i diag(sum_l (sigma_il^2 I + sum_j H_ij^l V_j^l V_j^l^H H_ij^l^H))
-    first order in the distortion coefficients. Returns [ (K, M_i, M_i) ]_i.
+    first order in the distortion coefficients. Channels may carry leading
+    axes (a scenario stack); returns [ (..., K, M_i, M_i) ]_i with the same.
     """
-    k_count = config.subcarriers
     # per-direction transmit distortion profile: q_j[n] = theta_j[n] * sum_l (V V^H)_nn
     q = [config.tx_distortion[j] * np.einsum("knd,knd->n", precoders[j],
                                              precoders[j].conj()).real
@@ -212,31 +212,36 @@ def covariance_stacks(precoders, channels_dict, config: SystemConfig):
     out = []
     for i in DIRECTIONS:
         m_i = config.rx_antennas[i]
-        sig = np.zeros((k_count, m_i, m_i), dtype=complex)
-        received = np.full(m_i, config.noise_var[i].sum())  # sum_l sigma_il^2 per antenna
+        sig, received = 0.0, config.noise_var[i].sum()  # sum_l sigma_il^2 per antenna
         for j in DIRECTIONS:
             h = channels_dict[(i, j)]
-            sig += np.einsum("kmn,n,kpn->kmp", h, q[j], h.conj())
-            hv = h @ precoders[j]                      # (K, M_i, d_j)
-            received = received + np.einsum("kmd,kmd->m", hv, hv.conj()).real
-        rx_diag = config.rx_distortion[i] * received
-        sig[:, np.arange(m_i), np.arange(m_i)] += config.noise_var[i][:, None] + rx_diag[None, :]
+            sig = sig + np.einsum("...kmn,n,...kpn->...kmp", h, q[j], h.conj())
+            hv = h @ precoders[j]                      # (..., K, M_i, d_j)
+            received = received + np.einsum("...kmd,...kmd->...m", hv, hv.conj()).real
+        rx_diag = (config.rx_distortion[i] * received)[..., None, :]
+        sig[..., np.arange(m_i), np.arange(m_i)] += config.noise_var[i][:, None] + rx_diag
         out.append(herm(sig))
     return out
+
+
+def _stack(scenarios):
+    """(S,) weights and {pair: (S, K, M, N)} channels of (weight, dict) scenarios."""
+    return (np.array([w for w, _ in scenarios], dtype=float),
+            {pair: np.stack([g[pair] for _, g in scenarios]) for pair in PAIRS})
 
 
 def _scenario_sigma(precoders, g, sic, config: SystemConfig):
     """Design-model interference covariance stacks when the channels are g and
     self-interference cancellation is referenced to sic: covariance_stacks on g
     plus the cancellation residual (g - sic)_ij V_j V_j^H (g - sic)_ij^H of the
-    cross links, j = 1 - i. Returns [ (K, M_i, M_i) ]_i."""
+    cross links, j = 1 - i; g may be a stack. Returns [ (..., K, M_i, M_i) ]_i."""
     sigmas = covariance_stacks(precoders, g, config)
     for i in DIRECTIONS:
         j = 1 - i
         d = g[(i, j)] - sic[(i, j)]
         if np.any(d):
             dv = d @ precoders[j]
-            sigmas[i] = sigmas[i] + np.einsum("kmd,kpd->kmp", dv, dv.conj())
+            sigmas[i] = sigmas[i] + np.einsum("...kmd,...kpd->...kmp", dv, dv.conj())
     return sigmas
 
 
@@ -317,23 +322,25 @@ def identity_weights(config: SystemConfig):
 
 
 def mse_stacks(precoders, decoders, g, sigmas):
-    """MSE matrices [ (K, d_i, d_i) ]_i of every (i, k) on channels g, from
-    that scenario's covariances sigmas (_scenario_sigma)."""
+    """MSE matrices [ (..., K, d_i, d_i) ]_i of every (i, k) on channels g or
+    a scenario stack, from their covariances sigmas (_scenario_sigma)."""
     return [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)])
             for i in DIRECTIONS]
 
 
-def _design_objective(precoders, decoders, mse_weights, scenarios, sigmas):
-    """sum over (weight, g) scenarios of weight * sum_i sum_k tr(S_i^k E_i^k),
-    with sigmas[s] the covariances of scenario s.
+def _design_objective(precoders, decoders, mse_weights, shares, g, sigmas):
+    """sum_s shares[s] sum_i sum_k tr(S_i^k E_i^k) over a scenario stack:
+    (S,) scenario weights, channels g and covariances sigmas with a leading
+    S axis.
 
     Terms are added one at a time in (scenario, i, k) order, the order the
     recorded objective traces and worst-case values have always used."""
+    traces = [np.trace(w @ e, axis1=-2, axis2=-1).real for w, e in
+              zip(mse_weights, mse_stacks(precoders, decoders, g, sigmas))]
     total = 0.0
-    for (weight, g), sig in zip(scenarios, sigmas):
-        errors = mse_stacks(precoders, decoders, g, sig)
+    for s, weight in enumerate(shares):
         for i in DIRECTIONS:
-            for value in np.trace(mse_weights[i] @ errors[i], axis1=1, axis2=2).real:
+            for value in traces[i][s]:
                 total += weight * value
     return float(total)
 
@@ -372,17 +379,6 @@ def design_report(precoders, decoders, g, sigmas, config: SystemConfig) -> Perfo
     power = np.array([power_usage(precoders[i], config.tx_distortion[i],
                                   config.subcarriers) for i in DIRECTIONS])
     return PerformanceReport(mse=mse, rate_bits=rate_bits, power=power)
-
-
-def weighted_mse_objective(design: TransceiverDesign, channels: ChannelRealization,
-                           config: SystemConfig, use_weights: bool = True,
-                           use_estimate: bool = False) -> float:
-    """sum_i sum_k tr(S_i^k E_i^k); S = I when use_weights is False."""
-    source = channels.h_est if use_estimate else channels.h
-    weights = design.mse_weights if use_weights else identity_weights(config)
-    sigmas = _scenario_sigma(design.precoders, source, source, config)
-    return _design_objective(design.precoders, design.decoders, weights,
-                             [(1.0, source)], [sigmas])
 
 
 def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,

@@ -20,7 +20,8 @@ import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
-                    TransceiverDesign, _design_objective, _scenario_sigma)
+                    TransceiverDesign, _design_objective, _scenario_sigma,
+                    _stack)
 from .util import ConfigError, _rational_root, dagger, herm, unvec
 
 
@@ -65,9 +66,10 @@ def weighted_mse_with_errors(design: TransceiverDesign,
     g = {pair: channels.h_est[pair] + deltas[pair]
          if deltas.get(pair) is not None else channels.h_est[pair]
          for pair in PAIRS}
+    shares, g = _stack([(1.0, g)])
     sigmas = _scenario_sigma(design.precoders, g, channels.h_est, config)
     return _design_objective(design.precoders, design.decoders, weights,
-                             [(1.0, g)], [sigmas])
+                             shares, g, sigmas)
 
 
 def _kron_stack(b, a):

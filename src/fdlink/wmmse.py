@@ -16,7 +16,7 @@ import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (ChannelRealization, SystemConfig, TransceiverDesign,
-                    _scenario_sigma, mse_stacks, rate_surrogate, weighted_rate)
+                    _scenario_sigma, mse_stacks, rate_surrogate)
 from .util import herm
 
 
@@ -37,13 +37,6 @@ def surrogate_objective(design: TransceiverDesign, channels: ChannelRealization,
     sigmas = _scenario_sigma(design.precoders, channels.h_est, channels.h_est, config)
     errors = mse_stacks(design.precoders, design.decoders, channels.h_est, sigmas)
     return rate_surrogate(errors, design.mse_weights, config)
-
-
-def weighted_rate_bits(precoders, channels: ChannelRealization,
-                       config: SystemConfig) -> float:
-    """Design-model weighted sum rate (bits/channel use) over both directions."""
-    sigmas = _scenario_sigma(precoders, channels.h_est, channels.h_est, config)
-    return weighted_rate(precoders, sigmas, channels.h_est, config)
 
 
 def run_wmmse(channels: ChannelRealization, config: SystemConfig,

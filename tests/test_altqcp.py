@@ -9,11 +9,14 @@ from conftest import crandn_t
 from fdlink import (ChannelRealization, ConfigError, SystemConfig,
                     mmse_error_matrix, mse_matrix, power_usage, run_altqcp,
                     run_baseline, update_precoders, update_receivers)
-from fdlink.altqcp import (SolverOptions, _design_objective, _leakage_stacks,
+from fdlink.altqcp import (SolverOptions, _capped_power_dual, _design_objective,
+                           _leakage_stacks, _precoder_step, _receiver_step,
                            _solve_power_dual, _weighted_decoder_grams,
                            identity_weights, init_precoders,
                            run_altqcp_scenarios)
-from fdlink.model import DIRECTIONS, PAIRS, _scenario_sigma, covariance_stacks
+from fdlink.model import (DIRECTIONS, PAIRS, _scenario_sigma, _stack,
+                          covariance_stacks)
+from fdlink.util import herm, stabilized
 
 
 def _flat_channels(values, subcarriers=1):
@@ -154,12 +157,12 @@ def test_leakage_zero_cases(default_config, default_channels):
     v = init_precoders(default_channels, config0, "rsm")
     u = update_receivers(v, default_channels, config0)
     s = identity_weights(config0)
-    j = _leakage_stacks(_weighted_decoder_grams(u, s), default_channels.h_est,
-                        config0)[0][0]
+    shares, g = _stack([(1.0, default_channels.h_est)])
+    j = _leakage_stacks(_weighted_decoder_grams(u, s), shares, g, config0)[0][0]
     assert np.max(np.abs(j)) < 1e-15
     zero_u = [np.zeros_like(x) for x in u]
-    j = _leakage_stacks(_weighted_decoder_grams(zero_u, s),
-                        default_channels.h_est, default_config)[1][2]
+    j = _leakage_stacks(_weighted_decoder_grams(zero_u, s), shares, g,
+                        default_config)[1][2]
     assert np.max(np.abs(j)) < 1e-15
 
 
@@ -183,8 +186,89 @@ def test_leakage_scalar_hand_expansion():
             * (beta + kappa)
             for j in DIRECTIONS)
         got = _leakage_stacks(_weighted_decoder_grams(decoders, weights),
-                              channels.h_est, config)[i][0]
+                              *_stack([(1.0, channels.h_est)]), config)[i][0]
         assert abs(got[0, 0] - expected) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# scenario stack: one reduction over S against an explicit per-scenario loop
+# ---------------------------------------------------------------------------
+
+def _three_scenarios(channels):
+    rng = np.random.default_rng(9)
+    bumped = [{pair: channels.h_est[pair]
+               + 0.05 * crandn_t(rng, channels.h_est[pair].shape)
+               for pair in PAIRS} for _ in range(2)]
+    return list(zip((0.5, 0.3, 0.2), [channels.h_est] + bumped))
+
+
+def _assert_close(got, ref, rel=1e-12):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def test_stacked_sigma_matches_per_scenario_loop(default_config, default_channels):
+    config, h_est = default_config, default_channels.h_est
+    scenarios = _three_scenarios(default_channels)
+    v = init_precoders(default_channels, config, "random", seed=3)
+    stacked = _scenario_sigma(v, _stack(scenarios)[1], h_est, config)
+    for s, (_, g) in enumerate(scenarios):
+        ref = covariance_stacks(v, g, config)
+        for i in DIRECTIONS:
+            dv = (g[(i, 1 - i)] - h_est[(i, 1 - i)]) @ v[1 - i]
+            _assert_close(stacked[i][s], ref[i] + dv @ dv.conj().swapaxes(1, 2))
+
+
+def test_stacked_receiver_step_matches_per_scenario_loop(default_config,
+                                                         default_channels):
+    config, h_est = default_config, default_channels.h_est
+    scenarios = _three_scenarios(default_channels)
+    shares, g = _stack(scenarios)
+    v = init_precoders(default_channels, config, "random", seed=3)
+    sigmas = _scenario_sigma(v, g, h_est, config)
+    got = _receiver_step(v, shares, g, sigmas, config)
+    for i in DIRECTIONS:
+        acc, rhs = 0.0, 0.0
+        for s, (weight, scenario) in enumerate(scenarios):
+            hv = scenario[(i, i)] @ v[i]
+            acc = acc + weight * (sigmas[i][s] + hv @ hv.conj().swapaxes(1, 2))
+            rhs = rhs + weight * hv
+        _assert_close(got[i], np.linalg.solve(stabilized(herm(acc)), rhs))
+
+
+def test_stacked_precoder_step_matches_per_scenario_loop(default_config,
+                                                         default_channels,
+                                                         monkeypatch):
+    # the quadratic and linear terms the power dual receives are the
+    # share-weighted sums of each one-scenario step's terms
+    import fdlink.altqcp as altqcp
+    config, h_est = default_config, default_channels.h_est
+    scenarios = _three_scenarios(default_channels)
+    v0 = init_precoders(default_channels, config, "random", seed=3)
+    u = update_receivers(v0, default_channels, config)
+    weights = [w * np.eye(1) + 0j for w in (1.5, 0.7)]
+    weights = [np.broadcast_to(w, (config.subcarriers, 1, 1)) for w in weights]
+    solve, seen = altqcp._solve_power_dual, []
+
+    def recorded(quad, rhs, *rest):
+        seen.append((quad, rhs))
+        return solve(quad, rhs, *rest)
+
+    monkeypatch.setattr(altqcp, "_solve_power_dual", recorded)
+    got, duals, _ = _precoder_step(u, weights, *_stack(scenarios), h_est,
+                                   config, 1e-9)
+    stacked = seen[:]
+    del seen[:]
+    for _, g in scenarios:
+        _precoder_step(u, weights, *_stack([(1.0, g)]), h_est, config, 1e-9)
+    for i in DIRECTIONS:
+        quad = sum(w * seen[2 * s + i][0] for s, (w, _) in enumerate(scenarios))
+        rhs = sum(w * seen[2 * s + i][1] for s, (w, _) in enumerate(scenarios))
+        _assert_close(stacked[i][0], quad)
+        _assert_close(stacked[i][1], rhs)
+        scale = 1.0 + config.subcarriers * config.tx_distortion[i]
+        v, iota = solve(quad, rhs, scale, config.p_max[i], 1e-9 * config.p_max[i])
+        _assert_close(got[i], v)
+        assert abs(duals[i] - iota) <= 1e-9 * iota
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +362,9 @@ def test_power_dual_matches_bisection():
 @pytest.mark.parametrize("designer", ["altqcp", "wmmse"])
 def test_capped_dual_probes_and_cap_residual(default_config, default_channels,
                                              monkeypatch, designer):
-    # mu doubles to a bracket that the shared root search closes; counts the
-    # _solve_power_dual probes of each _capped_power_dual call
+    # mu steps from the previous root to a bracket that the shared root
+    # search closes; counts the _solve_power_dual probes of each
+    # _capped_power_dual call
     import fdlink.altqcp as altqcp
     solve, capped = altqcp._solve_power_dual, altqcp._capped_power_dual
     probes, calls = [], []
@@ -288,9 +373,9 @@ def test_capped_dual_probes_and_cap_residual(default_config, default_channels,
         probes[-1] += 1
         return solve(*args)
 
-    def recorded_capped(quad, rhs, scale, p_max, tol, cross, cap):
+    def recorded_capped(quad, rhs, scale, p_max, tol, cross, cap, mu_start):
         probes.append(0)
-        v, iota, mu = capped(quad, rhs, scale, p_max, tol, cross, cap)
+        v, iota, mu = capped(quad, rhs, scale, p_max, tol, cross, cap, mu_start)
         fv = cross @ v
         calls.append((mu, float(np.vdot(fv, fv).real), cap, tol))
         return v, iota, mu
@@ -304,6 +389,68 @@ def test_capped_dual_probes_and_cap_residual(default_config, default_channels,
     for mu, si, cap, tol in calls:
         if mu > 0:
             assert abs(si - cap) <= max(tol, 1e-9 * cap)
+
+
+def test_warm_cap_multiplier_saves_probes(default_config, default_channels,
+                                          monkeypatch):
+    # the four pth runs of the default draw with each cap search started at
+    # the previous root, against the same runs with every search started at 0
+    import fdlink.altqcp as altqcp
+    solve, capped = altqcp._solve_power_dual, altqcp._capped_power_dual
+    probes = [0]
+
+    def counted_solve(*args):
+        probes[0] += 1
+        return solve(*args)
+
+    def runs():
+        probes[0] = 0
+        iterations = [run_baseline(mode, default_channels, default_config,
+                                   designer=designer)[1].iterations
+                      for mode in ("pth_low", "pth_high")
+                      for designer in ("altqcp", "wmmse")]
+        return iterations, probes[0]
+
+    monkeypatch.setattr(altqcp, "_solve_power_dual", counted_solve)
+    warm_iterations, warm = runs()
+    monkeypatch.setattr(altqcp, "_capped_power_dual",
+                        lambda *args: capped(*args[:-1], 0.0))
+    cold_iterations, cold = runs()
+    assert warm_iterations == cold_iterations
+    assert warm <= 750 < cold
+
+
+def _cap_problem():
+    rng = np.random.default_rng(5)
+    k, n, m = 3, 2, 2
+    a = crandn_t(rng, (k, n, n))
+    quad = a @ a.conj().swapaxes(1, 2) + 0.1 * np.eye(n)
+    rhs, cross = crandn_t(rng, (k, n, 1)), crandn_t(rng, (k, m, n))
+    v, _ = _solve_power_dual(quad, rhs, np.ones(n), 1.0, 1e-9)
+    return quad, rhs, cross, float(np.vdot(cross @ v, cross @ v).real)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_far_warm_cap_multiplier_finds_cold_root(factor):
+    quad, rhs, cross, si_free = _cap_problem()
+    cap, tol = 0.1 * si_free, 1e-9
+    _, _, mu_cold = _capped_power_dual(quad, rhs, np.ones(2), 1.0, tol, cross,
+                                       cap, 0.0)
+    assert mu_cold > 0
+    v, _, mu = _capped_power_dual(quad, rhs, np.ones(2), 1.0, tol, cross, cap,
+                                  factor * mu_cold)
+    si = float(np.vdot(cross @ v, cross @ v).real)
+    assert abs(si - cap) <= max(tol, 1e-9 * cap)
+    assert abs(mu - mu_cold) <= 1e-6 * mu_cold
+
+
+def test_warm_cap_multiplier_drops_to_zero_when_cap_inactive():
+    quad, rhs, cross, si_free = _cap_problem()
+    args = (quad, rhs, np.ones(2), 1.0, 1e-9, cross, 2.0 * si_free)
+    v_cold, iota_cold, mu_cold = _capped_power_dual(*args, 0.0)
+    v, iota, mu = _capped_power_dual(*args, 3.7)
+    assert mu == mu_cold == 0.0
+    assert iota == iota_cold and np.array_equal(v, v_cold)
 
 
 def _recover_quadratic(func, n, step=0.5):
@@ -369,7 +516,7 @@ def test_precoder_update_matches_independent_convex_solver(default_config,
     u = update_receivers(v_init, channels, config)
     s = identity_weights(config)
     v_star, duals = update_precoders(u, s, channels, config)
-    scenarios = [(1.0, channels.h_est)]
+    shares, g = _stack([(1.0, channels.h_est)])
 
     for i in DIRECTIONS:
         shape = v_star[i].shape
@@ -382,9 +529,8 @@ def test_precoder_update_matches_independent_convex_solver(default_config,
             return stack
 
         def objective(v):
-            sigmas = [_scenario_sigma(v, g, channels.h_est, config)
-                      for _, g in scenarios]
-            return _design_objective(v, u, s, scenarios, sigmas)
+            sigmas = _scenario_sigma(v, g, channels.h_est, config)
+            return _design_objective(v, u, s, shares, g, sigmas)
 
         def func(x):
             return objective(embed(x))
@@ -495,8 +641,9 @@ def test_run_is_deterministic(default_config, default_channels):
 @pytest.mark.parametrize("n_scenarios", [1, 3])
 def test_run_builds_one_covariance_per_scenario_and_iteration(
         default_config, default_channels, n_scenarios, monkeypatch):
-    # each precoder update builds every scenario's covariances once; the
-    # objectives, the receiver step and the final report all read that build
+    # each precoder update builds the covariances of the whole scenario
+    # stack in one call; the objectives, the receiver step and the final
+    # report all read that build
     import fdlink.model as model
     calls = []
     inner = model.covariance_stacks
@@ -516,4 +663,4 @@ def test_run_builds_one_covariance_per_scenario_and_iteration(
                                      default_config, SolverOptions(),
                                      channels_for_init=default_channels)
     assert report.iterations > 1
-    assert len(calls) == n_scenarios * (1 + report.iterations)
+    assert len(calls) == 1 + report.iterations

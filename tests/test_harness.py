@@ -221,6 +221,23 @@ def test_cli_error_paths(tmp_path):
                  "--figure", "picasso"]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_numerical_failure_names_the_cell(tmp_path, capsys, jobs):
+    # no noise, ideal hardware and perfect CSI: the receiver step meets a
+    # singular covariance; the message alone must say which cell to replay
+    spec = {"config": {"subcarriers": 2, "antennas": 2, "streams": 1,
+                       "noise_var": 0, "kappa": 0, "csi_radius": 0},
+            "sweep": {"param": "pmax", "values": [1.0]},
+            "algorithms": ["altqcp"], "n_trials": 1, "seed": 3}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 3
+    err = capsys.readouterr().err
+    for name in ("pmax=1.0", "trial=0", "algorithm=altqcp", "seed=3"):
+        assert name in err
+
+
 def test_cli_out_env_override(tmp_path, monkeypatch):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(dict(TINY_SPEC, n_trials=1)))

@@ -7,9 +7,9 @@ import pytest
 from conftest import crandn_t, random_psd
 from fdlink import (ChannelRealization, ConfigError, SystemConfig,
                     TransceiverDesign, aggregate_covariance, evaluate_design,
-                    mmse_error_matrix, mse_matrix, power_usage, rate,
-                    weighted_mse_objective)
-from fdlink.model import DIRECTIONS, PAIRS, covariance_stacks
+                    mmse_error_matrix, mse_matrix, power_usage, rate)
+from fdlink.model import (DIRECTIONS, PAIRS, _design_objective, _scenario_sigma,
+                          _stack, covariance_stacks)
 
 
 def _scalar_link(h00, h01, h10, h11, kappa, beta, noise, subcarriers=1):
@@ -257,6 +257,15 @@ def _design_from(precoders, decoders, config):
                                (config.subcarriers, config.streams[i],
                                 config.streams[i])).copy() for i in DIRECTIONS]
     return TransceiverDesign(tuple(precoders), tuple(decoders), tuple(weights))
+
+
+def weighted_mse_objective(design, channels, config):
+    """sum_i sum_k tr(S_i^k E_i^k) on the true channels, cancellation
+    referenced to them: the one-scenario stack of the design objective."""
+    shares, g = _stack([(1.0, channels.h)])
+    sigmas = _scenario_sigma(design.precoders, g, channels.h, config)
+    return _design_objective(design.precoders, design.decoders,
+                             design.mse_weights, shares, g, sigmas)
 
 
 def test_weighted_objective_zero_receivers():

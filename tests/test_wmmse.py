@@ -8,10 +8,9 @@ from conftest import crandn_t
 from fdlink import (ChannelRealization, SystemConfig, TransceiverDesign,
                     run_wmmse)
 from fdlink.altqcp import SolverOptions
-from fdlink.model import DIRECTIONS, PAIRS
+from fdlink.model import DIRECTIONS, PAIRS, _scenario_sigma, weighted_rate
 from fdlink.util import LN2
-from fdlink.wmmse import (surrogate_objective, update_weights,
-                          weighted_rate_bits)
+from fdlink.wmmse import surrogate_objective, update_weights
 
 
 def _flat_channels(values):
@@ -66,7 +65,9 @@ def test_scalar_weight_and_surrogate_value():
     tight = _design(config, design.precoders, design.decoders, weights)
     value = surrogate_objective(tight, channels, config)
     assert abs(value - 2 * np.log(2.0)) < 1e-12
-    rate = weighted_rate_bits(design.precoders, channels, config)
+    sigmas = _scenario_sigma(design.precoders, channels.h_est, channels.h_est,
+                             config)
+    rate = weighted_rate(design.precoders, sigmas, channels.h_est, config)
     # tolerance admits the covariance stabilization ridge
     assert abs(value - LN2 * rate) < 1e-11
 
@@ -115,9 +116,11 @@ def test_run_monotone_blocks_and_tightness(default_config, default_channels):
     assert np.all(np.diff(rates) >= -1e-8)
     assert report.weighted_sum_rate() == pytest.approx(rates[-1])
     # the final surrogate equals ln2 x the weighted rate at the same point
+    h_est = default_channels.h_est
+    sigmas = _scenario_sigma(design.precoders, h_est, h_est, default_config)
     assert abs(report.objective_trace[-1]
-               - LN2 * weighted_rate_bits(design.precoders, default_channels,
-                                          default_config)) < 1e-8
+               - LN2 * weighted_rate(design.precoders, sigmas, h_est,
+                                     default_config)) < 1e-8
 
 
 def test_scalar_link_reaches_waterfilling_capacity():
