@@ -19,7 +19,7 @@ from .model import (ChannelRealization, PerformanceReport, SystemConfig,
 from .robust import (QuadraticErrorForm, WorstCaseResult, build_quadratic_form,
                      run_cutting_set, weighted_mse_with_errors,
                      worst_case_error, worst_case_mse)
-from .util import ConfigError, DualSearchError, db_to_linear, linear_to_db
+from .util import ConfigError, DualSearchError, db_to_linear
 from .wmmse import run_wmmse, surrogate_objective, update_weights
 
 __version__ = "0.1.0"

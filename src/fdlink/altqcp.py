@@ -26,41 +26,32 @@ from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
                     _stack, design_report, identity_weights, mse_stacks,
                     power_usage, rate_surrogate, weighted_rate)
-from .util import (LN2, ConfigError, DualSearchError, _rational_root,
-                   _root_search, crandn, dagger, herm, rng_from, stabilized)
+from .util import (LN2, DualSearchError, _rational_root, _root_search, dagger,
+                   herm, stabilized)
+
+
+# the power dual stops when the power is within this fraction of the budget
+POWER_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 100
     rel_tol: float = 1e-6
-    dual_tol: float = 1e-9        # power residual tolerance, relative to the budget
-    init: str = "rsm"             # "rsm" (right-singular-vector) or "random"
-    init_seed: int = None
     max_cuts: int = 8             # cutting-set loop only
-    cut_rel_tol: float = 1e-3
 
 
-def init_precoders(channels: ChannelRealization, config: SystemConfig,
-                   mode: str = "rsm", seed=None):
-    """Starting precoders, scaled (one scalar per direction) so the
-    distortion-aware power usage equals the budget exactly.
-
-    rsm: columns are the dominant right singular vectors of the estimated
-    desired channel per subcarrier. random: seeded complex Gaussian entries.
+def init_precoders(h_est, config: SystemConfig):
+    """Starting precoders: per subcarrier, the dominant right singular vectors
+    of the estimated desired channel h_est[(i, i)], scaled (one scalar per
+    direction) so the distortion-aware power usage equals the budget exactly.
     """
     out = []
     for i in DIRECTIONS:
-        k, n, d = config.subcarriers, config.tx_antennas[i], config.streams[i]
-        if mode == "rsm":
-            # numpy svd returns rows of vh as right singular vectors, descending
-            _, _, vh = np.linalg.svd(channels.h_est[(i, i)], full_matrices=False)
-            v = dagger(vh[:, :d, :])
-        elif mode == "random":
-            v = crandn(rng_from(seed if seed is not None else 0), (k, n, d))
-        else:
-            raise ConfigError(f"unknown precoder init mode {mode!r}")
-        used = power_usage(v, config.tx_distortion[i], k)
+        # numpy svd returns rows of vh as right singular vectors, descending
+        _, _, vh = np.linalg.svd(h_est[(i, i)], full_matrices=False)
+        v = dagger(vh[:, :config.streams[i], :])
+        used = power_usage(v, config.tx_distortion[i])
         scale = np.sqrt(config.p_max[i] / used) if used > 0 else 0.0
         out.append(v * scale)
     return out
@@ -199,7 +190,7 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu_start):
     return (*probes[mu][:2], mu)
 
 
-def _precoder_step(decoders, mse_weights, shares, g, sic, config, dual_tol,
+def _precoder_step(decoders, mse_weights, shares, g, sic, config,
                    si_caps=None, si_duals=(0.0, 0.0)):
     """Exact minimizer of the scenario-weighted MSE over both directions'
     precoders, each under its own power constraint and, when si_caps is
@@ -222,7 +213,7 @@ def _precoder_step(decoders, mse_weights, shares, g, sic, config, dual_tol,
             quad = quad + np.einsum("s,skmn,kmp,skpq->knq", shares, d.conj(),
                                     grams[j], d)
         args = (herm(quad), rhs, 1.0 + config.subcarriers * config.tx_distortion[i],
-                config.p_max[i], dual_tol * config.p_max[i])
+                config.p_max[i], POWER_REL_TOL * config.p_max[i])
         out.append((*_solve_power_dual(*args), 0.0) if si_caps is None else
                    _capped_power_dual(*args, sic[(j, i)], si_caps[i], si_duals[i]))
     precoders, duals, mus = zip(*out)
@@ -240,10 +231,10 @@ def update_receivers(precoders, channels: ChannelRealization, config: SystemConf
 
 
 def update_precoders(decoders, mse_weights, channels: ChannelRealization,
-                     config: SystemConfig, dual_tol: float = 1e-9):
+                     config: SystemConfig):
     shares, g = _stack([(1.0, channels.h_est)])
     precoders, duals, _ = _precoder_step(decoders, mse_weights, shares, g,
-                                         channels.h_est, config, dual_tol)
+                                         channels.h_est, config)
     return precoders, duals
 
 
@@ -258,8 +249,8 @@ def _weight_block(precoders, decoders, g, sigmas, config):
 
 def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
                          options: SolverOptions, mse_weights=None,
-                         init_precoders_override=None, channels_for_init=None,
-                         weight_block=False, si_caps=None):
+                         init_precoders_override=None, weight_block=False,
+                         si_caps=None):
     """The block-coordinate driver behind every designer.
 
     One iteration updates the precoders (exact QCQP; with si_caps also capping
@@ -275,8 +266,7 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
     if init_precoders_override is not None:
         precoders = [v.copy() for v in init_precoders_override]
     else:
-        precoders = init_precoders(channels_for_init, config, options.init,
-                                   options.init_seed)
+        precoders = init_precoders(sic, config)
     shares, g = _stack(scenarios)
     g0 = scenarios[0][1]
 
@@ -309,8 +299,7 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
                         if weight_block else weights)
         precoders, duals, si_duals = _precoder_step(
-            decoders, step_weights, shares, g, sic, config, options.dual_tol,
-            si_caps, si_duals)
+            decoders, step_weights, shares, g, sic, config, si_caps, si_duals)
         sigmas = _scenario_sigma(precoders, g, sic, config)
         block = [objective()]
         decoders = _receiver_step(precoders, shares, g, sigmas, config)
@@ -327,8 +316,8 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
         seconds.append(time.perf_counter() - t0)
         blocks.append(tuple(block))
         slackness.append(tuple(
-            (duals[i], power_usage(precoders[i], config.tx_distortion[i],
-                                   config.subcarriers)) for i in DIRECTIONS))
+            (duals[i], power_usage(precoders[i], config.tx_distortion[i]))
+            for i in DIRECTIONS))
         trace.append(block[-1])
         if abs(trace[-1] - trace[-2]) <= options.rel_tol * max(abs(trace[-2]), 1e-300):
             converged = True
@@ -354,5 +343,4 @@ def run_altqcp(channels: ChannelRealization, config: SystemConfig,
     """Weighted sum-MSE minimizer (identity weights by default), designing on
     the estimated channels. Returns (TransceiverDesign, PerformanceReport)."""
     return run_altqcp_scenarios([(1.0, channels.h_est)], channels.h_est, config,
-                                options or SolverOptions(), mse_weights=mse_weights,
-                                channels_for_init=channels)
+                                options or SolverOptions(), mse_weights=mse_weights)

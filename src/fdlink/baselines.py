@@ -76,7 +76,6 @@ def _single_carrier_pieces(channels: ChannelRealization, config: SystemConfig):
         tx_distortion=tuple(k * config.tx_distortion[i] for i in DIRECTIONS),
         rx_distortion=tuple(k * config.rx_distortion[i] for i in DIRECTIONS),
         p_max=tuple(config.p_max[i] / k for i in DIRECTIONS),
-        csi_radius=np.zeros((2, 2, 1)),
     )
     mean = {pair: channels.h_est[pair].mean(axis=0, keepdims=True) for pair in PAIRS}
     flat = ChannelRealization(
@@ -122,8 +121,7 @@ def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
         caps = tuple(config.p_max[j] / _CAP_DIVISOR[mode] for j in DIRECTIONS)
         design, run_rep = run_altqcp_scenarios(
             [(1.0, channels.h_est)], channels.h_est, _blind_config(config),
-            options, channels_for_init=channels,
-            weight_block=designer == "wmmse", si_caps=caps)
+            options, weight_block=designer == "wmmse", si_caps=caps)
 
     report = evaluate_design(design, eval_channels, config)
     if mode == "hd":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DIRECTIONS, PAIRS, ChannelRealization, SystemConfig
+from .model import PAIRS, ChannelRealization, SystemConfig
 from .util import ConfigError, crandn, rng_from
 
 
@@ -18,16 +18,18 @@ class ChannelStats:
 
     Desired links have i.i.d. CN(0, rho) entries. Self-interference links are
     Rician: mean sqrt(rho_si * k_rician / (1 + k_rician)) * (all-ones), and
-    i.i.d. CN(0, rho_si / (1 + k_rician)) scatter on top.
+    i.i.d. CN(0, rho_si / (1 + k_rician)) scatter on top. csi_radius is the
+    Frobenius radius of every (pair, subcarrier) estimation error set.
     """
 
     rho: float = 0.01            # -20 dB desired-path gain
     rho_si: float = 1.0          # 0 dB self-interference gain
     k_rician: float = 10.0
+    csi_radius: float = 10 ** -1.5
 
     def __post_init__(self):
-        if self.rho < 0 or self.rho_si < 0 or self.k_rician < 0:
-            raise ConfigError("channel statistics must be nonnegative")
+        if min(self.rho, self.rho_si, self.k_rician, self.csi_radius) < 0:
+            raise ConfigError("rho, rho_si, k_rician and csi_radius must be nonnegative")
 
     def si_mean_scale(self) -> float:
         return float(np.sqrt(self.rho_si * self.k_rician / (1.0 + self.k_rician)))
@@ -68,11 +70,10 @@ def draw_channels(config: SystemConfig, stats: ChannelStats, seed) -> ChannelRea
         else:
             mean = stats.si_mean_scale() * np.ones(shape)
             h[(i, j)] = mean + crandn(rng, shape, var=stats.si_scatter_var())
-    radius = {(i, j): config.csi_radius[i, j].copy() for i, j in PAIRS}
     return ChannelRealization(
         h=h,
         h_est={pair: h[pair].copy() for pair in PAIRS},
-        csi_radius=radius,
+        csi_radius={pair: np.full(k, float(stats.csi_radius)) for pair in PAIRS},
         shaping={pair: None for pair in PAIRS},
     )
 

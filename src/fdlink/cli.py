@@ -73,21 +73,18 @@ def _cmd_validate_model(args) -> int:
     from .altqcp import SolverOptions, run_altqcp
     from .channels import ChannelStats, draw_channels
     from .distortion import simulate_blocks
-    from .model import SystemConfig, aggregate_covariance
+    from .model import SystemConfig, covariance_stacks
 
-    config = SystemConfig.from_scalars(kappa=10 ** -2, csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), args.seed)
-    design, report = run_altqcp(channels, config,
-                                SolverOptions(max_iters=25, init_seed=args.seed))
+    config = SystemConfig.from_scalars(kappa=10 ** -2)
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), args.seed)
+    design, report = run_altqcp(channels, config, SolverOptions(max_iters=25))
     trace = np.asarray(report.objective_trace)
     monotone = bool(np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1.0)))
     stats = simulate_blocks(design, channels, config, args.blocks, args.seed)
-    mismatch = []
-    for i in (0, 1):
-        for k in range(config.subcarriers):
-            predicted = aggregate_covariance(design, channels, config, i, k)
-            seen = stats.nu_cov[i][k]
-            mismatch.append(np.linalg.norm(seen - predicted) / np.linalg.norm(predicted))
+    predicted = covariance_stacks(design.precoders, channels.h, config)
+    mismatch = [np.linalg.norm(stats.nu_cov[i][k] - predicted[i][k])
+                / np.linalg.norm(predicted[i][k])
+                for i in (0, 1) for k in range(config.subcarriers)]
     worst = float(np.max(mismatch))       # a NaN propagates and fails the gate
     cov_ok = worst < 0.15  # loose gate; tightens with more blocks
     print(f"objective monotone over {report.iterations} iterations: "

@@ -145,13 +145,11 @@ class ExperimentSpec:
 
     def config_for(self, sweep_value: float) -> SystemConfig:
         params = {key: value for key, value in self.config.items()
-                  if key not in _SOLVER_CONFIG_KEYS}
+                  if key not in _SOLVER_CONFIG_KEYS and key != "csi_radius"}
         v = float(sweep_value)
         if self.sweep_param == "kappa_db":
             # beta follows kappa unless the spec pinned it explicitly
             params["kappa"] = 10.0 ** (v / 10.0)
-        elif self.sweep_param == "zeta_db":
-            params["csi_radius"] = 10.0 ** (v / 10.0)
         elif self.sweep_param == "sigma2_db":
             params["noise_var"] = 10.0 ** (v / 10.0)
         elif self.sweep_param == "pmax":
@@ -162,8 +160,15 @@ class ExperimentSpec:
             params["antennas"] = int(v)
         return SystemConfig.from_scalars(**params)
 
-    def channel_stats(self) -> ChannelStats:
-        return ChannelStats(**self.channel)
+    def channel_stats(self, sweep_value: float = None) -> ChannelStats:
+        """The channel section plus the CSI error radius: the config key
+        csi_radius, overridden by the sweep value of a zeta_db sweep."""
+        params = dict(self.channel)
+        if "csi_radius" in self.config:
+            params["csi_radius"] = self.config["csi_radius"]
+        if sweep_value is not None and self.sweep_param == "zeta_db":
+            params["csi_radius"] = 10.0 ** (float(sweep_value) / 10.0)
+        return ChannelStats(**params)
 
 
 # designers whose own report is design-view, so the harness adds the true-model
@@ -187,8 +192,8 @@ def _dispatch(algorithm, channels, config, options, designer):
 def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
     """All result and timing rows for one (sweep value, trial) cell."""
     config = spec.config_for(sweep_value)
-    stats = spec.channel_stats()
-    true_channels = draw_channels(config, stats, [spec.seed, 11, trial])
+    true_channels = draw_channels(config, spec.channel_stats(sweep_value),
+                                  [spec.seed, 11, trial])
     _, channels = perturb_csi(true_channels, config, [spec.seed, 23, trial],
                               mode="interior")
     chash = channels.hash_hex()
@@ -270,20 +275,20 @@ def _sort_rows(rows):
 
 def run_experiment(spec: ExperimentSpec, processes: int = 1):
     """Execute the whole sweep; returns (result_rows, timing_rows), both in
-    canonical order. processes > 1 distributes (value, trial) cells."""
+    canonical order. processes > 1 distributes (value, trial) cells over at
+    most one worker per cell."""
+    if processes < 1:
+        raise ConfigError(f"need at least one worker process, got {processes}")
     tasks = [(spec, value, trial) for value in spec.sweep_values
              for trial in range(spec.n_trials)]
-    rows, timings = [], []
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for trial_rows, trial_times in pool.map(_trial_task, tasks):
-                rows.extend(trial_rows)
-                timings.extend(trial_times)
+    workers = min(processes, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cells = list(pool.map(_trial_task, tasks))
     else:
-        for task in tasks:
-            trial_rows, trial_times = _trial_task(task)
-            rows.extend(trial_rows)
-            timings.extend(trial_times)
+        cells = [_trial_task(task) for task in tasks]
+    rows = [row for cell_rows, _ in cells for row in cell_rows]
+    timings = [row for _, cell_timings in cells for row in cell_timings]
     _pad_traces(rows)
     _sort_rows(rows)
     timings.sort(key=lambda r: (r["sweep_value"], r["trial"], r["algorithm"]))

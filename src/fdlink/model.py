@@ -49,7 +49,6 @@ class SystemConfig:
     tx_distortion: tuple           # per direction: (N_i,) = kappa_l / K
     rx_distortion: tuple           # per direction: (M_i,) = beta_l / K
     rate_weights: tuple = (1.0, 1.0)
-    csi_radius: np.ndarray = None  # (2, 2, K) Frobenius radii of the error sets
 
     def __post_init__(self):
         if self.subcarriers < 1:
@@ -74,21 +73,13 @@ class SystemConfig:
                     raise ConfigError(f"{name}[{i}] must be a nonnegative ({sizes[i]},) vector")
                 vecs.append(_freeze(v))
             object.__setattr__(self, name, tuple(vecs))
-        cz = self.csi_radius
-        if cz is None:
-            cz = np.zeros((2, 2, self.subcarriers))
-        cz = np.asarray(cz, dtype=float)
-        if cz.shape != (2, 2, self.subcarriers) or np.any(cz < 0):
-            raise ConfigError("csi_radius must be a nonnegative (2, 2, K) array")
-        object.__setattr__(self, "csi_radius", _freeze(cz))
         if min(self.rate_weights) <= 0:
             raise ConfigError("rate weights must be positive")
 
     @classmethod
     def from_scalars(cls, subcarriers=4, antennas=2, streams=1, p_max=1.0,
-                     noise_var=1e-3, kappa=1e-3, beta=None, csi_radius=10 ** -1.5,
-                     rate_weights=(1.0, 1.0), tx_antennas=None,
-                     rx_antennas=None) -> "SystemConfig":
+                     noise_var=1e-3, kappa=1e-3, beta=None, rate_weights=(1.0, 1.0),
+                     tx_antennas=None, rx_antennas=None) -> "SystemConfig":
         """Uniform construction from scalar parameters (kappa/beta are per-chain,
         linear; they get divided by the subcarrier count internally)."""
         if beta is None:
@@ -106,7 +97,6 @@ class SystemConfig:
             tx_distortion=tuple(np.full(n_tx[i], float(kappa) / k) for i in DIRECTIONS),
             rx_distortion=tuple(np.full(n_rx[i], float(beta) / k) for i in DIRECTIONS),
             rate_weights=tuple(rate_weights),
-            csi_radius=np.full((2, 2, k), float(csi_radius)),
         )
 
     def replace(self, **kw) -> "SystemConfig":
@@ -167,9 +157,6 @@ class TransceiverDesign:
     decoders: tuple
     mse_weights: tuple
     duals: tuple = (0.0, 0.0)
-
-    def stream_counts(self) -> tuple:
-        return tuple(self.precoders[i].shape[2] for i in DIRECTIONS)
 
 
 @dataclass
@@ -300,13 +287,12 @@ def rate(precoder: np.ndarray, sigma: np.ndarray, h_direct: np.ndarray,
     return float(bits) if bits.ndim == 0 else bits
 
 
-def power_usage(precoders_i: np.ndarray, tx_distortion_i: np.ndarray,
-                subcarriers: int = None) -> float:
+def power_usage(precoders_i: np.ndarray, tx_distortion_i: np.ndarray) -> float:
     """Transmit power including the chain distortion overhead:
-    tr((I + K Theta_tx) sum_l V^l V^l^H)."""
-    k = subcarriers if subcarriers is not None else precoders_i.shape[0]
+    tr((I + K Theta_tx) sum_l V^l V^l^H), K the precoder stack's length."""
     gram_diag = np.einsum("knd,knd->n", precoders_i, precoders_i.conj()).real
-    return float(gram_diag.sum() + k * (tx_distortion_i * gram_diag).sum())
+    return float(gram_diag.sum()
+                 + precoders_i.shape[0] * (tx_distortion_i * gram_diag).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +362,8 @@ def design_report(precoders, decoders, g, sigmas, config: SystemConfig) -> Perfo
     errors = mse_stacks(precoders, decoders, g, sigmas)
     mse = np.array([np.trace(errors[i], axis1=1, axis2=2).real for i in DIRECTIONS])
     rate_bits = np.array([rate(precoders[i], sigmas[i], g[(i, i)]) for i in DIRECTIONS])
-    power = np.array([power_usage(precoders[i], config.tx_distortion[i],
-                                  config.subcarriers) for i in DIRECTIONS])
+    power = np.array([power_usage(precoders[i], config.tx_distortion[i])
+                      for i in DIRECTIONS])
     return PerformanceReport(mse=mse, rate_bits=rate_bits, power=power)
 
 

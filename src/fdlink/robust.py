@@ -24,6 +24,10 @@ from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     _stack)
 from .util import ConfigError, _rational_root, dagger, herm, unvec
 
+# the cut loop stops once the certified worst case is within this fraction of
+# the design objective
+CUT_REL_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class QuadraticErrorForm:
@@ -238,7 +242,7 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
                     options: SolverOptions = None, mse_weights=None):
     """Robust weighted-MSE design: alternate between designing against the
     average of the scenario set and appending the current worst-case channel
-    hypothesis, until the worst case is within cut_rel_tol of the design
+    hypothesis, until the worst case is within CUT_REL_TOL of the design
     objective (or max_cuts scenarios accumulate)."""
     options = options or SolverOptions()
     scenarios = [channels.h_est]
@@ -250,7 +254,7 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
         weighted = [(1.0 / len(scenarios), g) for g in scenarios]
         design, report = run_altqcp_scenarios(
             weighted, channels.h_est, config, options, mse_weights=mse_weights,
-            init_precoders_override=warm, channels_for_init=channels)
+            init_precoders_override=warm)
         warm = design.precoders
         design_value = report.objective_trace[-1]
         wc_value, worst = _worst_case(design, channels, config, mse_weights)
@@ -259,7 +263,7 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
                         "worst_case": wc_value, "gap": gap})
         if best is None or wc_value < best[0]:
             best = (wc_value, cut, design, report)
-        if gap < options.cut_rel_tol:
+        if gap < CUT_REL_TOL:
             robust_converged = True
             break
         scenarios.append(worst)

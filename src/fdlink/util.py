@@ -19,10 +19,6 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
-
-
 def parse_level(value) -> float:
     """Parse a linear power-like quantity; strings with a dB suffix convert as 10^(x/10)."""
     if isinstance(value, str):

@@ -47,5 +47,4 @@ def run_wmmse(channels: ChannelRealization, config: SystemConfig,
     design-model weighted sum rate in bits per channel use.
     """
     return run_altqcp_scenarios([(1.0, channels.h_est)], channels.h_est, config,
-                                options or SolverOptions(),
-                                channels_for_init=channels, weight_block=True)
+                                options or SolverOptions(), weight_block=True)

@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdlink import ChannelStats, SystemConfig, draw_channels, perturb_csi
-from fdlink.model import PAIRS
+from fdlink import (ChannelStats, SystemConfig, draw_channels, perturb_csi,
+                    power_usage)
+from fdlink.model import DIRECTIONS, PAIRS
+from fdlink.util import crandn
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +17,7 @@ def default_config():
 
 @pytest.fixture(scope="session")
 def perfect_csi_config():
-    return SystemConfig.from_scalars(csi_radius=0.0)
+    return SystemConfig.from_scalars()
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +30,7 @@ def default_channels(default_config):
 
 @pytest.fixture(scope="session")
 def perfect_channels(perfect_csi_config):
-    return draw_channels(perfect_csi_config, ChannelStats(), 1234)
+    return draw_channels(perfect_csi_config, ChannelStats(csi_radius=0.0), 1234)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -38,6 +40,17 @@ def random_psd(rng, n, scale=1.0):
 
 def crandn_t(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def random_precoders(config, seed):
+    """Complex Gaussian precoders from a fresh default_rng(seed) per
+    direction, scaled so the distortion-aware power equals the budget."""
+    out = []
+    for i in DIRECTIONS:
+        v = crandn(np.random.default_rng(seed),
+                   (config.subcarriers, config.tx_antennas[i], config.streams[i]))
+        out.append(v * np.sqrt(config.p_max[i] / power_usage(v, config.tx_distortion[i])))
+    return out
 
 
 def with_shaping(channels, seed):

@@ -84,8 +84,8 @@ def test_criterion_01_covariance_model(default_cfg, sim_run, capsys):
             if rel >= 0.05:
                 problems.append(f"(i={i},k={k}) rel={rel:.3f}")
     # noise-only limit: the covariance collapses to the thermal floor
-    clean_cfg = SystemConfig.from_scalars(kappa=0.0, beta=0.0, csi_radius=0.0)
-    clean_ch = draw_channels(clean_cfg, STATS, [9902, 0])
+    clean_cfg = SystemConfig.from_scalars(kappa=0.0, beta=0.0)
+    clean_ch = draw_channels(clean_cfg, ChannelStats(csi_radius=0.0), [9902, 0])
     clean_design, _ = run_altqcp(clean_ch, clean_cfg)
     clean = simulate_blocks(clean_design, clean_ch, clean_cfg, 100_000, [9903])
     eye = clean_cfg.noise_var[0, 0] * np.eye(clean_cfg.rx_antennas[0])

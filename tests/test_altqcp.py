@@ -5,8 +5,8 @@ quadratic), dual behavior, and whole-run contracts."""
 import numpy as np
 import pytest
 
-from conftest import crandn_t
-from fdlink import (ChannelRealization, ConfigError, SystemConfig,
+from conftest import crandn_t, random_precoders
+from fdlink import (ChannelRealization, SystemConfig,
                     mmse_error_matrix, mse_matrix, power_usage, run_altqcp,
                     run_baseline, update_precoders, update_receivers)
 from fdlink.altqcp import (SolverOptions, _capped_power_dual, _design_objective,
@@ -31,21 +31,19 @@ def _flat_channels(values, subcarriers=1):
 # ---------------------------------------------------------------------------
 
 def test_init_rsm_power_is_exact(default_config, default_channels):
-    v = init_precoders(default_channels, default_config, "rsm")
+    v = init_precoders(default_channels.h_est, default_config)
     for i in DIRECTIONS:
-        used = power_usage(v[i], default_config.tx_distortion[i],
-                           default_config.subcarriers)
+        used = power_usage(v[i], default_config.tx_distortion[i])
         assert abs(used - default_config.p_max[i]) < 1e-10
 
 
 def test_init_rsm_columns_orthonormal_before_scaling():
-    config = SystemConfig.from_scalars(subcarriers=3, antennas=3, streams=2,
-                                       csi_radius=0.0)
+    config = SystemConfig.from_scalars(subcarriers=3, antennas=3, streams=2)
     rng = np.random.default_rng(0)
     h = {pair: crandn_t(rng, (3, 3, 3)) for pair in PAIRS}
     channels = ChannelRealization(h=h, h_est={p: h[p].copy() for p in PAIRS},
                                   csi_radius={p: np.zeros(3) for p in PAIRS})
-    v = init_precoders(channels, config, "rsm")
+    v = init_precoders(channels.h_est, config)
     for i in DIRECTIONS:
         grams = np.einsum("knd,kne->kde", v[i].conj(), v[i])
         scale = grams[0, 0, 0].real
@@ -55,29 +53,18 @@ def test_init_rsm_columns_orthonormal_before_scaling():
 
 def test_init_rsm_unitary_channel_gives_unitary_precoder():
     # full-stream design on a unitary channel: V is a scaled unitary matrix
-    config = SystemConfig.from_scalars(subcarriers=2, antennas=2, streams=2,
-                                       csi_radius=0.0)
+    config = SystemConfig.from_scalars(subcarriers=2, antennas=2, streams=2)
     rng = np.random.default_rng(1)
     q = [np.linalg.qr(crandn_t(rng, (2, 2)))[0] for _ in range(2)]
     h = {pair: np.stack(q) for pair in PAIRS}
     channels = ChannelRealization(h=h, h_est={p: h[p].copy() for p in PAIRS},
                                   csi_radius={p: np.zeros(2) for p in PAIRS})
-    v = init_precoders(channels, config, "rsm")
+    v = init_precoders(channels.h_est, config)
     for i in DIRECTIONS:
         gram = v[i][0].conj().T @ v[i][0]
         assert np.max(np.abs(gram - gram[0, 0] * np.eye(2))) < 1e-12
-        used = power_usage(v[i], config.tx_distortion[i], 2)
+        used = power_usage(v[i], config.tx_distortion[i])
         assert abs(used - config.p_max[i]) < 1e-10
-
-
-def test_init_random_seeded_and_unknown_mode(default_config, default_channels):
-    a = init_precoders(default_channels, default_config, "random", seed=5)
-    b = init_precoders(default_channels, default_config, "random", seed=5)
-    c = init_precoders(default_channels, default_config, "random", seed=6)
-    assert np.array_equal(a[0], b[0])
-    assert not np.allclose(a[0], c[0])
-    with pytest.raises(ConfigError):
-        init_precoders(default_channels, default_config, "steepest")
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +74,7 @@ def test_init_random_seeded_and_unknown_mode(default_config, default_channels):
 def test_receiver_scalar_closed_form():
     # h = 1, v = 1, aggregate covariance 1 -> u = 1/2 and E = 1/2
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
-                                       noise_var=1.0, kappa=0.0, beta=0.0,
-                                       csi_radius=0.0)
+                                       noise_var=1.0, kappa=0.0, beta=0.0)
     channels = _flat_channels({(0, 0): 1.0, (1, 1): 1.0, (0, 1): 0.0, (1, 0): 0.0})
     precoders = [np.ones((1, 1, 1), dtype=complex) for _ in DIRECTIONS]
     decoders = update_receivers(precoders, channels, config)
@@ -113,7 +99,7 @@ def test_receiver_first_order_optimality(default_config, default_channels):
     # perturbing any entry of U by +/-1e-4 never lowers tr(S E); the central
     # finite-difference gradient at the closed form is numerically zero
     config, channels = default_config, default_channels
-    v = init_precoders(channels, config, "rsm")
+    v = init_precoders(channels.h_est, config)
     decoders = update_receivers(v, channels, config)
     weights = identity_weights(config)
     sigmas = covariance_stacks(v, channels.h_est, config)
@@ -153,8 +139,8 @@ def test_receiver_first_order_optimality(default_config, default_channels):
 # ---------------------------------------------------------------------------
 
 def test_leakage_zero_cases(default_config, default_channels):
-    config0 = SystemConfig.from_scalars(kappa=0.0, beta=0.0, csi_radius=0.0)
-    v = init_precoders(default_channels, config0, "rsm")
+    config0 = SystemConfig.from_scalars(kappa=0.0, beta=0.0)
+    v = init_precoders(default_channels.h_est, config0)
     u = update_receivers(v, default_channels, config0)
     s = identity_weights(config0)
     shares, g = _stack([(1.0, default_channels.h_est)])
@@ -170,8 +156,7 @@ def test_leakage_scalar_hand_expansion():
     # K=1 scalars: J_i = sum_j |h_ji|^2 |u_j|^2 S_j (beta_j + kappa_i)
     kappa, beta = 0.04, 0.07
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
-                                       noise_var=0.1, kappa=kappa, beta=beta,
-                                       csi_radius=0.0)
+                                       noise_var=0.1, kappa=kappa, beta=beta)
     h = {(0, 0): 1.3 + 0.2j, (0, 1): 0.5 - 0.4j, (1, 0): -0.2 + 0.9j,
          (1, 1): 0.8 + 0.1j}
     channels = _flat_channels(h)
@@ -209,7 +194,7 @@ def _assert_close(got, ref, rel=1e-12):
 def test_stacked_sigma_matches_per_scenario_loop(default_config, default_channels):
     config, h_est = default_config, default_channels.h_est
     scenarios = _three_scenarios(default_channels)
-    v = init_precoders(default_channels, config, "random", seed=3)
+    v = random_precoders(config, 3)
     stacked = _scenario_sigma(v, _stack(scenarios)[1], h_est, config)
     for s, (_, g) in enumerate(scenarios):
         ref = covariance_stacks(v, g, config)
@@ -223,7 +208,7 @@ def test_stacked_receiver_step_matches_per_scenario_loop(default_config,
     config, h_est = default_config, default_channels.h_est
     scenarios = _three_scenarios(default_channels)
     shares, g = _stack(scenarios)
-    v = init_precoders(default_channels, config, "random", seed=3)
+    v = random_precoders(config, 3)
     sigmas = _scenario_sigma(v, g, h_est, config)
     got = _receiver_step(v, shares, g, sigmas, config)
     for i in DIRECTIONS:
@@ -243,7 +228,7 @@ def test_stacked_precoder_step_matches_per_scenario_loop(default_config,
     import fdlink.altqcp as altqcp
     config, h_est = default_config, default_channels.h_est
     scenarios = _three_scenarios(default_channels)
-    v0 = init_precoders(default_channels, config, "random", seed=3)
+    v0 = random_precoders(config, 3)
     u = update_receivers(v0, default_channels, config)
     weights = [w * np.eye(1) + 0j for w in (1.5, 0.7)]
     weights = [np.broadcast_to(w, (config.subcarriers, 1, 1)) for w in weights]
@@ -255,11 +240,11 @@ def test_stacked_precoder_step_matches_per_scenario_loop(default_config,
 
     monkeypatch.setattr(altqcp, "_solve_power_dual", recorded)
     got, duals, _ = _precoder_step(u, weights, *_stack(scenarios), h_est,
-                                   config, 1e-9)
+                                   config)
     stacked = seen[:]
     del seen[:]
     for _, g in scenarios:
-        _precoder_step(u, weights, *_stack([(1.0, g)]), h_est, config, 1e-9)
+        _precoder_step(u, weights, *_stack([(1.0, g)]), h_est, config)
     for i in DIRECTIONS:
         quad = sum(w * seen[2 * s + i][0] for s, (w, _) in enumerate(scenarios))
         rhs = sum(w * seen[2 * s + i][1] for s, (w, _) in enumerate(scenarios))
@@ -280,23 +265,23 @@ def test_precoder_slack_constraint_unconstrained_form(default_config,
     # decoders from a unit-power design, then a huge budget: the closed-form
     # minimizer lands strictly inside and the multiplier is exactly zero
     huge = default_config.replace(p_max=(1e9, 1e9))
-    v0 = init_precoders(default_channels, default_config, "rsm")
+    v0 = init_precoders(default_channels.h_est, default_config)
     u = update_receivers(v0, default_channels, default_config)
     s = identity_weights(default_config)
     v, duals = update_precoders(u, s, default_channels, huge)
     assert duals == (0.0, 0.0)
     for i in DIRECTIONS:
-        assert power_usage(v[i], huge.tx_distortion[i], 4) < huge.p_max[i]
+        assert power_usage(v[i], huge.tx_distortion[i]) < huge.p_max[i]
 
 
 def test_precoder_tight_constraint_complementary_slackness(default_channels):
-    config = SystemConfig.from_scalars(p_max=0.05, csi_radius=0.0)
-    v0 = init_precoders(default_channels, config, "rsm")
+    config = SystemConfig.from_scalars(p_max=0.05)
+    v0 = init_precoders(default_channels.h_est, config)
     u = update_receivers(v0, default_channels, config)
     s = identity_weights(config)
     v, duals = update_precoders(u, s, default_channels, config)
     for i in DIRECTIONS:
-        used = power_usage(v[i], config.tx_distortion[i], 4)
+        used = power_usage(v[i], config.tx_distortion[i])
         assert duals[i] > 0
         assert abs(used - config.p_max[i]) < 1e-9
 
@@ -512,7 +497,7 @@ def test_precoder_update_matches_independent_convex_solver(default_config,
     projected gradient from 20 random starts."""
     config, channels = default_config, default_channels
     rng = np.random.default_rng(4)
-    v_init = init_precoders(channels, config, "random", seed=7)
+    v_init = random_precoders(config, 7)
     u = update_receivers(v_init, channels, config)
     s = identity_weights(config)
     v_star, duals = update_precoders(u, s, channels, config)
@@ -584,7 +569,7 @@ def test_run_single_direction_reaches_mmse_fixed_point():
     # objective of an extra iteration moves less than 1e-8
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
                                        p_max=(1.0, 0.0), noise_var=0.1,
-                                       kappa=0.0, beta=0.0, csi_radius=0.0)
+                                       kappa=0.0, beta=0.0)
     channels = _flat_channels({(0, 0): 1.1 - 0.4j, (1, 1): 0.7,
                                (0, 1): 0.3 + 0.2j, (1, 0): -0.5j})
     design, report = run_altqcp(channels, config,
@@ -608,8 +593,7 @@ def test_scenario_average_stays_monotone(default_config, default_channels):
               for pair in PAIRS}
     scenarios = [(0.5, default_channels.h_est), (0.5, bumped)]
     _, report = run_altqcp_scenarios(scenarios, default_channels.h_est,
-                                     default_config, SolverOptions(),
-                                     channels_for_init=default_channels)
+                                     default_config, SolverOptions())
     trace = np.asarray(report.objective_trace)
     assert np.all(np.diff(trace) <= 1e-9)
 
@@ -660,7 +644,6 @@ def test_run_builds_one_covariance_per_scenario_and_iteration(
           for pair in PAIRS}) for _ in range(n_scenarios - 1)]
     monkeypatch.setattr(model, "covariance_stacks", counted)
     _, report = run_altqcp_scenarios(scenarios, default_channels.h_est,
-                                     default_config, SolverOptions(),
-                                     channels_for_init=default_channels)
+                                     default_config, SolverOptions())
     assert report.iterations > 1
     assert len(calls) == 1 + report.iterations

@@ -15,8 +15,8 @@ from fdlink.model import DIRECTIONS, PAIRS
 def ideal_setup():
     # no hardware impairments and perfect CSI: several baselines collapse
     # onto the plain solver
-    config = SystemConfig.from_scalars(kappa=0.0, beta=0.0, csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), [501])
+    config = SystemConfig.from_scalars(kappa=0.0, beta=0.0)
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), [501])
     return config, channels
 
 
@@ -33,9 +33,8 @@ def test_blind_design_matches_plain_when_hardware_is_ideal(ideal_setup):
 def test_single_carrier_identical_when_already_flat(ideal_setup):
     # K = 1 leaves nothing to average: the flat design is the plain design
     config, _ = ideal_setup
-    flat_cfg = SystemConfig.from_scalars(subcarriers=1, kappa=0.0, beta=0.0,
-                                         csi_radius=0.0)
-    channels = draw_channels(flat_cfg, ChannelStats(), [502])
+    flat_cfg = SystemConfig.from_scalars(subcarriers=1, kappa=0.0, beta=0.0)
+    channels = draw_channels(flat_cfg, ChannelStats(csi_radius=0.0), [502])
     design, _ = run_altqcp(channels, flat_cfg)
     sc_design, _ = run_baseline("sc", channels, flat_cfg)
     for i in DIRECTIONS:
@@ -51,8 +50,7 @@ def test_single_carrier_replicates_and_respects_power(default_config,
         v = design.precoders[i]
         for k in range(1, default_config.subcarriers):
             assert np.array_equal(v[k], v[0])
-        used = power_usage(v, default_config.tx_distortion[i],
-                           default_config.subcarriers)
+        used = power_usage(v, default_config.tx_distortion[i])
         assert abs(used - default_config.p_max[i]) < 1e-9
     assert report.extras["mode"] == "sc"
 
@@ -73,8 +71,7 @@ def test_half_duplex_halves_rate_and_silences_cross(default_config,
     from fdlink.model import power_usage
     for i in DIRECTIONS:
         used = power_usage(design.precoders[i],
-                           default_config.tx_distortion[i],
-                           default_config.subcarriers)
+                           default_config.tx_distortion[i])
         assert used <= default_config.p_max[i] + 1e-9
 
 

@@ -36,8 +36,8 @@ def test_draw_leaves_estimate_equal_to_truth(default_config):
 def test_fading_moments():
     # 10^4 draws: direct-link variance within 5% of rho, mean within 3 sigma;
     # self-interference mean equals the Rician line-of-sight level
-    config = SystemConfig.from_scalars(subcarriers=2, csi_radius=0.0)
-    stats = ChannelStats()  # rho=0.01, rho_si=1, K_R=10
+    config = SystemConfig.from_scalars(subcarriers=2)
+    stats = ChannelStats(csi_radius=0.0)  # rho=0.01, rho_si=1, K_R=10
     n = 10_000
     direct = np.empty((n, 2, 2, 2), dtype=complex)
     cross = np.empty_like(direct)
@@ -57,7 +57,7 @@ def test_fading_moments():
 
 
 def test_perturb_zero_radius_is_identity(perfect_csi_config):
-    ch = draw_channels(perfect_csi_config, ChannelStats(), 11)
+    ch = draw_channels(perfect_csi_config, ChannelStats(csi_radius=0.0), 11)
     err, out = perturb_csi(ch, perfect_csi_config, 12, mode="interior")
     for pair in PAIRS:
         assert np.array_equal(out.h_est[pair], ch.h[pair])
@@ -129,3 +129,13 @@ def test_json_malformed_raises():
         channels_from_json("{not json")
     with pytest.raises(ConfigError):
         channels_from_json(json.dumps({"subcarriers": 2}))
+
+
+def test_draw_carries_the_stats_radius(default_config):
+    # every pair and subcarrier gets the one radius of the statistics
+    ch = draw_channels(default_config, ChannelStats(csi_radius=0.25), 23)
+    for pair in PAIRS:
+        assert np.array_equal(ch.csi_radius[pair],
+                              np.full(default_config.subcarriers, 0.25))
+    with pytest.raises(ConfigError):
+        ChannelStats(csi_radius=-1)

@@ -50,7 +50,7 @@ def test_freq_distortion_variance_zero_precoder():
 def test_freq_distortion_variance_matches_covariance_builder():
     # same quantity the covariance assembly uses, checked to 1e-12
     rng = np.random.default_rng(2)
-    config = SystemConfig.from_scalars(subcarriers=4, kappa=3e-3, csi_radius=0.0)
+    config = SystemConfig.from_scalars(subcarriers=4, kappa=3e-3)
     v = crandn_t(rng, (4, 2, 1))
     theta = config.tx_distortion[0]
     expected = theta * np.einsum("knd,knd->n", v, v.conj()).real
@@ -59,8 +59,8 @@ def test_freq_distortion_variance_matches_covariance_builder():
 
 def test_noise_only_covariance():
     # kappa = beta = 0: the received covariance is exactly sigma^2 I
-    config = SystemConfig.from_scalars(kappa=0.0, beta=0.0, csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), 3)
+    config = SystemConfig.from_scalars(kappa=0.0, beta=0.0)
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), 3)
     design = _random_design(np.random.default_rng(4), config)
     stats = simulate_blocks(design, channels, config, 30_000, 5)
     for i in DIRECTIONS:
@@ -71,8 +71,8 @@ def test_noise_only_covariance():
 
 
 def test_simulated_covariance_matches_closed_form():
-    config = SystemConfig.from_scalars(csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), 6)
+    config = SystemConfig.from_scalars()
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), 6)
     design, _ = run_altqcp(channels, config)
     stats = simulate_blocks(design, channels, config, 30_000, 7)
     for i in DIRECTIONS:
@@ -84,8 +84,8 @@ def test_simulated_covariance_matches_closed_form():
 
 
 def test_transmit_distortion_flat_and_white():
-    config = SystemConfig.from_scalars(kappa=1e-2, csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), 8)
+    config = SystemConfig.from_scalars(kappa=1e-2)
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), 8)
     design, _ = run_altqcp(channels, config)
     stats = simulate_blocks(design, channels, config, 30_000, 9)
     for i in DIRECTIONS:
@@ -102,9 +102,8 @@ def test_transmit_distortion_flat_and_white():
 def test_block_sample_residual_is_pure_impairment():
     # no distortion, no noise, perfect CSI: cancellation and the desired part
     # leave exactly nothing behind
-    config = SystemConfig.from_scalars(kappa=0.0, beta=0.0, noise_var=0.0,
-                                       csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), 10)
+    config = SystemConfig.from_scalars(kappa=0.0, beta=0.0, noise_var=0.0)
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), 10)
     design = _random_design(np.random.default_rng(11), config)
     block = sample_block(design, channels, config, 12)
     for i in DIRECTIONS:
@@ -113,8 +112,8 @@ def test_block_sample_residual_is_pure_impairment():
 
 
 def test_block_sample_deterministic():
-    config = SystemConfig.from_scalars(csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), 13)
+    config = SystemConfig.from_scalars()
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), 13)
     design = _random_design(np.random.default_rng(14), config)
     a = sample_block(design, channels, config, 15)
     b = sample_block(design, channels, config, 15)
@@ -178,13 +177,12 @@ def test_block_simulation_matches_per_block_reference():
     # asymmetric antennas, per-chain coefficients, per-subcarrier noise and
     # an estimation error on every channel
     base = SystemConfig.from_scalars(subcarriers=4, tx_antennas=(3, 2),
-                                     rx_antennas=(2, 4), streams=(2, 1),
-                                     csi_radius=0.1)
+                                     rx_antennas=(2, 4), streams=(2, 1))
     config = base.replace(
         noise_var=np.array([[1e-3, 2e-3, 5e-4, 1e-3], [3e-3, 1e-3, 1e-3, 2e-3]]),
         tx_distortion=(np.array([1e-2, 3e-3, 5e-3]) / 4, np.array([2e-3, 8e-3]) / 4),
         rx_distortion=(np.array([4e-3, 1e-2]) / 4, np.array([1e-3, 2e-3, 6e-3, 3e-3]) / 4))
-    true = draw_channels(config, ChannelStats(), 21)
+    true = draw_channels(config, ChannelStats(csi_radius=0.1), 21)
     _, channels = perturb_csi(true, config, 22, mode="boundary")
     design = _random_design(np.random.default_rng(23), config)
     expected, received = _reference_block(design, channels, config, 24)

@@ -14,7 +14,7 @@ from fdlink.cli import main
 from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
                             emit_plot_data, read_results_csv, results_to_csv_text,
                             run_experiment, summarize, write_results_csv)
-from fdlink.model import identity_weights
+from fdlink.model import PAIRS, identity_weights
 
 TINY_SPEC = {
     "config": {"subcarriers": 2, "antennas": 2, "streams": 1,
@@ -121,6 +121,94 @@ def test_worker_processes_do_not_change_results():
     assert results_to_csv_text(pooled, spec) == results_to_csv_text(serial, spec)
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces the harness's process pool with one that records its
+    max_workers and runs the cells in this process; returns the record."""
+    import fdlink.harness as harness
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    return made
+
+
+def test_jobs_capped_at_cell_count(tmp_path, fake_pool):
+    # two (value, trial) cells never start more than two workers
+    spec = dict(TINY_SPEC, n_trials=1, algorithms=["altqcp"])
+    serial, _ = run_experiment(ExperimentSpec.from_json(spec))
+    pooled, _ = run_experiment(ExperimentSpec.from_json(spec), processes=5000)
+    assert fake_pool == [2]
+    assert pooled == serial
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                 "--jobs", "5000"]) == 0
+    assert fake_pool == [2, 2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, fake_pool, jobs):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(TINY_SPEC, n_trials=1)))
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 2
+    assert fake_pool == []
+    assert not os.path.exists(tmp_path / "out" / "results.csv")
+
+
+def test_zeta_sweep_sets_the_radius_of_every_error_set(monkeypatch):
+    # the sweep value, not the config key, sets the radius the designers see
+    import fdlink.harness as harness
+    spec = ExperimentSpec.from_json(dict(
+        TINY_SPEC, config=dict(TINY_SPEC["config"], csi_radius=0.5),
+        sweep={"param": "zeta_db", "values": [-20.0, -10.0]},
+        algorithms=["altqcp", "kappa0"], n_trials=1))
+    seen = []
+    designer, baseline = harness.run_altqcp, harness.run_baseline
+
+    def run_altqcp(channels, *args):
+        seen.append(channels)
+        return designer(channels, *args)
+
+    def run_baseline(mode, channels, *args, **kwargs):
+        seen.append(channels)
+        return baseline(mode, channels, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_altqcp", run_altqcp)
+    monkeypatch.setattr(harness, "run_baseline", run_baseline)
+    for value in spec.sweep_values:
+        del seen[:]
+        harness.run_trial(spec, value, 0)
+        assert len(seen) == 2
+        for channels in seen:
+            for pair in PAIRS:
+                radii = channels.csi_radius[pair]
+                assert radii.shape == (spec.config["subcarriers"],)
+                assert np.all(radii == 10.0 ** (value / 10.0))
+
+
+def test_negative_csi_radius_exits_2(tmp_path):
+    spec = dict(TINY_SPEC, n_trials=1,
+                config=dict(TINY_SPEC["config"], csi_radius=-1))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(spec_path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_cutting_set_row_reuses_certified_worst_case(monkeypatch):
     # the cut loop already certified the selected design with identity
     # weights, so the harness runs no oracle pass of its own for it
@@ -224,10 +312,11 @@ def test_cli_error_paths(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_numerical_failure_names_the_cell(tmp_path, capsys, jobs):
     # no noise, ideal hardware and perfect CSI: the receiver step meets a
-    # singular covariance; the message alone must say which cell to replay
+    # singular covariance; the message alone must say which cell to replay.
+    # Two cells, so that --jobs 2 runs them in two worker processes.
     spec = {"config": {"subcarriers": 2, "antennas": 2, "streams": 1,
                        "noise_var": 0, "kappa": 0, "csi_radius": 0},
-            "sweep": {"param": "pmax", "values": [1.0]},
+            "sweep": {"param": "pmax", "values": [1.0, 2.0]},
             "algorithms": ["altqcp"], "n_trials": 1, "seed": 3}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

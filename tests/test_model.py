@@ -15,7 +15,7 @@ from fdlink.model import (DIRECTIONS, PAIRS, _design_objective, _scenario_sigma,
 def _scalar_link(h00, h01, h10, h11, kappa, beta, noise, subcarriers=1):
     config = SystemConfig.from_scalars(subcarriers=subcarriers, antennas=1,
                                        streams=1, noise_var=noise, kappa=kappa,
-                                       beta=beta, csi_radius=0.0)
+                                       beta=beta)
     k = subcarriers
     h = {(0, 0): np.full((k, 1, 1), h00, dtype=complex),
          (0, 1): np.full((k, 1, 1), h01, dtype=complex),
@@ -31,7 +31,7 @@ def _random_setup(rng, subcarriers=3, tx=(2, 3), rx=(3, 2), streams=(2, 1),
                   kappa=2e-3, beta=3e-3, noise=1e-2):
     config = SystemConfig.from_scalars(
         subcarriers=subcarriers, streams=streams, noise_var=noise,
-        kappa=kappa, beta=beta, csi_radius=0.0, tx_antennas=tx, rx_antennas=rx)
+        kappa=kappa, beta=beta, tx_antennas=tx, rx_antennas=rx)
     h = {(i, j): crandn_t(rng, (subcarriers, rx[i], tx[j])) for (i, j) in PAIRS}
     channels = ChannelRealization(
         h=h, h_est={p: h[p].copy() for p in PAIRS},
@@ -220,7 +220,7 @@ def test_power_uniform_kappa_example():
     v[2, 0, 0] = 1.0j
     assert abs(np.sum(np.abs(v) ** 2) - 3.0) < 1e-15
     theta = np.full(2, kappa / k)
-    assert abs(power_usage(v, theta, k) - 3.03) < 1e-12
+    assert abs(power_usage(v, theta) - 3.03) < 1e-12
 
 
 def test_power_per_chain_vector_against_matrix_oracle():
@@ -236,7 +236,7 @@ def test_power_per_chain_vector_against_matrix_oracle():
     # direct matrix-product oracle: tr((I + K Theta) sum_l V V^H)
     gram = sum(v[l] @ v[l].conj().T for l in range(k))
     oracle = np.trace((np.eye(2) + k * np.diag(theta)) @ gram).real
-    assert abs(power_usage(v, theta, k) - oracle) < 1e-12
+    assert abs(power_usage(v, theta) - oracle) < 1e-12
     assert abs(oracle - (1.0 * 1.1 + 4.0 * 1.0)) < 1e-12
 
 
@@ -245,7 +245,7 @@ def test_power_right_unitary_invariance():
     v = crandn_t(rng, (3, 3, 2))
     q, _ = np.linalg.qr(crandn_t(rng, (2, 2)))
     theta = np.array([0.05, 0.0, 0.2]) / 3
-    assert abs(power_usage(v, theta, 3) - power_usage(v @ q, theta, 3)) < 1e-12
+    assert abs(power_usage(v, theta) - power_usage(v @ q, theta)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +318,7 @@ def test_evaluate_design_report_contents(perfect_channels, perfect_csi_config):
     assert report.rate_bits.shape == (2, config.subcarriers)
     assert np.all(report.rate_bits >= 0)
     for i in DIRECTIONS:
-        expected = power_usage(precoders[i], config.tx_distortion[i],
-                               config.subcarriers)
+        expected = power_usage(precoders[i], config.tx_distortion[i])
         assert abs(report.power[i] - expected) < 1e-12
 
 

@@ -2,6 +2,8 @@
 fidelity, closed forms, an engineered degenerate instance, brute-force
 dominance, KKT/duality certificates, and worst-case design behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -310,8 +312,8 @@ def test_worst_case_mse_limits(default_config, designed, default_channels):
     config = default_config
     nominal = weighted_mse_with_errors(designed, default_channels, config,
                                        deltas=_zero_deltas(default_channels))
-    zero_cfg = SystemConfig.from_scalars(csi_radius=0.0)
-    certain = draw_channels(zero_cfg, ChannelStats(), [77])
+    zero_cfg = SystemConfig.from_scalars()
+    certain = draw_channels(zero_cfg, ChannelStats(csi_radius=0.0), [77])
     wc0 = worst_case_mse(designed, certain, zero_cfg)
     nom0 = weighted_mse_with_errors(designed, certain, zero_cfg,
                                     deltas=_zero_deltas(certain))
@@ -358,13 +360,13 @@ def _oracle_case(name, default_config, default_channels, designed,
                    for i in DIRECTIONS]
         return config, channels, design, weights
     if name == "zero_radii":
-        radius = np.array(default_config.csi_radius)
-        radius[0, 1, 2] = radius[1, 1, 0] = 0.0
-        radius[1, 0, :] = 0.0
-        config = default_config.replace(csi_radius=radius)
-        channels = draw_channels(config, ChannelStats(), 62)
-        _, channels = perturb_csi(channels, config, 63, "interior")
-        return config, channels, designed, None
+        channels = draw_channels(default_config, ChannelStats(), 62)
+        radius = {p: r.copy() for p, r in channels.csi_radius.items()}
+        radius[(0, 1)][2] = radius[(1, 1)][0] = 0.0
+        radius[(1, 0)][:] = 0.0
+        channels = dataclasses.replace(channels, csi_radius=radius)
+        _, channels = perturb_csi(channels, default_config, 63, "interior")
+        return default_config, channels, designed, None
     shaped = with_shaping(draw_channels(default_config, ChannelStats(), 64), 65)
     _, channels = perturb_csi(shaped, default_config, 66, "interior")
     return default_config, channels, designed, None
@@ -588,8 +590,8 @@ def test_cutting_set_solves_each_form_once_per_cut(default_config,
 
 
 def test_cutting_set_zero_radius_single_cut():
-    config = SystemConfig.from_scalars(csi_radius=0.0)
-    channels = draw_channels(config, ChannelStats(), [99])
+    config = SystemConfig.from_scalars()
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), [99])
     nominal_design, _ = run_altqcp(channels, config)
     robust_design, report = run_cutting_set(channels, config)
     assert len(report.extras["cuts"]) == 1

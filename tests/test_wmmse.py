@@ -52,8 +52,7 @@ def test_scalar_weight_and_surrogate_value():
     # h = v = 1, sigma^2 = 1, u = 1/2 -> E = 1/2, S = 2,
     # per-direction surrogate ln|S| + d - tr(SE) = ln 2, i.e. one bit
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
-                                       noise_var=1.0, kappa=0.0, beta=0.0,
-                                       csi_radius=0.0)
+                                       noise_var=1.0, kappa=0.0, beta=0.0)
     channels = _flat_channels({(0, 0): 1.0, (1, 1): 1.0,
                                (0, 1): 0.0, (1, 0): 0.0})
     ones = np.ones((1, 1, 1), dtype=complex)
@@ -130,7 +129,7 @@ def test_scalar_link_reaches_waterfilling_capacity():
     h00 = 0.9 - 0.3j
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
                                        p_max=(p, 0.0), noise_var=sigma2,
-                                       kappa=0.0, beta=0.0, csi_radius=0.0)
+                                       kappa=0.0, beta=0.0)
     channels = _flat_channels({(0, 0): h00, (1, 1): 0.4,
                                (0, 1): 0.1, (1, 0): 0.2j})
     design, report = run_wmmse(channels, config,
@@ -161,8 +160,7 @@ def test_weights_raise_on_singular_error(default_config):
     # singular only in contrived setups; instead check the documented raise
     # by feeding an E with a zero eigenvalue through a doctored channel
     config = SystemConfig.from_scalars(subcarriers=1, antennas=1, streams=1,
-                                       noise_var=0.0, kappa=0.0, beta=0.0,
-                                       csi_radius=0.0)
+                                       noise_var=0.0, kappa=0.0, beta=0.0)
     channels = _flat_channels({(0, 0): 1.0, (1, 1): 1.0,
                                (0, 1): 0.0, (1, 0): 0.0})
     ones = np.ones((1, 1, 1), dtype=complex)
