@@ -17,8 +17,8 @@ the one-scenario stack of the estimated channels.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
                     _stack, design_report, identity_weights, mse_stacks,
                     power_usage, rate_surrogate, weighted_rate)
-from .util import (LN2, DualSearchError, _rational_root, _root_search, dagger,
-                   herm, stabilized)
+from .util import (LN2, ConfigError, DualSearchError, _rational_root,
+                   _root_search, dagger, herm, stabilized)
 
 
 # the power dual stops when the power is within this fraction of the budget
@@ -39,6 +39,14 @@ class SolverOptions:
     max_iters: int = 100
     rel_tol: float = 1e-6
     max_cuts: int = 8             # cutting-set loop only
+
+    def __post_init__(self):
+        for name, kind, low in (("max_iters", Integral, 0), ("rel_tol", Real, 0),
+                                ("max_cuts", Integral, 1)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or not low <= value < np.inf:
+                raise ConfigError(f"{name} must be a finite {kind.__name__.lower()} "
+                                  f"number >= {low}, got {value!r}")
 
 
 def init_precoders(h_est, config: SystemConfig):
@@ -247,8 +255,7 @@ def _weight_block(precoders, decoders, g, sigmas, config):
             weighted_rate(precoders, sigmas, g, config))
 
 
-def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
-                         options: SolverOptions, mse_weights=None,
+def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions,
                          init_precoders_override=None, weight_block=False,
                          si_caps=None):
     """The block-coordinate driver behind every designer.
@@ -257,25 +264,25 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
     each direction's self-interference power), then the MMSE receivers, then,
     with weight_block, the MSE weights S = E^{-1}, whose rate-weighted copy
     omega_i S_i the next precoder step minimizes (WMMSE, Shi et al. 2011).
-    The tracked objective is the scenario-weighted MSE, or with
-    weight_block the rate surrogate on the first scenario; the loop stops
-    when it moves by at most rel_tol. The report is the design view of the
-    first scenario. The scenarios are stacked once per run, and each precoder
-    update builds the whole stack's covariances once for all their readers.
+    The tracked objective is the scenario-weighted MSE (identity weights), or
+    with weight_block the rate surrogate; the loop stops when it moves by at
+    most rel_tol. The first scenario is the estimate: cancellation, the
+    surrogate and the report are referenced to it. The scenarios are stacked
+    once per run, and each precoder update builds their covariances once.
     """
+    sic = scenarios[0][1]
     if init_precoders_override is not None:
         precoders = [v.copy() for v in init_precoders_override]
     else:
         precoders = init_precoders(sic, config)
     shares, g = _stack(scenarios)
-    g0 = scenarios[0][1]
 
     def first():                      # the first scenario's covariances
         return [s[0] for s in sigmas]
 
     def objective():
         if weight_block:
-            errors = mse_stacks(precoders, decoders, g0, first())
+            errors = mse_stacks(precoders, decoders, sic, first())
             return rate_surrogate(errors, weights, config)
         return _design_objective(precoders, decoders, weights, shares, g, sigmas)
 
@@ -284,18 +291,17 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
 
     rate_trace = None
     if weight_block:
-        _, weights, value, rate_now = _weight_block(precoders, decoders, g0,
+        _, weights, value, rate_now = _weight_block(precoders, decoders, sic,
                                                     first(), config)
         rate_trace = [rate_now]
     else:
-        weights = mse_weights if mse_weights is not None else identity_weights(config)
+        weights = identity_weights(config)
         value = objective()
     trace = [value]
-    seconds, blocks, slackness, tightness = [], [], [], []
-    duals = si_duals = (0.0, 0.0)
+    blocks, slackness, tightness = [], [], []
+    si_duals = (0.0, 0.0)
     converged = False
     for _ in range(options.max_iters):
-        t0 = time.perf_counter()
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
                         if weight_block else weights)
         precoders, duals, si_duals = _precoder_step(
@@ -305,7 +311,7 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
         decoders = _receiver_step(precoders, shares, g, sigmas, config)
         if weight_block:
             # the new point's MSE matrices also give the old-weight surrogate
-            errors, new, value, rate_now = _weight_block(precoders, decoders, g0,
+            errors, new, value, rate_now = _weight_block(precoders, decoders, sic,
                                                          first(), config)
             block += [rate_surrogate(errors, weights, config), value]
             weights = new
@@ -313,7 +319,6 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
             tightness.append(abs(value - LN2 * rate_now))
         else:
             block.append(objective())
-        seconds.append(time.perf_counter() - t0)
         blocks.append(tuple(block))
         slackness.append(tuple(
             (duals[i], power_usage(precoders[i], config.tx_distortion[i]))
@@ -323,24 +328,23 @@ def run_altqcp_scenarios(scenarios, sic, config: SystemConfig,
             converged = True
             break
     design = TransceiverDesign(precoders=tuple(precoders), decoders=tuple(decoders),
-                               mse_weights=tuple(weights), duals=duals)
+                               mse_weights=tuple(weights))
     extras = {"power_slackness": slackness}
     if weight_block:
         extras.update(surrogate_blocks=blocks, tightness_gap=tightness)
     else:
         extras["half_step_objectives"] = blocks
     if si_caps is not None:
-        extras.update(si_duals=si_duals, thresholds=tuple(si_caps))
-    report = replace(design_report(precoders, decoders, g0, first(), config),
-                     objective_trace=trace, iteration_seconds=seconds,
-                     iterations=len(seconds), converged=converged,
-                     rate_trace=rate_trace, extras=extras)
+        extras["si_duals"] = si_duals
+    report = replace(design_report(precoders, decoders, sic, first(), config),
+                     objective_trace=trace, iterations=len(blocks),
+                     converged=converged, rate_trace=rate_trace, extras=extras)
     return design, report
 
 
 def run_altqcp(channels: ChannelRealization, config: SystemConfig,
-               options: SolverOptions = None, mse_weights=None):
-    """Weighted sum-MSE minimizer (identity weights by default), designing on
-    the estimated channels. Returns (TransceiverDesign, PerformanceReport)."""
-    return run_altqcp_scenarios([(1.0, channels.h_est)], channels.h_est, config,
-                                options or SolverOptions(), mse_weights=mse_weights)
+               options: SolverOptions = None):
+    """Sum-MSE minimizer designing on the estimated channels. Returns
+    (TransceiverDesign, PerformanceReport)."""
+    return run_altqcp_scenarios([(1.0, channels.h_est)], config,
+                                options or SolverOptions())

@@ -24,6 +24,8 @@ self-interference cap switched on.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp, run_altqcp_scenarios
@@ -59,7 +61,8 @@ def half_duplex_world(channels: ChannelRealization) -> ChannelRealization:
 
 
 def _blind_config(config: SystemConfig) -> SystemConfig:
-    return config.replace(
+    return dataclasses.replace(
+        config,
         tx_distortion=tuple(np.zeros_like(config.tx_distortion[i]) for i in DIRECTIONS),
         rx_distortion=tuple(np.zeros_like(config.rx_distortion[i]) for i in DIRECTIONS),
     )
@@ -70,7 +73,8 @@ def _single_carrier_pieces(channels: ChannelRealization, config: SystemConfig):
     per-subcarrier share of the power budget, and per-chain distortion
     coefficients restated for a one-subcarrier system."""
     k = config.subcarriers
-    cfg = config.replace(
+    cfg = dataclasses.replace(
+        config,
         subcarriers=1,
         noise_var=config.noise_var.mean(axis=1, keepdims=True),
         tx_distortion=tuple(k * config.tx_distortion[i] for i in DIRECTIONS),
@@ -115,24 +119,18 @@ def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
             decoders=tuple(np.repeat(flat_design.decoders[i], k, axis=0)
                            for i in DIRECTIONS),
             mse_weights=tuple(np.repeat(flat_design.mse_weights[i], k, axis=0)
-                              for i in DIRECTIONS),
-            duals=flat_design.duals)
+                              for i in DIRECTIONS))
     else:
         caps = tuple(config.p_max[j] / _CAP_DIVISOR[mode] for j in DIRECTIONS)
         design, run_rep = run_altqcp_scenarios(
-            [(1.0, channels.h_est)], channels.h_est, _blind_config(config),
-            options, weight_block=designer == "wmmse", si_caps=caps)
+            [(1.0, channels.h_est)], _blind_config(config), options,
+            weight_block=designer == "wmmse", si_caps=caps)
 
     report = evaluate_design(design, eval_channels, config)
     if mode == "hd":
         report.rate_bits = 0.5 * report.rate_bits
     report.objective_trace = run_rep.objective_trace
-    report.iteration_seconds = run_rep.iteration_seconds
     report.iterations = run_rep.iterations
     report.converged = run_rep.converged
-    report.extras = {"mode": mode, "design_extras": run_rep.extras,
-                     "eval_channels": eval_channels}
-    for key in ("si_duals", "thresholds"):
-        if key in run_rep.extras:
-            report.extras[key] = run_rep.extras[key]
+    report.extras = {**run_rep.extras, "mode": mode, "eval_channels": eval_channels}
     return design, report

@@ -25,9 +25,9 @@ def _cmd_run(args) -> int:
         spec = harness.ExperimentSpec.from_json(f.read())
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    rows, timings = harness.run_experiment(spec, processes=args.jobs)
     out_dir = args.out or os.environ.get("FDLINK_OUT") or spec.output
     os.makedirs(out_dir, exist_ok=True)
-    rows, timings = harness.run_experiment(spec, processes=args.jobs)
     results_path = os.path.join(out_dir, "results.csv")
     timings_path = os.path.join(out_dir, "timings.csv")
     harness.write_results_csv(rows, results_path, spec)
@@ -139,10 +139,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ConfigError, OSError) as err:      # bad spec, missing or unwritable path
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DualSearchError, np.linalg.LinAlgError, FloatingPointError) as err:

@@ -10,7 +10,7 @@ with the estimated channel, and collect the residual interference-plus-noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +18,14 @@ from .model import DIRECTIONS, ChannelRealization, SystemConfig, TransceiverDesi
 from .util import ConfigError, crandn, rng_from
 
 
-def time_to_freq(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Unitary DFT (1/sqrt(K) scaling)."""
-    return np.fft.fft(x, axis=axis, norm="ortho")
+def time_to_freq(x: np.ndarray) -> np.ndarray:
+    """Unitary DFT (1/sqrt(K) scaling) over the leading (subcarrier) axis."""
+    return np.fft.fft(x, axis=0, norm="ortho")
 
 
-def freq_to_time(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Unitary inverse DFT."""
-    return np.fft.ifft(x, axis=axis, norm="ortho")
+def freq_to_time(x: np.ndarray) -> np.ndarray:
+    """Unitary inverse DFT over the leading axis."""
+    return np.fft.ifft(x, axis=0, norm="ortho")
 
 
 def freq_distortion_variance(precoders_i: np.ndarray,
@@ -65,10 +65,9 @@ class SimulationStats:
     n_blocks: int
     nu_cov: list            # per direction (K, M, M) sample covariance of nu
     et_var: list            # per direction (K, N) sample variance of e_t^k
-    er_var: list            # per direction (K, M) sample variance of e_r^k
     et_signal_corr: list    # per direction (K, N) |corr(e_t, v)| same chain
     et_chain_corr: list     # per direction (K,) max |corr| across chain pairs
-    et_var_analytic: list = field(default_factory=list)   # per direction (N,)
+    et_var_analytic: list   # per direction (N,)
 
 
 _MAX_BATCH, _BATCH_BYTES = 20000, 256 * 2 ** 20
@@ -177,17 +176,16 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
     rng = rng_from(seed)
     k = config.subcarriers
     # per-direction sums over the blocks; the first batch sets their shapes
-    nu_acc, ee, er2, ev, v2 = ([0.0, 0.0] for _ in range(5))
+    nu_acc, ee, ev, v2 = ([0.0, 0.0] for _ in range(4))
 
     step = _batch_blocks(config)
     for start in range(0, n_blocks, step):
         batch = _simulate_batch(design, channels, config,
                                 min(step, n_blocks - start), rng)
         for i in DIRECTIONS:
-            et, vf, er = batch["et_freq"][i], batch["v_freq"][i], batch["er_freq"][i]
+            et, vf = batch["et_freq"][i], batch["v_freq"][i]
             nu_acc[i] += _gram(batch["residual"][i])
             ee[i] += _gram(et)
-            er2[i] += np.einsum("kbm,kbm->km", er, er.conj()).real
             ev[i] += np.einsum("kbn,kbn->kn", et, vf.conj())
             v2[i] += np.einsum("kbn,kbn->kn", vf, vf.conj()).real
 
@@ -196,7 +194,6 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
         n_blocks=n_blocks,
         nu_cov=[acc / n_blocks for acc in nu_acc],
         et_var=[acc / n_blocks for acc in et2],
-        er_var=[acc / n_blocks for acc in er2],
         et_signal_corr=[], et_chain_corr=[],
         et_var_analytic=[freq_distortion_variance(design.precoders[i],
                                                   config.tx_distortion[i])

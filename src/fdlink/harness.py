@@ -12,6 +12,7 @@ across reruns of the same spec and seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp
-from .baselines import BASELINE_MODES, run_baseline
+from .baselines import BASELINE_MODES, DESIGNERS, run_baseline
 from .channels import ChannelStats, draw_channels, perturb_csi
 from .model import SystemConfig, evaluate_design, identity_weights
 from .robust import run_cutting_set, worst_case_mse
@@ -45,6 +46,17 @@ _SOLVER_CONFIG_KEYS = ("max_iters", "rel_tol")    # routed to SolverOptions
 _CHANNEL_KEYS = {"rho", "rho_si", "k_rician"}
 _SPEC_KEYS = {"config", "channel", "sweep", "algorithms", "n_trials", "seed",
               "output", "baseline_designer"}
+
+
+@contextlib.contextmanager
+def _spec_values():
+    """Report a spec value that fails to convert or to build as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed spec value: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -76,13 +88,21 @@ class ExperimentSpec:
             if alg not in KNOWN_ALGORITHMS:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; expected one of {KNOWN_ALGORITHMS}")
-        if self.baseline_designer not in ("altqcp", "wmmse"):
-            raise ConfigError("baseline_designer must be 'altqcp' or 'wmmse'")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be at least 1")
-        object.__setattr__(self, "sweep_values",
-                           tuple(float(v) for v in self.sweep_values))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if self.baseline_designer not in DESIGNERS:
+            raise ConfigError(f"baseline_designer must be one of {tuple(DESIGNERS)}")
+        with _spec_values():
+            if self.n_trials < 1:
+                raise ConfigError("n_trials must be at least 1")
+            if self.seed < 0:
+                raise ConfigError("seed must be nonnegative")
+            object.__setattr__(self, "sweep_values",
+                               tuple(float(v) for v in self.sweep_values))
+            object.__setattr__(self, "algorithms", tuple(self.algorithms))
+            # build what every cell builds, so a bad value stops the spec
+            # here, before any output exists or any worker starts
+            for value in self.sweep_values:
+                self.config_for(value), self.channel_stats(value)
+            self.solver_options()
 
     @classmethod
     def from_json(cls, source) -> "ExperimentSpec":
@@ -101,30 +121,22 @@ class ExperimentSpec:
         unknown = set(data) - _SPEC_KEYS
         if unknown:
             raise ConfigError(f"unknown spec keys: {sorted(unknown)}")
-        config = dict(data.get("config", {}))
-        for key in list(config):
-            if key in _LEVEL_CONFIG_KEYS:
-                config[key] = parse_level(config[key])
-        channel = dict(data.get("channel", {}))
-        for key in list(channel):
-            if key in ("rho", "rho_si"):
-                channel[key] = parse_level(channel[key])
-            else:
-                channel[key] = float(channel[key])
         sweep = data.get("sweep", {})
         if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
             raise ConfigError('spec needs "sweep": {"param": ..., "values": [...]}')
-        return cls(
-            config=config,
-            channel=channel,
-            sweep_param=str(sweep["param"]),
-            sweep_values=tuple(float(v) for v in sweep["values"]),
-            algorithms=tuple(data.get("algorithms", ("altqcp",))),
-            n_trials=int(data.get("n_trials", 1)),
-            seed=int(data.get("seed", 0)),
-            output=str(data.get("output", "results")),
-            baseline_designer=str(data.get("baseline_designer", "altqcp")),
-        )
+        algorithms = data.get("algorithms", ["altqcp"])
+        if not isinstance(sweep["values"], list) or not isinstance(algorithms, list):
+            raise ConfigError('"sweep" "values" and "algorithms" must be lists')
+        with _spec_values():
+            config = {key: parse_level(value) if key in _LEVEL_CONFIG_KEYS else value
+                      for key, value in dict(data.get("config", {})).items()}
+            channel = {key: parse_level(value) if key in ("rho", "rho_si") else float(value)
+                       for key, value in dict(data.get("channel", {})).items()}
+            return cls(config=config, channel=channel, sweep_param=str(sweep["param"]),
+                       sweep_values=sweep["values"], algorithms=algorithms,
+                       n_trials=int(data.get("n_trials", 1)), seed=int(data.get("seed", 0)),
+                       output=str(data.get("output", "results")),
+                       baseline_designer=str(data.get("baseline_designer", "altqcp")))
 
     def canonical_json(self) -> str:
         payload = {

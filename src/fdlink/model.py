@@ -10,7 +10,7 @@ part of the loopback signal (plus whatever a CSI estimation error lets through).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,9 @@ class SystemConfig:
     def __post_init__(self):
         if self.subcarriers < 1:
             raise ConfigError("need at least one subcarrier")
+        if any(len(getattr(self, name)) != 2 for name in ("tx_antennas", "rx_antennas",
+               "streams", "p_max", "tx_distortion", "rx_distortion", "rate_weights")):
+            raise ConfigError("per-direction fields need one entry per direction")
         for i in DIRECTIONS:
             if min(self.tx_antennas[i], self.rx_antennas[i], self.streams[i]) < 1:
                 raise ConfigError("antenna/stream counts must be positive")
@@ -85,6 +88,8 @@ class SystemConfig:
         if beta is None:
             beta = kappa
         k = int(subcarriers)
+        if k < 1:
+            raise ConfigError("need at least one subcarrier")
         n_tx = tuple(tx_antennas) if tx_antennas is not None else (antennas, antennas)
         n_rx = tuple(rx_antennas) if rx_antennas is not None else (antennas, antennas)
         return cls(
@@ -94,13 +99,10 @@ class SystemConfig:
             streams=(streams, streams) if np.isscalar(streams) else tuple(streams),
             p_max=(p_max, p_max) if np.isscalar(p_max) else tuple(p_max),
             noise_var=np.full((2, k), float(noise_var)),
-            tx_distortion=tuple(np.full(n_tx[i], float(kappa) / k) for i in DIRECTIONS),
-            rx_distortion=tuple(np.full(n_rx[i], float(beta) / k) for i in DIRECTIONS),
+            tx_distortion=tuple(np.full(n, float(kappa) / k) for n in n_tx),
+            rx_distortion=tuple(np.full(n, float(beta) / k) for n in n_rx),
             rate_weights=tuple(rate_weights),
         )
-
-    def replace(self, **kw) -> "SystemConfig":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ class ChannelRealization:
     the design sees; draw_channels leaves h_est == h, perturb_csi moves it.
     shaping[(i, j)] is an optional (K, M_i, M_i) left-shaping matrix D with the
     feasible errors { Delta : ||D^k Delta||_F <= radius[k] }; None means identity.
+    csi_radius[(i, j)] is a finite, nonnegative (K,) array.
     """
 
     h: dict
@@ -125,17 +128,20 @@ class ChannelRealization:
                 if pair not in store:
                     raise ConfigError(f"channel set missing pair {pair}")
         k0 = self.h[(0, 0)].shape[0]
+        radii = {pair: np.asarray(self.csi_radius.get(pair), dtype=float) for pair in PAIRS}
         for pair in PAIRS:
+            m, shaping, r = self.h[pair].shape[1], (self.shaping or {}).get(pair), radii[pair]
             if self.h[pair].shape != self.h_est[pair].shape or self.h[pair].shape[0] != k0:
                 raise ConfigError("inconsistent channel array shapes")
+            if r.shape != (k0,) or not np.all((r >= 0) & (r < np.inf)):
+                raise ConfigError(f"csi_radius{pair} must be finite, nonnegative, ({k0},)")
+            if shaping is not None and np.shape(shaping) != (k0, m, m):
+                raise ConfigError(f"shaping{pair} must be None or ({k0}, {m}, {m})")
+        object.__setattr__(self, "csi_radius", radii)
 
     @property
     def subcarriers(self) -> int:
         return self.h[(0, 0)].shape[0]
-
-    def delta(self) -> dict:
-        """Actual estimation errors, h - h_est (zero when CSI is perfect)."""
-        return {pair: self.h[pair] - self.h_est[pair] for pair in PAIRS}
 
     def hash_hex(self) -> str:
         digest = hashlib.sha256()
@@ -147,16 +153,15 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class TransceiverDesign:
-    """Per-direction precoder/decoder stacks plus MSE weights and power duals.
+    """Per-direction precoder/decoder stacks plus MSE weights.
 
     precoders[i]: (K, N_i, d_i), decoders[i]: (K, M_i, d_i),
-    mse_weights[i]: (K, d_i, d_i) Hermitian PD, duals: (iota_1, iota_2) >= 0.
+    mse_weights[i]: (K, d_i, d_i) Hermitian PD.
     """
 
     precoders: tuple
     decoders: tuple
     mse_weights: tuple
-    duals: tuple = (0.0, 0.0)
 
 
 @dataclass
@@ -165,7 +170,6 @@ class PerformanceReport:
     rate_bits: np.ndarray           # (2, K)
     power: np.ndarray               # (2,)
     objective_trace: list = field(default_factory=list)
-    iteration_seconds: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     rate_trace: list = None
@@ -233,21 +237,19 @@ def _scenario_sigma(precoders, g, sic, config: SystemConfig):
 
 
 def aggregate_covariance(design: TransceiverDesign, channels: ChannelRealization,
-                         config: SystemConfig, i: int, k: int,
-                         use_estimate: bool = False) -> np.ndarray:
-    """Interference-plus-noise covariance at receiver i, subcarrier k."""
+                         config: SystemConfig, i: int, k: int) -> np.ndarray:
+    """Interference-plus-noise covariance at receiver i, subcarrier k (true h)."""
     if i not in DIRECTIONS:
         raise ConfigError("direction index must be 0 or 1")
     if not 0 <= k < config.subcarriers:
         raise ConfigError("subcarrier index out of range")
-    source = channels.h_est if use_estimate else channels.h
     for j in DIRECTIONS:
         if design.precoders[j].shape != (config.subcarriers, config.tx_antennas[j],
                                          design.precoders[j].shape[2]):
             raise ConfigError("precoder stack shape does not match config")
-        if source[(i, j)].shape[1:] != (config.rx_antennas[i], config.tx_antennas[j]):
+        if channels.h[(i, j)].shape[1:] != (config.rx_antennas[i], config.tx_antennas[j]):
             raise ConfigError("channel dimensions do not match config")
-    return covariance_stacks(design.precoders, source, config)[i][k]
+    return covariance_stacks(design.precoders, channels.h, config)[i][k]
 
 
 def mse_matrix(decoder: np.ndarray, precoder: np.ndarray, sigma: np.ndarray,
@@ -270,8 +272,7 @@ def mmse_error_matrix(precoder: np.ndarray, sigma: np.ndarray,
     return herm(np.linalg.inv(np.eye(d) + gram))
 
 
-def rate(precoder: np.ndarray, sigma: np.ndarray, h_direct: np.ndarray,
-         streams: int = None):
+def rate(precoder: np.ndarray, sigma: np.ndarray, h_direct: np.ndarray):
     """Mutual information in bits, log2 det(I + V^H H^H Sigma^{-1} H V): a float
     for one subcarrier, a (K,) array for a (K, ., .) stack.
 
@@ -279,8 +280,7 @@ def rate(precoder: np.ndarray, sigma: np.ndarray, h_direct: np.ndarray,
     """
     hv = h_direct @ precoder
     gram = dagger(hv) @ np.linalg.solve(stabilized(sigma), hv)
-    d = streams if streams is not None else precoder.shape[-1]
-    sign, logdet = np.linalg.slogdet(np.eye(d) + gram)
+    sign, logdet = np.linalg.slogdet(np.eye(precoder.shape[-1]) + gram)
     if np.any(sign.real <= 0):
         raise np.linalg.LinAlgError("rate argument lost positive definiteness")
     bits = np.maximum(logdet / LN2, 0.0)

@@ -35,15 +35,13 @@ class QuadraticErrorForm:
 
     `whitener` maps the unit-ball variable b to vec(Delta) when the error set
     is shaped (vec(Delta) = whitener @ b); identity when None. `rows`/`cols`
-    give Delta's shape, `target` the (receiver, transmitter, subcarrier)
-    triple, `radius` the norm bound on b.
+    give Delta's shape, `radius` the norm bound on b.
     """
     map: np.ndarray
     offset: np.ndarray
     whitener: np.ndarray | None
     rows: int
     cols: int
-    target: tuple
     radius: float
 
 
@@ -54,18 +52,15 @@ class WorstCaseResult:
     value: float
     delta_star: np.ndarray
     hard_case: bool = False
-    kkt_residual: float = 0.0
 
 
 def weighted_mse_with_errors(design: TransceiverDesign,
                              channels: ChannelRealization,
-                             config: SystemConfig, deltas=None,
+                             config: SystemConfig, deltas,
                              mse_weights=None) -> float:
     """Weighted MSE when the true channels are h_est + delta and cancellation
-    is referenced to h_est. deltas defaults to the realization's actual
-    errors; pass {} (or all-zero entries) for the nominal point."""
-    if deltas is None:
-        deltas = channels.delta()
+    is referenced to h_est; pass {} (or all-zero entries) for the nominal
+    point."""
     weights = mse_weights if mse_weights is not None else design.mse_weights
     g = {pair: channels.h_est[pair] + deltas[pair]
          if deltas.get(pair) is not None else channels.h_est[pair]
@@ -134,9 +129,8 @@ def build_quadratic_form(design: TransceiverDesign,
     weights = mse_weights if mse_weights is not None else design.mse_weights
     maps, offsets, whiteners = _pair_forms(design, channels, config, i, j, weights)
     rows, cols = channels.h_est[(i, j)].shape[1:]
-    return QuadraticErrorForm(map=maps[k], offset=offsets[k],
+    return QuadraticErrorForm(map=maps[k], offset=offsets[k], rows=rows, cols=cols,
                               whitener=None if whiteners is None else whiteners[k],
-                              rows=rows, cols=cols, target=(i, j, k),
                               radius=float(channels.csi_radius[(i, j)][k]))
 
 
@@ -185,23 +179,20 @@ def _solve_forms(g, c, z):
     return b, rho, (r * r.conj()).real.sum(axis=1), padded, np.linalg.norm(kkt, axis=1)
 
 
-def worst_case_error(form: QuadraticErrorForm, radius: float = None) -> WorstCaseResult:
+def worst_case_error(form: QuadraticErrorForm) -> WorstCaseResult:
     """max_{||b|| <= radius} ||G b + c||^2 with G = map @ whitener: one form
     through the stacked solve."""
-    z = form.radius if radius is None else float(radius)
-    if z < 0:
-        raise ConfigError("error-set radius must be nonnegative")
     g = form.map @ form.whitener if form.whitener is not None else form.map
-    if z == 0.0:
+    if form.radius == 0.0:
         b = np.zeros(g.shape[1], dtype=complex)
-        rho, value, hard, kkt = np.inf, np.vdot(form.offset, form.offset).real, False, 0.0
+        rho, value, hard = np.inf, np.vdot(form.offset, form.offset).real, False
     else:
-        b, rho, value, hard, kkt = (x[0] for x in _solve_forms(
-            g[None], form.offset[None], np.array([z])))
+        b, rho, value, hard, _ = (x[0] for x in _solve_forms(
+            g[None], form.offset[None], np.array([form.radius])))
     vecd = form.whitener @ b if form.whitener is not None else b
     return WorstCaseResult(b_star=b, rho_star=float(rho), value=float(value),
                            delta_star=unvec(vecd, form.rows, form.cols),
-                           hard_case=bool(hard), kkt_residual=float(kkt))
+                           hard_case=bool(hard))
 
 
 def _worst_case(design, channels, config, mse_weights=None):
@@ -239,7 +230,7 @@ def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,
 
 
 def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
-                    options: SolverOptions = None, mse_weights=None):
+                    options: SolverOptions = None):
     """Robust weighted-MSE design: alternate between designing against the
     average of the scenario set and appending the current worst-case channel
     hypothesis, until the worst case is within CUT_REL_TOL of the design
@@ -250,14 +241,13 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
     best = None                      # (wc_value, cut index, design, report)
     warm = None
     robust_converged = False
-    for cut in range(max(options.max_cuts, 1)):
+    for cut in range(options.max_cuts):
         weighted = [(1.0 / len(scenarios), g) for g in scenarios]
-        design, report = run_altqcp_scenarios(
-            weighted, channels.h_est, config, options, mse_weights=mse_weights,
-            init_precoders_override=warm)
+        design, report = run_altqcp_scenarios(weighted, config, options,
+                                              init_precoders_override=warm)
         warm = design.precoders
         design_value = report.objective_trace[-1]
-        wc_value, worst = _worst_case(design, channels, config, mse_weights)
+        wc_value, worst = _worst_case(design, channels, config)
         gap = (wc_value - design_value) / max(abs(design_value), 1e-300)
         history.append({"scenarios": len(scenarios), "design": design_value,
                         "worst_case": wc_value, "gap": gap})

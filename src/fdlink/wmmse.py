@@ -46,5 +46,5 @@ def run_wmmse(channels: ChannelRealization, config: SystemConfig,
     objective_trace holds the surrogate (natural log); rate_trace holds the
     design-model weighted sum rate in bits per channel use.
     """
-    return run_altqcp_scenarios([(1.0, channels.h_est)], channels.h_est, config,
+    return run_altqcp_scenarios([(1.0, channels.h_est)], config,
                                 options or SolverOptions(), weight_block=True)

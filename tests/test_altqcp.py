@@ -2,11 +2,13 @@
 (checked against an independent projected-gradient solver on the recovered
 quadratic), dual behavior, and whole-run contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import crandn_t, random_precoders
-from fdlink import (ChannelRealization, SystemConfig,
+from fdlink import (ChannelRealization, ConfigError, SystemConfig,
                     mmse_error_matrix, mse_matrix, power_usage, run_altqcp,
                     run_baseline, update_precoders, update_receivers)
 from fdlink.altqcp import (SolverOptions, _capped_power_dual, _design_objective,
@@ -264,7 +266,7 @@ def test_precoder_slack_constraint_unconstrained_form(default_config,
                                                       default_channels):
     # decoders from a unit-power design, then a huge budget: the closed-form
     # minimizer lands strictly inside and the multiplier is exactly zero
-    huge = default_config.replace(p_max=(1e9, 1e9))
+    huge = dataclasses.replace(default_config, p_max=(1e9, 1e9))
     v0 = init_precoders(default_channels.h_est, default_config)
     u = update_receivers(v0, default_channels, default_config)
     s = identity_weights(default_config)
@@ -592,8 +594,8 @@ def test_scenario_average_stays_monotone(default_config, default_channels):
               + 0.01 * crandn_t(rng, default_channels.h_est[pair].shape)
               for pair in PAIRS}
     scenarios = [(0.5, default_channels.h_est), (0.5, bumped)]
-    _, report = run_altqcp_scenarios(scenarios, default_channels.h_est,
-                                     default_config, SolverOptions())
+    _, report = run_altqcp_scenarios(scenarios, default_config,
+                                     SolverOptions())
     trace = np.asarray(report.objective_trace)
     assert np.all(np.diff(trace) <= 1e-9)
 
@@ -643,7 +645,19 @@ def test_run_builds_one_covariance_per_scenario_and_iteration(
           + 0.01 * crandn_t(rng, default_channels.h_est[pair].shape)
           for pair in PAIRS}) for _ in range(n_scenarios - 1)]
     monkeypatch.setattr(model, "covariance_stacks", counted)
-    _, report = run_altqcp_scenarios(scenarios, default_channels.h_est,
-                                     default_config, SolverOptions())
+    _, report = run_altqcp_scenarios(scenarios, default_config,
+                                     SolverOptions())
     assert report.iterations > 1
     assert len(calls) == 1 + report.iterations
+
+
+def test_solver_options_reject_bad_values():
+    # the limits themselves are valid; every value outside them, or of the
+    # wrong type, raises where the options are built
+    SolverOptions(max_iters=0, rel_tol=0.0, max_cuts=1)
+    for bad in ({"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": "5"},
+                {"rel_tol": -1e-3}, {"rel_tol": np.inf}, {"rel_tol": np.nan},
+                {"rel_tol": "1e-3"}, {"max_cuts": 0}, {"max_cuts": -2},
+                {"max_cuts": 1.5}):
+        with pytest.raises(ConfigError):
+            SolverOptions(**bad)

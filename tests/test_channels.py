@@ -1,6 +1,7 @@
 """Channel generator: seeding, fading statistics, error-ball sampling, and the
 JSON round trip."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -139,3 +140,29 @@ def test_draw_carries_the_stats_radius(default_config):
                               np.full(default_config.subcarriers, 0.25))
     with pytest.raises(ConfigError):
         ChannelStats(csi_radius=-1)
+
+
+BAD_ERROR_SETS = {     # K = 4, pair (0, 1) has M = 2 receive antennas
+    "negative_radius": ("radius", np.full(4, -0.1)),
+    "short_radius": ("radius", np.full(2, 0.1)),
+    "misshaped_radius": ("radius", np.full((4, 1), 0.1)),
+    "nan_radius": ("radius", np.full(4, np.nan)),
+    "shaping_antennas": ("shaping", np.ones((4, 3, 3))),
+    "shaping_subcarriers": ("shaping", np.ones((2, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ERROR_SETS)
+def test_bad_error_sets_rejected_where_built(default_config, case):
+    # a bad radius or shaping raises when the realization is built, and so
+    # when it is read from JSON, instead of being certified as radius 0
+    field, bad = BAD_ERROR_SETS[case]
+    ch = draw_channels(default_config, ChannelStats(), 19)
+    key = "csi_radius" if field == "radius" else "shaping"
+    with pytest.raises(ConfigError):
+        dataclasses.replace(ch, **{key: {**getattr(ch, key), (0, 1): bad}})
+    payload = json.loads(channels_to_json(ch))
+    payload["pairs"]["12"][field] = (np.stack([bad, 0 * bad], axis=-1).tolist()
+                                     if field == "shaping" else bad.tolist())
+    with pytest.raises(ConfigError):
+        channels_from_json(json.dumps(payload))

@@ -1,6 +1,8 @@
 """Time-domain distortion simulator: DFT conventions, per-chain variance
 bookkeeping, whiteness, and agreement with the closed-form covariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,8 @@ def test_block_simulation_matches_per_block_reference():
     # an estimation error on every channel
     base = SystemConfig.from_scalars(subcarriers=4, tx_antennas=(3, 2),
                                      rx_antennas=(2, 4), streams=(2, 1))
-    config = base.replace(
+    config = dataclasses.replace(
+        base,
         noise_var=np.array([[1e-3, 2e-3, 5e-4, 1e-3], [3e-3, 1e-3, 1e-3, 2e-3]]),
         tx_distortion=(np.array([1e-2, 3e-3, 5e-3]) / 4, np.array([2e-3, 8e-3]) / 4),
         rx_distortion=(np.array([4e-3, 1e-2]) / 4, np.array([1e-3, 2e-3, 6e-3, 3e-3]) / 4))

@@ -26,6 +26,19 @@ TINY_SPEC = {
 }
 
 
+MALFORMED_SPECS = {
+    "negative_radius": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], csi_radius=-1)),
+    "n_trials": dict(TINY_SPEC, n_trials="x"),
+    "sweep_value": dict(TINY_SPEC, sweep={"param": "kappa_db", "values": ["a"]}),
+    "rho": dict(TINY_SPEC, channel={"rho": "x dB"}),
+    "antennas": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], antennas="two")),
+    "rel_tol": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], rel_tol="1e-3")),
+    "subcarriers": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], subcarriers=0)),
+    "K_sweep": dict(TINY_SPEC, sweep={"param": "K", "values": [2, 0]}),
+    "algorithms": dict(TINY_SPEC, algorithms="altqcp"),
+}
+
+
 @pytest.fixture(scope="module")
 def tiny_rows():
     spec = ExperimentSpec.from_json(json.dumps(TINY_SPEC))
@@ -57,6 +70,11 @@ def test_spec_rejects_garbage():
     bad = dict(TINY_SPEC, frobnicate=True)
     with pytest.raises(ConfigError):
         ExperimentSpec.from_json(bad)
+    # values that fail to convert or to build a cell's config, channel
+    # statistics or solver options, and a name string where a list belongs
+    for bad in MALFORMED_SPECS.values():
+        with pytest.raises(ConfigError):
+            ExperimentSpec.from_json(bad)
 
 
 def test_spec_hash_ignores_key_order():
@@ -166,7 +184,7 @@ def test_jobs_below_one_exits_2(tmp_path, fake_pool, jobs):
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
                  "--jobs", jobs]) == 2
     assert fake_pool == []
-    assert not os.path.exists(tmp_path / "out" / "results.csv")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_zeta_sweep_sets_the_radius_of_every_error_set(monkeypatch):
@@ -200,13 +218,32 @@ def test_zeta_sweep_sets_the_radius_of_every_error_set(monkeypatch):
                 assert np.all(radii == 10.0 ** (value / 10.0))
 
 
-def test_negative_csi_radius_exits_2(tmp_path):
-    spec = dict(TINY_SPEC, n_trials=1,
-                config=dict(TINY_SPEC["config"], csi_radius=-1))
+def _assert_rejected_before_output(tmp_path, capsys, spec, jobs="1"):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
-    assert main(["run", "--spec", str(spec_path),
-                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_negative_csi_radius_exits_2(tmp_path, capsys):
+    _assert_rejected_before_output(tmp_path, capsys,
+                                   MALFORMED_SPECS["negative_radius"], jobs="2")
+
+
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out"
+    spec_path.write_text(json.dumps(dict(TINY_SPEC, n_trials=1)))
+    out.write_text("")
+    assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", sorted(set(MALFORMED_SPECS) - {"negative_radius"}))
+def test_malformed_spec_exits_2(tmp_path, capsys, case):
+    # caught while the spec is read: exit 2, a one-line error, no output
+    _assert_rejected_before_output(tmp_path, capsys, MALFORMED_SPECS[case])
 
 
 def test_cutting_set_row_reuses_certified_worst_case(monkeypatch):

@@ -26,8 +26,7 @@ def _make_form(rng, out_dim, n, radius, scale=1.0):
     mapping = scale * crandn_t(rng, (out_dim, n))
     offset = scale * crandn_t(rng, (out_dim,))
     return QuadraticErrorForm(map=mapping, offset=offset, whitener=None,
-                              rows=n, cols=1, target=(0, 0, 0),
-                              radius=radius)
+                              rows=n, cols=1, radius=radius)
 
 
 def _zero_deltas(channels):
@@ -155,7 +154,7 @@ def test_scalar_closed_form_and_alignment():
     # |a b + c|^2 over |b| <= zeta peaks at (|a| zeta + |c|)^2 with b aligned
     form = QuadraticErrorForm(map=np.array([[1.0 + 0j]]),
                               offset=np.array([1.0 + 0j]), whitener=None,
-                              rows=1, cols=1, target=(0, 0, 0), radius=0.5)
+                              rows=1, cols=1, radius=0.5)
     result = worst_case_error(form)
     assert abs(result.value - 2.25) < 1e-12
     assert abs(result.b_star[0] - 0.5) < 1e-10
@@ -165,8 +164,7 @@ def test_scalar_closed_form_and_alignment():
         c = crandn_t(rng, (1,))[0]
         zeta = float(rng.uniform(0.05, 2.0))
         form = QuadraticErrorForm(map=np.array([[a]]), offset=np.array([c]),
-                                  whitener=None, rows=1, cols=1,
-                                  target=(0, 0, 0), radius=zeta)
+                                  whitener=None, rows=1, cols=1, radius=zeta)
         result = worst_case_error(form)
         expected = (abs(a) * zeta + abs(c)) ** 2
         assert abs(result.value - expected) < 1e-12 * max(expected, 1.0)
@@ -204,7 +202,7 @@ def test_engineered_degenerate_instance():
     # boundary: value = 4 * 8/9 + (1/3 + 1)^2 = 16/3.
     form = QuadraticErrorForm(map=np.diag([2.0 + 0j, 1.0]),
                               offset=np.array([0.0j, 1.0]), whitener=None,
-                              rows=2, cols=1, target=(0, 0, 0), radius=1.0)
+                              rows=2, cols=1, radius=1.0)
     result = worst_case_error(form)
     assert result.hard_case
     assert abs(result.value - 16.0 / 3.0) < 1e-10
@@ -220,7 +218,7 @@ def test_degenerate_instance_reaching_the_ball_uses_secular_root():
     # drop out and 9 / (rho - 1)^2 = 1/4 gives rho = 7, b = (0, 0.5).
     form = QuadraticErrorForm(map=np.diag([2.0 + 0j, 1.0]),
                               offset=np.array([0.0j, 3.0]), whitener=None,
-                              rows=2, cols=1, target=(0, 0, 0), radius=0.5)
+                              rows=2, cols=1, radius=0.5)
     result = worst_case_error(form)
     assert not result.hard_case
     assert abs(result.value - 12.25) < 1e-12

@@ -1,6 +1,8 @@
 """Rate-maximization solver: weight updates, surrogate bookkeeping, the
 scalar-capacity closed form, and scale invariance of the iterates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,8 @@ def test_weight_scaling_leaves_iterates_unchanged(default_config,
     # scaling every rate weight by the same constant rescales the surrogate
     # but produces identical precoders
     base = default_config
-    scaled = base.replace(rate_weights=tuple(3.0 * w
-                                             for w in base.rate_weights))
+    scaled = dataclasses.replace(base, rate_weights=tuple(3.0 * w
+                                                          for w in base.rate_weights))
     d1, r1 = run_wmmse(default_channels, base)
     d2, r2 = run_wmmse(default_channels, scaled)
     assert r1.iterations == r2.iterations
