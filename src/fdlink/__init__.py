@@ -9,8 +9,7 @@ from .altqcp import (SolverOptions, init_precoders, run_altqcp,
 from .baselines import half_duplex_world, run_baseline
 from .channels import (ChannelStats, CsiErrorSet, channels_from_json,
                        channels_to_json, draw_channels, perturb_csi)
-from .distortion import (freq_distortion_variance, sample_block,
-                         simulate_blocks)
+from .distortion import freq_distortion_variance, simulate_blocks
 from .harness import (ExperimentSpec, emit_plot_data, read_results_csv,
                       run_experiment, summarize, write_results_csv)
 from .model import (ChannelRealization, PerformanceReport, SystemConfig,

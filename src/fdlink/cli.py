@@ -25,8 +25,13 @@ def _cmd_run(args) -> int:
         spec = harness.ExperimentSpec.from_json(f.read())
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    rows, timings = harness.run_experiment(spec, processes=args.jobs)
     out_dir = args.out or os.environ.get("FDLINK_OUT") or spec.output
+    probe = os.path.abspath(out_dir)  # fail now, not after the sweep, if makedirs would
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"output path {out_dir!r}: {probe!r} is not a directory")
+    rows, timings = harness.run_experiment(spec, processes=args.jobs)
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     timings_path = os.path.join(out_dir, "timings.csv")
@@ -37,6 +42,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _write_or_print(text: str, out, n_rows: int, what: str) -> int:
+    """Write text to the --out path and report it, or print it to stdout."""
+    if out:
+        with open(out, "w", newline="") as f:
+            f.write(text)
+        print(f"wrote {n_rows} {what} to {out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_summarize(args) -> int:
     rows = harness.read_results_csv(args.results)
     by = tuple(c.strip() for c in args.by.split(",") if c.strip())
@@ -44,27 +60,15 @@ def _cmd_summarize(args) -> int:
     columns = by + ("mean", "std", "count", "min", "max")
     text = harness.plot_table_to_csv_text(
         columns, [tuple(a[c] for c in columns) for a in aggregates])
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-        print(f"wrote {len(aggregates)} aggregate rows to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_or_print(text, args.out, len(aggregates), "aggregate rows")
 
 
 def _cmd_plotdata(args) -> int:
     rows = harness.read_results_csv(args.results)
     aggregates = harness.summarize(rows)
     columns, table = harness.emit_plot_data(aggregates, args.figure)
-    text = harness.plot_table_to_csv_text(columns, table)
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-        print(f"wrote {len(table)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_or_print(harness.plot_table_to_csv_text(columns, table),
+                           args.out, len(table), "rows")
 
 
 def _cmd_validate_model(args) -> int:

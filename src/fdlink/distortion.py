@@ -23,11 +23,6 @@ def time_to_freq(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(x, axis=0, norm="ortho")
 
 
-def freq_to_time(x: np.ndarray) -> np.ndarray:
-    """Unitary inverse DFT over the leading axis."""
-    return np.fft.ifft(x, axis=0, norm="ortho")
-
-
 def freq_distortion_variance(precoders_i: np.ndarray,
                              tx_distortion_i: np.ndarray) -> np.ndarray:
     """Per-chain frequency-domain variance of the transmit distortion.
@@ -40,42 +35,22 @@ def freq_distortion_variance(precoders_i: np.ndarray,
 
 
 @dataclass
-class BlockSample:
-    """One simulated block with both time- and frequency-domain signals,
-    indexed per direction. Arrays are (K, chains)."""
-
-    symbols: list
-    v_freq: list
-    v_time: list
-    et_time: list
-    et_freq: list
-    x_time: list
-    x_freq: list
-    noise_freq: list
-    u_freq: list
-    u_time: list
-    er_time: list
-    er_freq: list
-    y_freq: list
-    residual: list      # nu_i^k after SIC and desired-signal removal
-
-
-@dataclass
 class SimulationStats:
     n_blocks: int
     nu_cov: list            # per direction (K, M, M) sample covariance of nu
     et_var: list            # per direction (K, N) sample variance of e_t^k
     et_signal_corr: list    # per direction (K, N) |corr(e_t, v)| same chain
     et_chain_corr: list     # per direction (K,) max |corr| across chain pairs
-    et_var_analytic: list   # per direction (N,)
 
 
 _MAX_BATCH, _BATCH_BYTES = 20000, 256 * 2 ** 20
 
 
 def _batch_blocks(config: SystemConfig) -> int:
-    """Blocks per batch: at most _MAX_BATCH, within _BATCH_BYTES of the complex
-    signals of a block (per direction: symbols, 4 transmit-, 6 receive-chain)."""
+    """Blocks per batch: at most _MAX_BATCH, and at most _BATCH_BYTES at 16 bytes
+    per block for each symbol, 4 per transmit chain and 6 per receive chain, an
+    upper bound: a batch peaks at about half of it. The split fixes the draw
+    order, so a new split moves every run's draws."""
     per_block = 16 * config.subcarriers * sum(
         config.streams[i] + 4 * config.tx_antennas[i] + 6 * config.rx_antennas[i]
         for i in DIRECTIONS)
@@ -100,70 +75,44 @@ def _gram(x: np.ndarray) -> np.ndarray:
 
 def _simulate_batch(design: TransceiverDesign, channels: ChannelRealization,
                     config: SystemConfig, n: int, rng: np.random.Generator):
-    """Simulate n blocks at once; returns per-direction (K, n, chains) arrays
-    of the draws and the frequency-domain signals (sample_block rebuilds the
-    time-domain ones). Draw order: per direction the symbols, then the
-    transmit distortion; then per direction the noise, then the receive
-    distortion."""
+    """Simulate n blocks at once; returns per direction the (K, n, chains)
+    precoded symbols, frequency-domain transmit distortion and post-SIC
+    residual. Draw order: per direction the symbols, then the transmit
+    distortion; then per direction the noise, then the receive distortion."""
     k = config.subcarriers
     v = design.precoders
-    out = {key: [] for key in ("symbols", "v_freq", "et_time", "et_freq",
-                               "noise_freq", "u_freq", "er_time", "er_freq",
-                               "y_freq", "residual")}
+    symbols, v_freq, et_freq, residual = [], [], [], []
 
     # transmit side: white in time, so E|e_t(t)|^2 is the flat per-subcarrier variance
     tx_var = [freq_distortion_variance(v[j], config.tx_distortion[j]) for j in DIRECTIONS]
     for j in DIRECTIONS:
-        s = _draw(rng, n, k, v[j].shape[2])
-        et_time = _draw(rng, n, k, v[j].shape[1], tx_var[j])
-        out["symbols"].append(s)
-        out["v_freq"].append(_apply(v[j], s))
-        out["et_time"].append(et_time)
-        out["et_freq"].append(time_to_freq(et_time))
+        symbols.append(_draw(rng, n, k, v[j].shape[2]))
+        v_freq.append(_apply(v[j], symbols[j]))
+        et_freq.append(time_to_freq(_draw(rng, n, k, v[j].shape[1], tx_var[j])))
     # the DFT is linear, so x_freq = DFT(v_time + et_time) = v_freq + et_freq
-    x_freq = [out["v_freq"][j] + out["et_freq"][j] for j in DIRECTIONS]
+    x_freq = [v_freq[j] + et_freq[j] for j in DIRECTIONS]
 
-    # receive side
+    # receive side: the received signal builds up in place, starting from the noise
     for i in DIRECTIONS:
         m_i = config.rx_antennas[i]
-        noise = _draw(rng, n, k, m_i, config.noise_var[i][None, :, None])
-        u_freq = noise.copy()
+        y = _draw(rng, n, k, m_i, config.noise_var[i][None, :, None])
         received_power = config.noise_var[i].sum() * np.ones(m_i)  # sum_k E|u^k|^2 per chain
         hv = []
         for j in DIRECTIONS:
             h = channels.h[(i, j)]
-            u_freq += _apply(h, x_freq[j])
+            y += _apply(h, x_freq[j])
             hv.append(h @ v[j])
             received_power += np.einsum("kmd,kmd->m", hv[j], hv[j].conj()).real
             received_power += np.einsum("kmn,n,kmn->m", h, tx_var[j], h.conj()).real
         # beta_l E|u_l(t)|^2 = (K rx_distortion_l) (1/K) sum_k E|u_l^k|^2
-        er_time = _draw(rng, n, k, m_i, config.rx_distortion[i] * received_power)
-        er_freq = time_to_freq(er_time)
-        y_freq = u_freq + er_freq
+        y += time_to_freq(_draw(rng, n, k, m_i, config.rx_distortion[i] * received_power))
 
         # SIC with the estimated loopback channel, then strip the desired signal
         j = 1 - i
-        residual = y_freq - _apply(channels.h_est[(i, j)] @ v[j], out["symbols"][j])
-        residual -= _apply(hv[i], out["symbols"][i])
-        out["noise_freq"].append(noise)
-        out["u_freq"].append(u_freq)
-        out["er_time"].append(er_time)
-        out["er_freq"].append(er_freq)
-        out["y_freq"].append(y_freq)
-        out["residual"].append(residual)
-    return out
-
-
-def sample_block(design: TransceiverDesign, channels: ChannelRealization,
-                 config: SystemConfig, seed) -> BlockSample:
-    """One block with all intermediate signals exposed (testing/diagnostics)."""
-    block = {key: [arr[:, 0] for arr in val] for key, val in
-             _simulate_batch(design, channels, config, 1, rng_from(seed)).items()}
-    block["v_time"] = [freq_to_time(v) for v in block["v_freq"]]
-    block["x_time"] = [v + e for v, e in zip(block["v_time"], block["et_time"])]
-    block["x_freq"] = [time_to_freq(x) for x in block["x_time"]]
-    block["u_time"] = [freq_to_time(u) for u in block["u_freq"]]
-    return BlockSample(**block)
+        y -= _apply(channels.h_est[(i, j)] @ v[j], symbols[j])
+        y -= _apply(hv[i], symbols[i])
+        residual.append(y)
+    return v_freq, et_freq, residual
 
 
 def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
@@ -174,31 +123,23 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
     if n_blocks < 1:
         raise ConfigError(f"n_blocks must be at least 1, got {n_blocks}")
     rng = rng_from(seed)
-    k = config.subcarriers
     # per-direction sums over the blocks; the first batch sets their shapes
     nu_acc, ee, ev, v2 = ([0.0, 0.0] for _ in range(4))
 
     step = _batch_blocks(config)
     for start in range(0, n_blocks, step):
-        batch = _simulate_batch(design, channels, config,
-                                min(step, n_blocks - start), rng)
-        for i in DIRECTIONS:
-            et, vf = batch["et_freq"][i], batch["v_freq"][i]
-            nu_acc[i] += _gram(batch["residual"][i])
+        v_freq, et_freq, residual = _simulate_batch(
+            design, channels, config, min(step, n_blocks - start), rng)
+        for i, (vf, et) in enumerate(zip(v_freq, et_freq)):
+            nu_acc[i] += _gram(residual[i])
             ee[i] += _gram(et)
             ev[i] += np.einsum("kbn,kbn->kn", et, vf.conj())
             v2[i] += np.einsum("kbn,kbn->kn", vf, vf.conj()).real
 
     et2 = [np.einsum("knn->kn", acc).real for acc in ee]   # the Gram diagonal
-    stats = SimulationStats(
-        n_blocks=n_blocks,
-        nu_cov=[acc / n_blocks for acc in nu_acc],
-        et_var=[acc / n_blocks for acc in et2],
-        et_signal_corr=[], et_chain_corr=[],
-        et_var_analytic=[freq_distortion_variance(design.precoders[i],
-                                                  config.tx_distortion[i])
-                         for i in DIRECTIONS],
-    )
+    stats = SimulationStats(n_blocks=n_blocks, nu_cov=[acc / n_blocks for acc in nu_acc],
+                            et_var=[acc / n_blocks for acc in et2],
+                            et_signal_corr=[], et_chain_corr=[])
     for i in DIRECTIONS:
         denom = np.sqrt(et2[i] * np.maximum(v2[i], 1e-300))
         stats.et_signal_corr.append(np.abs(ev[i]) / np.maximum(denom, 1e-300))
@@ -207,5 +148,5 @@ def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
         norm = np.maximum(d[:, :, None] * d[:, None, :], 1e-300)
         corr = np.abs(ee[i]) / norm
         corr[:, np.eye(corr.shape[1], dtype=bool)] = 0.0
-        stats.et_chain_corr.append(corr.reshape(k, -1).max(axis=1))
+        stats.et_chain_corr.append(corr.reshape(len(corr), -1).max(axis=1))
     return stats

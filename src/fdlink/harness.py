@@ -28,7 +28,7 @@ from .baselines import BASELINE_MODES, DESIGNERS, run_baseline
 from .channels import ChannelStats, draw_channels, perturb_csi
 from .model import SystemConfig, evaluate_design, identity_weights
 from .robust import run_cutting_set, worst_case_mse
-from .util import ConfigError, DualSearchError, parse_level
+from .util import ConfigError, DualSearchError, as_count, parse_level
 from .wmmse import run_wmmse
 
 RESULT_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm",
@@ -91,6 +91,8 @@ class ExperimentSpec:
         if self.baseline_designer not in DESIGNERS:
             raise ConfigError(f"baseline_designer must be one of {tuple(DESIGNERS)}")
         with _spec_values():
+            for name in ("n_trials", "seed"):
+                object.__setattr__(self, name, as_count(getattr(self, name), name))
             if self.n_trials < 1:
                 raise ConfigError("n_trials must be at least 1")
             if self.seed < 0:
@@ -134,7 +136,7 @@ class ExperimentSpec:
                        for key, value in dict(data.get("channel", {})).items()}
             return cls(config=config, channel=channel, sweep_param=str(sweep["param"]),
                        sweep_values=sweep["values"], algorithms=algorithms,
-                       n_trials=int(data.get("n_trials", 1)), seed=int(data.get("seed", 0)),
+                       n_trials=data.get("n_trials", 1), seed=data.get("seed", 0),
                        output=str(data.get("output", "results")),
                        baseline_designer=str(data.get("baseline_designer", "altqcp")))
 
@@ -167,9 +169,9 @@ class ExperimentSpec:
         elif self.sweep_param == "pmax":
             params["p_max"] = v
         elif self.sweep_param == "K":
-            params["subcarriers"] = int(v)
+            params["subcarriers"] = v
         elif self.sweep_param == "M":
-            params["antennas"] = int(v)
+            params["antennas"] = v
         return SystemConfig.from_scalars(**params)
 
     def channel_stats(self, sweep_value: float = None) -> ChannelStats:

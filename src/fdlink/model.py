@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import LN2, ConfigError, dagger, herm, stabilized
+from .util import LN2, ConfigError, as_count, dagger, herm, stabilized
 
 DIRECTIONS = (0, 1)
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -51,11 +51,14 @@ class SystemConfig:
     rate_weights: tuple = (1.0, 1.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "subcarriers", as_count(self.subcarriers, "subcarriers"))
         if self.subcarriers < 1:
             raise ConfigError("need at least one subcarrier")
         if any(len(getattr(self, name)) != 2 for name in ("tx_antennas", "rx_antennas",
                "streams", "p_max", "tx_distortion", "rx_distortion", "rate_weights")):
             raise ConfigError("per-direction fields need one entry per direction")
+        for name in ("tx_antennas", "rx_antennas", "streams"):
+            object.__setattr__(self, name, tuple(as_count(c, name) for c in getattr(self, name)))
         for i in DIRECTIONS:
             if min(self.tx_antennas[i], self.rx_antennas[i], self.streams[i]) < 1:
                 raise ConfigError("antenna/stream counts must be positive")
@@ -87,11 +90,12 @@ class SystemConfig:
         linear; they get divided by the subcarrier count internally)."""
         if beta is None:
             beta = kappa
-        k = int(subcarriers)
+        k = as_count(subcarriers, "subcarriers")  # k and the antennas size the arrays below
         if k < 1:
             raise ConfigError("need at least one subcarrier")
         n_tx = tuple(tx_antennas) if tx_antennas is not None else (antennas, antennas)
         n_rx = tuple(rx_antennas) if rx_antennas is not None else (antennas, antennas)
+        n_tx, n_rx = (tuple(as_count(n, "antennas") for n in ns) for ns in (n_tx, n_rx))
         return cls(
             subcarriers=k,
             tx_antennas=n_tx,

@@ -29,6 +29,13 @@ def parse_level(value) -> float:
     return float(value)
 
 
+def as_count(value, name: str) -> int:
+    """A whole-number count as an int: 4 and 4.0 pass, 2.5 is a ConfigError."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def crandn(rng: np.random.Generator, shape, var=1.0):
     """Circularly-symmetric complex Gaussian, E|x|^2 = var."""
     out = np.empty(shape, dtype=complex)

@@ -2,16 +2,22 @@
 bookkeeping, whiteness, and agreement with the closed-form covariance."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import crandn_t
 from fdlink import (ChannelStats, ConfigError, SystemConfig, TransceiverDesign,
-                    aggregate_covariance, draw_channels, freq_distortion_variance,
-                    perturb_csi, run_altqcp, sample_block, simulate_blocks)
-from fdlink.distortion import freq_to_time, time_to_freq
+                    aggregate_covariance, distortion, draw_channels,
+                    freq_distortion_variance, perturb_csi, run_altqcp,
+                    simulate_blocks)
+from fdlink.distortion import time_to_freq
 from fdlink.model import DIRECTIONS
+
+# the bytes _batch_blocks counts per block at K=4, 2x2 and one stream: 16 per
+# symbol, 4 per transmit chain and 6 per receive chain, in each direction
+_PER_BLOCK_K4 = 16 * 4 * 2 * (1 + 4 * 2 + 6 * 2)
 
 
 def _random_design(rng, config):
@@ -29,7 +35,7 @@ def _random_design(rng, config):
 def test_dft_round_trip_and_unitarity():
     rng = np.random.default_rng(0)
     x = crandn_t(rng, (8, 3))
-    back = freq_to_time(time_to_freq(x))
+    back = np.fft.ifft(time_to_freq(x), axis=0, norm="ortho")
     assert np.max(np.abs(back - x)) < 1e-12
     # unitary scaling preserves the total energy
     assert abs(np.sum(np.abs(time_to_freq(x)) ** 2) - np.sum(np.abs(x) ** 2)) < 1e-10
@@ -94,8 +100,10 @@ def test_transmit_distortion_flat_and_white():
         var = stats.et_var[i]               # (K, N): per subcarrier and chain
         spread = (var.max(axis=0) - var.min(axis=0)) / var.mean(axis=0)
         assert np.all(spread < 0.06)
-        rel = np.abs(var.mean(axis=0) - stats.et_var_analytic[i])
-        assert np.all(rel / stats.et_var_analytic[i] < 0.05)
+        analytic = freq_distortion_variance(design.precoders[i],
+                                            config.tx_distortion[i])
+        rel = np.abs(var.mean(axis=0) - analytic)
+        assert np.all(rel / analytic < 0.05)
         # correlation coefficients estimate zero with ~1/sqrt(n) noise
         assert np.all(stats.et_chain_corr[i] < 0.05)
         assert np.all(stats.et_signal_corr[i] < 0.05)
@@ -107,21 +115,22 @@ def test_block_sample_residual_is_pure_impairment():
     config = SystemConfig.from_scalars(kappa=0.0, beta=0.0, noise_var=0.0)
     channels = draw_channels(config, ChannelStats(csi_radius=0.0), 10)
     design = _random_design(np.random.default_rng(11), config)
-    block = sample_block(design, channels, config, 12)
+    stats = simulate_blocks(design, channels, config, 1, 12)
     for i in DIRECTIONS:
-        assert np.max(np.abs(block.residual[i])) < 1e-12
-        assert block.u_freq[i].shape == (config.subcarriers, config.rx_antennas[i])
+        assert np.max(np.abs(stats.nu_cov[i])) < 1e-12 ** 2
+        m = config.rx_antennas[i]
+        assert stats.nu_cov[i].shape == (config.subcarriers, m, m)
 
 
 def test_block_sample_deterministic():
     config = SystemConfig.from_scalars()
     channels = draw_channels(config, ChannelStats(csi_radius=0.0), 13)
     design = _random_design(np.random.default_rng(14), config)
-    a = sample_block(design, channels, config, 15)
-    b = sample_block(design, channels, config, 15)
+    a = simulate_blocks(design, channels, config, 1, 15)
+    b = simulate_blocks(design, channels, config, 1, 15)
     for i in DIRECTIONS:
-        assert np.array_equal(a.y_freq[i], b.y_freq[i])
-        assert np.array_equal(a.symbols[i], b.symbols[i])
+        assert np.array_equal(a.nu_cov[i], b.nu_cov[i])
+        assert np.array_equal(a.et_var[i], b.et_var[i])
 
 
 def _reference_block(design, channels, config, seed):
@@ -150,7 +159,7 @@ def _reference_block(design, channels, config, seed):
         x_time = dft.conj().T @ v_freq + et_time
         symbols.append(s)
         x_freq.append(dft @ x_time)
-    residual, received = [], []
+    residual = []
     for i in DIRECTIONS:
         m = config.rx_antennas[i]
         noise = draw(m, config.noise_var[i][:, None])
@@ -165,14 +174,13 @@ def _reference_block(design, channels, config, seed):
                 power += np.diag(h[kk] @ np.diag(tx_var[j]) @ h[kk].conj().T).real
         er_time = draw(m, k * config.rx_distortion[i] * power / k)
         y_freq = u_freq + dft @ er_time
-        received.append(y_freq)
         j = 1 - i
         residual.append(np.array([
             y_freq[kk]
             - channels.h_est[(i, j)][kk] @ design.precoders[j][kk] @ symbols[j][kk]
             - channels.h[(i, i)][kk] @ design.precoders[i][kk] @ symbols[i][kk]
             for kk in range(k)]))
-    return residual, received
+    return residual
 
 
 def test_block_simulation_matches_per_block_reference():
@@ -188,24 +196,16 @@ def test_block_simulation_matches_per_block_reference():
     true = draw_channels(config, ChannelStats(csi_radius=0.1), 21)
     _, channels = perturb_csi(true, config, 22, mode="boundary")
     design = _random_design(np.random.default_rng(23), config)
-    expected, received = _reference_block(design, channels, config, 24)
+    expected = _reference_block(design, channels, config, 24)
 
-    block = sample_block(design, channels, config, 24)
+    _, _, residual = distortion._simulate_batch(design, channels, config, 1,
+                                                np.random.default_rng(24))
     stats = simulate_blocks(design, channels, config, 1, 24)
     for i in DIRECTIONS:
         scale = np.max(np.abs(expected[i]))
-        assert np.max(np.abs(block.residual[i] - expected[i])) <= 1e-12 * scale
-        assert (np.max(np.abs(block.y_freq[i] - received[i]))
-                <= 1e-12 * np.max(np.abs(received[i])))
+        assert np.max(np.abs(residual[i][:, 0] - expected[i])) <= 1e-12 * scale
         outer = np.einsum("km,kp->kmp", expected[i], expected[i].conj())
         assert np.max(np.abs(stats.nu_cov[i] - outer)) <= 1e-12 * scale ** 2
-        # the signals sample_block rebuilds agree with the ones it simulates
-        x_time = block.v_time[i] + block.et_time[i]
-        assert np.max(np.abs(block.x_time[i] - x_time)) <= 1e-12
-        assert np.max(np.abs(block.x_freq[i] - time_to_freq(x_time))) <= 1e-12
-        assert np.max(np.abs(block.x_freq[i] - block.v_freq[i] - block.et_freq[i])) <= 1e-12
-        assert np.max(np.abs(block.u_time[i] - freq_to_time(block.u_freq[i]))) <= 1e-12
-        assert np.max(np.abs(time_to_freq(block.v_time[i]) - block.v_freq[i])) <= 1e-12
 
 
 @pytest.mark.parametrize("n_blocks", [0, -5])
@@ -218,7 +218,6 @@ def test_simulate_blocks_rejects_empty_run(perfect_csi_config, perfect_channels,
 
 def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
                                      monkeypatch):
-    import fdlink.distortion as distortion
     config, channels = perfect_csi_config, perfect_channels
     design, _ = run_altqcp(channels, config)
     # the default budget keeps K=4 runs at 20,000-block batches and 2,000
@@ -226,7 +225,7 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
     assert distortion._batch_blocks(config) == 20_000
     big = SystemConfig.from_scalars(subcarriers=64, antennas=4, streams=2)
     assert 2_000 <= distortion._batch_blocks(big) < 20_000
-    per_block = 16 * 4 * 2 * (1 + 4 * 2 + 6 * 2)       # K=4, 2x2, one stream
+    per_block = _PER_BLOCK_K4
     monkeypatch.setattr(distortion, "_BATCH_BYTES", per_block - 1)
     assert distortion._batch_blocks(config) == 1
     monkeypatch.setattr(distortion, "_BATCH_BYTES", 3 * per_block + 1)
@@ -248,5 +247,25 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
         rng = np.random.default_rng(41)
         batches = [inner(design, channels, config, n, rng) for n in split]
         for i in DIRECTIONS:
-            gram = sum(distortion._gram(b["residual"][i]) for b in batches)
+            gram = sum(distortion._gram(residual[i]) for _, _, residual in batches)
             assert np.array_equal(stats.nu_cov[i], gram / n_blocks)
+
+
+def test_batch_peak_memory_is_half_the_byte_count(perfect_csi_config,
+                                                  perfect_channels):
+    # the byte count of _batch_blocks bounds a batch from above. In units of
+    # one chain's 16 * K bytes, the count is 42 per block here; a batch holds
+    # the symbols, v_freq, et_freq and x_freq of both directions and the two
+    # residuals (18), and at its peak a receive draw and its copies (4 more),
+    # so 22/42 = 0.52. The 0.6 bound leaves room for one more receive-chain
+    # temporary; a batch that kept every signal it computed read 1.05.
+    config, channels = perfect_csi_config, perfect_channels
+    design, _ = run_altqcp(channels, config)
+    n_blocks = 2_000
+    tracemalloc.start()
+    try:
+        simulate_blocks(design, channels, config, n_blocks, 43)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * n_blocks * _PER_BLOCK_K4

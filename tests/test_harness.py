@@ -1,6 +1,7 @@
 """Experiment harness: spec parsing, sweep plumbing, CSV round trips,
 byte-level determinism, aggregation, plot tables, and the CLI surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fdlink import ConfigError, distortion, worst_case_mse
+from fdlink import ConfigError, SystemConfig, distortion, worst_case_mse
 from fdlink.cli import main
 from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
                             emit_plot_data, read_results_csv, results_to_csv_text,
@@ -35,6 +36,14 @@ MALFORMED_SPECS = {
     "rel_tol": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], rel_tol="1e-3")),
     "subcarriers": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], subcarriers=0)),
     "K_sweep": dict(TINY_SPEC, sweep={"param": "K", "values": [2, 0]}),
+    "fractional_n_trials": dict(TINY_SPEC, n_trials=1.5),
+    "infinite_n_trials": dict(TINY_SPEC, n_trials=float("inf")),
+    "fractional_seed": dict(TINY_SPEC, seed=7.5),
+    "fractional_K_sweep": dict(TINY_SPEC, sweep={"param": "K", "values": [2, 2.5]}),
+    "fractional_M_sweep": dict(TINY_SPEC, sweep={"param": "M", "values": [1.5]}),
+    "fractional_subcarriers": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], subcarriers=2.5)),
+    "fractional_antennas": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], antennas=2.5)),
+    "fractional_streams": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], streams=1.5)),
     "algorithms": dict(TINY_SPEC, algorithms="altqcp"),
 }
 
@@ -75,6 +84,9 @@ def test_spec_rejects_garbage():
     for bad in MALFORMED_SPECS.values():
         with pytest.raises(ConfigError):
             ExperimentSpec.from_json(bad)
+    # the config itself holds the whole-number rule for its counts
+    with pytest.raises(ConfigError):
+        dataclasses.replace(SystemConfig.from_scalars(), streams=(1.5, 1))
 
 
 def test_spec_hash_ignores_key_order():
@@ -232,12 +244,21 @@ def test_negative_csi_radius_exits_2(tmp_path, capsys):
                                    MALFORMED_SPECS["negative_radius"], jobs="2")
 
 
-def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    import fdlink.harness as harness
     spec_path, out = tmp_path / "spec.json", tmp_path / "out"
     spec_path.write_text(json.dumps(dict(TINY_SPEC, n_trials=1)))
     out.write_text("")
-    assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    calls = []
+    inner = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args: calls.append(args) or inner(*args))
+    # the file itself, or a path below it; either is checked before the
+    # sweep, so no cell runs
+    for path in (out, out / "sub"):
+        assert main(["run", "--spec", str(spec_path), "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", sorted(set(MALFORMED_SPECS) - {"negative_radius"}))
