@@ -7,8 +7,7 @@ simulator, and a deterministic experiment harness."""
 from .altqcp import (SolverOptions, init_precoders, run_altqcp,
                      update_precoders, update_receivers)
 from .baselines import half_duplex_world, run_baseline
-from .channels import (ChannelStats, CsiErrorSet, channels_from_json,
-                       channels_to_json, draw_channels, perturb_csi)
+from .channels import ChannelStats, draw_channels, perturb_csi
 from .distortion import freq_distortion_variance, simulate_blocks
 from .harness import (ExperimentSpec, emit_plot_data, read_results_csv,
                       run_experiment, summarize, write_results_csv)

@@ -38,11 +38,9 @@ POWER_REL_TOL = 1e-9
 class SolverOptions:
     max_iters: int = 100
     rel_tol: float = 1e-6
-    max_cuts: int = 8             # cutting-set loop only
 
     def __post_init__(self):
-        for name, kind, low in (("max_iters", Integral, 0), ("rel_tol", Real, 0),
-                                ("max_cuts", Integral, 1)):
+        for name, kind, low in (("max_iters", Integral, 0), ("rel_tol", Real, 0)):
             value = getattr(self, name)
             if not isinstance(value, kind) or not low <= value < np.inf:
                 raise ConfigError(f"{name} must be a finite {kind.__name__.lower()} "

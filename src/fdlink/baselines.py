@@ -56,8 +56,7 @@ def half_duplex_world(channels: ChannelRealization) -> ChannelRealization:
             h[(i, j)] = np.zeros_like(channels.h[(i, j)])
             h_est[(i, j)] = np.zeros_like(channels.h_est[(i, j)])
             radii[(i, j)] = np.zeros_like(channels.csi_radius[(i, j)])
-    return ChannelRealization(h=h, h_est=h_est, csi_radius=radii,
-                              shaping=dict(channels.shaping))
+    return ChannelRealization(h=h, h_est=h_est, csi_radius=radii)
 
 
 def _blind_config(config: SystemConfig) -> SystemConfig:

@@ -3,7 +3,6 @@ and norm-bounded CSI error injection."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,33 +27,16 @@ class ChannelStats:
     csi_radius: float = 10 ** -1.5
 
     def __post_init__(self):
-        if min(self.rho, self.rho_si, self.k_rician, self.csi_radius) < 0:
-            raise ConfigError("rho, rho_si, k_rician and csi_radius must be nonnegative")
+        if not all(0 <= v < np.inf for v in
+                   (self.rho, self.rho_si, self.k_rician, self.csi_radius)):
+            raise ConfigError(
+                "rho, rho_si, k_rician and csi_radius must be finite and nonnegative")
 
     def si_mean_scale(self) -> float:
         return float(np.sqrt(self.rho_si * self.k_rician / (1.0 + self.k_rician)))
 
     def si_scatter_var(self) -> float:
         return float(self.rho_si / (1.0 + self.k_rician))
-
-
-@dataclass(frozen=True)
-class CsiErrorSet:
-    """A concrete draw of estimation errors plus the sets they came from."""
-
-    delta: dict        # (i, j) -> (K, M_i, N_j)
-    radius: dict       # (i, j) -> (K,)
-    shaping: dict      # (i, j) -> None or (K, M_i, M_i)
-
-    def max_violation(self) -> float:
-        """Largest (shaped norm - radius) over all (i, j, k); <= 0 means feasible."""
-        worst = -np.inf
-        for pair in PAIRS:
-            d = self.delta[pair]
-            shaped = d if self.shaping[pair] is None else self.shaping[pair] @ d
-            norms = np.sqrt(np.einsum("kmn,kmn->k", shaped, shaped.conj()).real)
-            worst = max(worst, float(np.max(norms - self.radius[pair])))
-        return worst
 
 
 def draw_channels(config: SystemConfig, stats: ChannelStats, seed) -> ChannelRealization:
@@ -74,7 +56,6 @@ def draw_channels(config: SystemConfig, stats: ChannelStats, seed) -> ChannelRea
         h=h,
         h_est={pair: h[pair].copy() for pair in PAIRS},
         csi_radius={pair: np.full(k, float(stats.csi_radius)) for pair in PAIRS},
-        shaping={pair: None for pair in PAIRS},
     )
 
 
@@ -97,74 +78,21 @@ def _ball_draw(rng, shape, radii, mode):
 
 def perturb_csi(channels: ChannelRealization, config: SystemConfig, seed,
                 mode: str = "interior"):
-    """Sample estimation errors inside (or on) the configured uncertainty sets.
+    """Sample estimation errors inside (or on) the Frobenius balls
+    ||Delta^k||_F <= csi_radius[(i, j)][k].
 
-    Returns (CsiErrorSet, ChannelRealization) where the new realization keeps
-    the true h and exposes h_est = h - delta. Shaped sets draw the shaped
-    variable uniformly and map back through the inverse shaping.
+    Returns ({pair: (K, M_i, N_j) error draw}, ChannelRealization) where the
+    new realization keeps the true h and exposes h_est = h - delta.
     """
     rng = rng_from(seed)
     delta = {}
     for pair in PAIRS:
-        arr = channels.h[pair]
         radii = channels.csi_radius[pair]
-        draw = _ball_draw(rng, arr.shape, radii, mode)
-        shaping = channels.shaping[pair]
-        if shaping is not None:
-            draw = np.linalg.solve(shaping, draw)
+        draw = _ball_draw(rng, channels.h[pair].shape, radii, mode)
         delta[pair] = np.where(radii[:, None, None] > 0, draw, 0.0)
-    err = CsiErrorSet(delta=delta,
-                      radius={p: channels.csi_radius[p].copy() for p in PAIRS},
-                      shaping=dict(channels.shaping))
     perturbed = ChannelRealization(
         h={p: channels.h[p].copy() for p in PAIRS},
         h_est={p: channels.h[p] - delta[p] for p in PAIRS},
         csi_radius={p: channels.csi_radius[p].copy() for p in PAIRS},
-        shaping=dict(channels.shaping),
     )
-    return err, perturbed
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange: complex arrays as nested lists with [re, im] leaves
-# ---------------------------------------------------------------------------
-
-def _complex_to_lists(a: np.ndarray):
-    stacked = np.stack([a.real, a.imag], axis=-1)
-    return stacked.tolist()
-
-
-def _lists_to_complex(lists) -> np.ndarray:
-    arr = np.asarray(lists, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def channels_to_json(channels: ChannelRealization) -> str:
-    payload = {"subcarriers": channels.subcarriers, "pairs": {}}
-    for i, j in PAIRS:
-        key = f"{i + 1}{j + 1}"
-        entry = {
-            "true": _complex_to_lists(channels.h[(i, j)]),
-            "est": _complex_to_lists(channels.h_est[(i, j)]),
-            "radius": channels.csi_radius[(i, j)].tolist(),
-        }
-        shaping = channels.shaping[(i, j)]
-        entry["shaping"] = None if shaping is None else _complex_to_lists(shaping)
-        payload["pairs"][key] = entry
-    return json.dumps(payload)
-
-
-def channels_from_json(text: str) -> ChannelRealization:
-    try:
-        payload = json.loads(text)
-        h, h_est, radius, shaping = {}, {}, {}, {}
-        for i, j in PAIRS:
-            entry = payload["pairs"][f"{i + 1}{j + 1}"]
-            h[(i, j)] = _lists_to_complex(entry["true"])
-            h_est[(i, j)] = _lists_to_complex(entry["est"])
-            radius[(i, j)] = np.asarray(entry["radius"], dtype=float)
-            shaping[(i, j)] = (None if entry.get("shaping") is None
-                               else _lists_to_complex(entry["shaping"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"malformed channel JSON: {exc}") from exc
-    return ChannelRealization(h=h, h_est=h_est, csi_radius=radius, shaping=shaping)
+    return delta, perturbed

@@ -349,7 +349,8 @@ def read_results_csv(path):
     rows = []
     with open(path, newline="") as f:
         header = None
-        for record in csv.reader(f):
+        reader = csv.reader(f)
+        for record in reader:
             if not record or record[0].startswith("#"):
                 continue
             if header is None:
@@ -358,11 +359,17 @@ def read_results_csv(path):
                 if missing:
                     raise ConfigError(f"results file missing columns: {sorted(missing)}")
                 continue
+            where = f"{path}, line {reader.line_num}"
+            if len(record) != len(header):
+                raise ConfigError(f"{where}: {len(record)} fields, header has {len(header)}")
             row = dict(zip(header, record))
-            row["trial"] = int(row["trial"])
-            row["iteration"] = int(row["iteration"])
-            row["sweep_value"] = float(row["sweep_value"])
-            row["value"] = float(row["value"])
+            try:
+                row["trial"] = int(row["trial"])
+                row["iteration"] = int(row["iteration"])
+                row["sweep_value"] = float(row["sweep_value"])
+                row["value"] = float(row["value"])
+            except ValueError as err:
+                raise ConfigError(f"{where}: {err}") from err
             rows.append(row)
     if header is None:
         raise ConfigError("results file has no header row")

@@ -64,23 +64,24 @@ class SystemConfig:
                 raise ConfigError("antenna/stream counts must be positive")
             if self.streams[i] > min(self.tx_antennas[i], self.rx_antennas[i]):
                 raise ConfigError("streams cannot exceed min(tx, rx) antennas")
-            if self.p_max[i] < 0:
-                raise ConfigError("transmit power budget must be >= 0")
+            if not 0 <= self.p_max[i] < np.inf:
+                raise ConfigError("transmit power budget must be finite and >= 0")
         nv = np.asarray(self.noise_var, dtype=float)
-        if nv.shape != (2, self.subcarriers) or np.any(nv < 0):
-            raise ConfigError("noise_var must be a nonnegative (2, K) array")
+        if nv.shape != (2, self.subcarriers) or not np.all((nv >= 0) & (nv < np.inf)):
+            raise ConfigError("noise_var must be a finite, nonnegative (2, K) array")
         object.__setattr__(self, "noise_var", _freeze(nv))
         for name, sizes in (("tx_distortion", self.tx_antennas),
                             ("rx_distortion", self.rx_antennas)):
             vecs = []
             for i in DIRECTIONS:
                 v = np.asarray(getattr(self, name)[i], dtype=float)
-                if v.shape != (sizes[i],) or np.any(v < 0):
-                    raise ConfigError(f"{name}[{i}] must be a nonnegative ({sizes[i]},) vector")
+                if v.shape != (sizes[i],) or not np.all((v >= 0) & (v < np.inf)):
+                    raise ConfigError(
+                        f"{name}[{i}] must be a finite, nonnegative ({sizes[i]},) vector")
                 vecs.append(_freeze(v))
             object.__setattr__(self, name, tuple(vecs))
-        if min(self.rate_weights) <= 0:
-            raise ConfigError("rate weights must be positive")
+        if not all(0 < w < np.inf for w in self.rate_weights):
+            raise ConfigError("rate weights must be positive and finite")
 
     @classmethod
     def from_scalars(cls, subcarriers=4, antennas=2, streams=1, p_max=1.0,
@@ -116,15 +117,13 @@ class ChannelRealization:
     h[(i, j)] has shape (K, M_i, N_j): subcarrier-k response from the
     transmitter of direction j to the receiver of direction i. h_est is what
     the design sees; draw_channels leaves h_est == h, perturb_csi moves it.
-    shaping[(i, j)] is an optional (K, M_i, M_i) left-shaping matrix D with the
-    feasible errors { Delta : ||D^k Delta||_F <= radius[k] }; None means identity.
-    csi_radius[(i, j)] is a finite, nonnegative (K,) array.
+    The feasible errors are the balls ||Delta^k||_F <= csi_radius[(i, j)][k],
+    with csi_radius[(i, j)] a finite, nonnegative (K,) array.
     """
 
     h: dict
     h_est: dict
     csi_radius: dict
-    shaping: dict = field(default_factory=lambda: {pair: None for pair in PAIRS})
 
     def __post_init__(self):
         for store in (self.h, self.h_est):
@@ -133,14 +132,11 @@ class ChannelRealization:
                     raise ConfigError(f"channel set missing pair {pair}")
         k0 = self.h[(0, 0)].shape[0]
         radii = {pair: np.asarray(self.csi_radius.get(pair), dtype=float) for pair in PAIRS}
-        for pair in PAIRS:
-            m, shaping, r = self.h[pair].shape[1], (self.shaping or {}).get(pair), radii[pair]
+        for pair, r in radii.items():
             if self.h[pair].shape != self.h_est[pair].shape or self.h[pair].shape[0] != k0:
                 raise ConfigError("inconsistent channel array shapes")
             if r.shape != (k0,) or not np.all((r >= 0) & (r < np.inf)):
                 raise ConfigError(f"csi_radius{pair} must be finite, nonnegative, ({k0},)")
-            if shaping is not None and np.shape(shaping) != (k0, m, m):
-                raise ConfigError(f"shaping{pair} must be None or ({k0}, {m}, {m})")
         object.__setattr__(self, "csi_radius", radii)
 
     @property

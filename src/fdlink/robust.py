@@ -6,10 +6,11 @@ self-interference after cancellation, transmit-distortion leakage, and
 receive-distortion pickup), and no term couples two different error matrices.
 The objective therefore splits exactly into a Delta-independent remainder plus
 one convex quadratic ||C vec(Delta) + c||^2 per (receiver, transmitter,
-subcarrier) triple, each maximized in closed form over its own ellipsoid by a
-trust-region-style secular equation. One oracle pass gives both the certified
-worst case and the pessimizing channel that attains it; a cutting-set loop
-appends that channel to its scenario set to reach a robust design.
+subcarrier) triple, each maximized in closed form over its own Frobenius
+ball ||Delta_ij^k||_F <= zeta by a trust-region-style secular equation. One
+oracle pass gives both the certified worst case and the pessimizing channel
+that attains it; a cutting-set loop appends that channel to its scenario set
+to reach a robust design.
 """
 
 from __future__ import annotations
@@ -22,26 +23,21 @@ from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
                     _stack)
-from .util import ConfigError, _rational_root, dagger, herm, unvec
+from .util import ConfigError, _rational_root, dagger, herm
 
 # the cut loop stops once the certified worst case is within this fraction of
 # the design objective
 CUT_REL_TOL = 1e-3
+# and makes at most this many designs
+MAX_CUTS = 8
 
 
 @dataclass(frozen=True)
 class QuadraticErrorForm:
-    """||map @ vec(Delta) + offset||^2 as a function of one error matrix.
-
-    `whitener` maps the unit-ball variable b to vec(Delta) when the error set
-    is shaped (vec(Delta) = whitener @ b); identity when None. `rows`/`cols`
-    give Delta's shape, `radius` the norm bound on b.
-    """
+    """||map @ vec(Delta) + offset||^2 as a function of one error matrix,
+    vec column-major, over the ball ||vec(Delta)|| <= radius."""
     map: np.ndarray
     offset: np.ndarray
-    whitener: np.ndarray | None
-    rows: int
-    cols: int
     radius: float
 
 
@@ -50,7 +46,6 @@ class WorstCaseResult:
     b_star: np.ndarray
     rho_star: float
     value: float
-    delta_star: np.ndarray
     hard_case: bool = False
 
 
@@ -79,8 +74,8 @@ def _kron_stack(b, a):
 
 def _pair_forms(design, channels, config, i, j, weights):
     """Exact quadratic dependence of the weighted MSE on Delta_ij^k for all k
-    at once, from pair-level pieces built once: (K, rows, M_i N_j) maps,
-    (K, rows) offsets and, for shaped sets, (K, M_i N_j, M_i N_j) whiteners.
+    at once, from pair-level pieces built once: (K, rows, M_i N_j) maps and
+    (K, rows) offsets.
 
     Three stacked blocks: (1) the filtered direct/residual term
     W^H U^H Delta V (minus the nominal target when j == i; cancellation
@@ -110,11 +105,7 @@ def _pair_forms(design, channels, config, i, j, weights):
                            _kron_stack(v, a3)], axis=1)
     offsets = np.concatenate([x.swapaxes(1, 2).reshape(k, -1) for x in   # vec
                               (c1, a1 @ h_nom @ b2, a3 @ h_nom @ v)], axis=1)
-    shaping = channels.shaping.get((i, j)) if channels.shaping else None
-    if shaping is None:
-        return maps, offsets, None
-    eye = np.broadcast_to(np.eye(n_j, dtype=complex), (k, n_j, n_j))
-    return maps, offsets, _kron_stack(eye, np.linalg.inv(shaping))  # vec(Delta) = W b
+    return maps, offsets
 
 
 def build_quadratic_form(design: TransceiverDesign,
@@ -127,10 +118,8 @@ def build_quadratic_form(design: TransceiverDesign,
     if not 0 <= k < config.subcarriers:
         raise ConfigError(f"subcarrier index {k} out of range")
     weights = mse_weights if mse_weights is not None else design.mse_weights
-    maps, offsets, whiteners = _pair_forms(design, channels, config, i, j, weights)
-    rows, cols = channels.h_est[(i, j)].shape[1:]
-    return QuadraticErrorForm(map=maps[k], offset=offsets[k], rows=rows, cols=cols,
-                              whitener=None if whiteners is None else whiteners[k],
+    maps, offsets = _pair_forms(design, channels, config, i, j, weights)
+    return QuadraticErrorForm(map=maps[k], offset=offsets[k],
                               radius=float(channels.csi_radius[(i, j)][k]))
 
 
@@ -180,18 +169,15 @@ def _solve_forms(g, c, z):
 
 
 def worst_case_error(form: QuadraticErrorForm) -> WorstCaseResult:
-    """max_{||b|| <= radius} ||G b + c||^2 with G = map @ whitener: one form
-    through the stacked solve."""
-    g = form.map @ form.whitener if form.whitener is not None else form.map
+    """max_{||b|| <= radius} ||map b + offset||^2: one form through the
+    stacked solve."""
     if form.radius == 0.0:
-        b = np.zeros(g.shape[1], dtype=complex)
+        b = np.zeros(form.map.shape[1], dtype=complex)
         rho, value, hard = np.inf, np.vdot(form.offset, form.offset).real, False
     else:
         b, rho, value, hard, _ = (x[0] for x in _solve_forms(
-            g[None], form.offset[None], np.array([form.radius])))
-    vecd = form.whitener @ b if form.whitener is not None else b
+            form.map[None], form.offset[None], np.array([form.radius])))
     return WorstCaseResult(b_star=b, rho_star=float(rho), value=float(value),
-                           delta_star=unvec(vecd, form.rows, form.cols),
                            hard_case=bool(hard))
 
 
@@ -208,14 +194,10 @@ def _worst_case(design, channels, config, mse_weights=None):
         live = radii > 0
         if not live.any():
             continue
-        maps, offsets, whiteners = _pair_forms(design, channels, config, i, j, weights)
-        g, c = maps[live], offsets[live]
-        if whiteners is not None:
-            g = g @ whiteners[live]
-        b, _, value, _, _ = _solve_forms(g, c, radii[live])
+        maps, offsets = _pair_forms(design, channels, config, i, j, weights)
+        c = offsets[live]
+        b, _, value, _, _ = _solve_forms(maps[live], c, radii[live])
         total += float(np.maximum(value - (c * c.conj()).real.sum(axis=1), 0.0).sum())
-        if whiteners is not None:
-            b = np.einsum("fnm,fm->fn", whiteners[live], b)
         rows, cols = worst[(i, j)].shape[1:]
         worst[(i, j)][live] += b.reshape(-1, cols, rows).swapaxes(1, 2)
     return float(total), worst
@@ -224,7 +206,7 @@ def _worst_case(design, channels, config, mse_weights=None):
 def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,
                    config: SystemConfig, mse_weights=None) -> float:
     """Exact worst-case weighted MSE over the product of per-(i, j, k) error
-    ellipsoids: the nominal objective plus each form's worst-case increment
+    balls: the nominal objective plus each form's worst-case increment
     (the objective is additively separable across error matrices)."""
     return _worst_case(design, channels, config, mse_weights)[0]
 
@@ -234,14 +216,14 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
     """Robust weighted-MSE design: alternate between designing against the
     average of the scenario set and appending the current worst-case channel
     hypothesis, until the worst case is within CUT_REL_TOL of the design
-    objective (or max_cuts scenarios accumulate)."""
+    objective (or MAX_CUTS designs have been made)."""
     options = options or SolverOptions()
     scenarios = [channels.h_est]
     history = []
     best = None                      # (wc_value, cut index, design, report)
     warm = None
     robust_converged = False
-    for cut in range(options.max_cuts):
+    for cut in range(MAX_CUTS):
         weighted = [(1.0 / len(scenarios), g) for g in scenarios]
         design, report = run_altqcp_scenarios(weighted, config, options,
                                               init_precoders_override=warm)

@@ -53,10 +53,6 @@ def herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return x.reshape(rows, cols, order="F")
-
-
 def stabilized(sigma: np.ndarray) -> np.ndarray:
     """Relative ridge 1e-12*tr/M before inversion; a safety net, not a crutch."""
     m = sigma.shape[-1]

@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from fdlink import (ChannelStats, SystemConfig, draw_channels, perturb_csi,
                     power_usage)
-from fdlink.model import DIRECTIONS, PAIRS
+from fdlink.model import DIRECTIONS
 from fdlink.util import crandn
 
 
@@ -52,13 +50,3 @@ def random_precoders(config, seed):
         out.append(v * np.sqrt(config.p_max[i] / power_usage(v, config.tx_distortion[i])))
     return out
 
-
-def with_shaping(channels, seed):
-    """The realization with ellipsoidal error sets D^k = A A^H + I per pair."""
-    rng = np.random.default_rng(seed)
-    shaping = {}
-    for pair in PAIRS:
-        k, m, _ = channels.h[pair].shape
-        a = crandn_t(rng, (k, m, m))
-        shaping[pair] = a @ a.conj().transpose(0, 2, 1) + np.eye(m)
-    return dataclasses.replace(channels, shaping=shaping)

@@ -247,8 +247,7 @@ def test_criterion_07_worst_case_oracle(capsys):
         out_dim = int(rng.integers(1, 5))
         zeta = float(rng.uniform(0.1, 1.5))
         form = QuadraticErrorForm(map=crandn_t(rng, (out_dim, n)),
-                                  offset=crandn_t(rng, (out_dim,)),
-                                  whitener=None, rows=n, cols=1, radius=zeta)
+                                  offset=crandn_t(rng, (out_dim,)), radius=zeta)
         result = worst_case_error(form)
         m_mat = form.map.conj().T @ form.map
         m_vec = form.map.conj().T @ form.offset
@@ -283,7 +282,7 @@ def test_criterion_07_worst_case_oracle(capsys):
         c = crandn_t(rng, (1,))[0]
         zeta = float(rng.uniform(0.05, 2.0))
         form = QuadraticErrorForm(map=np.array([[a]]), offset=np.array([c]),
-                                  whitener=None, rows=1, cols=1, radius=zeta)
+                                  radius=zeta)
         expected = (abs(a) * zeta + abs(c)) ** 2
         gap = abs(worst_case_error(form).value - expected) / max(expected, 1.0)
         worst_scalar = max(worst_scalar, gap)

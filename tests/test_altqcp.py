@@ -654,10 +654,9 @@ def test_run_builds_one_covariance_per_scenario_and_iteration(
 def test_solver_options_reject_bad_values():
     # the limits themselves are valid; every value outside them, or of the
     # wrong type, raises where the options are built
-    SolverOptions(max_iters=0, rel_tol=0.0, max_cuts=1)
+    SolverOptions(max_iters=0, rel_tol=0.0)
     for bad in ({"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": "5"},
                 {"rel_tol": -1e-3}, {"rel_tol": np.inf}, {"rel_tol": np.nan},
-                {"rel_tol": "1e-3"}, {"max_cuts": 0}, {"max_cuts": -2},
-                {"max_cuts": 1.5}):
+                {"rel_tol": "1e-3"}):
         with pytest.raises(ConfigError):
             SolverOptions(**bad)

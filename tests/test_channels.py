@@ -1,17 +1,19 @@
-"""Channel generator: seeding, fading statistics, error-ball sampling, and the
-JSON round trip."""
+"""Channel generator: seeding, fading statistics and error-ball sampling."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from conftest import with_shaping
-from fdlink import (ChannelStats, ConfigError, SystemConfig,
-                    channels_from_json, channels_to_json, draw_channels,
+from fdlink import (ChannelStats, ConfigError, SystemConfig, draw_channels,
                     perturb_csi)
 from fdlink.model import PAIRS
+
+
+def _inside_balls(delta, channels):
+    """Every error draw within its ball, ||Delta^k||_F <= radius (1 + 1e-12)."""
+    return all(np.all(np.linalg.norm(delta[pair], axis=(1, 2))
+                      <= channels.csi_radius[pair] * (1 + 1e-12)) for pair in PAIRS)
 
 
 def test_same_seed_is_bit_identical(default_config):
@@ -62,7 +64,7 @@ def test_perturb_zero_radius_is_identity(perfect_csi_config):
     err, out = perturb_csi(ch, perfect_csi_config, 12, mode="interior")
     for pair in PAIRS:
         assert np.array_equal(out.h_est[pair], ch.h[pair])
-        assert np.all(err.delta[pair] == 0)
+        assert np.all(err[pair] == 0)
 
 
 def test_perturb_boundary_hits_radius_exactly(default_config):
@@ -73,7 +75,7 @@ def test_perturb_boundary_hits_radius_exactly(default_config):
         for k in range(default_config.subcarriers):
             delta = out.h[pair][k] - out.h_est[pair][k]
             assert abs(np.linalg.norm(delta) - zeta) < 1e-12
-    assert err.max_violation() < 1e-12
+    assert _inside_balls(err, out)
 
 
 def test_perturb_interior_feasible_and_radius_law(default_config):
@@ -84,7 +86,7 @@ def test_perturb_interior_feasible_and_radius_law(default_config):
     u_samples = []
     for t in range(1000):
         err, out = perturb_csi(ch, default_config, [16, t], mode="interior")
-        assert err.max_violation() <= 1e-12
+        assert _inside_balls(err, out)
         delta = out.h[(0, 1)][0] - out.h_est[(0, 1)][0]
         u_samples.append((np.linalg.norm(delta) / zeta) ** mn2)
     u = np.sort(u_samples)
@@ -98,40 +100,6 @@ def test_perturb_unknown_mode_raises(default_config):
         perturb_csi(ch, default_config, 18, mode="edge")
 
 
-def test_json_round_trip(default_config):
-    ch = draw_channels(default_config, ChannelStats(), 19)
-    _, ch = perturb_csi(ch, default_config, 20, mode="interior")
-    text = channels_to_json(ch)
-    back = channels_from_json(text)
-    for pair in PAIRS:
-        assert np.array_equal(back.h[pair], ch.h[pair])
-        assert np.array_equal(back.h_est[pair], ch.h_est[pair])
-        assert np.array_equal(back.csi_radius[pair], ch.csi_radius[pair])
-
-
-def test_shaped_sets_boundary_and_json_round_trip(default_config):
-    # ellipsoidal sets {Delta : ||D^k Delta||_F <= radius}: boundary draws sit
-    # on the shaped sphere, and the JSON round trip keeps D bit for bit
-    ch = with_shaping(draw_channels(default_config, ChannelStats(), 21), 22)
-    err, ch = perturb_csi(ch, default_config, 23, mode="boundary")
-    assert err.max_violation() <= 1e-12
-    for pair in PAIRS:
-        shaped = ch.shaping[pair] @ err.delta[pair]
-        norms = np.linalg.norm(shaped, axis=(1, 2))
-        assert np.allclose(norms, ch.csi_radius[pair], rtol=1e-12)
-    back = channels_from_json(channels_to_json(ch))
-    for pair in PAIRS:
-        assert np.array_equal(back.shaping[pair], ch.shaping[pair])
-        assert np.array_equal(back.h_est[pair], ch.h_est[pair])
-
-
-def test_json_malformed_raises():
-    with pytest.raises(ConfigError):
-        channels_from_json("{not json")
-    with pytest.raises(ConfigError):
-        channels_from_json(json.dumps({"subcarriers": 2}))
-
-
 def test_draw_carries_the_stats_radius(default_config):
     # every pair and subcarrier gets the one radius of the statistics
     ch = draw_channels(default_config, ChannelStats(csi_radius=0.25), 23)
@@ -142,27 +110,18 @@ def test_draw_carries_the_stats_radius(default_config):
         ChannelStats(csi_radius=-1)
 
 
-BAD_ERROR_SETS = {     # K = 4, pair (0, 1) has M = 2 receive antennas
-    "negative_radius": ("radius", np.full(4, -0.1)),
-    "short_radius": ("radius", np.full(2, 0.1)),
-    "misshaped_radius": ("radius", np.full((4, 1), 0.1)),
-    "nan_radius": ("radius", np.full(4, np.nan)),
-    "shaping_antennas": ("shaping", np.ones((4, 3, 3))),
-    "shaping_subcarriers": ("shaping", np.ones((2, 2, 2))),
+BAD_RADII = {     # K = 4
+    "negative_radius": np.full(4, -0.1),
+    "short_radius": np.full(2, 0.1),
+    "misshaped_radius": np.full((4, 1), 0.1),
+    "nan_radius": np.full(4, np.nan),
 }
 
 
-@pytest.mark.parametrize("case", BAD_ERROR_SETS)
+@pytest.mark.parametrize("case", BAD_RADII)
 def test_bad_error_sets_rejected_where_built(default_config, case):
-    # a bad radius or shaping raises when the realization is built, and so
-    # when it is read from JSON, instead of being certified as radius 0
-    field, bad = BAD_ERROR_SETS[case]
+    # a bad radius raises when the realization is built, instead of being
+    # certified as radius 0
     ch = draw_channels(default_config, ChannelStats(), 19)
-    key = "csi_radius" if field == "radius" else "shaping"
     with pytest.raises(ConfigError):
-        dataclasses.replace(ch, **{key: {**getattr(ch, key), (0, 1): bad}})
-    payload = json.loads(channels_to_json(ch))
-    payload["pairs"]["12"][field] = (np.stack([bad, 0 * bad], axis=-1).tolist()
-                                     if field == "shaping" else bad.tolist())
-    with pytest.raises(ConfigError):
-        channels_from_json(json.dumps(payload))
+        dataclasses.replace(ch, csi_radius={**ch.csi_radius, (0, 1): BAD_RADII[case]})

@@ -45,6 +45,16 @@ MALFORMED_SPECS = {
     "fractional_antennas": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], antennas=2.5)),
     "fractional_streams": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], streams=1.5)),
     "algorithms": dict(TINY_SPEC, algorithms="altqcp"),
+    "nan_noise": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], noise_var=float("nan"))),
+    "infinite_beta": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], beta=float("inf"))),
+    "infinite_p_max": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], p_max=float("inf"))),
+    "nan_rate_weight": dict(TINY_SPEC, config=dict(TINY_SPEC["config"],
+                                                   rate_weights=[float("nan"), 1])),
+    "nan_radius": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], csi_radius=float("nan"))),
+    "nan_rho": dict(TINY_SPEC, channel={"rho": float("nan")}),
+    "infinite_k_rician": dict(TINY_SPEC, channel={"k_rician": float("inf")}),
+    "nan_kappa": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], kappa=float("nan")),
+                      sweep={"param": "pmax", "values": [1.0]}),
 }
 
 
@@ -350,6 +360,28 @@ def test_cli_run_summarize_plotdata(tmp_path):
     assert main(["plotdata", "--results", results,
                  "--figure", "convergence", "--out", plot_path]) == 0
     assert os.path.exists(plot_path)
+
+
+MALFORMED_RESULTS = {      # one row after a valid header
+    "bad_trial": "abc,kappa_db,-40.0,altqcp,objective,0,1.0,h",
+    "short_row": "0,kappa_db,-40.0,altqcp",
+    "long_row": "0,kappa_db,-40.0,altqcp,objective,0,1.0,h,extra",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RESULTS)
+@pytest.mark.parametrize("command", ["summarize", "plotdata"])
+def test_malformed_results_file_exits_2(tmp_path, capsys, command, case):
+    # a row that does not convert or does not match the header is named by
+    # file and line, not a traceback
+    results = tmp_path / "results.csv"
+    results.write_text(",".join(RESULT_COLUMNS) + "\n" + MALFORMED_RESULTS[case] + "\n")
+    args = [command, "--results", str(results)]
+    if command == "plotdata":
+        args += ["--figure", "convergence"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{results}, line 2" in err
 
 
 def test_cli_error_paths(tmp_path):

@@ -8,25 +8,24 @@ import numpy as np
 import pytest
 
 import fdlink.robust as robust
-from conftest import crandn_t, random_psd, with_shaping
+from conftest import crandn_t, random_psd
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_cutting_set)
-from fdlink.altqcp import SolverOptions, identity_weights
+from fdlink.altqcp import identity_weights
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
 from fdlink.robust import (QuadraticErrorForm, _worst_case,
                            build_quadratic_form, weighted_mse_with_errors,
                            worst_case_error, worst_case_mse)
-from fdlink.util import _rational_root, unvec
+from fdlink.util import _rational_root
 
 
 def _make_form(rng, out_dim, n, radius, scale=1.0):
-    # map sends an n-vector error to an out_dim-vector; rows/cols describe
-    # the unvectorized error shape (kept as a column here)
+    # map sends an n-vector error (an n x 1 matrix, vectorized) to an
+    # out_dim-vector
     mapping = scale * crandn_t(rng, (out_dim, n))
     offset = scale * crandn_t(rng, (out_dim,))
-    return QuadraticErrorForm(map=mapping, offset=offset, whitener=None,
-                              rows=n, cols=1, radius=radius)
+    return QuadraticErrorForm(map=mapping, offset=offset, radius=radius)
 
 
 def _zero_deltas(channels):
@@ -88,34 +87,6 @@ def test_forms_reproduce_objective_shift(default_config, default_channels,
     assert checked >= 100
 
 
-def test_shaped_forms_reproduce_objective_shift(default_config, designed):
-    """Ellipsoidal sets D^k = A A^H + I: the lifted form through its whitener
-    reproduces the objective shift, and every maximizer stays in its set."""
-    config = default_config
-    shaped = with_shaping(draw_channels(config, ChannelStats(), 31), 32)
-    _, channels = perturb_csi(shaped, config, 33, "interior")
-    rng = np.random.default_rng(34)
-    base = weighted_mse_with_errors(designed, channels, config,
-                                    deltas=_zero_deltas(channels))
-    for (i, j) in PAIRS:
-        for k in range(config.subcarriers):
-            form = build_quadratic_form(designed, channels, config, i, j, k)
-            assert form.whitener is not None
-            b = crandn_t(rng, (form.whitener.shape[1],))
-            b *= form.radius / np.linalg.norm(b)
-            deltas = _zero_deltas(channels)
-            deltas[(i, j)][k] = unvec(form.whitener @ b, form.rows, form.cols)
-            direct = weighted_mse_with_errors(designed, channels, config,
-                                              deltas=deltas)
-            lifted = form.map @ form.whitener @ b + form.offset
-            predicted = (base - float(np.vdot(form.offset, form.offset).real)
-                         + float(np.vdot(lifted, lifted).real))
-            assert abs(direct - predicted) < 1e-9 * max(abs(direct), 1.0)
-            star = worst_case_error(form).delta_star
-            shaped_norm = np.linalg.norm(channels.shaping[(i, j)][k] @ star)
-            assert shaped_norm <= form.radius * (1 + 1e-9)
-
-
 def test_weights_indefinite_on_one_subcarrier_raise(two_stream_case):
     config, channels, design = two_stream_case
     weights = identity_weights(config)
@@ -153,8 +124,7 @@ def test_zero_radius_returns_center_value():
 def test_scalar_closed_form_and_alignment():
     # |a b + c|^2 over |b| <= zeta peaks at (|a| zeta + |c|)^2 with b aligned
     form = QuadraticErrorForm(map=np.array([[1.0 + 0j]]),
-                              offset=np.array([1.0 + 0j]), whitener=None,
-                              rows=1, cols=1, radius=0.5)
+                              offset=np.array([1.0 + 0j]), radius=0.5)
     result = worst_case_error(form)
     assert abs(result.value - 2.25) < 1e-12
     assert abs(result.b_star[0] - 0.5) < 1e-10
@@ -164,7 +134,7 @@ def test_scalar_closed_form_and_alignment():
         c = crandn_t(rng, (1,))[0]
         zeta = float(rng.uniform(0.05, 2.0))
         form = QuadraticErrorForm(map=np.array([[a]]), offset=np.array([c]),
-                                  whitener=None, rows=1, cols=1, radius=zeta)
+                                  radius=zeta)
         result = worst_case_error(form)
         expected = (abs(a) * zeta + abs(c)) ** 2
         assert abs(result.value - expected) < 1e-12 * max(expected, 1.0)
@@ -201,8 +171,7 @@ def test_engineered_degenerate_instance():
     # ||b_perp|| = 1/3 < zeta = 1, so the top direction is padded to the
     # boundary: value = 4 * 8/9 + (1/3 + 1)^2 = 16/3.
     form = QuadraticErrorForm(map=np.diag([2.0 + 0j, 1.0]),
-                              offset=np.array([0.0j, 1.0]), whitener=None,
-                              rows=2, cols=1, radius=1.0)
+                              offset=np.array([0.0j, 1.0]), radius=1.0)
     result = worst_case_error(form)
     assert result.hard_case
     assert abs(result.value - 16.0 / 3.0) < 1e-10
@@ -217,8 +186,7 @@ def test_degenerate_instance_reaching_the_ball_uses_secular_root():
     # m = (0, 3), ||b_perp|| = 3 / (4 - 1) = 1 >= zeta = 0.5.  The top terms
     # drop out and 9 / (rho - 1)^2 = 1/4 gives rho = 7, b = (0, 0.5).
     form = QuadraticErrorForm(map=np.diag([2.0 + 0j, 1.0]),
-                              offset=np.array([0.0j, 3.0]), whitener=None,
-                              rows=2, cols=1, radius=0.5)
+                              offset=np.array([0.0j, 3.0]), radius=0.5)
     result = worst_case_error(form)
     assert not result.hard_case
     assert abs(result.value - 12.25) < 1e-12
@@ -321,8 +289,7 @@ def test_worst_case_mse_limits(default_config, designed, default_channels):
     # doubling every radius can only hurt
     doubled = default_channels.__class__(
         h=default_channels.h, h_est=default_channels.h_est,
-        csi_radius={p: 2.0 * default_channels.csi_radius[p] for p in PAIRS},
-        shaping=default_channels.shaping)
+        csi_radius={p: 2.0 * default_channels.csi_radius[p] for p in PAIRS})
     assert worst_case_mse(designed, doubled, config) >= wc - 1e-12
 
 
@@ -357,21 +324,16 @@ def _oracle_case(name, default_config, default_channels, designed,
                              for _ in range(config.subcarriers)])
                    for i in DIRECTIONS]
         return config, channels, design, weights
-    if name == "zero_radii":
-        channels = draw_channels(default_config, ChannelStats(), 62)
-        radius = {p: r.copy() for p, r in channels.csi_radius.items()}
-        radius[(0, 1)][2] = radius[(1, 1)][0] = 0.0
-        radius[(1, 0)][:] = 0.0
-        channels = dataclasses.replace(channels, csi_radius=radius)
-        _, channels = perturb_csi(channels, default_config, 63, "interior")
-        return default_config, channels, designed, None
-    shaped = with_shaping(draw_channels(default_config, ChannelStats(), 64), 65)
-    _, channels = perturb_csi(shaped, default_config, 66, "interior")
+    channels = draw_channels(default_config, ChannelStats(), 62)      # zero_radii
+    radius = {p: r.copy() for p, r in channels.csi_radius.items()}
+    radius[(0, 1)][2] = radius[(1, 1)][0] = 0.0
+    radius[(1, 0)][:] = 0.0
+    channels = dataclasses.replace(channels, csi_radius=radius)
+    _, channels = perturb_csi(channels, default_config, 63, "interior")
     return default_config, channels, designed, None
 
 
-@pytest.mark.parametrize("name", ["identity", "weighted", "zero_radii",
-                                  "shaped"])
+@pytest.mark.parametrize("name", ["identity", "weighted", "zero_radii"])
 def test_worst_scenario_attains_certified_value(name, default_config,
                                                 default_channels, designed,
                                                 two_stream_case):
@@ -396,9 +358,7 @@ def test_worst_scenario_attains_certified_value(name, default_config,
             if radii[k] <= 0:
                 assert np.array_equal(worst[pair][k], channels.h_est[pair][k])
                 continue
-            shaping = channels.shaping[pair]
-            err = deltas[pair][k] if shaping is None else shaping[k] @ deltas[pair][k]
-            assert np.linalg.norm(err) <= radii[k] * (1 + 1e-9)
+            assert np.linalg.norm(deltas[pair][k]) <= radii[k] * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +366,7 @@ def test_worst_scenario_attains_certified_value(name, default_config,
 # ---------------------------------------------------------------------------
 
 def _reference_form(design, channels, config, i, j, k, weights):
-    """(map, offset, whitener) of Delta_ij^k alone, by explicit Kronecker
+    """(map, offset) of Delta_ij^k alone, by explicit Kronecker
     products: vec(A X B) = (B^T kron A) vec(X) with column-major vec."""
     lam, q = np.linalg.eigh(weights[i])
     w_fac = (q * np.sqrt(np.maximum(lam, 0.0))[:, None, :])[k]
@@ -425,10 +385,7 @@ def _reference_form(design, channels, config, i, j, k, weights):
     mapping = np.vstack([np.kron(v.T, a1), np.kron(b2.T, a1), np.kron(v.T, a3)])
     offset = np.concatenate([x.reshape(-1, order="F")
                              for x in (c1, a1 @ h_nom @ b2, a3 @ h_nom @ v)])
-    shaping = channels.shaping[(i, j)]
-    whitener = (None if shaping is None else
-                np.kron(np.eye(h_nom.shape[1]), np.linalg.inv(shaping[k])))
-    return mapping, offset, whitener
+    return mapping, offset
 
 
 def _reference_solve(g, c, z):
@@ -475,18 +432,15 @@ def _reference_worst_case(design, channels, config, weights):
             z = float(channels.csi_radius[(i, j)][k])
             if z <= 0:
                 continue
-            mapping, offset, whitener = _reference_form(design, channels, config,
-                                                        i, j, k, weights)
-            g = mapping if whitener is None else mapping @ whitener
-            b, value, _ = _reference_solve(g, offset, z)
+            mapping, offset = _reference_form(design, channels, config,
+                                              i, j, k, weights)
+            b, value, _ = _reference_solve(mapping, offset, z)
             total += max(value - float(np.vdot(offset, offset).real), 0.0)
-            vecd = b if whitener is None else whitener @ b
-            worst[(i, j)][k] += vecd.reshape(worst[(i, j)].shape[1:], order="F")
+            worst[(i, j)][k] += b.reshape(worst[(i, j)].shape[1:], order="F")
     return total, worst
 
 
-@pytest.mark.parametrize("name", ["identity", "weighted", "zero_radii",
-                                  "shaped"])
+@pytest.mark.parametrize("name", ["identity", "weighted", "zero_radii"])
 def test_stacked_oracle_matches_per_form_reference(name, default_config,
                                                    default_channels, designed,
                                                    two_stream_case):
@@ -505,16 +459,12 @@ def test_stacked_oracle_matches_per_form_reference(name, default_config,
         k = 1
         form = build_quadratic_form(design, channels, config, *pair, k,
                                     mse_weights=weights)
-        mapping, offset, whitener = _reference_form(
+        mapping, offset = _reference_form(
             design, channels, config, *pair, k,
             weights if weights is not None else design.mse_weights)
         assert np.max(np.abs(form.map - mapping)) <= 1e-12 * np.max(np.abs(mapping))
         assert np.max(np.abs(form.offset - offset)) <= 1e-12 * max(
             np.max(np.abs(offset)), 1.0)
-        if whitener is None:
-            assert form.whitener is None
-        else:
-            assert np.array_equal(form.whitener, whitener)
 
 
 def test_stacked_solve_matches_scalar_reference_on_hard_cases():
@@ -579,8 +529,8 @@ def test_cutting_set_solves_each_form_once_per_cut(default_config,
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(robust, "_pair_forms", counted)
-    _, report = run_cutting_set(default_channels, default_config,
-                                options=SolverOptions(max_cuts=3))
+    monkeypatch.setattr(robust, "MAX_CUTS", 3)
+    _, report = run_cutting_set(default_channels, default_config)
     cuts = len(report.extras["cuts"])
     assert cuts == 3 and not report.extras["robust_converged"]
     assert all(np.all(r > 0) for r in default_channels.csi_radius.values())
@@ -621,9 +571,10 @@ def test_cutting_set_certified_no_worse_than_nominal(default_config):
     assert wins >= 1
 
 
-def test_cutting_set_history_shapes(default_config, default_channels):
-    _, report = run_cutting_set(default_channels, default_config,
-                                options=SolverOptions(max_cuts=4))
+def test_cutting_set_history_shapes(default_config, default_channels,
+                                    monkeypatch):
+    monkeypatch.setattr(robust, "MAX_CUTS", 4)
+    _, report = run_cutting_set(default_channels, default_config)
     history = report.extras["cuts"]
     assert 1 <= len(history) <= 4
     for step in history:
