@@ -1,18 +1,16 @@
 """Alternating weighted-MSE minimization with closed-form block updates.
 
 Both directions' precoders and receive filters are updated in turn. The
-receiver step is an MMSE filter against everything the design model predicts
-the receiver will see; the precoder step solves a per-direction convex
-quadratically-constrained program in closed form, with a scalar dual variable
-enforcing the distortion-aware transmit power budget.
+receiver step is an MMSE filter against all the design model predicts the
+receiver will see; the precoder step solves a per-direction convex QCQP exactly:
+by a scalar power dual, or under a self-interference cap by Newton on two duals.
 
 run_altqcp_scenarios is the one block-coordinate driver of the package: the
 weighted sum-rate designer (wmmse), the cutting-set inner design (robust) and
 the threshold baselines (baselines) are this loop with its weight block or its
 self-interference cap switched on. All updates take a scenario stack, (S,)
-weights and (S, K, M, N) channels, and reduce over its leading axis (the
-cutting set designs against a weighted objective); the nominal algorithm is
-the one-scenario stack of the estimated channels.
+weights and (S, K, M, N) channels, and reduce over its leading axis; the
+nominal algorithm is the one-scenario stack of the estimated channels.
 """
 
 from __future__ import annotations
@@ -26,12 +24,13 @@ from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
                     _stack, design_report, identity_weights, mse_stacks,
                     power_usage, rate_surrogate, weighted_rate)
-from .util import (LN2, ConfigError, DualSearchError, _rational_root,
-                   _root_search, dagger, herm, stabilized)
+from .util import (LN2, ConfigError, DualSearchError, _rational_root, dagger,
+                   herm, stabilized)
 
 
 # the power dual stops when the power is within this fraction of the budget
 POWER_REL_TOL = 1e-9
+CAP_NEWTON_STEPS = 50   # Newton steps of a capped precoder step before DualSearchError
 
 
 @dataclass(frozen=True)
@@ -153,58 +152,58 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
     return v, float(iota)
 
 
-def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu_start):
-    """_solve_power_dual with one more constraint, sum_k ||cross^k V^k||_F^2 <=
-    cap (the self-interference power the precoder puts into its own node's
-    receiver), through that constraint's multiplier mu, which adds
-    mu cross^H cross to the quadratic. The interference power si(mu) has no
-    closed-form bound, so the search probes mu_start (the last iterate's
-    root; 0 when that is 0 or not finite), steps away from it, doubling the
-    step until si crosses the cap, and the root search closes that bracket.
-    Returns (V stack, iota, mu); mu = 0 when the cap is inactive,
-    si(0) <= cap + tol."""
+def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0=0.0):
+    """_solve_power_dual with one more constraint, si(V) = sum_k ||cross^k V^k||^2
+    <= cap: projected Newton from x = (iota0, mu0) maximizes the concave dual
+    g(x) = -Re sum_k tr(C^H V) - x.(P, cap) over x >= 0, V = M^{-1} C, M = A +
+    iota B + mu cross^H cross (Boyd & Vandenberghe 2004, sections 5 and 9.5).
+    At mu = 0 the exact uncapped solve is the answer if it meets the cap.
+    Returns (V stack, iota, mu); V = 0 and mu = inf when cap <= 0."""
     if cap <= 0:
         return np.zeros_like(rhs), 0.0, np.inf
-    cross_gram = herm(np.einsum("kmn,kmp->knp", cross.conj(), cross))
-    probes = {}                       # mu -> (V, iota, interference power)
+    ops = np.stack(np.broadcast_arrays(np.diag(scale_diag), herm(dagger(cross) @ cross)))
+    budget, tols = np.array([p_max, cap]), np.array([tol, max(tol, 1e-9 * cap)])
+    x, point, binds = np.array([iota0, mu0], dtype=float), None, False
 
-    def si_at(mu):
-        if mu not in probes:
-            v, iota = _solve_power_dual(herm(quad + mu * cross_gram), rhs,
-                                        scale_diag, p_max, tol)
-            fv = cross @ v
-            probes[mu] = (v, iota, float(np.einsum("kmd,kmd->", fv, fv.conj()).real))
-        return probes[mu][2]
+    def at(x):                        # (V, M^{-1}, g, grad g) at x
+        inv = np.linalg.inv(quad + np.einsum("a,aknp->knp", x, ops))
+        v = inv @ rhs
+        used = np.einsum("knd,aknp,kpd->a", v.conj(), ops, v).real
+        return v, inv, -np.vdot(rhs, v).real - x @ budget, used - budget
 
-    si_tol = max(tol, 1e-9 * cap)
-    mu = start = float(mu_start) if 0 < mu_start < np.inf else 0.0
-    si0 = si_at(start)
-    if (si0 > cap + tol) if start == 0 else (abs(si0 - cap) > si_tol):
-        # the root moves by about si0 / cap - 1 over si's elasticity in mu; a
-        # step for an elasticity of 1/3 mostly brackets it at once (1 from 0)
-        up, near = si0 > cap, start
-        step = min(3.0 * abs(si0 / cap - 1.0), 1.0) * start if start > 0 else 1.0
-        for _ in range(200):
-            far = start + step if up else max(start - step, 0.0)
-            if (si_at(far) <= cap) == up or far == 0:
+    for _ in range(CAP_NEWTON_STEPS):
+        if x[1] == 0:
+            (v, x[0]), point = _solve_power_dual(quad, rhs, scale_diag, p_max, tol), None
+            binds = np.vdot(cross @ v, cross @ v).real > cap + tols[1]
+            if not binds:
+                return v, x[0], 0.0
+        if x[0] == 0 and point is None:   # A may be singular: G on, iota exact
+            x[1] = x[1] or np.einsum("knn->", quad).real / np.einsum("knn->", ops[1]).real
+            x[0] = _solve_power_dual(quad + x[1] * ops[1], rhs, scale_diag, p_max, tol)[1]
+        v, inv, value, grad = point or at(x)
+        if np.all(np.where(x > 0, np.abs(grad), grad) <= tols):
+            return v, x[0], x[1]
+        free, step, bv = (x > 0) | (grad > 0), np.zeros(2), ops @ v
+        hess = -2.0 * np.einsum("aknd,bknd->ab", bv.conj(), inv @ bv).real
+        step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
+        for alpha in 0.5 ** np.arange(60):    # backtrack, or stop in g's rounding
+            trial = np.maximum(x + alpha * step, 0.0)
+            point, gain = at(trial) if trial[1] > 0 else None, grad @ (trial - x)
+            if (not binds if point is None else point[2] - value >= 1e-4 * abs(gain)
+                    or abs(gain) <= 1e-14 * (abs(value) + x @ budget)):
                 break
-            near, step = far, 2.0 * step
-        else:
-            raise DualSearchError("interference-cap dual bracket expansion failed")
-        mu = 0.0 if far == 0 and si_at(far) <= cap + tol else _root_search(
-            lambda x: np.array([si_at(x[0])]), *sorted((near, far)), cap, si_tol)[0]
-    return (*probes[mu][:2], mu)
+        x = trial
+    grad = (point or at(x))[3]        # the residuals where the search stopped
+    raise DualSearchError(f"cap dual search stopped at iota={x[0]:.6g}, mu={x[1]:.6g}, "
+                          f"residuals {grad[0]:.3g} (power), {grad[1]:.3g} (cap)")
 
 
 def _precoder_step(decoders, mse_weights, shares, g, sic, config,
-                   si_caps=None, si_duals=(0.0, 0.0)):
+                   si_caps=None, si_duals=(0.0, 0.0), duals=(0.0, 0.0)):
     """Exact minimizer of the scenario-weighted MSE over both directions'
-    precoders, each under its own power constraint and, when si_caps is
-    given, under a cap on the self-interference power it puts into its own
-    node's receiver through the estimated cross channel; si_duals are the
-    previous caps' multipliers, where their searches start.
-
-    Returns (precoders, power duals, self-interference duals)."""
+    precoders, each under its power budget and, given si_caps, a cap on the
+    self-interference it puts into its own receiver through the estimated cross
+    channel, searched from the last duals. Returns (precoders, duals, si_duals)."""
     grams = _weighted_decoder_grams(decoders, mse_weights)
     leaks = _leakage_stacks(grams, shares, g, config)
     out = []
@@ -221,7 +220,7 @@ def _precoder_step(decoders, mse_weights, shares, g, sic, config,
         args = (herm(quad), rhs, 1.0 + config.subcarriers * config.tx_distortion[i],
                 config.p_max[i], POWER_REL_TOL * config.p_max[i])
         out.append((*_solve_power_dual(*args), 0.0) if si_caps is None else
-                   _capped_power_dual(*args, sic[(j, i)], si_caps[i], si_duals[i]))
+                   _capped_power_dual(*args, sic[(j, i)], si_caps[i], si_duals[i], duals[i]))
     precoders, duals, mus = zip(*out)
     return list(precoders), duals, mus
 
@@ -297,13 +296,13 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
         value = objective()
     trace = [value]
     blocks, slackness, tightness = [], [], []
-    si_duals = (0.0, 0.0)
+    si_duals = duals = (0.0, 0.0)
     converged = False
     for _ in range(options.max_iters):
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
                         if weight_block else weights)
         precoders, duals, si_duals = _precoder_step(
-            decoders, step_weights, shares, g, sic, config, si_caps, si_duals)
+            decoders, step_weights, shares, g, sic, config, si_caps, si_duals, duals)
         sigmas = _scenario_sigma(precoders, g, sic, config)
         block = [objective()]
         decoders = _receiver_step(precoders, shares, g, sigmas, config)

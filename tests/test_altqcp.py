@@ -3,12 +3,13 @@
 quadratic), dual behavior, and whole-run contracts."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from conftest import crandn_t, random_precoders
-from fdlink import (ChannelRealization, ConfigError, SystemConfig,
+from fdlink import (ChannelRealization, ConfigError, DualSearchError, SystemConfig,
                     mmse_error_matrix, mse_matrix, power_usage, run_altqcp,
                     run_baseline, update_precoders, update_receivers)
 from fdlink.altqcp import (SolverOptions, _capped_power_dual, _design_objective,
@@ -346,65 +347,69 @@ def test_power_dual_matches_bisection():
         assert abs(iota - reference) <= 1e-8 * reference
 
 
-@pytest.mark.parametrize("designer", ["altqcp", "wmmse"])
-def test_capped_dual_probes_and_cap_residual(default_config, default_channels,
-                                             monkeypatch, designer):
-    # mu steps from the previous root to a bracket that the shared root
-    # search closes; counts the _solve_power_dual probes of each
-    # _capped_power_dual call
+def _recorded_cap_calls(monkeypatch, start=None):
+    """Wraps _capped_power_dual: each call appends [Newton steps, args,
+    result], the steps counted as its Hessian solves, the only 2-D
+    np.linalg.solve it makes; start, when given, replaces every call's
+    (mu0, iota0)."""
     import fdlink.altqcp as altqcp
-    solve, capped = altqcp._solve_power_dual, altqcp._capped_power_dual
-    probes, calls = [], []
+    capped, solve, calls, inside = altqcp._capped_power_dual, np.linalg.solve, [], [False]
 
-    def counted_solve(*args):
-        probes[-1] += 1
-        return solve(*args)
+    def counted_solve(a, b):
+        if inside[0] and np.ndim(a) == 2:
+            calls[-1][0] += 1
+        return solve(a, b)
 
-    def recorded_capped(quad, rhs, scale, p_max, tol, cross, cap, mu_start):
-        probes.append(0)
-        v, iota, mu = capped(quad, rhs, scale, p_max, tol, cross, cap, mu_start)
-        fv = cross @ v
-        calls.append((mu, float(np.vdot(fv, fv).real), cap, tol))
-        return v, iota, mu
+    def recorded(*args):
+        args = args if start is None else (*args[:7], *start)
+        calls.append([0, args, None])
+        inside[0] = True
+        try:
+            calls[-1][2] = capped(*args)
+        finally:
+            inside[0] = False
+        return calls[-1][2]
 
-    monkeypatch.setattr(altqcp, "_solve_power_dual", counted_solve)
-    monkeypatch.setattr(altqcp, "_capped_power_dual", recorded_capped)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(altqcp, "_capped_power_dual", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("designer", ["altqcp", "wmmse"])
+def test_capped_dual_newton_steps_and_cap_residual(default_config, default_channels,
+                                                   monkeypatch, designer):
+    # projected Newton on (iota, mu) from the previous step's multipliers;
+    # counts the Newton steps of each _capped_power_dual call
+    calls = _recorded_cap_calls(monkeypatch)
     for mode in ("pth_low", "pth_high"):
         run_baseline(mode, default_channels, default_config, designer=designer)
-    assert max(probes) <= 20
-    assert any(mu > 0 for mu, _, _, _ in calls)
-    for mu, si, cap, tol in calls:
+    assert max(steps for steps, _, _ in calls) <= 12
+    assert any(mu > 0 for _, _, (_, _, mu) in calls)
+    for _, args, (v, _, mu) in calls:
+        fv, cap, tol = args[5] @ v, args[6], args[4]
+        si = float(np.vdot(fv, fv).real)
         if mu > 0:
             assert abs(si - cap) <= max(tol, 1e-9 * cap)
 
 
-def test_warm_cap_multiplier_saves_probes(default_config, default_channels,
-                                          monkeypatch):
+def test_warm_cap_multiplier_saves_newton_steps(default_config, default_channels,
+                                                monkeypatch):
     # the four pth runs of the default draw with each cap search started at
-    # the previous root, against the same runs with every search started at 0
-    import fdlink.altqcp as altqcp
-    solve, capped = altqcp._solve_power_dual, altqcp._capped_power_dual
-    probes = [0]
-
-    def counted_solve(*args):
-        probes[0] += 1
-        return solve(*args)
-
-    def runs():
-        probes[0] = 0
+    # the previous step's multipliers, against the same runs with every
+    # search started at (iota, mu) = (0, 0)
+    def runs(start):
+        monkeypatch.undo()
+        calls = _recorded_cap_calls(monkeypatch, start)
         iterations = [run_baseline(mode, default_channels, default_config,
                                    designer=designer)[1].iterations
                       for mode in ("pth_low", "pth_high")
                       for designer in ("altqcp", "wmmse")]
-        return iterations, probes[0]
+        return iterations, sum(steps for steps, _, _ in calls), len(calls)
 
-    monkeypatch.setattr(altqcp, "_solve_power_dual", counted_solve)
-    warm_iterations, warm = runs()
-    monkeypatch.setattr(altqcp, "_capped_power_dual",
-                        lambda *args: capped(*args[:-1], 0.0))
-    cold_iterations, cold = runs()
+    warm_iterations, warm, n_calls = runs(None)
+    cold_iterations, cold, _ = runs((0.0, 0.0))
     assert warm_iterations == cold_iterations
-    assert warm <= 750 < cold
+    assert warm <= 3 * n_calls and warm < cold
 
 
 def _cap_problem():
@@ -438,6 +443,83 @@ def test_warm_cap_multiplier_drops_to_zero_when_cap_inactive():
     v, iota, mu = _capped_power_dual(*args, 3.7)
     assert mu == mu_cold == 0.0
     assert iota == iota_cold and np.array_equal(v, v_cold)
+
+
+def _rank_deficient_cap_problem():
+    # A = a a^H has rank one and C lies in its range, so the power stays
+    # below the budget as iota -> 0: the uncapped iota is 0, and A + iota B
+    # is singular there
+    rng = np.random.default_rng(9)
+    k, n = 3, 2
+    a = crandn_t(rng, (k, n, 1))
+    quad = a @ a.conj().swapaxes(1, 2)
+    rhs, cross = 0.1 * a @ crandn_t(rng, (k, 1, 1)), crandn_t(rng, (k, 2, n))
+    v, iota = _solve_power_dual(quad, rhs, np.ones(n), 1.0, 1e-9)
+    assert iota == 0.0
+    return quad, rhs, cross, float(np.vdot(cross @ v, cross @ v).real)
+
+
+def _cap_calls(case, config, channels, monkeypatch):
+    """(args, result) of each _capped_power_dual call of one KKT input."""
+    if case == "pth_runs":
+        calls = _recorded_cap_calls(monkeypatch)
+        for mode in ("pth_low", "pth_high"):
+            for designer in ("altqcp", "wmmse"):
+                run_baseline(mode, channels, config, designer=designer)
+        return [(args, result) for _, args, result in calls]
+    quad, rhs, cross, si_free = (_rank_deficient_cap_problem() if case == "singular_start"
+                                 else _cap_problem())
+    fraction = {"inactive": 2.0, "singular_start": 0.1}.get(case, 0.9)
+    args = (quad, rhs, np.ones(2), 1.0, 1e-9, cross, fraction * si_free)
+    start = (3.7, 0.0) if case == "inactive" else (0.0, 0.0)
+    if case.startswith("warm"):
+        _, iota, mu = _capped_power_dual(*args, 0.0)
+        assert iota > 0 and mu > 0
+        start = (float(case[5:]) * mu, float(case[5:]) * iota)
+    return [(args, _capped_power_dual(*args, *start))]
+
+
+@pytest.mark.parametrize("case", ["active", "inactive", "singular_start",
+                                  "warm_1e-06", "warm_1e+06", "pth_runs"])
+def test_capped_step_meets_kkt_conditions(default_config, default_channels,
+                                          monkeypatch, case):
+    # primal feasibility and complementary slackness for both constraints,
+    # and a vanishing Lagrangian gradient (A + iota B + mu G) V - C in V
+    calls = _cap_calls(case, default_config, default_channels, monkeypatch)
+    for (quad, rhs, scale, p_max, tol, cross, cap, *_), (v, iota, mu) in calls:
+        si_tol = max(tol, 1e-9 * cap)
+        power = float(np.einsum("knd,n,knd->", v.conj(), scale, v).real)
+        si = float(np.vdot(cross @ v, cross @ v).real)
+        assert iota >= 0 and mu >= 0
+        assert power <= p_max + tol and si <= cap + si_tol
+        assert abs(iota * (power - p_max)) <= iota * tol
+        assert abs(mu * (si - cap)) <= mu * si_tol
+        gram = cross.conj().swapaxes(1, 2) @ cross
+        residual = (quad + iota * np.diag(scale) + mu * gram) @ v - rhs
+        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(rhs)
+    if case != "pth_runs":            # the one call is the case it names
+        assert (calls[0][1][2] == 0.0) == (case == "inactive")
+
+
+def test_cap_search_failure_names_where_it_stopped(monkeypatch):
+    # one Newton step from a cold start far from the root: the error names
+    # the multipliers it stopped at and the residuals there
+    import fdlink.altqcp as altqcp
+    monkeypatch.setattr(altqcp, "CAP_NEWTON_STEPS", 1)
+    quad, rhs, cross, si_free = _cap_problem()
+    cap = 1e-3 * si_free
+    with pytest.raises(DualSearchError) as failure:
+        _capped_power_dual(quad, rhs, np.ones(2), 1.0, 1e-9, cross, cap, 0.0)
+    found = re.search(r"iota=(\S+), mu=(\S+), residuals (\S+) \(power\), "
+                      r"(\S+) \(cap\)", str(failure.value))
+    iota, mu, power_residual, cap_residual = map(float, found.groups())
+    v = np.linalg.solve(quad + iota * np.eye(2) + mu * cross.conj().swapaxes(1, 2)
+                        @ cross, rhs)
+    assert mu > 0
+    assert power_residual == pytest.approx(np.vdot(v, v).real - 1.0, rel=1e-2, abs=1e-9)
+    assert cap_residual == pytest.approx(np.vdot(cross @ v, cross @ v).real - cap,
+                                         rel=1e-2)
+    assert abs(cap_residual) > 1e-9 * cap
 
 
 def _recover_quadratic(func, n, step=0.5):

@@ -141,14 +141,21 @@ def test_blind_design_power_uses_ideal_model(default_config,
 
 
 def test_all_modes_run_with_rate_designer(default_config, default_channels):
-    for mode in BASELINE_MODES:
-        design, report = run_baseline(mode, default_channels, default_config,
-                                      designer="wmmse")
-        assert report.extras["mode"] == mode
-        assert np.isfinite(report.sum_mse())
-        assert np.isfinite(report.weighted_sum_rate())
-        for i in DIRECTIONS:
-            assert np.all(np.isfinite(design.precoders[i]))
+    # also with a silent direction 1: its pth_* cap is 0, so its precoder is
+    # exactly zero, returned without a solve
+    silent = SystemConfig.from_scalars(p_max=(1.0, 0.0))
+    for config in (default_config, silent):
+        for mode in BASELINE_MODES:
+            design, report = run_baseline(mode, default_channels, config,
+                                          designer="wmmse")
+            assert report.extras["mode"] == mode
+            assert np.isfinite(report.sum_mse())
+            assert np.isfinite(report.weighted_sum_rate())
+            assert np.all(np.isfinite(report.power))
+            for i in DIRECTIONS:
+                assert np.all(np.isfinite(design.precoders[i]))
+            if config is silent:
+                assert np.all(design.precoders[1] == 0)
 
 
 def test_unknown_mode_and_designer_raise(default_config, default_channels):
