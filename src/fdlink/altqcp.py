@@ -3,7 +3,8 @@
 Both directions' precoders and receive filters are updated in turn. The
 receiver step is an MMSE filter against all the design model predicts the
 receiver will see; the precoder step solves a per-direction convex QCQP exactly:
-by a scalar power dual, or under a self-interference cap by Newton on two duals.
+by a scalar power dual, searched by Newton's method from the last iteration's
+value, or under a self-interference cap by Newton on two duals.
 
 run_altqcp_scenarios is the one block-coordinate driver of the package: the
 weighted sum-rate designer (wmmse), the cutting-set inner design (robust) and
@@ -22,8 +23,8 @@ import numpy as np
 
 from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
-                    _stack, design_report, identity_weights, mse_stacks,
-                    power_usage, rate_surrogate, weighted_rate)
+                    _sic_residual, _stack, design_report, identity_weights,
+                    mse_stacks, power_usage, rate_surrogate, weighted_rate)
 from .util import (LN2, ConfigError, DualSearchError, _rational_root, dagger,
                    herm, stabilized)
 
@@ -110,46 +111,42 @@ def _leakage_stacks(grams, shares, g, config):
     return out
 
 
-def _solve_power_dual(quad, rhs, scale_diag, p_max, tol):
+def _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0=0.0):
     """min_V sum_k tr(V^H A^k V) - 2 Re tr(C^k^H V) s.t. tr(B sum_k V V^H) <= P
-    with B = diag(scale_diag) > 0; returns (V stack, dual iota >= 0).
+    with A Hermitian and B = diag(scale_diag) > 0; returns (V stack, iota >= 0).
 
-    V(iota) = (A + iota B)^{-1} C; the power is a sum of inverse squares in
-    iota whose coefficients come from one batched eigendecomposition, so the
-    root search runs on scalars.
+    With B^(-1/2) A B^(-1/2) = Q Lambda Q^H, one batched eigendecomposition,
+    V(iota) = B^(-1/2) Q (Lambda + iota)^{-1} Q^H B^(-1/2) C, and the power is
+    a sum of inverse squares in iota: its root is searched on scalars, from
+    iota0 (the last iteration's dual), and V is read off the same basis.
     """
-    if p_max <= 0 or not np.any(rhs):
+    if p_max <= 0:
         return np.zeros_like(rhs), 0.0
-    bs = 1.0 / np.sqrt(scale_diag)
-    whitened = herm(quad * bs[None, :, None] * bs[None, None, :])
-    lam, basis = np.linalg.eigh(whitened)
+    bs = scale_diag ** -0.5
+    col = bs[:, None]
+    # eigh reads one triangle; scaling by a symmetric outer product keeps an
+    # exactly Hermitian quad exactly Hermitian
+    lam, basis = np.linalg.eigh(quad * (col * bs))
     lam = np.maximum(lam, 0.0)
-    coeff = np.einsum("knm,knd->kmd", basis.conj(), bs[None, :, None] * rhs)
-    weight = np.einsum("kmd,kmd->km", coeff, coeff.conj()).real
-    total = weight.sum()
+    basis = col * basis                 # B^(-1/2) Q
+    coeff = dagger(basis) @ rhs
+    weight = np.add.reduce((coeff * coeff.conj()).real, 2)
+    total = float(np.add.reduce(weight, None))
     if total <= 0:
         return np.zeros_like(rhs), 0.0
 
-    # power at iota -> 0+: null-space weights of an exactly-consistent system
-    # are pure roundoff; treat them as zero, otherwise the limit is infinite
-    lam_floor = max(lam.max(), 1.0) * 1e-14
-    tiny_w = total * 1e-13
-    live = weight > tiny_w
-    blocked = live & (lam <= lam_floor)
-    if np.any(blocked):
-        p_zero = np.inf
-    else:
-        safe = np.where(live, np.maximum(lam, lam_floor), 1.0)
-        p_zero = float((np.where(live, weight, 0.0) / safe ** 2).sum())
+    # iota = 0 when the power at iota -> 0+ fits the budget. Null-space weights
+    # of an exactly-consistent system are pure roundoff and count as zero; a
+    # live weight on a zero eigenvalue makes that power infinite
+    live = weight > total * 1e-13
+    lam_live = lam[live]
+    if (np.minimum.reduce(lam_live) > 1e-14 * max(np.maximum.reduce(lam, None), 1.0)
+            and np.add.reduce(weight[live] / lam_live ** 2) <= p_max):
+        return np.linalg.solve(stabilized(quad), rhs), 0.0
 
-    if p_zero <= p_max:
-        v = np.linalg.solve(stabilized(quad), rhs)
-        return v, 0.0
-
-    pos = weight > 0                  # zero-weight terms add nothing to any sum
-    iota = _rational_root(lam[pos][None], weight[pos][None], p_max, tol)[0]
-    v = np.linalg.solve(quad + iota * np.diag(scale_diag)[None, :, :], rhs)
-    return v, float(iota)
+    iota = float(_rational_root(lam.reshape(1, -1), weight.reshape(1, -1), p_max, tol,
+                                iota0)[0])
+    return basis @ (coeff / (lam + iota)[:, :, None]), iota
 
 
 def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0=0.0):
@@ -158,12 +155,14 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
     g(x) = -Re sum_k tr(C^H V) - x.(P, cap) over x >= 0, V = M^{-1} C, M = A +
     iota B + mu cross^H cross (Boyd & Vandenberghe 2004, sections 5 and 9.5).
     At mu = 0 the exact uncapped solve is the answer if it meets the cap.
-    Returns (V stack, iota, mu); V = 0 and mu = inf when cap <= 0."""
+    Returns (V stack, iota, mu); when cap <= 0, V = 0, which meets the cap
+    with any mu >= 0, and mu = 0."""
     if cap <= 0:
-        return np.zeros_like(rhs), 0.0, np.inf
+        return np.zeros_like(rhs), 0.0, 0.0
     ops = np.stack(np.broadcast_arrays(np.diag(scale_diag), herm(dagger(cross) @ cross)))
     budget, tols = np.array([p_max, cap]), np.array([tol, max(tol, 1e-9 * cap)])
     x, point, binds = np.array([iota0, mu0], dtype=float), None, False
+    dual = (rhs, scale_diag, p_max, tol)
 
     def at(x):                        # (V, M^{-1}, g, grad g) at x
         inv = np.linalg.inv(quad + np.einsum("a,aknp->knp", x, ops))
@@ -173,13 +172,13 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
 
     for _ in range(CAP_NEWTON_STEPS):
         if x[1] == 0:
-            (v, x[0]), point = _solve_power_dual(quad, rhs, scale_diag, p_max, tol), None
+            (v, x[0]), point = _solve_power_dual(quad, *dual, x[0]), None
             binds = np.vdot(cross @ v, cross @ v).real > cap + tols[1]
             if not binds:
                 return v, x[0], 0.0
         if x[0] == 0 and point is None:   # A may be singular: G on, iota exact
             x[1] = x[1] or np.einsum("knn->", quad).real / np.einsum("knn->", ops[1]).real
-            x[0] = _solve_power_dual(quad + x[1] * ops[1], rhs, scale_diag, p_max, tol)[1]
+            x[0] = _solve_power_dual(quad + x[1] * ops[1], *dual, iota0)[1]
         v, inv, value, grad = point or at(x)
         if np.all(np.where(x > 0, np.abs(grad), grad) <= tols):
             return v, x[0], x[1]
@@ -198,12 +197,13 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
                           f"residuals {grad[0]:.3g} (power), {grad[1]:.3g} (cap)")
 
 
-def _precoder_step(decoders, mse_weights, shares, g, sic, config,
+def _precoder_step(decoders, mse_weights, shares, g, sic, residual, config,
                    si_caps=None, si_duals=(0.0, 0.0), duals=(0.0, 0.0)):
     """Exact minimizer of the scenario-weighted MSE over both directions'
     precoders, each under its power budget and, given si_caps, a cap on the
     self-interference it puts into its own receiver through the estimated cross
-    channel, searched from the last duals. Returns (precoders, duals, si_duals)."""
+    channel sic, searched from the last duals; residual is _sic_residual(g,
+    sic). Returns (precoders, duals, si_duals)."""
     grams = _weighted_decoder_grams(decoders, mse_weights)
     leaks = _leakage_stacks(grams, shares, g, config)
     out = []
@@ -213,13 +213,13 @@ def _precoder_step(decoders, mse_weights, shares, g, sic, config,
         quad = leaks[i] + np.einsum("s,sknd,kde,skpe->knp", shares, hu,
                                     mse_weights[i], hu.conj())
         rhs = np.einsum("s,sknd,kde->kne", shares, hu, mse_weights[i])
-        d = g[(j, i)] - sic[(j, i)]          # residual SI leaks through the error
-        if np.any(d):
+        d = residual[j]                      # residual SI leaks through the error
+        if d is not None:
             quad = quad + np.einsum("s,skmn,kmp,skpq->knq", shares, d.conj(),
                                     grams[j], d)
         args = (herm(quad), rhs, 1.0 + config.subcarriers * config.tx_distortion[i],
                 config.p_max[i], POWER_REL_TOL * config.p_max[i])
-        out.append((*_solve_power_dual(*args), 0.0) if si_caps is None else
+        out.append((*_solve_power_dual(*args, duals[i]), 0.0) if si_caps is None else
                    _capped_power_dual(*args, sic[(j, i)], si_caps[i], si_duals[i], duals[i]))
     precoders, duals, mus = zip(*out)
     return list(precoders), duals, mus
@@ -231,7 +231,7 @@ def _precoder_step(decoders, mse_weights, shares, g, sic, config,
 
 def update_receivers(precoders, channels: ChannelRealization, config: SystemConfig):
     shares, g = _stack([(1.0, channels.h_est)])
-    sigmas = _scenario_sigma(precoders, g, channels.h_est, config)
+    sigmas = _scenario_sigma(precoders, g, (None, None), config)
     return _receiver_step(precoders, shares, g, sigmas, config)
 
 
@@ -239,7 +239,7 @@ def update_precoders(decoders, mse_weights, channels: ChannelRealization,
                      config: SystemConfig):
     shares, g = _stack([(1.0, channels.h_est)])
     precoders, duals, _ = _precoder_step(decoders, mse_weights, shares, g,
-                                         channels.h_est, config)
+                                         channels.h_est, (None, None), config)
     return precoders, duals
 
 
@@ -273,6 +273,7 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
     else:
         precoders = init_precoders(sic, config)
     shares, g = _stack(scenarios)
+    residual = _sic_residual(g, sic)
 
     def first():                      # the first scenario's covariances
         return [s[0] for s in sigmas]
@@ -283,7 +284,7 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
             return rate_surrogate(errors, weights, config)
         return _design_objective(precoders, decoders, weights, shares, g, sigmas)
 
-    sigmas = _scenario_sigma(precoders, g, sic, config)
+    sigmas = _scenario_sigma(precoders, g, residual, config)
     decoders = _receiver_step(precoders, shares, g, sigmas, config)
 
     rate_trace = None
@@ -302,8 +303,9 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
                         if weight_block else weights)
         precoders, duals, si_duals = _precoder_step(
-            decoders, step_weights, shares, g, sic, config, si_caps, si_duals, duals)
-        sigmas = _scenario_sigma(precoders, g, sic, config)
+            decoders, step_weights, shares, g, sic, residual, config, si_caps,
+            si_duals, duals)
+        sigmas = _scenario_sigma(precoders, g, residual, config)
         block = [objective()]
         decoders = _receiver_step(precoders, shares, g, sigmas, config)
         if weight_block:

@@ -221,17 +221,23 @@ def _stack(scenarios):
             {pair: np.stack([g[pair] for _, g in scenarios]) for pair in PAIRS})
 
 
-def _scenario_sigma(precoders, g, sic, config: SystemConfig):
+def _sic_residual(g, sic):
+    """Per receiver i, the cross channel left after cancellation referenced to
+    sic, (g - sic)_ij with j = 1 - i, or None where it is zero; g may be a
+    stack. It is fixed for a run, so a run computes it once."""
+    residual = [g[(i, 1 - i)] - sic[(i, 1 - i)] for i in DIRECTIONS]
+    return [d if np.any(d) else None for d in residual]
+
+
+def _scenario_sigma(precoders, g, residual, config: SystemConfig):
     """Design-model interference covariance stacks when the channels are g and
-    self-interference cancellation is referenced to sic: covariance_stacks on g
-    plus the cancellation residual (g - sic)_ij V_j V_j^H (g - sic)_ij^H of the
-    cross links, j = 1 - i; g may be a stack. Returns [ (..., K, M_i, M_i) ]_i."""
+    the cancellation residual is residual (_sic_residual): covariance_stacks on
+    g plus d_ij V_j V_j^H d_ij^H of the cross links, j = 1 - i; g may be a
+    stack. Returns [ (..., K, M_i, M_i) ]_i."""
     sigmas = covariance_stacks(precoders, g, config)
     for i in DIRECTIONS:
-        j = 1 - i
-        d = g[(i, j)] - sic[(i, j)]
-        if np.any(d):
-            dv = d @ precoders[j]
+        if residual[i] is not None:
+            dv = residual[i] @ precoders[1 - i]
             sigmas[i] = sigmas[i] + np.einsum("...kmd,...kpd->...kmp", dv, dv.conj())
     return sigmas
 
@@ -375,5 +381,6 @@ def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
     MSE uses the design's own decoders (identity weights); rates assume the
     desired-link receiver can realize the MMSE front end for the true channel.
     """
-    sigmas = _scenario_sigma(design.precoders, channels.h, channels.h_est, config)
+    sigmas = _scenario_sigma(design.precoders, channels.h,
+                             _sic_residual(channels.h, channels.h_est), config)
     return design_report(design.precoders, design.decoders, channels.h, sigmas, config)

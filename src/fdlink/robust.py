@@ -7,10 +7,11 @@ receive-distortion pickup), and no term couples two different error matrices.
 The objective therefore splits exactly into a Delta-independent remainder plus
 one convex quadratic ||C vec(Delta) + c||^2 per (receiver, transmitter,
 subcarrier) triple, each maximized in closed form over its own Frobenius
-ball ||Delta_ij^k||_F <= zeta by a trust-region-style secular equation. One
-oracle pass gives both the certified worst case and the pessimizing channel
-that attains it; a cutting-set loop appends that channel to its scenario set
-to reach a robust design.
+ball ||Delta_ij^k||_F <= zeta through a trust-region-style secular equation,
+solved by the same Newton search as the precoder's power dual. One oracle
+pass gives both the certified worst case and the pessimizing channel that
+attains it; a cutting-set loop appends that channel to its scenario set to
+reach a robust design.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _scenario_sigma,
-                    _stack)
+                    _sic_residual, _stack)
 from .util import ConfigError, _rational_root, dagger, herm
 
 # the cut loop stops once the certified worst case is within this fraction of
@@ -61,7 +62,8 @@ def weighted_mse_with_errors(design: TransceiverDesign,
          if deltas.get(pair) is not None else channels.h_est[pair]
          for pair in PAIRS}
     shares, g = _stack([(1.0, g)])
-    sigmas = _scenario_sigma(design.precoders, g, channels.h_est, config)
+    sigmas = _scenario_sigma(design.precoders, g, _sic_residual(g, channels.h_est),
+                             config)
     return _design_objective(design.precoders, design.decoders, weights,
                              shares, g, sigmas)
 

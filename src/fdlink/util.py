@@ -1,6 +1,9 @@
-"""Small shared helpers: dB conversion, complex RNG draws, linear algebra glue."""
+"""Small shared helpers: dB conversion, complex RNG draws, linear algebra glue,
+and the Newton secular-equation solver behind the power dual and the oracle."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -12,7 +15,7 @@ class ConfigError(ValueError):
 
 
 class DualSearchError(RuntimeError):
-    """A scalar dual search failed to bracket/converge (CLI exit code 3)."""
+    """A scalar dual search failed to converge (CLI exit code 3)."""
 
 
 def db_to_linear(db):
@@ -63,78 +66,63 @@ def stabilized(sigma: np.ndarray) -> np.ndarray:
 _ROOT_ITERS = 100
 
 
-def _root_search(f, lo, hi, target, tol):
-    """x in (lo, hi] with |f(x) - target| <= tol per element of (F,) arrays
-    of brackets, targets and tolerances (scalars broadcast); f maps an (F,)
-    array of points to their values, each decreasing, with f(lo) > target >=
-    f(hi). A scalar search is the batch of one.
+def _rows(x, n):
+    """A scalar or an (n,) array as a list of n floats."""
+    return x.tolist() if isinstance(x, np.ndarray) and x.ndim else [float(x)] * n
 
-    Regula falsi with the Illinois modification runs on f^(-1/2), nearly
-    linear for the sums of inverse squares searched here; a candidate outside
-    its bracket falls back to bisection, and a bracket no float can split
-    returns its upper end. Each step evaluates f once for the batch, and each
-    element stops at its own tolerance. The bracket updates are scalar float
-    arithmetic: on batches this small numpy calls cost more than the
-    arithmetic, and numpy's SIMD pow can round apart from the C library's.
+
+def _secular(gap, weight, t):
+    """f(t) = sum_n weight_n / (gap_n + t)^2 per row of (F, n) arrays at (F,)
+    points, and s(t) = sum_n weight_n / (gap_n + t)^3 = -f'(t) / 2, as lists."""
+    shifted = gap + np.array(t)[:, None]
+    terms = weight / (shifted * shifted)
+    return np.add.reduce(terms, 1).tolist(), np.add.reduce(terms / shifted, 1).tolist()
+
+
+def _rational_root(gap, weight, target, tol, start=0.0):
+    """(F,) roots t >= 0 of f(t) = sum_n weight_n / (gap_n + t)^2 = target
+    within tol, per row of (F, n) arrays gap >= 0 and weight >= 0 whose sums
+    exceed target at t = 0; targets, tolerances and starts are (F,) arrays or
+    scalars.
+
+    Newton's method on f^(-1/2), the classic secular-equation solve of trust
+    region methods (More and Sorensen 1983): f^(-1/2) is concave and
+    increasing, so from any start one step lands left of the root and the
+    steps after it climb to the root monotonically. Each row starts at
+    max(start, b, 0), where b = max_n sqrt(weight_n / target) - gap_n is the
+    largest one-term bound: f(b) >= target, so b lies left of the root, and it
+    keeps every positive-weight term finite when a gap is 0. Each step
+    evaluates f and f' once for the batch; the step control is scalar float
+    arithmetic, which costs less than numpy calls on batches this small. A
+    row stops at its tolerance, when no float can take its step, or when
+    rounding carries a step after the first past the root; after _ROOT_ITERS
+    steps the search raises DualSearchError.
     """
-    shape = np.zeros(np.size(hi))
-    lo, hi, target, tol = ((np.asarray(a, dtype=float) + shape).tolist()
-                           for a in (lo, hi, target, tol))
-    x = list(hi)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        value = f(np.array(x)).tolist()
-        live = [e for e, v in enumerate(value) if not v >= target[e] - tol[e]]
-        goal = [t ** -0.5 for t in target]
-        r_hi = [np.float64(v) ** -0.5 - g for v, g in zip(value, goal)]
-        r_lo = [np.float64(v) ** -0.5 - g for v, g in zip(f(np.array(lo)).tolist(), goal)]
-        kept = [0] * len(x)               # +1: lo kept last step, -1: hi kept
-        for _ in range(_ROOT_ITERS):
-            stepping = []
-            for e in live:
-                lo_e, hi_e = lo[e], hi[e]
-                x[e] = lo_e - r_lo[e] * (hi_e - lo_e) / (r_hi[e] - r_lo[e])
-                if not lo_e < x[e] < hi_e:
-                    x[e] = 0.5 * (lo_e + hi_e)
-                    if not lo_e < x[e] < hi_e:
-                        x[e] = hi_e
-                        continue
-                stepping.append(e)
-            if not stepping:
-                return np.array(x)
-            value = f(np.array(x)).tolist()
-            live = [e for e in stepping if not abs(value[e] - target[e]) <= tol[e]]
-            for e in live:
-                r = np.float64(value[e]) ** -0.5 - goal[e]
-                if value[e] > target[e]:
-                    lo[e], r_lo[e] = x[e], r
-                    if kept[e] < 0:
-                        r_hi[e] *= 0.5
-                    kept[e] = -1
-                else:
-                    hi[e], r_hi[e] = x[e], r
-                    if kept[e] > 0:
-                        r_lo[e] *= 0.5
-                    kept[e] = 1
+    # zero-weight terms add nothing; a unit gap keeps them from 0/0 at t = 0
+    gap = np.where(weight > 0, gap, 1.0)
+    rows = len(gap)
+    bound = np.maximum.reduce(np.sqrt(weight.T / target) - gap.T, 0).tolist()
+    floor = [max(b, 0.0) for b in bound]
+    t = [max(lo, x) for lo, x in zip(floor, _rows(start, rows))]
+    goal, tol = _rows(target, rows), _rows(tol, rows)
+    live = range(rows)
+    for step in range(_ROOT_ITERS + 1):
+        f, s = _secular(gap, weight, t)
+        live = [e for e in live if abs(f[e] - goal[e]) > tol[e]
+                and not (step and f[e] < goal[e])]
+        if step == _ROOT_ITERS or not live:
+            break
+        moving = []
+        for e in live:
+            x = max(t[e] + f[e] * (math.sqrt(f[e] / goal[e]) - 1.0) / s[e], floor[e])
+            if x != t[e]:
+                t[e] = x
+                moving.append(e)
+        live = moving
     if live:
         raise DualSearchError(f"root search did not reach tolerance "
                               f"{min(tol[e] for e in live):g} in {_ROOT_ITERS} steps")
-    return np.array(x)
-
-
-def _rational_root(gap, weight, target, tol):
-    """(F,) roots t >= 0 of sum_n weight_n / (gap_n + t)^2 = target within tol,
-    per row of (F, n) arrays gap >= 0 and weight >= 0 whose sums exceed target
-    at t = 0. Every gap is nonnegative, so a row's sum is at most
-    sum(weight) / t^2 and its root lies below sqrt(sum(weight) / target)."""
-    # zero-weight terms add nothing; a unit gap keeps them from 0/0 at t = 0
-    gap = np.where(weight > 0, gap, 1.0)
-
-    def f(t):
-        # a zero or denormal gap gives inf, which only means "below the root"
-        return (weight / (gap + t[:, None]) ** 2).sum(axis=1)
-
-    hi = np.sqrt(weight.sum(axis=1) / target)
-    return _root_search(f, np.zeros(hi.shape), hi, target, tol)
+    return np.array(t)
 
 
 def rng_from(seed) -> np.random.Generator:

@@ -17,8 +17,8 @@ from fdlink.altqcp import (SolverOptions, _capped_power_dual, _design_objective,
                            _solve_power_dual, _weighted_decoder_grams,
                            identity_weights, init_precoders,
                            run_altqcp_scenarios)
-from fdlink.model import (DIRECTIONS, PAIRS, _scenario_sigma, _stack,
-                          covariance_stacks)
+from fdlink.model import (DIRECTIONS, PAIRS, _scenario_sigma, _sic_residual,
+                          _stack, covariance_stacks)
 from fdlink.util import herm, stabilized
 
 
@@ -198,7 +198,8 @@ def test_stacked_sigma_matches_per_scenario_loop(default_config, default_channel
     config, h_est = default_config, default_channels.h_est
     scenarios = _three_scenarios(default_channels)
     v = random_precoders(config, 3)
-    stacked = _scenario_sigma(v, _stack(scenarios)[1], h_est, config)
+    stack = _stack(scenarios)[1]
+    stacked = _scenario_sigma(v, stack, _sic_residual(stack, h_est), config)
     for s, (_, g) in enumerate(scenarios):
         ref = covariance_stacks(v, g, config)
         for i in DIRECTIONS:
@@ -212,7 +213,7 @@ def test_stacked_receiver_step_matches_per_scenario_loop(default_config,
     scenarios = _three_scenarios(default_channels)
     shares, g = _stack(scenarios)
     v = random_precoders(config, 3)
-    sigmas = _scenario_sigma(v, g, h_est, config)
+    sigmas = _scenario_sigma(v, g, _sic_residual(g, h_est), config)
     got = _receiver_step(v, shares, g, sigmas, config)
     for i in DIRECTIONS:
         acc, rhs = 0.0, 0.0
@@ -242,12 +243,14 @@ def test_stacked_precoder_step_matches_per_scenario_loop(default_config,
         return solve(quad, rhs, *rest)
 
     monkeypatch.setattr(altqcp, "_solve_power_dual", recorded)
-    got, duals, _ = _precoder_step(u, weights, *_stack(scenarios), h_est,
-                                   config)
+    shares, g = _stack(scenarios)
+    got, duals, _ = _precoder_step(u, weights, shares, g, h_est,
+                                   _sic_residual(g, h_est), config)
     stacked = seen[:]
     del seen[:]
-    for _, g in scenarios:
-        _precoder_step(u, weights, *_stack([(1.0, g)]), h_est, config)
+    for _, h in scenarios:
+        shares, g = _stack([(1.0, h)])
+        _precoder_step(u, weights, shares, g, h_est, _sic_residual(g, h_est), config)
     for i in DIRECTIONS:
         quad = sum(w * seen[2 * s + i][0] for s, (w, _) in enumerate(scenarios))
         rhs = sum(w * seen[2 * s + i][1] for s, (w, _) in enumerate(scenarios))
@@ -345,6 +348,73 @@ def test_power_dual_matches_bisection():
                                     min(1e-9, 1e-12 * budget))
         reference = _bisected_power_dual(quad, rhs, scale, budget)
         assert abs(iota - reference) <= 1e-8 * reference
+
+
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+@pytest.mark.parametrize("budget", [1e-12, 1.0, 1e10])
+def test_eigenbasis_power_dual_meets_kkt_conditions(rank, budget):
+    # V read off the eigenbasis, from a cold start and from a warm start at
+    # twice the cold dual: primal feasibility, complementary slackness, and
+    # a vanishing Lagrangian gradient (A + iota B) V - C when iota > 0
+    rng = np.random.default_rng(13)
+    k, n, d = 3, 4, 2
+    a = crandn_t(rng, (k, n, n if rank == "full" else n - 1))
+    quad = herm(np.einsum("kij,klj->kil", a, a.conj()))
+    rhs = crandn_t(rng, (k, n, d))
+    scale = 1.0 + 4 * np.abs(rng.standard_normal(n)) * 1e-3
+    tol = 1e-9 * budget
+    _, cold = _solve_power_dual(quad, rhs, scale, budget, tol)
+    for start in (0.0, 2.0 * cold):
+        v, iota = _solve_power_dual(quad, rhs, scale, budget, tol, start)
+        power = float(np.einsum("knd,n,knd->", v.conj(), scale, v).real)
+        assert iota >= 0 and power <= budget + tol
+        assert abs(iota * (power - budget)) <= iota * tol
+        if iota > 0:
+            assert abs(power - budget) <= tol
+            residual = (quad + iota * np.diag(scale)) @ v - rhs
+            assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(rhs)
+    # a rank-deficient A binds every budget; a full-rank one frees the largest
+    assert (cold > 0) == (rank == "deficient" or budget < 1e10)
+
+
+def _power_dual_searches(monkeypatch, channels, config, cold):
+    """Runs altqcp once, counting each power-dual search's Newton steps as its
+    secular evaluations after the first; cold restarts every search at 0.
+    Returns (iterations, [(start, steps)])."""
+    import fdlink.altqcp as altqcp
+    import fdlink.util as util
+    secular, root, searches = util._secular, altqcp._rational_root, []
+
+    def counted(*args):
+        searches[-1][1] += 1
+        return secular(*args)
+
+    def recorded(gap, weight, target, tol, start=0.0):
+        searches.append([start, -1])
+        return root(gap, weight, target, tol, 0.0 if cold else start)
+
+    monkeypatch.setattr(util, "_secular", counted)
+    monkeypatch.setattr(altqcp, "_rational_root", recorded)
+    try:
+        report = run_altqcp(channels, config)[1]
+    finally:
+        monkeypatch.undo()
+    return report.iterations, searches
+
+
+def test_warm_power_dual_saves_newton_steps(default_config, default_channels,
+                                            monkeypatch):
+    # the dual moves little between iterations, so a search started at the
+    # last one needs few Newton steps
+    iterations, warm = _power_dual_searches(monkeypatch, default_channels,
+                                            default_config, cold=False)
+    cold_iterations, cold = _power_dual_searches(monkeypatch, default_channels,
+                                                 default_config, cold=True)
+    assert iterations == cold_iterations
+    started = [steps for start, steps in warm if start > 0]
+    assert len(started) >= len(warm) // 2
+    assert np.median(started) <= 3
+    assert sum(steps for _, steps in warm) < sum(steps for _, steps in cold)
 
 
 def _recorded_cap_calls(monkeypatch, start=None):
@@ -598,7 +668,7 @@ def test_precoder_update_matches_independent_convex_solver(default_config,
             return stack
 
         def objective(v):
-            sigmas = _scenario_sigma(v, g, channels.h_est, config)
+            sigmas = _scenario_sigma(v, g, _sic_residual(g, channels.h_est), config)
             return _design_objective(v, u, s, shares, g, sigmas)
 
         def func(x):

@@ -142,7 +142,7 @@ def test_blind_design_power_uses_ideal_model(default_config,
 
 def test_all_modes_run_with_rate_designer(default_config, default_channels):
     # also with a silent direction 1: its pth_* cap is 0, so its precoder is
-    # exactly zero, returned without a solve
+    # exactly zero, returned without a solve, and its cap multiplier is 0
     silent = SystemConfig.from_scalars(p_max=(1.0, 0.0))
     for config in (default_config, silent):
         for mode in BASELINE_MODES:
@@ -154,6 +154,7 @@ def test_all_modes_run_with_rate_designer(default_config, default_channels):
             assert np.all(np.isfinite(report.power))
             for i in DIRECTIONS:
                 assert np.all(np.isfinite(design.precoders[i]))
+            assert np.all(np.isfinite(report.extras.get("si_duals", ())))
             if config is silent:
                 assert np.all(design.precoders[1] == 0)
 

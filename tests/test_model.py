@@ -263,7 +263,7 @@ def weighted_mse_objective(design, channels, config):
     """sum_i sum_k tr(S_i^k E_i^k) on the true channels, cancellation
     referenced to them: the one-scenario stack of the design objective."""
     shares, g = _stack([(1.0, channels.h)])
-    sigmas = _scenario_sigma(design.precoders, g, channels.h, config)
+    sigmas = _scenario_sigma(design.precoders, g, (None, None), config)
     return _design_objective(design.precoders, design.decoders,
                              design.mse_weights, shares, g, sigmas)
 

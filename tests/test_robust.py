@@ -511,6 +511,49 @@ def test_root_search_batch_equals_batches_of_one():
     assert np.all(np.abs(reached - target) <= tol)
 
 
+def _secular_rows():
+    # rows with known roots, spread gaps and one zero-weight term
+    rng = np.random.default_rng(31)
+    gap = rng.exponential(size=(6, 4))
+    gap -= gap.min(axis=1, keepdims=True)
+    weight = rng.uniform(0.1, 1.0, (6, 4))
+    weight[2, 3] = 0.0
+    roots = rng.uniform(0.05, 3.0, 6)
+    target = (weight / (gap + roots[:, None]) ** 2).sum(axis=1)
+    return gap, weight, roots, target
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 2.0, 10.0])
+def test_newton_root_meets_tolerance_from_any_start(factor):
+    # a start left of the root climbs; one right of it steps back left first
+    gap, weight, roots, target = _secular_rows()
+    tol = 1e-12 * target
+    found = _rational_root(gap, weight, target, tol, factor * roots)
+    reached = (weight / (gap + found[:, None]) ** 2).sum(axis=1)
+    assert np.all(np.abs(reached - target) <= tol)
+    assert np.allclose(found, roots, rtol=1e-10)
+
+
+def test_newton_root_with_zero_gap_is_finite():
+    # a zero gap with positive weight has a pole at t = 0; the one-term bound
+    # starts the search right of it
+    gap = np.array([[0.0, 0.5, 2.0], [0.0, 0.0, 1.0]])
+    weight = np.array([[0.3, 1.0, 1.0], [1e-20, 0.0, 2.0]])
+    target = np.array([4.0, 0.5])
+    found = _rational_root(gap, weight, target, 1e-12 * target)
+    assert np.all(np.isfinite(found)) and np.all(found > 0)
+    reached = (weight / (gap + found[:, None]) ** 2).sum(axis=1)
+    assert np.all(np.abs(reached - target) <= 1e-12 * target)
+
+
+def test_newton_root_failure_names_the_tolerance(monkeypatch):
+    import fdlink.util as util
+    monkeypatch.setattr(util, "_ROOT_ITERS", 1)
+    gap, weight, _, target = _secular_rows()
+    with pytest.raises(util.DualSearchError, match=r"tolerance 1\.5e-13 in 1 steps"):
+        _rational_root(gap, weight, target, 1.5e-13)
+
+
 # ---------------------------------------------------------------------------
 # cutting-set loop
 # ---------------------------------------------------------------------------

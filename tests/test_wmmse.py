@@ -66,7 +66,7 @@ def test_scalar_weight_and_surrogate_value():
     tight = _design(config, design.precoders, design.decoders, weights)
     value = surrogate_objective(tight, channels, config)
     assert abs(value - 2 * np.log(2.0)) < 1e-12
-    sigmas = _scenario_sigma(design.precoders, channels.h_est, channels.h_est,
+    sigmas = _scenario_sigma(design.precoders, channels.h_est, (None, None),
                              config)
     rate = weighted_rate(design.precoders, sigmas, channels.h_est, config)
     # tolerance admits the covariance stabilization ridge
@@ -118,7 +118,7 @@ def test_run_monotone_blocks_and_tightness(default_config, default_channels):
     assert report.weighted_sum_rate() == pytest.approx(rates[-1])
     # the final surrogate equals ln2 x the weighted rate at the same point
     h_est = default_channels.h_est
-    sigmas = _scenario_sigma(design.precoders, h_est, h_est, default_config)
+    sigmas = _scenario_sigma(design.precoders, h_est, (None, None), default_config)
     assert abs(report.objective_trace[-1]
                - LN2 * weighted_rate(design.precoders, sigmas, h_est,
                                      default_config)) < 1e-8
