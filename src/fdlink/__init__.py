@@ -13,7 +13,7 @@ from .harness import (ExperimentSpec, emit_plot_data, read_results_csv,
                       run_experiment, summarize, write_results_csv)
 from .model import (ChannelRealization, PerformanceReport, SystemConfig,
                     TransceiverDesign, aggregate_covariance, evaluate_design,
-                    mmse_error_matrix, mse_matrix, power_usage, rate)
+                    mse_matrix, power_usage, rate)
 from .robust import (QuadraticErrorForm, WorstCaseResult, build_quadratic_form,
                      run_cutting_set, weighted_mse_with_errors,
                      worst_case_error, worst_case_mse)

@@ -22,9 +22,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
-                    TransceiverDesign, _design_objective, _scenario_sigma,
-                    _sic_residual, _stack, design_report, identity_weights,
-                    mse_stacks, power_usage, rate_surrogate, weighted_rate)
+                    TransceiverDesign, _design_objective, _sic_residual, _stack,
+                    covariance_stacks, design_report, identity_weights, mse_stacks,
+                    power_usage, rate_surrogate, weighted_rate)
 from .util import (LN2, ConfigError, DualSearchError, _rational_root, dagger,
                    herm, stabilized)
 
@@ -42,7 +42,8 @@ class SolverOptions:
     def __post_init__(self):
         for name, kind, low in (("max_iters", Integral, 0), ("rel_tol", Real, 0)):
             value = getattr(self, name)
-            if not isinstance(value, kind) or not low <= value < np.inf:
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not low <= value < np.inf):
                 raise ConfigError(f"{name} must be a finite {kind.__name__.lower()} "
                                   f"number >= {low}, got {value!r}")
 
@@ -231,7 +232,7 @@ def _precoder_step(decoders, mse_weights, shares, g, sic, residual, config,
 
 def update_receivers(precoders, channels: ChannelRealization, config: SystemConfig):
     shares, g = _stack([(1.0, channels.h_est)])
-    sigmas = _scenario_sigma(precoders, g, (None, None), config)
+    sigmas = covariance_stacks(precoders, g, config, (None, None))
     return _receiver_step(precoders, shares, g, sigmas, config)
 
 
@@ -284,7 +285,7 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
             return rate_surrogate(errors, weights, config)
         return _design_objective(precoders, decoders, weights, shares, g, sigmas)
 
-    sigmas = _scenario_sigma(precoders, g, residual, config)
+    sigmas = covariance_stacks(precoders, g, config, residual)
     decoders = _receiver_step(precoders, shares, g, sigmas, config)
 
     rate_trace = None
@@ -305,7 +306,7 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
         precoders, duals, si_duals = _precoder_step(
             decoders, step_weights, shares, g, sic, residual, config, si_caps,
             si_duals, duals)
-        sigmas = _scenario_sigma(precoders, g, residual, config)
+        sigmas = covariance_stacks(precoders, g, config, residual)
         block = [objective()]
         decoders = _receiver_step(precoders, shares, g, sigmas, config)
         if weight_block:

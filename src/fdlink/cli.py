@@ -85,7 +85,7 @@ def _cmd_validate_model(args) -> int:
     trace = np.asarray(report.objective_trace)
     monotone = bool(np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1.0)))
     stats = simulate_blocks(design, channels, config, args.blocks, args.seed)
-    predicted = covariance_stacks(design.precoders, channels.h, config)
+    predicted = covariance_stacks(design.precoders, channels.h, config, (None, None))
     mismatch = [np.linalg.norm(stats.nu_cov[i][k] - predicted[i][k])
                 / np.linalg.norm(predicted[i][k])
                 for i in (0, 1) for k in range(config.subcarriers)]

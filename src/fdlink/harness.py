@@ -59,6 +59,18 @@ def _spec_values():
         raise ConfigError(f"malformed spec value: {err}") from err
 
 
+def _leaves(value, key=""):
+    """(dotted key, value) of every non-container value in a decoded spec."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _leaves(item, f"{key}.{name}" if key else str(name))
+    elif isinstance(value, list):
+        for n, item in enumerate(value):
+            yield from _leaves(item, f"{key}[{n}]")
+    else:
+        yield key, value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Validated, hashable description of one experiment."""
@@ -99,6 +111,9 @@ class ExperimentSpec:
                 raise ConfigError("seed must be nonnegative")
             object.__setattr__(self, "sweep_values",
                                tuple(float(v) for v in self.sweep_values))
+            for n, value in enumerate(self.sweep_values):
+                if value in self.sweep_values[:n]:
+                    raise ConfigError(f"sweep value {value!r} appears more than once")
             object.__setattr__(self, "algorithms", tuple(self.algorithms))
             # build what every cell builds, so a bad value stops the spec
             # here, before any output exists or any worker starts
@@ -123,6 +138,9 @@ class ExperimentSpec:
         unknown = set(data) - _SPEC_KEYS
         if unknown:
             raise ConfigError(f"unknown spec keys: {sorted(unknown)}")
+        for key, value in _leaves(data):
+            if isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"spec key {key} takes no boolean, got {value!r}")
         sweep = data.get("sweep", {})
         if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
             raise ConfigError('spec needs "sweep": {"param": ..., "values": [...]}')

@@ -186,13 +186,16 @@ class PerformanceReport:
 # closed-form expressions
 # ---------------------------------------------------------------------------
 
-def covariance_stacks(precoders, channels_dict, config: SystemConfig):
-    """Aggregate interference-plus-noise covariance for all (i, k) at once.
+def covariance_stacks(precoders, g, config: SystemConfig, residual):
+    """Design-model interference-plus-noise covariance for all (i, k) at once,
+    when the channels are g and the cancellation residual is residual
+    (_sic_residual, or (None, None) where cancellation is exact).
 
     Per direction i and subcarrier k:
         sum_j H_ij^k Theta_tx,j diag(sum_l V_j^l V_j^l^H) H_ij^k^H
         + sigma_ik^2 I
         + Theta_rx,i diag(sum_l (sigma_il^2 I + sum_j H_ij^l V_j^l V_j^l^H H_ij^l^H))
+        + D_ij^k V_j^k V_j^k^H D_ij^k^H, j = 1 - i, D the residual,
     first order in the distortion coefficients. Channels may carry leading
     axes (a scenario stack); returns [ (..., K, M_i, M_i) ]_i with the same.
     """
@@ -205,13 +208,17 @@ def covariance_stacks(precoders, channels_dict, config: SystemConfig):
         m_i = config.rx_antennas[i]
         sig, received = 0.0, config.noise_var[i].sum()  # sum_l sigma_il^2 per antenna
         for j in DIRECTIONS:
-            h = channels_dict[(i, j)]
+            h = g[(i, j)]
             sig = sig + np.einsum("...kmn,n,...kpn->...kmp", h, q[j], h.conj())
             hv = h @ precoders[j]                      # (..., K, M_i, d_j)
             received = received + np.einsum("...kmd,...kmd->...m", hv, hv.conj()).real
         rx_diag = (config.rx_distortion[i] * received)[..., None, :]
         sig[..., np.arange(m_i), np.arange(m_i)] += config.noise_var[i][:, None] + rx_diag
-        out.append(herm(sig))
+        sig = herm(sig)
+        if residual[i] is not None:
+            dv = residual[i] @ precoders[1 - i]
+            sig = sig + np.einsum("...kmd,...kpd->...kmp", dv, dv.conj())
+        out.append(sig)
     return out
 
 
@@ -229,22 +236,10 @@ def _sic_residual(g, sic):
     return [d if np.any(d) else None for d in residual]
 
 
-def _scenario_sigma(precoders, g, residual, config: SystemConfig):
-    """Design-model interference covariance stacks when the channels are g and
-    the cancellation residual is residual (_sic_residual): covariance_stacks on
-    g plus d_ij V_j V_j^H d_ij^H of the cross links, j = 1 - i; g may be a
-    stack. Returns [ (..., K, M_i, M_i) ]_i."""
-    sigmas = covariance_stacks(precoders, g, config)
-    for i in DIRECTIONS:
-        if residual[i] is not None:
-            dv = residual[i] @ precoders[1 - i]
-            sigmas[i] = sigmas[i] + np.einsum("...kmd,...kpd->...kmp", dv, dv.conj())
-    return sigmas
-
-
 def aggregate_covariance(design: TransceiverDesign, channels: ChannelRealization,
                          config: SystemConfig, i: int, k: int) -> np.ndarray:
-    """Interference-plus-noise covariance at receiver i, subcarrier k (true h)."""
+    """Truth-view interference-plus-noise covariance at receiver i, subcarrier
+    k: true channels h, cancellation against the estimate h_est."""
     if i not in DIRECTIONS:
         raise ConfigError("direction index must be 0 or 1")
     if not 0 <= k < config.subcarriers:
@@ -255,7 +250,8 @@ def aggregate_covariance(design: TransceiverDesign, channels: ChannelRealization
             raise ConfigError("precoder stack shape does not match config")
         if channels.h[(i, j)].shape[1:] != (config.rx_antennas[i], config.tx_antennas[j]):
             raise ConfigError("channel dimensions do not match config")
-    return covariance_stacks(design.precoders, channels.h, config)[i][k]
+    return covariance_stacks(design.precoders, channels.h, config,
+                             _sic_residual(channels.h, channels.h_est))[i][k]
 
 
 def mse_matrix(decoder: np.ndarray, precoder: np.ndarray, sigma: np.ndarray,
@@ -267,15 +263,6 @@ def mse_matrix(decoder: np.ndarray, precoder: np.ndarray, sigma: np.ndarray,
         raise ConfigError("decoder/precoder dimensions do not match the channel")
     r = dagger(decoder) @ h_direct @ precoder - np.eye(d)
     return herm(r @ dagger(r) + dagger(decoder) @ sigma @ decoder)
-
-
-def mmse_error_matrix(precoder: np.ndarray, sigma: np.ndarray,
-                      h_direct: np.ndarray) -> np.ndarray:
-    """Error matrix at the MMSE receiver: (I + V^H H^H Sigma^{-1} H V)^{-1}."""
-    hv = h_direct @ precoder
-    gram = dagger(hv) @ np.linalg.solve(stabilized(sigma), hv)
-    d = precoder.shape[1]
-    return herm(np.linalg.inv(np.eye(d) + gram))
 
 
 def rate(precoder: np.ndarray, sigma: np.ndarray, h_direct: np.ndarray):
@@ -315,7 +302,7 @@ def identity_weights(config: SystemConfig):
 
 def mse_stacks(precoders, decoders, g, sigmas):
     """MSE matrices [ (..., K, d_i, d_i) ]_i of every (i, k) on channels g or
-    a scenario stack, from their covariances sigmas (_scenario_sigma)."""
+    a scenario stack, from their covariances sigmas (covariance_stacks)."""
     return [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)])
             for i in DIRECTIONS]
 
@@ -381,6 +368,6 @@ def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
     MSE uses the design's own decoders (identity weights); rates assume the
     desired-link receiver can realize the MMSE front end for the true channel.
     """
-    sigmas = _scenario_sigma(design.precoders, channels.h,
-                             _sic_residual(channels.h, channels.h_est), config)
+    sigmas = covariance_stacks(design.precoders, channels.h, config,
+                               _sic_residual(channels.h, channels.h_est))
     return design_report(design.precoders, design.decoders, channels.h, sigmas, config)

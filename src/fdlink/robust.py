@@ -22,8 +22,8 @@ import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
-                    TransceiverDesign, _design_objective, _scenario_sigma,
-                    _sic_residual, _stack)
+                    TransceiverDesign, _design_objective, _sic_residual, _stack,
+                    covariance_stacks)
 from .util import ConfigError, _rational_root, dagger, herm
 
 # the cut loop stops once the certified worst case is within this fraction of
@@ -62,8 +62,8 @@ def weighted_mse_with_errors(design: TransceiverDesign,
          if deltas.get(pair) is not None else channels.h_est[pair]
          for pair in PAIRS}
     shares, g = _stack([(1.0, g)])
-    sigmas = _scenario_sigma(design.precoders, g, _sic_residual(g, channels.h_est),
-                             config)
+    sigmas = covariance_stacks(design.precoders, g, config,
+                               _sic_residual(g, channels.h_est))
     return _design_objective(design.precoders, design.decoders, weights,
                              shares, g, sigmas)
 

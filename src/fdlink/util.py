@@ -33,8 +33,10 @@ def parse_level(value) -> float:
 
 
 def as_count(value, name: str) -> int:
-    """A whole-number count as an int: 4 and 4.0 pass, 2.5 is a ConfigError."""
-    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+    """A whole-number count as an int: 4 and 4.0 pass, 2.5 and True are a
+    ConfigError."""
+    if isinstance(value, (bool, np.bool_)) or (
+            isinstance(value, (float, np.floating)) and not float(value).is_integer()):
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

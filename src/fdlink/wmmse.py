@@ -16,7 +16,7 @@ import numpy as np
 
 from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (ChannelRealization, SystemConfig, TransceiverDesign,
-                    _scenario_sigma, mse_stacks, rate_surrogate)
+                    covariance_stacks, mse_stacks, rate_surrogate)
 from .util import herm
 
 
@@ -26,7 +26,7 @@ def update_weights(design: TransceiverDesign, channels: ChannelRealization,
 
     Raises numpy.linalg.LinAlgError if an MSE matrix is singular.
     """
-    sigmas = _scenario_sigma(design.precoders, channels.h_est, (None, None), config)
+    sigmas = covariance_stacks(design.precoders, channels.h_est, config, (None, None))
     errors = mse_stacks(design.precoders, design.decoders, channels.h_est, sigmas)
     return [herm(np.linalg.inv(e)) for e in errors]
 
@@ -34,7 +34,7 @@ def update_weights(design: TransceiverDesign, channels: ChannelRealization,
 def surrogate_objective(design: TransceiverDesign, channels: ChannelRealization,
                         config: SystemConfig) -> float:
     """Natural-log rate surrogate of a design, on estimated channels."""
-    sigmas = _scenario_sigma(design.precoders, channels.h_est, (None, None), config)
+    sigmas = covariance_stacks(design.precoders, channels.h_est, config, (None, None))
     errors = mse_stacks(design.precoders, design.decoders, channels.h_est, sigmas)
     return rate_surrogate(errors, design.mse_weights, config)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fdlink import (ChannelStats, SystemConfig, draw_channels, perturb_csi,
-                    power_usage)
+from fdlink import (ChannelStats, SystemConfig, draw_channels, mse_matrix,
+                    perturb_csi, power_usage)
 from fdlink.model import DIRECTIONS
-from fdlink.util import crandn
+from fdlink.util import crandn, stabilized
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +38,15 @@ def random_psd(rng, n, scale=1.0):
 
 def crandn_t(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def mmse_error(v, sigma, h):
+    """E from mse_matrix at the MMSE receiver (Sigma + H V V^H H^H)^{-1} H V,
+    with Sigma the stabilized covariance that rate() inverts, so that
+    rate = -log2 det E holds to rounding."""
+    sigma = stabilized(sigma)
+    hv = h @ v
+    return mse_matrix(np.linalg.solve(sigma + hv @ hv.conj().T, hv), v, sigma, h)
 
 
 def random_precoders(config, seed):

@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import crandn_t, random_psd
+from conftest import crandn_t, mmse_error, random_psd
 from fdlink import (SystemConfig, TransceiverDesign, evaluate_design,
-                    mmse_error_matrix, run_altqcp, run_baseline,
-                    run_cutting_set, run_wmmse)
+                    run_altqcp, run_baseline, run_cutting_set, run_wmmse)
 from fdlink.altqcp import identity_weights
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.distortion import freq_distortion_variance, simulate_blocks
@@ -156,7 +155,7 @@ def test_criterion_04_rate_identity(capsys):
         sigma = random_psd(rng, m, scale=float(rng.uniform(0.1, 2.0)))
         sigma += 1e-3 * np.eye(m)
         r = rate(v, sigma, h)
-        e = mmse_error_matrix(v, sigma, h)
+        e = mmse_error(v, sigma, h)
         sign, logdet = np.linalg.slogdet(e)
         gap = abs(r + logdet / LN2)
         worst = max(worst, gap)
@@ -207,7 +206,7 @@ def test_criterion_06_kkt_conditions(default_cfg, fleet, capsys):
     for t in range(10):
         channels, design, _ = fleet[t]
         sigmas = covariance_stacks(design.precoders, channels.h_est,
-                                   default_cfg)
+                                   default_cfg, (None, None))
         weights = identity_weights(default_cfg)
 
         def objective(decoders):

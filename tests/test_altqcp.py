@@ -8,17 +8,17 @@ import re
 import numpy as np
 import pytest
 
-from conftest import crandn_t, random_precoders
+from conftest import crandn_t, mmse_error, random_precoders
 from fdlink import (ChannelRealization, ConfigError, DualSearchError, SystemConfig,
-                    mmse_error_matrix, mse_matrix, power_usage, run_altqcp,
-                    run_baseline, update_precoders, update_receivers)
+                    mse_matrix, power_usage, run_altqcp, run_baseline,
+                    update_precoders, update_receivers)
 from fdlink.altqcp import (SolverOptions, _capped_power_dual, _design_objective,
                            _leakage_stacks, _precoder_step, _receiver_step,
                            _solve_power_dual, _weighted_decoder_grams,
                            identity_weights, init_precoders,
                            run_altqcp_scenarios)
-from fdlink.model import (DIRECTIONS, PAIRS, _scenario_sigma, _sic_residual,
-                          _stack, covariance_stacks)
+from fdlink.model import (DIRECTIONS, PAIRS, _sic_residual, _stack,
+                          covariance_stacks)
 from fdlink.util import herm, stabilized
 
 
@@ -105,7 +105,7 @@ def test_receiver_first_order_optimality(default_config, default_channels):
     v = init_precoders(channels.h_est, config)
     decoders = update_receivers(v, channels, config)
     weights = identity_weights(config)
-    sigmas = covariance_stacks(v, channels.h_est, config)
+    sigmas = covariance_stacks(v, channels.h_est, config, (None, None))
 
     def objective(u_list):
         total = 0.0
@@ -199,9 +199,9 @@ def test_stacked_sigma_matches_per_scenario_loop(default_config, default_channel
     scenarios = _three_scenarios(default_channels)
     v = random_precoders(config, 3)
     stack = _stack(scenarios)[1]
-    stacked = _scenario_sigma(v, stack, _sic_residual(stack, h_est), config)
+    stacked = covariance_stacks(v, stack, config, _sic_residual(stack, h_est))
     for s, (_, g) in enumerate(scenarios):
-        ref = covariance_stacks(v, g, config)
+        ref = covariance_stacks(v, g, config, (None, None))
         for i in DIRECTIONS:
             dv = (g[(i, 1 - i)] - h_est[(i, 1 - i)]) @ v[1 - i]
             _assert_close(stacked[i][s], ref[i] + dv @ dv.conj().swapaxes(1, 2))
@@ -213,7 +213,7 @@ def test_stacked_receiver_step_matches_per_scenario_loop(default_config,
     scenarios = _three_scenarios(default_channels)
     shares, g = _stack(scenarios)
     v = random_precoders(config, 3)
-    sigmas = _scenario_sigma(v, g, _sic_residual(g, h_est), config)
+    sigmas = covariance_stacks(v, g, config, _sic_residual(g, h_est))
     got = _receiver_step(v, shares, g, sigmas, config)
     for i in DIRECTIONS:
         acc, rhs = 0.0, 0.0
@@ -668,7 +668,7 @@ def test_precoder_update_matches_independent_convex_solver(default_config,
             return stack
 
         def objective(v):
-            sigmas = _scenario_sigma(v, g, _sic_residual(g, channels.h_est), config)
+            sigmas = covariance_stacks(v, g, config, _sic_residual(g, channels.h_est))
             return _design_objective(v, u, s, shares, g, sigmas)
 
         def func(x):
@@ -732,11 +732,11 @@ def test_run_single_direction_reaches_mmse_fixed_point():
     trace = report.objective_trace
     assert abs(trace[-1] - trace[-2]) < 1e-8
     # at the fixed point the receiver error matches the MMSE closed form
-    sigma = covariance_stacks(design.precoders, channels.h_est, config)[0][0]
+    sigma = covariance_stacks(design.precoders, channels.h_est, config,
+                              (None, None))[0][0]
     e = mse_matrix(design.decoders[0][0], design.precoders[0][0], sigma,
                    channels.h_est[(0, 0)][0])
-    closed = mmse_error_matrix(design.precoders[0][0], sigma,
-                               channels.h_est[(0, 0)][0])
+    closed = mmse_error(design.precoders[0][0], sigma, channels.h_est[(0, 0)][0])
     assert np.max(np.abs(e - closed)) < 1e-10
 
 
@@ -782,9 +782,9 @@ def test_run_builds_one_covariance_per_scenario_and_iteration(
     # each precoder update builds the covariances of the whole scenario
     # stack in one call; the objectives, the receiver step and the final
     # report all read that build
-    import fdlink.model as model
+    import fdlink.altqcp as driver
     calls = []
-    inner = model.covariance_stacks
+    inner = driver.covariance_stacks
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -796,7 +796,7 @@ def test_run_builds_one_covariance_per_scenario_and_iteration(
          {pair: default_channels.h_est[pair]
           + 0.01 * crandn_t(rng, default_channels.h_est[pair].shape)
           for pair in PAIRS}) for _ in range(n_scenarios - 1)]
-    monkeypatch.setattr(model, "covariance_stacks", counted)
+    monkeypatch.setattr(driver, "covariance_stacks", counted)
     _, report = run_altqcp_scenarios(scenarios, default_config,
                                      SolverOptions())
     assert report.iterations > 1
@@ -809,6 +809,6 @@ def test_solver_options_reject_bad_values():
     SolverOptions(max_iters=0, rel_tol=0.0)
     for bad in ({"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": "5"},
                 {"rel_tol": -1e-3}, {"rel_tol": np.inf}, {"rel_tol": np.nan},
-                {"rel_tol": "1e-3"}):
+                {"rel_tol": "1e-3"}, {"max_iters": True}, {"rel_tol": False}):
         with pytest.raises(ConfigError):
             SolverOptions(**bad)

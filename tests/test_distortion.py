@@ -13,7 +13,7 @@ from fdlink import (ChannelStats, ConfigError, SystemConfig, TransceiverDesign,
                     freq_distortion_variance, perturb_csi, run_altqcp,
                     simulate_blocks)
 from fdlink.distortion import time_to_freq
-from fdlink.model import DIRECTIONS
+from fdlink.model import DIRECTIONS, _sic_residual, covariance_stacks
 
 # the bytes _batch_blocks counts per block at K=4, 2x2 and one stream: 16 per
 # symbol, 4 per transmit chain and 6 per receive chain, in each direction
@@ -89,6 +89,26 @@ def test_simulated_covariance_matches_closed_form():
             rel = (np.linalg.norm(stats.nu_cov[i][k] - predicted)
                    / np.linalg.norm(predicted))
             assert rel < 0.08  # 3e4 blocks; the acceptance run uses 1e5
+
+
+def test_aggregate_covariance_is_the_truth_view_under_csi_error():
+    # with CSI error the receiver also sees the self-interference that
+    # cancellation against h_est leaves behind: aggregate_covariance is the
+    # truth view's covariance, and the simulator agrees with it
+    config = SystemConfig.from_scalars(kappa=1e-4)
+    true = draw_channels(config, ChannelStats(csi_radius=0.1), [5, 0])
+    _, channels = perturb_csi(true, config, [5, 1], "boundary")
+    design, _ = run_altqcp(channels, config)
+    truth = covariance_stacks(design.precoders, channels.h, config,
+                              _sic_residual(channels.h, channels.h_est))
+    stats = simulate_blocks(design, channels, config, 30_000, [5, 2])
+    for i in DIRECTIONS:
+        for k in range(config.subcarriers):
+            predicted = aggregate_covariance(design, channels, config, i, k)
+            assert np.array_equal(predicted, truth[i][k])
+            rel = (np.linalg.norm(stats.nu_cov[i][k] - predicted)
+                   / np.linalg.norm(predicted))
+            assert rel < 0.05  # without the residual term: 0.32 or more
 
 
 def test_transmit_distortion_flat_and_white():

@@ -16,6 +16,7 @@ from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
                             emit_plot_data, read_results_csv, results_to_csv_text,
                             run_experiment, summarize, write_results_csv)
 from fdlink.model import PAIRS, identity_weights
+from fdlink.util import as_count
 
 TINY_SPEC = {
     "config": {"subcarriers": 2, "antennas": 2, "streams": 1,
@@ -55,6 +56,14 @@ MALFORMED_SPECS = {
     "infinite_k_rician": dict(TINY_SPEC, channel={"k_rician": float("inf")}),
     "nan_kappa": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], kappa=float("nan")),
                       sweep={"param": "pmax", "values": [1.0]}),
+    "bool_max_iters": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], max_iters=True)),
+    "bool_rel_tol": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], rel_tol=False)),
+    "bool_subcarriers": dict(TINY_SPEC, config=dict(TINY_SPEC["config"], subcarriers=True)),
+    "bool_n_trials": dict(TINY_SPEC, n_trials=True),
+    "bool_seed": dict(TINY_SPEC, seed=False),
+    "bool_sweep_value": dict(TINY_SPEC, sweep={"param": "kappa_db", "values": [True]}),
+    "duplicate_sweep_value": dict(TINY_SPEC, sweep={"param": "kappa_db",
+                                                    "values": [-30, -30.0]}),
 }
 
 
@@ -97,6 +106,20 @@ def test_spec_rejects_garbage():
     # the config itself holds the whole-number rule for its counts
     with pytest.raises(ConfigError):
         dataclasses.replace(SystemConfig.from_scalars(), streams=(1.5, 1))
+    # JSON true/false would pass as the numbers 1/0, and a repeated sweep
+    # value would run its cells twice: the error names the key or the value,
+    # and library callers meet the same rules
+    with pytest.raises(ConfigError, match=r"config\.max_iters"):
+        ExperimentSpec.from_json(MALFORMED_SPECS["bool_max_iters"])
+    with pytest.raises(ConfigError, match=r"sweep\.values\[0\]"):
+        ExperimentSpec.from_json(MALFORMED_SPECS["bool_sweep_value"])
+    with pytest.raises(ConfigError, match="-30.0"):
+        ExperimentSpec.from_json(MALFORMED_SPECS["duplicate_sweep_value"])
+    for bad in ({"n_trials": True}, {"seed": False}, {"sweep_values": (1, 1.0)}):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(**bad)
+    with pytest.raises(ConfigError):
+        as_count(np.True_, "subcarriers")
 
 
 def test_spec_hash_ignores_key_order():

@@ -10,7 +10,7 @@ from conftest import crandn_t
 from fdlink import (ChannelRealization, SystemConfig, TransceiverDesign,
                     run_wmmse)
 from fdlink.altqcp import SolverOptions
-from fdlink.model import DIRECTIONS, PAIRS, _scenario_sigma, weighted_rate
+from fdlink.model import DIRECTIONS, PAIRS, covariance_stacks, weighted_rate
 from fdlink.util import LN2
 from fdlink.wmmse import surrogate_objective, update_weights
 
@@ -66,8 +66,8 @@ def test_scalar_weight_and_surrogate_value():
     tight = _design(config, design.precoders, design.decoders, weights)
     value = surrogate_objective(tight, channels, config)
     assert abs(value - 2 * np.log(2.0)) < 1e-12
-    sigmas = _scenario_sigma(design.precoders, channels.h_est, (None, None),
-                             config)
+    sigmas = covariance_stacks(design.precoders, channels.h_est, config,
+                               (None, None))
     rate = weighted_rate(design.precoders, sigmas, channels.h_est, config)
     # tolerance admits the covariance stabilization ridge
     assert abs(value - LN2 * rate) < 1e-11
@@ -118,7 +118,7 @@ def test_run_monotone_blocks_and_tightness(default_config, default_channels):
     assert report.weighted_sum_rate() == pytest.approx(rates[-1])
     # the final surrogate equals ln2 x the weighted rate at the same point
     h_est = default_channels.h_est
-    sigmas = _scenario_sigma(design.precoders, h_est, (None, None), default_config)
+    sigmas = covariance_stacks(design.precoders, h_est, default_config, (None, None))
     assert abs(report.objective_trace[-1]
                - LN2 * weighted_rate(design.precoders, sigmas, h_est,
                                      default_config)) < 1e-8
@@ -180,15 +180,15 @@ def test_run_builds_one_covariance_per_iteration(default_config,
     # one build per precoder update, shared by the surrogates, the receiver
     # step, the weight update and the rate; the initial build also serves the
     # first receivers and weights, the last one the final report
-    import fdlink.model as model
+    import fdlink.altqcp as driver
     calls = []
-    inner = model.covariance_stacks
+    inner = driver.covariance_stacks
 
     def counted(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(model, "covariance_stacks", counted)
+    monkeypatch.setattr(driver, "covariance_stacks", counted)
     _, report = run_wmmse(default_channels, default_config)
     assert report.iterations > 1
     assert len(calls) == 1 + report.iterations
