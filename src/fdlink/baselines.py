@@ -16,10 +16,11 @@ design itself assumed. Modes:
             (pth_high: cap = budget; pth_low: cap = budget/10). Without a
             cap this is kappa0.
 
-Every design runs through the one block-coordinate driver,
-altqcp.run_altqcp_scenarios: hd, kappa0 and sc through the chosen designer,
-pth_* as the driver on the distortion-blind config with its
-self-interference cap switched on.
+Each mode only sets the driver's inputs: the estimated channels to design
+on, the design config and the self-interference caps, plus the world it is
+evaluated in. Every design is then one call of the block-coordinate driver,
+altqcp.run_altqcp_scenarios, whose MSE-weight block the designer switches
+on ("wmmse") or leaves off ("altqcp").
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import dataclasses
 
 import numpy as np
 
-from .altqcp import SolverOptions, run_altqcp, run_altqcp_scenarios
+from .altqcp import SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, evaluate_design)
 from .util import ConfigError
-from .wmmse import run_wmmse
 
-DESIGNERS = {"altqcp": run_altqcp, "wmmse": run_wmmse}
+DESIGNERS = ("altqcp", "wmmse")
 
 BASELINE_MODES = ("hd", "kappa0", "sc", "pth_high", "pth_low")
 
@@ -44,19 +44,11 @@ _CAP_DIVISOR = {"pth_high": 1.0, "pth_low": 10.0}
 
 def half_duplex_world(channels: ChannelRealization) -> ChannelRealization:
     """The same link with the cross channels (and their error sets) removed."""
-    h = {}
-    h_est = {}
-    radii = {}
-    for (i, j) in PAIRS:
-        if i == j:
-            h[(i, j)] = channels.h[(i, j)].copy()
-            h_est[(i, j)] = channels.h_est[(i, j)].copy()
-            radii[(i, j)] = channels.csi_radius[(i, j)].copy()
-        else:
-            h[(i, j)] = np.zeros_like(channels.h[(i, j)])
-            h_est[(i, j)] = np.zeros_like(channels.h_est[(i, j)])
-            radii[(i, j)] = np.zeros_like(channels.csi_radius[(i, j)])
-    return ChannelRealization(h=h, h_est=h_est, csi_radius=radii)
+    def direct_only(store):
+        return {(i, j): store[(i, j)].copy() if i == j else np.zeros_like(store[(i, j)])
+                for (i, j) in PAIRS}
+    return ChannelRealization(h=direct_only(channels.h), h_est=direct_only(channels.h_est),
+                              csi_radius=direct_only(channels.csi_radius))
 
 
 def _blind_config(config: SystemConfig) -> SystemConfig:
@@ -80,50 +72,41 @@ def _single_carrier_pieces(channels: ChannelRealization, config: SystemConfig):
         rx_distortion=tuple(k * config.rx_distortion[i] for i in DIRECTIONS),
         p_max=tuple(config.p_max[i] / k for i in DIRECTIONS),
     )
-    mean = {pair: channels.h_est[pair].mean(axis=0, keepdims=True) for pair in PAIRS}
-    flat = ChannelRealization(
-        h=mean, h_est={pair: mean[pair].copy() for pair in PAIRS},
-        csi_radius={pair: np.zeros(1) for pair in PAIRS})
-    return flat, cfg
+    return {pair: channels.h_est[pair].mean(axis=0, keepdims=True) for pair in PAIRS}, cfg
 
 
 def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
                  options: SolverOptions = None, designer: str = "altqcp"):
     """Design with the named simplified strategy, evaluate under the true model.
 
-    designer picks the optimizer ("altqcp" for weighted-MSE, "wmmse" for
-    weighted sum rate): the one reused inside hd/kappa0/sc, and for pth_*
-    whether the driver's MSE-weight block is on.
+    Each mode makes exactly one driver call, on its own design inputs: hd on
+    the half-duplex world, sc on the subcarrier-averaged estimate (the design
+    is then replicated over the subcarriers), kappa0 on the distortion-blind
+    config, and pth_* as kappa0 with a self-interference cap. designer
+    ("altqcp" for weighted MSE, "wmmse" for weighted sum rate) switches the
+    driver's MSE-weight block.
     """
     if mode not in BASELINE_MODES:
         raise ConfigError(f"unknown baseline mode {mode!r}")
     if designer not in DESIGNERS:
         raise ConfigError(f"unknown designer {designer!r}")
-    options = options or SolverOptions()
-    design_fn = DESIGNERS[designer]
-    eval_channels = channels
-
+    eval_channels, h_est, cfg, caps = channels, channels.h_est, config, None
     if mode == "hd":
         eval_channels = half_duplex_world(channels)
-        design, run_rep = design_fn(eval_channels, config, options)
-    elif mode == "kappa0":
-        design, run_rep = design_fn(channels, _blind_config(config), options)
+        h_est = eval_channels.h_est
     elif mode == "sc":
-        flat, cfg_flat = _single_carrier_pieces(channels, config)
-        flat_design, run_rep = design_fn(flat, cfg_flat, options)
-        k = config.subcarriers
-        design = TransceiverDesign(
-            precoders=tuple(np.repeat(flat_design.precoders[i], k, axis=0)
-                            for i in DIRECTIONS),
-            decoders=tuple(np.repeat(flat_design.decoders[i], k, axis=0)
-                           for i in DIRECTIONS),
-            mse_weights=tuple(np.repeat(flat_design.mse_weights[i], k, axis=0)
-                              for i in DIRECTIONS))
-    else:
-        caps = tuple(config.p_max[j] / _CAP_DIVISOR[mode] for j in DIRECTIONS)
-        design, run_rep = run_altqcp_scenarios(
-            [(1.0, channels.h_est)], _blind_config(config), options,
-            weight_block=designer == "wmmse", si_caps=caps)
+        h_est, cfg = _single_carrier_pieces(channels, config)
+    else:                             # kappa0, and pth_* with a cap
+        cfg = _blind_config(config)
+        if mode in _CAP_DIVISOR:
+            caps = tuple(config.p_max[j] / _CAP_DIVISOR[mode] for j in DIRECTIONS)
+    design, run_rep = run_altqcp_scenarios(
+        [(1.0, h_est)], cfg, options or SolverOptions(),
+        weight_block=designer == "wmmse", si_caps=caps)
+    if mode == "sc":
+        design = TransceiverDesign(*(
+            tuple(np.repeat(stack, config.subcarriers, axis=0) for stack in stacks)
+            for stacks in (design.precoders, design.decoders, design.mse_weights)))
 
     report = evaluate_design(design, eval_channels, config)
     if mode == "hd":

@@ -35,8 +35,17 @@ RESULT_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm",
                   "metric", "iteration", "value", "channel_hash")
 TIMING_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm", "seconds")
 
-KNOWN_ALGORITHMS = ("altqcp", "wmmse", "cutting_set") + BASELINE_MODES
-SWEEP_PARAMS = ("kappa_db", "zeta_db", "sigma2_db", "pmax", "K", "M")
+# designers whose own report is design-view, so the harness adds the true-model
+# evaluation; the lambdas look the functions up when called, so a profiler
+# that rebinds this module's names still sees every call
+_DESIGNERS = {"altqcp": lambda *args: run_altqcp(*args),
+              "wmmse": lambda *args: run_wmmse(*args),
+              "cutting_set": lambda *args: run_cutting_set(*args)}
+
+KNOWN_ALGORITHMS = tuple(_DESIGNERS) + BASELINE_MODES
+# sweep parameter -> the config key its value sets; a *_db value is a dB level
+SWEEP_PARAMS = {"kappa_db": "kappa", "zeta_db": "csi_radius", "sigma2_db": "noise_var",
+                "pmax": "p_max", "K": "subcarriers", "M": "antennas"}
 
 _CONFIG_KEYS = {"subcarriers", "antennas", "streams", "p_max", "noise_var",
                 "kappa", "beta", "csi_radius", "rate_weights", "max_iters",
@@ -60,11 +69,11 @@ def _spec_values():
 
 
 def _leaves(value, key=""):
-    """(dotted key, value) of every non-container value in a decoded spec."""
+    """(dotted key, value) of every non-container value in a spec payload."""
     if isinstance(value, dict):
         for name, item in value.items():
             yield from _leaves(item, f"{key}.{name}" if key else str(name))
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for n, item in enumerate(value):
             yield from _leaves(item, f"{key}[{n}]")
     else:
@@ -85,6 +94,11 @@ class ExperimentSpec:
     baseline_designer: str = "altqcp"
 
     def __post_init__(self):
+        # JSON true/false would pass as the numbers 1/0; checked before any
+        # value is converted
+        for key, value in _leaves(self._payload()):
+            if isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"spec key {key} takes no boolean, got {value!r}")
         unknown = set(self.config) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -93,7 +107,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown channel keys: {sorted(unknown)}")
         if self.sweep_param not in SWEEP_PARAMS:
             raise ConfigError(
-                f"unknown sweep param {self.sweep_param!r}; expected one of {SWEEP_PARAMS}")
+                f"unknown sweep param {self.sweep_param!r}; "
+                f"expected one of {tuple(SWEEP_PARAMS)}")
         if not self.sweep_values:
             raise ConfigError("sweep needs at least one value")
         for alg in self.algorithms:
@@ -101,8 +116,16 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; expected one of {KNOWN_ALGORITHMS}")
         if self.baseline_designer not in DESIGNERS:
-            raise ConfigError(f"baseline_designer must be one of {tuple(DESIGNERS)}")
+            raise ConfigError(f"baseline_designer must be one of {DESIGNERS}")
         with _spec_values():
+            # level entries take linear numbers or strings with a dB suffix
+            object.__setattr__(self, "config", {
+                key: parse_level(value) if key in _LEVEL_CONFIG_KEYS else value
+                for key, value in self.config.items()})
+            object.__setattr__(self, "channel", {
+                key: parse_level(value) if key in ("rho", "rho_si") else float(value)
+                for key, value in self.channel.items()})
+            object.__setattr__(self, "output", str(self.output))
             for name in ("n_trials", "seed"):
                 object.__setattr__(self, name, as_count(getattr(self, name), name))
             if self.n_trials < 1:
@@ -138,9 +161,6 @@ class ExperimentSpec:
         unknown = set(data) - _SPEC_KEYS
         if unknown:
             raise ConfigError(f"unknown spec keys: {sorted(unknown)}")
-        for key, value in _leaves(data):
-            if isinstance(value, (bool, np.bool_)):
-                raise ConfigError(f"spec key {key} takes no boolean, got {value!r}")
         sweep = data.get("sweep", {})
         if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
             raise ConfigError('spec needs "sweep": {"param": ..., "values": [...]}')
@@ -148,25 +168,24 @@ class ExperimentSpec:
         if not isinstance(sweep["values"], list) or not isinstance(algorithms, list):
             raise ConfigError('"sweep" "values" and "algorithms" must be lists')
         with _spec_values():
-            config = {key: parse_level(value) if key in _LEVEL_CONFIG_KEYS else value
-                      for key, value in dict(data.get("config", {})).items()}
-            channel = {key: parse_level(value) if key in ("rho", "rho_si") else float(value)
-                       for key, value in dict(data.get("channel", {})).items()}
-            return cls(config=config, channel=channel, sweep_param=str(sweep["param"]),
+            return cls(config=dict(data.get("config", {})),
+                       channel=dict(data.get("channel", {})),
+                       sweep_param=str(sweep["param"]),
                        sweep_values=sweep["values"], algorithms=algorithms,
                        n_trials=data.get("n_trials", 1), seed=data.get("seed", 0),
-                       output=str(data.get("output", "results")),
+                       output=data.get("output", "results"),
                        baseline_designer=str(data.get("baseline_designer", "altqcp")))
 
+    def _payload(self) -> dict:
+        """The spec in its JSON layout."""
+        return {"config": self.config, "channel": self.channel,
+                "sweep": {"param": self.sweep_param, "values": self.sweep_values},
+                "algorithms": self.algorithms, "n_trials": self.n_trials,
+                "seed": self.seed, "output": self.output,
+                "baseline_designer": self.baseline_designer}
+
     def canonical_json(self) -> str:
-        payload = {
-            "config": self.config, "channel": self.channel,
-            "sweep": {"param": self.sweep_param, "values": list(self.sweep_values)},
-            "algorithms": list(self.algorithms), "n_trials": self.n_trials,
-            "seed": self.seed, "output": self.output,
-            "baseline_designer": self.baseline_designer,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
 
     def spec_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
@@ -175,40 +194,27 @@ class ExperimentSpec:
         return SolverOptions(**{key: self.config[key] for key in _SOLVER_CONFIG_KEYS
                                 if key in self.config})
 
+    def _swept_config(self, sweep_value) -> dict:
+        """The config section with the sweep value written into the key its
+        parameter sets (a kappa sweep moves beta too, unless beta is pinned)."""
+        value = float(sweep_value)
+        if self.sweep_param.endswith("_db"):
+            value = 10.0 ** (value / 10.0)
+        return {**self.config, SWEEP_PARAMS[self.sweep_param]: value}
+
     def config_for(self, sweep_value: float) -> SystemConfig:
-        params = {key: value for key, value in self.config.items()
-                  if key not in _SOLVER_CONFIG_KEYS and key != "csi_radius"}
-        v = float(sweep_value)
-        if self.sweep_param == "kappa_db":
-            # beta follows kappa unless the spec pinned it explicitly
-            params["kappa"] = 10.0 ** (v / 10.0)
-        elif self.sweep_param == "sigma2_db":
-            params["noise_var"] = 10.0 ** (v / 10.0)
-        elif self.sweep_param == "pmax":
-            params["p_max"] = v
-        elif self.sweep_param == "K":
-            params["subcarriers"] = v
-        elif self.sweep_param == "M":
-            params["antennas"] = v
-        return SystemConfig.from_scalars(**params)
+        return SystemConfig.from_scalars(**{
+            key: value for key, value in self._swept_config(sweep_value).items()
+            if key not in _SOLVER_CONFIG_KEYS and key != "csi_radius"})
 
     def channel_stats(self, sweep_value: float = None) -> ChannelStats:
         """The channel section plus the CSI error radius: the config key
-        csi_radius, overridden by the sweep value of a zeta_db sweep."""
+        csi_radius, which a zeta_db sweep value sets."""
+        config = self.config if sweep_value is None else self._swept_config(sweep_value)
         params = dict(self.channel)
-        if "csi_radius" in self.config:
-            params["csi_radius"] = self.config["csi_radius"]
-        if sweep_value is not None and self.sweep_param == "zeta_db":
-            params["csi_radius"] = 10.0 ** (float(sweep_value) / 10.0)
+        if "csi_radius" in config:
+            params["csi_radius"] = config["csi_radius"]
         return ChannelStats(**params)
-
-
-# designers whose own report is design-view, so the harness adds the true-model
-# evaluation; the lambdas look the functions up when called, so a profiler
-# that rebinds this module's names still sees every call
-_DESIGNERS = {"altqcp": lambda *args: run_altqcp(*args),
-              "wmmse": lambda *args: run_wmmse(*args),
-              "cutting_set": lambda *args: run_cutting_set(*args)}
 
 
 def _dispatch(algorithm, channels, config, options, designer):

@@ -1,12 +1,15 @@
 """Reference schemes: equivalences in their degenerate corners, the
 half-duplex rate split, and the self-interference power cap."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_baseline)
-from fdlink.baselines import BASELINE_MODES, half_duplex_world
+from fdlink.altqcp import SolverOptions, run_altqcp_scenarios
+from fdlink.baselines import BASELINE_MODES, DESIGNERS, half_duplex_world
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
 
@@ -165,3 +168,43 @@ def test_unknown_mode_and_designer_raise(default_config, default_channels):
     with pytest.raises(ConfigError):
         run_baseline("hd", default_channels, default_config,
                      designer="genie")
+
+
+def _driver_inputs(mode, channels, config):
+    """(estimated channels, design config, self-interference caps) each mode
+    designs on, restated from the mode descriptions."""
+    if mode == "hd":
+        return half_duplex_world(channels).h_est, config, None
+    if mode == "sc":
+        k = config.subcarriers
+        flat = dataclasses.replace(
+            config, subcarriers=1, noise_var=config.noise_var.mean(axis=1, keepdims=True),
+            tx_distortion=tuple(k * d for d in config.tx_distortion),
+            rx_distortion=tuple(k * d for d in config.rx_distortion),
+            p_max=tuple(p / k for p in config.p_max))
+        return {pair: channels.h_est[pair].mean(axis=0, keepdims=True)
+                for pair in PAIRS}, flat, None
+    blind = dataclasses.replace(
+        config, tx_distortion=tuple(0.0 * d for d in config.tx_distortion),
+        rx_distortion=tuple(0.0 * d for d in config.rx_distortion))
+    caps = {"kappa0": None, "pth_high": config.p_max,
+            "pth_low": tuple(p / 10.0 for p in config.p_max)}[mode]
+    return channels.h_est, blind, caps
+
+
+@pytest.mark.parametrize("designer", DESIGNERS)
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+def test_baseline_is_one_driver_call(mode, designer, default_config,
+                                     default_channels):
+    # every mode is the driver run once on its own inputs, the weight block
+    # on for the rate designer; sc then repeats its flat design over K
+    options = SolverOptions(max_iters=20)
+    design, _ = run_baseline(mode, default_channels, default_config, options,
+                             designer=designer)
+    h_est, config, caps = _driver_inputs(mode, default_channels, default_config)
+    direct, _ = run_altqcp_scenarios([(1.0, h_est)], config, options,
+                                     weight_block=designer == "wmmse", si_caps=caps)
+    repeats = default_config.subcarriers if mode == "sc" else 1
+    for name in ("precoders", "decoders", "mse_weights"):
+        for got, want in zip(getattr(design, name), getattr(direct, name)):
+            assert np.array_equal(got, np.repeat(want, repeats, axis=0))

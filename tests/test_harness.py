@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from fdlink import ConfigError, SystemConfig, distortion, worst_case_mse
+from fdlink import (ChannelStats, ConfigError, SystemConfig, distortion,
+                    worst_case_mse)
 from fdlink.cli import main
 from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
                             emit_plot_data, read_results_csv, results_to_csv_text,
@@ -115,11 +116,48 @@ def test_spec_rejects_garbage():
         ExperimentSpec.from_json(MALFORMED_SPECS["bool_sweep_value"])
     with pytest.raises(ConfigError, match="-30.0"):
         ExperimentSpec.from_json(MALFORMED_SPECS["duplicate_sweep_value"])
-    for bad in ({"n_trials": True}, {"seed": False}, {"sweep_values": (1, 1.0)}):
+    for bad in ({"n_trials": True}, {"seed": False}, {"sweep_values": (1, 1.0)},
+                {"sweep_values": (True,)}, {"config": {"kappa": True}},
+                {"config": {"p_max": True}}, {"config": {"rate_weights": [True, 1.0]}},
+                {"channel": {"rho": True}}):
         with pytest.raises(ConfigError):
             ExperimentSpec(**bad)
     with pytest.raises(ConfigError):
         as_count(np.True_, "subcarriers")
+
+
+SWEEP_BASE = {"config": {"subcarriers": 2, "antennas": 2, "streams": 1, "p_max": 1.0,
+                         "noise_var": 1e-3, "kappa": 1e-3, "csi_radius": 0.05,
+                         "max_iters": 5},
+              "channel": {"rho": 0.02}}
+
+
+@pytest.mark.parametrize("param, key, value, level", [
+    ("kappa_db", "kappa", -25.0, 10.0 ** -2.5),
+    ("zeta_db", "csi_radius", -20.0, 10.0 ** -2.0),
+    ("sigma2_db", "noise_var", -40.0, 10.0 ** -4.0),
+    ("pmax", "p_max", 2.0, 2.0),
+    ("K", "subcarriers", 3.0, 3.0),
+    ("M", "antennas", 3.0, 3.0),
+])
+def test_sweep_value_sets_its_config_key(param, key, value, level):
+    # a cell's config and channel statistics are the base spec's with the
+    # one key the sweep parameter names set to the value (a *_db value as a
+    # dB level)
+    spec = ExperimentSpec(**SWEEP_BASE, sweep_param=param, sweep_values=(value,))
+    cfg = {k: v for k, v in SWEEP_BASE["config"].items()
+           if k not in ("csi_radius", "max_iters")}
+    radius = SWEEP_BASE["config"]["csi_radius"]
+    if key == "csi_radius":
+        radius = level
+    else:
+        cfg[key] = level
+    want = SystemConfig.from_scalars(**cfg)
+    got = spec.config_for(value)
+    for f in dataclasses.fields(SystemConfig):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert spec.channel_stats(value) == ChannelStats(rho=0.02, csi_radius=radius)
+    assert spec.channel_stats() == ChannelStats(rho=0.02, csi_radius=0.05)
 
 
 def test_spec_hash_ignores_key_order():
