@@ -11,17 +11,19 @@ weighted sum-rate designer (wmmse), the cutting-set inner design (robust) and
 the threshold baselines (baselines) are this loop with its weight block or its
 self-interference cap switched on. All updates take a scenario stack, (S,)
 weights and (S, K, M, N) channels, and reduce over its leading axis; the
-nominal algorithm is the one-scenario stack of the estimated channels.
+nominal algorithm is the one-scenario stack of the estimated channels. The
+driver designs a fleet of problems at once, on one more leading axis.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
 
-from .model import (DIRECTIONS, ChannelRealization, SystemConfig,
+from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _sic_residual, _stack,
                     covariance_stacks, design_report, identity_weights, mse_stacks,
                     power_usage, rate_surrogate, weighted_rate)
@@ -51,39 +53,42 @@ class SolverOptions:
 def init_precoders(h_est, config: SystemConfig):
     """Starting precoders: per subcarrier, the dominant right singular vectors
     of the estimated desired channel h_est[(i, i)], scaled (one scalar per
-    direction) so the distortion-aware power usage equals the budget exactly.
+    direction, and per member of a fleet) so the distortion-aware power usage
+    equals the budget exactly.
     """
     out = []
     for i in DIRECTIONS:
         # numpy svd returns rows of vh as right singular vectors, descending
         _, _, vh = np.linalg.svd(h_est[(i, i)], full_matrices=False)
-        v = dagger(vh[:, :config.streams[i], :])
+        v = dagger(vh[..., :config.streams[i], :])
         used = power_usage(v, config.tx_distortion[i])
-        scale = np.sqrt(config.p_max[i] / used) if used > 0 else 0.0
-        out.append(v * scale)
+        scale = np.sqrt(config.p_max[i] / np.where(used > 0, used, np.inf))
+        out.append(v * scale[..., None, None, None])
     return out
 
 
 # ---------------------------------------------------------------------------
 # scenario stack: (S,) weights and (S, K, M, N) channels the design treats as
-# possible truths; SIC is always referenced to the estimated channels.
+# possible truths; SIC is always referenced to the estimated channels. A fleet
+# puts its member axis in front: (B, S) weights, (B, S, K, M, N) channels and
+# (B, K, ., .) precoders, decoders and weights.
 # ---------------------------------------------------------------------------
 
 def _receiver_step(precoders, shares, g, sigmas, config):
     """Linear MMSE receivers for the scenario-weighted design objective."""
     out = []
     for i in DIRECTIONS:
-        hv = g[(i, i)] @ precoders[i]
-        acc = (np.einsum("s,skmp->kmp", shares, sigmas[i])
-               + np.einsum("s,skmd,skpd->kmp", shares, hv, hv.conj()))
-        rhs = np.einsum("s,skmd->kmd", shares, hv)
+        hv = g[(i, i)] @ precoders[i][..., None, :, :, :]
+        acc = (np.einsum("...s,...skmp->...kmp", shares, sigmas[i])
+               + np.einsum("...s,...skmd,...skpd->...kmp", shares, hv, hv.conj()))
+        rhs = np.einsum("...s,...skmd->...kmd", shares, hv)
         out.append(np.linalg.solve(stabilized(herm(acc)), rhs))
     return out
 
 
 def _weighted_decoder_grams(decoders, mse_weights):
     """W_j^l = U S U^H per direction and subcarrier."""
-    return [np.einsum("kmd,kde,kpe->kmp", decoders[j], mse_weights[j],
+    return [np.einsum("...kmd,...kde,...kpe->...kmp", decoders[j], mse_weights[j],
                       decoders[j].conj()) for j in DIRECTIONS]
 
 
@@ -96,58 +101,77 @@ def _leakage_stacks(grams, shares, g, config):
                                          + diag(H_ji^l^H W_j^l H_ji^l Theta_tx,i) ]
     """
     rx_profile = [config.rx_distortion[j]
-                  * np.einsum("kmm->m", grams[j]).real for j in DIRECTIONS]
+                  * np.einsum("...kmm->...m", grams[j]).real for j in DIRECTIONS]
     out = []
     for i in DIRECTIONS:
         n = config.tx_antennas[i]
         term1, diag2 = 0.0, 0.0
         for j in DIRECTIONS:
             h = g[(j, i)]
-            term1 = term1 + np.einsum("s,skmn,m,skmp->knp", shares, h.conj(),
-                                      rx_profile[j], h)
-            diag2 = diag2 + np.einsum("s,skmn,kmp,skpn->n", shares, h.conj(),
-                                      grams[j], h).real
-        term1[:, np.arange(n), np.arange(n)] += config.tx_distortion[i] * diag2
+            term1 = term1 + np.einsum("...s,...skmn,...m,...skmp->...knp", shares,
+                                      h.conj(), rx_profile[j], h)
+            diag2 = diag2 + np.einsum("...s,...skmn,...kmp,...skpn->...n", shares,
+                                      h.conj(), grams[j], h).real
+        term1[..., np.arange(n), np.arange(n)] += (config.tx_distortion[i]
+                                                   * diag2)[..., None, :]
         out.append(herm(term1))
     return out
+
+
+def _rows(lead, a, core=()):
+    """a broadcast to lead + core and flattened to one row per leading index."""
+    a = np.asarray(a)
+    return (a if a.shape == lead + core else np.broadcast_to(a, lead + core)).reshape(
+        (-1,) + core)
+
+
+def _dots(a, b):
+    """Re sum conj(a) b for each row of two stacks, as np.vdot sums a pair."""
+    return (a.reshape(len(a), 1, -1).conj() @ b.reshape(len(b), -1, 1))[:, 0, 0].real
 
 
 def _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0=0.0):
     """min_V sum_k tr(V^H A^k V) - 2 Re tr(C^k^H V) s.t. tr(B sum_k V V^H) <= P
     with A Hermitian and B = diag(scale_diag) > 0; returns (V stack, iota >= 0).
+    Leading axes of the arguments are independent problems, and V and iota
+    carry them.
 
     With B^(-1/2) A B^(-1/2) = Q Lambda Q^H, one batched eigendecomposition,
     V(iota) = B^(-1/2) Q (Lambda + iota)^{-1} Q^H B^(-1/2) C, and the power is
-    a sum of inverse squares in iota: its root is searched on scalars, from
-    iota0 (the last iteration's dual), and V is read off the same basis.
+    a sum of inverse squares in iota: its roots are searched on scalars, from
+    iota0 (the last iteration's duals), and V is read off the same basis.
     """
-    if p_max <= 0:
-        return np.zeros_like(rhs), 0.0
-    bs = scale_diag ** -0.5
-    col = bs[:, None]
+    lead, (k, n, d) = quad.shape[:-3], rhs.shape[-3:]
+    quad, rhs = quad.reshape(-1, k, n, n), rhs.reshape(-1, k, n, d)
+    p_max, tol, rows = _rows(lead, p_max), _rows(lead, tol), len(quad)
+    col = _rows(lead, scale_diag, (n,))[:, None, :, None] ** -0.5
     # eigh reads one triangle; scaling by a symmetric outer product keeps an
     # exactly Hermitian quad exactly Hermitian
-    lam, basis = np.linalg.eigh(quad * (col * bs))
+    lam, basis = np.linalg.eigh(quad * (col * col.swapaxes(2, 3)))
     lam = np.maximum(lam, 0.0)
     basis = col * basis                 # B^(-1/2) Q
     coeff = dagger(basis) @ rhs
-    weight = np.add.reduce((coeff * coeff.conj()).real, 2)
-    total = float(np.add.reduce(weight, None))
-    if total <= 0:
-        return np.zeros_like(rhs), 0.0
-
-    # iota = 0 when the power at iota -> 0+ fits the budget. Null-space weights
-    # of an exactly-consistent system are pure roundoff and count as zero; a
-    # live weight on a zero eigenvalue makes that power infinite
-    live = weight > total * 1e-13
-    lam_live = lam[live]
-    if (np.minimum.reduce(lam_live) > 1e-14 * max(np.maximum.reduce(lam, None), 1.0)
-            and np.add.reduce(weight[live] / lam_live ** 2) <= p_max):
-        return np.linalg.solve(stabilized(quad), rhs), 0.0
-
-    iota = float(_rational_root(lam.reshape(1, -1), weight.reshape(1, -1), p_max, tol,
-                                iota0)[0])
-    return basis @ (coeff / (lam + iota)[:, :, None]), iota
+    weight = np.add.reduce((coeff * coeff.conj()).real, 3)
+    total = np.add.reduce(weight.reshape(rows, k * n), 1)
+    # iota = 0 where the power at iota -> 0+ fits the budget. Null-space
+    # weights of an exactly-consistent system are pure roundoff and count as
+    # zero; a live weight on a zero eigenvalue makes that power infinite
+    live = weight > total[:, None, None] * 1e-13
+    power = np.divide(weight, lam ** 2, out=np.zeros(weight.shape), where=live & (lam > 0))
+    some = (p_max > 0) & (total > 0)
+    fits = some & (np.where(live, lam, np.inf).min((1, 2)) > 1e-14 * np.maximum(
+        lam.max((1, 2)), 1.0)) & (np.add.reduce(power.reshape(rows, k * n), 1) <= p_max)
+    root = some & ~fits
+    v, iota = np.zeros(rhs.shape, complex), np.zeros(rows)
+    if fits.any():
+        v[fits] = np.linalg.solve(stabilized(quad[fits]), rhs[fits])
+    if root.any():
+        root = slice(None) if root.all() else root
+        iota[root] = _rational_root(lam[root].reshape(-1, k * n),
+                                    weight[root].reshape(-1, k * n), p_max[root],
+                                    tol[root], _rows(lead, iota0)[root])
+        v[root] = basis[root] @ (coeff[root] / (lam[root] + iota[root, None, None])[..., None])
+    return v.reshape(lead + (k, n, d)), iota.reshape(lead)
 
 
 def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0=0.0):
@@ -155,75 +179,149 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
     <= cap: projected Newton from x = (iota0, mu0) maximizes the concave dual
     g(x) = -Re sum_k tr(C^H V) - x.(P, cap) over x >= 0, V = M^{-1} C, M = A +
     iota B + mu cross^H cross (Boyd & Vandenberghe 2004, sections 5 and 9.5).
-    At mu = 0 the exact uncapped solve is the answer if it meets the cap.
-    Returns (V stack, iota, mu); when cap <= 0, V = 0, which meets the cap
-    with any mu >= 0, and mu = 0."""
-    if cap <= 0:
-        return np.zeros_like(rhs), 0.0, 0.0
-    ops = np.stack(np.broadcast_arrays(np.diag(scale_diag), herm(dagger(cross) @ cross)))
-    budget, tols = np.array([p_max, cap]), np.array([tol, max(tol, 1e-9 * cap)])
-    x, point, binds = np.array([iota0, mu0], dtype=float), None, False
-    dual = (rhs, scale_diag, p_max, tol)
+    At mu = 0 the exact uncapped solve is the answer if it meets the cap; a
+    cap of +inf leaves a problem uncapped. Returns (V stack, iota, mu); when
+    cap <= 0, V = 0, which meets the cap with any mu >= 0, and mu = 0.
+    Leading axes are independent problems, as in _solve_power_dual: each row
+    takes its own Newton and line-search steps, under row masks.
+    """
+    if np.all(np.isinf(cap)):
+        v, iota = _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0)
+        return v, iota, np.zeros(iota.shape)
+    lead, (k, n, d) = quad.shape[:-3], rhs.shape[-3:]
+    quad, rhs = quad.reshape(-1, k, n, n), rhs.reshape(-1, k, n, d)
+    scale, cross = _rows(lead, scale_diag, (n,)), _rows(lead, cross, cross.shape[-3:])
+    p_max, tol, cap, start = (_rows(lead, a) for a in (p_max, tol, cap, iota0))
+    x = np.where((cap > 0)[:, None], np.stack([start, _rows(lead, mu0)], 1), 0.0)
+    v, binds = np.zeros(rhs.shape, complex), np.zeros(len(quad), bool)
+    tols = np.stack([tol, np.maximum(tol, 1e-9 * cap)], 1)
 
-    def at(x):                        # (V, M^{-1}, g, grad g) at x
-        inv = np.linalg.inv(quad + np.einsum("a,aknp->knp", x, ops))
-        v = inv @ rhs
-        used = np.einsum("knd,aknp,kpd->a", v.conj(), ops, v).real
-        return v, inv, -np.vdot(rhs, v).real - x @ budget, used - budget
+    def uncapped(r):                  # the exact solve at mu = 0; does it break the cap?
+        if not len(r):
+            return
+        v[r], x[r, 0] = _solve_power_dual(quad[r], rhs[r], scale[r], p_max[r], tol[r], x[r, 0])
+        fv = cross[r] @ v[r]
+        binds[r] = _dots(fv, fv) > cap[r] + tols[r, 1]
 
-    for _ in range(CAP_NEWTON_STEPS):
-        if x[1] == 0:
-            (v, x[0]), point = _solve_power_dual(quad, *dual, x[0]), None
-            binds = np.vdot(cross @ v, cross @ v).real > cap + tols[1]
-            if not binds:
-                return v, x[0], 0.0
-        if x[0] == 0 and point is None:   # A may be singular: G on, iota exact
-            x[1] = x[1] or np.einsum("knn->", quad).real / np.einsum("knn->", ops[1]).real
-            x[0] = _solve_power_dual(quad + x[1] * ops[1], *dual, iota0)[1]
-        v, inv, value, grad = point or at(x)
-        if np.all(np.where(x > 0, np.abs(grad), grad) <= tols):
-            return v, x[0], x[1]
-        free, step, bv = (x > 0) | (grad > 0), np.zeros(2), ops @ v
-        hess = -2.0 * np.einsum("aknd,bknd->ab", bv.conj(), inv @ bv).real
-        step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
+    uncapped(np.flatnonzero((cap > 0) & (x[:, 1] == 0)))
+    rows = np.flatnonzero((cap > 0) & ((x[:, 1] > 0) | binds))
+    out = (v, x)
+    # the rows left for Newton, as dense stacks
+    quad, rhs, scale, cross, p_max, tol, cap, start, tols, v, x, binds = (
+        a[rows] for a in (quad, rhs, scale, cross, p_max, tol, cap, start, tols, *out, binds))
+    ops = np.stack(np.broadcast_arrays((np.eye(n) * scale[:, :, None])[:, None],
+                                       herm(dagger(cross) @ cross)), 1)
+    budget = np.stack([p_max, cap], 1)
+    inv, value, grad = np.zeros(quad.shape, complex), np.zeros(len(rows)), np.zeros_like(x)
+    has, live = np.zeros(len(rows), bool), np.ones(len(rows), bool)
+
+    def at(r, y):                     # V, M^{-1}, g and grad g of rows r at y
+        inv[r] = np.linalg.inv(quad[r] + np.einsum("ra,raknp->rknp", y, ops[r]))
+        v[r] = inv[r] @ rhs[r]
+        used = np.einsum("rknd,raknp,rkpd->ra", v[r].conj(), ops[r], v[r]).real
+        value[r] = -_dots(rhs[r], v[r]) - _dots(y, budget[r])
+        grad[r], has[r] = used - budget[r], True
+
+    def pick(mask):                   # the rows of a mask, as a view when all
+        return slice(None) if mask.all() else np.flatnonzero(mask)
+
+    for step in range(CAP_NEWTON_STEPS):
+        r = np.flatnonzero(live & (x[:, 1] == 0)) if step else rows[:0]
+        if len(r):                    # the line search ended at mu = 0
+            has[r] = False
+            uncapped(r)
+            live[r] = binds[r]
+        r = np.flatnonzero(live & (x[:, 0] == 0) & ~has)
+        if len(r):                    # A may be singular: G on, iota exact
+            x[r, 1] = np.where(x[r, 1] > 0, x[r, 1], np.einsum("rknn->r", quad[r]).real
+                               / np.einsum("rknn->r", ops[r, 1]).real)
+            x[r, 0] = _solve_power_dual(quad[r] + x[r, 1][:, None, None, None] * ops[r, 1],
+                                        rhs[r], scale[r], p_max[r], tol[r], start[r])[1]
+        r = np.flatnonzero(live & ~has)
+        if len(r):
+            at(r, x[r])
+        r = pick(live)
+        live[np.arange(len(live))[r][np.all(np.where(x[r] > 0, np.abs(grad[r]), grad[r])
+                                            <= tols[r], 1)]] = False
+        if not live.any():
+            out[0][rows], out[1][rows] = v, x
+            return (out[0].reshape(lead + (k, n, d)), out[1][:, 0].reshape(lead),
+                    out[1][:, 1].reshape(lead))
+        r = pick(live)
+        now, slope, base = x[r], grad[r].copy(), value[r].copy()
+        bv = ops[r] @ v[r][:, None]
+        hess = -2.0 * np.einsum("raknd,rbknd->rab", bv.conj(), inv[r][:, None] @ bv).real
+        free = (now > 0) | (slope > 0)
+        if free.all():
+            delta = -np.linalg.solve(hess, slope[..., None])[..., 0]
+        else:                         # each pattern of free coordinates on its own
+            delta = np.zeros_like(now)
+            for pattern in {tuple(f) for f in free.tolist() if any(f)}:
+                same, cols = np.flatnonzero(np.all(free == pattern, 1))[:, None], np.flatnonzero(pattern)
+                delta[same, cols] = -np.linalg.solve(hess[same[..., None], cols[:, None], cols],
+                                                     slope[same, cols][..., None])[..., 0]
+        small = 1e-14 * (np.abs(base) + _dots(now, budget[r]))
+        here, trial, todo = np.arange(len(live))[r], now.copy(), np.ones(len(now), bool)
         for alpha in 0.5 ** np.arange(60):    # backtrack, or stop in g's rounding
-            trial = np.maximum(x + alpha * step, 0.0)
-            point, gain = at(trial) if trial[1] > 0 else None, grad @ (trial - x)
-            if (not binds if point is None else point[2] - value >= 1e-4 * abs(gain)
-                    or abs(gain) <= 1e-14 * (abs(value) + x @ budget)):
+            t = pick(todo)
+            trial[t] = np.maximum(now[t] + alpha * delta[t], 0.0)
+            gain = np.abs(_dots(slope[t], trial[t] - now[t]))
+            on, rt = trial[t, 1] > 0, here[t]
+            has[rt[~on]] = False      # no point at mu = 0: taken if the cap did not bind
+            taken = ~on & ~binds[rt]
+            if on.any():
+                on = pick(on)
+                at(rt[on], trial[t][on])
+                taken[on] = ((value[rt[on]] - base[t][on] >= 1e-4 * gain[on])
+                             | (gain[on] <= small[t][on]))
+            todo[np.arange(len(todo))[t][taken]] = False
+            if not todo.any():
                 break
-        x = trial
-    grad = (point or at(x))[3]        # the residuals where the search stopped
-    raise DualSearchError(f"cap dual search stopped at iota={x[0]:.6g}, mu={x[1]:.6g}, "
-                          f"residuals {grad[0]:.3g} (power), {grad[1]:.3g} (cap)")
+        x[here] = trial
+    r = np.flatnonzero(live)[:1]      # the residuals where the search stopped
+    if not has[r[0]]:
+        at(r, x[r])
+    (iota, mu), residual = x[r[0]], grad[r[0]]
+    raise DualSearchError(f"cap dual search stopped at iota={iota:.6g}, mu={mu:.6g}, "
+                          f"residuals {residual[0]:.3g} (power), {residual[1]:.3g} (cap)")
 
 
 def _precoder_step(decoders, mse_weights, shares, g, sic, residual, config,
-                   si_caps=None, si_duals=(0.0, 0.0), duals=(0.0, 0.0)):
+                   si_caps=(np.inf, np.inf), si_duals=(0.0, 0.0), duals=(0.0, 0.0)):
     """Exact minimizer of the scenario-weighted MSE over both directions'
-    precoders, each under its power budget and, given si_caps, a cap on the
-    self-interference it puts into its own receiver through the estimated cross
-    channel sic, searched from the last duals; residual is _sic_residual(g,
-    sic). Returns (precoders, duals, si_duals)."""
+    precoders, each under its power budget and a cap (+inf: none) on the
+    self-interference it puts into its own receiver through the estimated
+    cross channel sic, searched from the last duals; residual is
+    _sic_residual(g, sic). Caps and duals are indexed by direction first.
+    Returns (precoders, duals, si_duals); directions of one shape share one
+    batched dual solve."""
     grams = _weighted_decoder_grams(decoders, mse_weights)
     leaks = _leakage_stacks(grams, shares, g, config)
-    out = []
+    terms = []
     for i in DIRECTIONS:
         j = 1 - i
-        hu = np.einsum("skmn,kmd->sknd", g[(i, i)].conj(), decoders[i])
-        quad = leaks[i] + np.einsum("s,sknd,kde,skpe->knp", shares, hu,
+        hu = np.einsum("...skmn,...kmd->...sknd", g[(i, i)].conj(), decoders[i])
+        quad = leaks[i] + np.einsum("...s,...sknd,...kde,...skpe->...knp", shares, hu,
                                     mse_weights[i], hu.conj())
-        rhs = np.einsum("s,sknd,kde->kne", shares, hu, mse_weights[i])
+        rhs = np.einsum("...s,...sknd,...kde->...kne", shares, hu, mse_weights[i])
         d = residual[j]                      # residual SI leaks through the error
         if d is not None:
-            quad = quad + np.einsum("s,skmn,kmp,skpq->knq", shares, d.conj(),
-                                    grams[j], d)
-        args = (herm(quad), rhs, 1.0 + config.subcarriers * config.tx_distortion[i],
-                config.p_max[i], POWER_REL_TOL * config.p_max[i])
-        out.append((*_solve_power_dual(*args, duals[i]), 0.0) if si_caps is None else
-                   _capped_power_dual(*args, sic[(j, i)], si_caps[i], si_duals[i], duals[i]))
-    precoders, duals, mus = zip(*out)
-    return list(precoders), duals, mus
+            quad = quad + np.einsum("...s,...skmn,...kmp,...skpq->...knq", shares,
+                                    d.conj(), grams[j], d)
+        terms.append((herm(quad), rhs, 1.0 + config.subcarriers * config.tx_distortion[i],
+                      sic[(j, i)]))
+    lead = (2,) + terms[0][1].shape[:-3]
+    p_max = np.array(config.p_max).reshape((2,) + (1,) * (len(lead) - 1))
+    limits = (p_max, POWER_REL_TOL * p_max)
+    state = [np.asarray(a) for a in (si_caps, si_duals, duals)]
+    if len(set(zip(config.tx_antennas, config.rx_antennas, config.streams))) == 1:
+        quad, rhs, scale, cross = (np.array(column) for column in zip(*terms))
+        precoders, duals, mus = _capped_power_dual(quad, rhs, scale, *limits, cross, *state)
+        return list(precoders), duals, mus
+    precoders, duals, mus = zip(*(_capped_power_dual(
+        quad, rhs, scale, *(a[i] for a in limits), cross, *(a[i] for a in state))
+        for i, (quad, rhs, scale, cross) in enumerate(terms)))
+    return list(precoders), np.stack(duals), np.stack(mus)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +339,7 @@ def update_precoders(decoders, mse_weights, channels: ChannelRealization,
     shares, g = _stack([(1.0, channels.h_est)])
     precoders, duals, _ = _precoder_step(decoders, mse_weights, shares, g,
                                          channels.h_est, (None, None), config)
-    return precoders, duals
+    return precoders, tuple(duals)
 
 
 def _weight_block(precoders, decoders, g, sigmas, config):
@@ -253,31 +351,70 @@ def _weight_block(precoders, decoders, g, sigmas, config):
             weighted_rate(precoders, sigmas, g, config))
 
 
-def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions,
-                         init_precoders_override=None, weight_block=False,
-                         si_caps=None):
-    """The block-coordinate driver behind every designer.
+@dataclass(frozen=True)
+class DesignProblem:
+    """One member of a driver fleet: weighted scenarios (weight, channel
+    dict), the first of them the estimate; the config to design with; and,
+    optionally, per-direction self-interference caps and starting precoders."""
+    scenarios: list
+    config: SystemConfig
+    si_caps: tuple = None
+    init: tuple = None
+
+
+def _fleet_config(configs):
+    """configs[0] with each direction's distortion vectors stacked to (B, N),
+    one row per member; every other field must be the same for all."""
+    base = configs[0]
+    for c in configs[1:]:
+        if (any(getattr(c, name) != getattr(base, name) for name in
+                ("subcarriers", "tx_antennas", "rx_antennas", "streams", "p_max",
+                 "rate_weights")) or not np.array_equal(c.noise_var, base.noise_var)):
+            raise ConfigError("a fleet's configs may differ only in their distortion")
+    fleet = copy.copy(base)
+    for name in ("tx_distortion", "rx_distortion"):
+        object.__setattr__(fleet, name, tuple(np.array([getattr(c, name)[i] for c in configs])
+                                              for i in DIRECTIONS))
+    return fleet
+
+
+def run_altqcp_scenarios(problems, options: SolverOptions, weight_block=False):
+    """The block-coordinate driver behind every designer, run on a fleet of
+    DesignProblems at once; returns (designs, reports), one per problem.
 
     One iteration updates the precoders (exact QCQP; with si_caps also capping
     each direction's self-interference power), then the MMSE receivers, then,
     with weight_block, the MSE weights S = E^{-1}, whose rate-weighted copy
     omega_i S_i the next precoder step minimizes (WMMSE, Shi et al. 2011).
     The tracked objective is the scenario-weighted MSE (identity weights), or
-    with weight_block the rate surrogate; the loop stops when it moves by at
-    most rel_tol. The first scenario is the estimate: cancellation, the
-    surrogate and the report are referenced to it. The scenarios are stacked
-    once per run, and each precoder update builds their covariances once.
+    with weight_block the rate surrogate; a member stops when it moves by at
+    most rel_tol. A member's first scenario is its estimate: cancellation,
+    the surrogate and the report are referenced to it.
+
+    The members share their scenario count and every config field but the
+    distortion. They are stacked on one leading fleet axis B, each update is
+    one batched call over it, and each member's arithmetic is that of its run
+    alone (a fleet of one). A member that stops leaves the fleet with its
+    state, trace and iteration count; the run ends when every member has.
     """
-    sic = scenarios[0][1]
-    if init_precoders_override is not None:
-        precoders = [v.copy() for v in init_precoders_override]
-    else:
+    configs = [p.config for p in problems]
+    config = _fleet_config(configs)
+    shares = np.array([[w for w, _ in p.scenarios] for p in problems], dtype=float)
+    g = {pair: np.array([[h[pair] for _, h in p.scenarios] for p in problems])
+         for pair in PAIRS}
+    sic = {pair: g[pair][:, 0] for pair in PAIRS}
+    residual = _sic_residual(g, {pair: g[pair][:, :1] for pair in PAIRS})
+    caps = np.array([p.si_caps or (np.inf, np.inf) for p in problems]).T
+    if all(p.init is not None for p in problems):
+        precoders = [np.array([p.init[i] for p in problems]) for i in DIRECTIONS]
+    else:                             # in init_precoders' memory layout, as alone
         precoders = init_precoders(sic, config)
-    shares, g = _stack(scenarios)
-    residual = _sic_residual(g, sic)
+        for b, p in enumerate(problems):
+            for i in DIRECTIONS if p.init is not None else ():
+                precoders[i][b] = p.init[i]
 
     def first():                      # the first scenario's covariances
-        return [s[0] for s in sigmas]
+        return [s[:, 0] for s in sigmas]
 
     def objective():
         if weight_block:
@@ -287,24 +424,47 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
 
     sigmas = covariance_stacks(precoders, g, config, residual)
     decoders = _receiver_step(precoders, shares, g, sigmas, config)
-
-    rate_trace = None
+    # per problem: objective trace, half-step blocks, power slackness,
+    # surrogate tightness and design-model rates
+    runs = [([], [], [], [], [] if weight_block else None) for _ in problems]
     if weight_block:
         _, weights, value, rate_now = _weight_block(precoders, decoders, sic,
                                                     first(), config)
-        rate_trace = [rate_now]
+        for run, rate in zip(runs, rate_now.tolist()):
+            run[4].append(rate)
     else:
-        weights = identity_weights(config)
+        weights = [np.broadcast_to(w, (len(problems),) + w.shape).copy()
+                   for w in identity_weights(config)]
         value = objective()
-    trace = [value]
-    blocks, slackness, tightness = [], [], []
-    si_duals = duals = (0.0, 0.0)
-    converged = False
+    for run, start in zip(runs, value.tolist()):
+        run[0].append(start)
+    members = list(range(len(problems)))          # the problem of each fleet row
+    si_duals = duals = np.zeros((2, len(problems)))
+    out = [None] * len(problems)
+
+    def finish(rows, converged):      # the members of these rows stop here
+        for n in rows:
+            b = members[n]
+            trace, blocks, slackness, tightness, rates = runs[b]
+            extras = {"power_slackness": slackness}
+            if weight_block:
+                extras.update(surrogate_blocks=blocks, tightness_gap=tightness)
+            else:
+                extras["half_step_objectives"] = blocks
+            if problems[b].si_caps is not None:
+                extras["si_duals"] = tuple(si_duals[:, n].tolist())
+            state = [[x[n] for x in xs] for xs in (precoders, decoders, weights)]
+            report = design_report(*state[:2], {p: h[n] for p, h in sic.items()},
+                                   [s[n] for s in first()], configs[b])
+            out[b] = (TransceiverDesign(*map(tuple, state)),
+                      replace(report, objective_trace=trace, iterations=len(blocks),
+                              converged=converged, rate_trace=rates, extras=extras))
+
     for _ in range(options.max_iters):
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
                         if weight_block else weights)
         precoders, duals, si_duals = _precoder_step(
-            decoders, step_weights, shares, g, sic, residual, config, si_caps,
+            decoders, step_weights, shares, g, sic, residual, config, caps,
             si_duals, duals)
         sigmas = covariance_stacks(precoders, g, config, residual)
         block = [objective()]
@@ -315,36 +475,45 @@ def run_altqcp_scenarios(scenarios, config: SystemConfig, options: SolverOptions
                                                          first(), config)
             block += [rate_surrogate(errors, weights, config), value]
             weights = new
-            rate_trace.append(rate_now)
-            tightness.append(abs(value - LN2 * rate_now))
         else:
             block.append(objective())
-        blocks.append(tuple(block))
-        slackness.append(tuple(
-            (duals[i], power_usage(precoders[i], config.tx_distortion[i]))
-            for i in DIRECTIONS))
-        trace.append(block[-1])
-        if abs(trace[-1] - trace[-2]) <= options.rel_tol * max(abs(trace[-2]), 1e-300):
-            converged = True
-            break
-    design = TransceiverDesign(precoders=tuple(precoders), decoders=tuple(decoders),
-                               mse_weights=tuple(weights))
-    extras = {"power_slackness": slackness}
-    if weight_block:
-        extras.update(surrogate_blocks=blocks, tightness_gap=tightness)
+        used = [power_usage(precoders[i], config.tx_distortion[i]).tolist()
+                for i in DIRECTIONS]
+        dual, rates = duals.tolist(), rate_now.tolist() if weight_block else None
+        stopped = []
+        for n, values in enumerate(zip(*(x.tolist() for x in block))):
+            trace, blocks, slackness, tightness, rate_trace = runs[members[n]]
+            blocks.append(values)
+            slackness.append(tuple((dual[i][n], used[i][n]) for i in DIRECTIONS))
+            if weight_block:
+                rate_trace.append(rates[n])
+                tightness.append(abs(values[-1] - LN2 * rates[n]))
+            trace.append(values[-1])
+            if abs(trace[-1] - trace[-2]) <= options.rel_tol * max(abs(trace[-2]), 1e-300):
+                stopped.append(n)
+        if stopped:
+            finish(stopped, True)
+            rest = [n for n in range(len(members)) if n not in stopped]
+            if not rest:
+                break
+            members = [members[n] for n in rest]
+            duals, si_duals, caps = duals[:, rest], si_duals[:, rest], caps[:, rest]
+            precoders, decoders, weights, residual, sigmas = (
+                [None if x is None else x[rest] for x in xs] for xs in
+                (precoders, decoders, weights, residual, sigmas))
+            shares, g, sic = shares[rest], *({p: h[rest] for p, h in d.items()}
+                                             for d in (g, sic))
+            config = _fleet_config([configs[b] for b in members])
     else:
-        extras["half_step_objectives"] = blocks
-    if si_caps is not None:
-        extras["si_duals"] = si_duals
-    report = replace(design_report(precoders, decoders, sic, first(), config),
-                     objective_trace=trace, iterations=len(blocks),
-                     converged=converged, rate_trace=rate_trace, extras=extras)
-    return design, report
+        finish(range(len(members)), False)
+    designs, reports = zip(*out)
+    return list(designs), list(reports)
 
 
 def run_altqcp(channels: ChannelRealization, config: SystemConfig,
                options: SolverOptions = None):
     """Sum-MSE minimizer designing on the estimated channels. Returns
     (TransceiverDesign, PerformanceReport)."""
-    return run_altqcp_scenarios([(1.0, channels.h_est)], config,
-                                options or SolverOptions())
+    (design,), (report,) = run_altqcp_scenarios(
+        [DesignProblem([(1.0, channels.h_est)], config)], options or SolverOptions())
+    return design, report

@@ -29,7 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from .altqcp import SolverOptions, run_altqcp_scenarios
+from .altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, evaluate_design)
 from .util import ConfigError
@@ -75,44 +75,57 @@ def _single_carrier_pieces(channels: ChannelRealization, config: SystemConfig):
     return {pair: channels.h_est[pair].mean(axis=0, keepdims=True) for pair in PAIRS}, cfg
 
 
-def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
-                 options: SolverOptions = None, designer: str = "altqcp"):
-    """Design with the named simplified strategy, evaluate under the true model.
-
-    Each mode makes exactly one driver call, on its own design inputs: hd on
-    the half-duplex world, sc on the subcarrier-averaged estimate (the design
-    is then replicated over the subcarriers), kappa0 on the distortion-blind
-    config, and pth_* as kappa0 with a self-interference cap. designer
-    ("altqcp" for weighted MSE, "wmmse" for weighted sum rate) switches the
-    driver's MSE-weight block.
-    """
+def baseline_problem(mode: str, channels: ChannelRealization, config: SystemConfig):
+    """The driver problem of a baseline mode and the world its design is
+    evaluated in: hd designs on the half-duplex world, sc on the
+    subcarrier-averaged estimate, kappa0 on the distortion-blind config, and
+    pth_* as kappa0 with a self-interference cap."""
     if mode not in BASELINE_MODES:
         raise ConfigError(f"unknown baseline mode {mode!r}")
-    if designer not in DESIGNERS:
-        raise ConfigError(f"unknown designer {designer!r}")
-    eval_channels, h_est, cfg, caps = channels, channels.h_est, config, None
+    world, h_est, cfg, caps = channels, channels.h_est, config, None
     if mode == "hd":
-        eval_channels = half_duplex_world(channels)
-        h_est = eval_channels.h_est
+        world = half_duplex_world(channels)
+        h_est = world.h_est
     elif mode == "sc":
         h_est, cfg = _single_carrier_pieces(channels, config)
     else:                             # kappa0, and pth_* with a cap
         cfg = _blind_config(config)
         if mode in _CAP_DIVISOR:
             caps = tuple(config.p_max[j] / _CAP_DIVISOR[mode] for j in DIRECTIONS)
-    design, run_rep = run_altqcp_scenarios(
-        [(1.0, h_est)], cfg, options or SolverOptions(),
-        weight_block=designer == "wmmse", si_caps=caps)
+    return DesignProblem([(1.0, h_est)], cfg, caps), world
+
+
+def baseline_report(mode: str, design, run_rep, world: ChannelRealization,
+                    config: SystemConfig):
+    """(design, report) of a baseline from its driver run: sc's flat design
+    replicated over the subcarriers, and the true-model evaluation in its
+    world (hd's rates halved) carrying the run's trace."""
     if mode == "sc":
         design = TransceiverDesign(*(
             tuple(np.repeat(stack, config.subcarriers, axis=0) for stack in stacks)
             for stacks in (design.precoders, design.decoders, design.mse_weights)))
-
-    report = evaluate_design(design, eval_channels, config)
+    report = evaluate_design(design, world, config)
     if mode == "hd":
         report.rate_bits = 0.5 * report.rate_bits
     report.objective_trace = run_rep.objective_trace
     report.iterations = run_rep.iterations
     report.converged = run_rep.converged
-    report.extras = {**run_rep.extras, "mode": mode, "eval_channels": eval_channels}
+    report.extras = {**run_rep.extras, "mode": mode, "eval_channels": world}
     return design, report
+
+
+def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
+                 options: SolverOptions = None, designer: str = "altqcp"):
+    """Design with the named simplified strategy, evaluate under the true model.
+
+    Each mode makes exactly one driver call, on baseline_problem's inputs (sc
+    then replicates its design over the subcarriers). designer ("altqcp" for
+    weighted MSE, "wmmse" for weighted sum rate) switches the driver's
+    MSE-weight block.
+    """
+    problem, world = baseline_problem(mode, channels, config)
+    if designer not in DESIGNERS:
+        raise ConfigError(f"unknown designer {designer!r}")
+    (design,), (run_rep,) = run_altqcp_scenarios(
+        [problem], options or SolverOptions(), weight_block=designer == "wmmse")
+    return baseline_report(mode, design, run_rep, world, config)

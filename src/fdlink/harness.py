@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -23,26 +24,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .altqcp import SolverOptions, run_altqcp
-from .baselines import BASELINE_MODES, DESIGNERS, run_baseline
+from .altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
+from .baselines import BASELINE_MODES, DESIGNERS, baseline_problem, baseline_report
 from .channels import ChannelStats, draw_channels, perturb_csi
 from .model import SystemConfig, evaluate_design, identity_weights
 from .robust import run_cutting_set, worst_case_mse
 from .util import ConfigError, DualSearchError, as_count, parse_level
-from .wmmse import run_wmmse
 
 RESULT_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm",
                   "metric", "iteration", "value", "channel_hash")
 TIMING_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm", "seconds")
 
-# designers whose own report is design-view, so the harness adds the true-model
-# evaluation; the lambdas look the functions up when called, so a profiler
-# that rebinds this module's names still sees every call
-_DESIGNERS = {"altqcp": lambda *args: run_altqcp(*args),
-              "wmmse": lambda *args: run_wmmse(*args),
-              "cutting_set": lambda *args: run_cutting_set(*args)}
-
-KNOWN_ALGORITHMS = tuple(_DESIGNERS) + BASELINE_MODES
+KNOWN_ALGORITHMS = DESIGNERS + ("cutting_set",) + BASELINE_MODES
+_FAILURES = (DualSearchError, np.linalg.LinAlgError, FloatingPointError)
 # sweep parameter -> the config key its value sets; a *_db value is a dB level
 SWEEP_PARAMS = {"kappa_db": "kappa", "zeta_db": "csi_radius", "sigma2_db": "noise_var",
                 "pmax": "p_max", "K": "subcarriers", "M": "antennas"}
@@ -217,18 +211,34 @@ class ExperimentSpec:
         return ChannelStats(**params)
 
 
-def _dispatch(algorithm, channels, config, options, designer):
-    """Run one algorithm; return (design, design_report, eval_report, eval_channels)."""
-    if algorithm in _DESIGNERS:
-        design, rep = _DESIGNERS[algorithm](channels, config, options)
-        return design, rep, evaluate_design(design, channels, config), channels
-    design, rep = run_baseline(algorithm, channels, config, options,
-                               designer=designer)
-    return design, rep, rep, rep.extras.get("eval_channels", channels)
+def _weight_block_on(algorithm, designer):
+    """Whether the algorithm's driver run has its MSE-weight block on."""
+    return algorithm == "wmmse" or (algorithm in BASELINE_MODES and designer == "wmmse")
+
+
+def _design_fleet(algorithms, channels, config, options, designer):
+    """Design the named one-call algorithms of a cell (every algorithm but
+    the cutting set) in one driver call; they must share their problem's K
+    and weight-block flag. Returns [(design, run report, evaluation world)]:
+    the designers are evaluated on the cell's channels, a baseline in its
+    mode's world."""
+    members = [(DesignProblem([(1.0, channels.h_est)], config), channels)
+               if alg in DESIGNERS else baseline_problem(alg, channels, config)
+               for alg in algorithms]
+    designs, reports = run_altqcp_scenarios(
+        [problem for problem, _ in members], options,
+        weight_block=_weight_block_on(algorithms[0], designer))
+    return list(zip(designs, reports, (world for _, world in members)))
 
 
 def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
-    """All result and timing rows for one (sweep value, trial) cell."""
+    """All result and timing rows for one (sweep value, trial) cell.
+
+    The one-call algorithms whose problems share K (sc designs on one
+    subcarrier) and the weight-block flag are designed in one driver call,
+    and each is charged an equal share of its seconds. If that call fails,
+    its members are designed one at a time, in spec order with the rest, so
+    a failure names the algorithm a run of each alone would name first."""
     config = spec.config_for(sweep_value)
     true_channels = draw_channels(config, spec.channel_stats(sweep_value),
                                   [spec.seed, 11, trial])
@@ -244,21 +254,51 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
                      "metric": metric, "iteration": iteration,
                      "value": float(value), "channel_hash": chash})
 
-    for algorithm in spec.algorithms:
+    fleets, designed = {}, {}
+    for alg in spec.algorithms:
+        if alg != "cutting_set":      # keyed by the problem's K (sc's is 1) and weight block
+            key = (1 if alg == "sc" else config.subcarriers,
+                   _weight_block_on(alg, spec.baseline_designer))
+            fleets.setdefault(key, []).append(alg)
+    for members in fleets.values():
         t0 = time.perf_counter()
         try:
-            design, design_rep, eval_rep, eval_channels = _dispatch(
-                algorithm, channels, config, options, spec.baseline_designer)
+            fleet = _design_fleet(members, channels, config, options,
+                                  spec.baseline_designer)
+        except _FAILURES:
+            continue                  # its members are designed alone below
+        share = (time.perf_counter() - t0) / len(members)
+        designed.update((alg, (*run, share)) for alg, run in zip(members, fleet))
+
+    for algorithm in spec.algorithms:
+        t0 = time.perf_counter()
+        share = 0.0
+        try:
             if algorithm == "cutting_set":
+                # altqcp's design is the cut loop's first design
+                reuse = designed.get("altqcp")
+                first = () if reuse is None else (
+                    (reuse[0], dataclasses.replace(reuse[1], extras=dict(reuse[1].extras))),)
+                design, design_rep = run_cutting_set(channels, config, options, *first)
+                eval_rep = evaluate_design(design, channels, config)
                 # certified by the cut loop, also with identity weights
                 wc = design_rep.extras["worst_case"]
             else:
-                wc = worst_case_mse(design, eval_channels, config,
+                design, design_rep, world, share = designed.get(algorithm) or (
+                    *_design_fleet([algorithm], channels, config, options,
+                                   spec.baseline_designer)[0], 0.0)
+                if algorithm in BASELINE_MODES:
+                    design, design_rep = baseline_report(algorithm, design, design_rep,
+                                                         world, config)
+                    eval_rep = design_rep
+                else:
+                    eval_rep = evaluate_design(design, channels, config)
+                wc = worst_case_mse(design, world, config,
                                     mse_weights=identity_weights(config))
-        except (DualSearchError, np.linalg.LinAlgError, FloatingPointError) as err:
+        except _FAILURES as err:
             raise type(err)(f"{spec.sweep_param}={float(sweep_value)} trial={trial} "
                             f"algorithm={algorithm} seed={spec.seed}: {err}") from err
-        elapsed = time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0 + share
         add(algorithm, "sum_mse", -1, eval_rep.sum_mse())
         add(algorithm, "wc_mse", -1, wc)
         add(algorithm, "sum_rate", -1,

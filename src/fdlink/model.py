@@ -198,10 +198,15 @@ def covariance_stacks(precoders, g, config: SystemConfig, residual):
         + D_ij^k V_j^k V_j^k^H D_ij^k^H, j = 1 - i, D the residual,
     first order in the distortion coefficients. Channels may carry leading
     axes (a scenario stack); returns [ (..., K, M_i, M_i) ]_i with the same.
+    A driver fleet adds one more axis in front: its precoders (B, K, N, d)
+    and distortion vectors (B, N) meet channels (B, S, K, M, N).
     """
+    tx, rx = config.tx_distortion, config.rx_distortion
+    if g[(0, 0)].ndim > precoders[0].ndim:   # a scenario axis the members lack
+        precoders = [v[..., None, :, :, :] for v in precoders]
+        tx, rx = ([t[..., None, :] for t in thetas] for thetas in (tx, rx))
     # per-direction transmit distortion profile: q_j[n] = theta_j[n] * sum_l (V V^H)_nn
-    q = [config.tx_distortion[j] * np.einsum("knd,knd->n", precoders[j],
-                                             precoders[j].conj()).real
+    q = [tx[j] * np.einsum("...knd,...knd->...n", precoders[j], precoders[j].conj()).real
          for j in DIRECTIONS]
     out = []
     for i in DIRECTIONS:
@@ -209,10 +214,10 @@ def covariance_stacks(precoders, g, config: SystemConfig, residual):
         sig, received = 0.0, config.noise_var[i].sum()  # sum_l sigma_il^2 per antenna
         for j in DIRECTIONS:
             h = g[(i, j)]
-            sig = sig + np.einsum("...kmn,n,...kpn->...kmp", h, q[j], h.conj())
+            sig = sig + np.einsum("...kmn,...n,...kpn->...kmp", h, q[j], h.conj())
             hv = h @ precoders[j]                      # (..., K, M_i, d_j)
             received = received + np.einsum("...kmd,...kmd->...m", hv, hv.conj()).real
-        rx_diag = (config.rx_distortion[i] * received)[..., None, :]
+        rx_diag = (rx[i] * received)[..., None, :]
         sig[..., np.arange(m_i), np.arange(m_i)] += config.noise_var[i][:, None] + rx_diag
         sig = herm(sig)
         if residual[i] is not None:
@@ -225,7 +230,7 @@ def covariance_stacks(precoders, g, config: SystemConfig, residual):
 def _stack(scenarios):
     """(S,) weights and {pair: (S, K, M, N)} channels of (weight, dict) scenarios."""
     return (np.array([w for w, _ in scenarios], dtype=float),
-            {pair: np.stack([g[pair] for _, g in scenarios]) for pair in PAIRS})
+            {pair: np.array([g[pair] for _, g in scenarios]) for pair in PAIRS})
 
 
 def _sic_residual(g, sic):
@@ -280,12 +285,13 @@ def rate(precoder: np.ndarray, sigma: np.ndarray, h_direct: np.ndarray):
     return float(bits) if bits.ndim == 0 else bits
 
 
-def power_usage(precoders_i: np.ndarray, tx_distortion_i: np.ndarray) -> float:
+def power_usage(precoders_i: np.ndarray, tx_distortion_i: np.ndarray):
     """Transmit power including the chain distortion overhead:
-    tr((I + K Theta_tx) sum_l V^l V^l^H), K the precoder stack's length."""
-    gram_diag = np.einsum("knd,knd->n", precoders_i, precoders_i.conj()).real
-    return float(gram_diag.sum()
-                 + precoders_i.shape[0] * (tx_distortion_i * gram_diag).sum())
+    tr((I + K Theta_tx) sum_l V^l V^l^H), K the precoder stack's length; a
+    float, or one per member of a fleet's (B, K, N, d) stack."""
+    gram_diag = np.einsum("...knd,...knd->...n", precoders_i, precoders_i.conj()).real
+    return (gram_diag.sum(-1)
+            + precoders_i.shape[-3] * (tx_distortion_i * gram_diag).sum(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,49 +309,59 @@ def identity_weights(config: SystemConfig):
 def mse_stacks(precoders, decoders, g, sigmas):
     """MSE matrices [ (..., K, d_i, d_i) ]_i of every (i, k) on channels g or
     a scenario stack, from their covariances sigmas (covariance_stacks)."""
-    return [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)])
-            for i in DIRECTIONS]
+    if g[(0, 0)].ndim > decoders[0].ndim:    # a scenario axis the members lack
+        precoders, decoders = ([a[..., None, :, :, :] for a in x] for x in (precoders, decoders))
+    return [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)]) for i in DIRECTIONS]
+
+
+def _running_sum(terms):
+    """Sums over the last axis, one float at a time from the left: a float,
+    or an array over the leading axes."""
+    out = []
+    for row in terms.reshape(-1, terms.shape[-1]).tolist():
+        total = 0.0
+        for value in row:
+            total += value
+        out.append(total)
+    return np.array(out).reshape(terms.shape[:-1])[()]
 
 
 def _design_objective(precoders, decoders, mse_weights, shares, g, sigmas):
     """sum_s shares[s] sum_i sum_k tr(S_i^k E_i^k) over a scenario stack:
     (S,) scenario weights, channels g and covariances sigmas with a leading
-    S axis.
+    S axis, or one sum per member of a fleet, (B, S) weights.
 
     Terms are added one at a time in (scenario, i, k) order, the order the
     recorded objective traces and worst-case values have always used."""
-    traces = [np.trace(w @ e, axis1=-2, axis2=-1).real for w, e in
-              zip(mse_weights, mse_stacks(precoders, decoders, g, sigmas))]
-    total = 0.0
-    for s, weight in enumerate(shares):
-        for i in DIRECTIONS:
-            for value in traces[i][s]:
-                total += weight * value
-    return float(total)
+    traces = np.concatenate([np.trace(w[..., None, :, :, :] @ e, axis1=-2, axis2=-1).real
+                             for w, e in zip(mse_weights, mse_stacks(precoders, decoders,
+                                                                     g, sigmas))], -1)
+    terms = shares[..., None] * traces                    # (..., S, 2 K)
+    return _running_sum(terms.reshape(terms.shape[:-2] + (-1,)))
 
 
-def rate_surrogate(errors, mse_weights, config: SystemConfig) -> float:
-    """sum_i omega_i sum_k (ln det S_i^k + d_i - tr(S_i^k E_i^k)), natural log.
+def rate_surrogate(errors, mse_weights, config: SystemConfig):
+    """sum_i omega_i sum_k (ln det S_i^k + d_i - tr(S_i^k E_i^k)), natural log,
+    summed term by term in (i, k) order; one per member of a fleet.
 
     Raises numpy.linalg.LinAlgError if a weight matrix is not positive definite.
     """
-    total = 0.0
+    terms = []
     for i in DIRECTIONS:
         sign, logdet = np.linalg.slogdet(mse_weights[i])
         if np.any(sign.real <= 0):
             raise np.linalg.LinAlgError("MSE weight matrix is not positive definite")
-        fit = np.trace(mse_weights[i] @ errors[i], axis1=1, axis2=2).real
-        for value, misfit in zip(logdet, fit):
-            total += config.rate_weights[i] * (value + config.streams[i] - misfit)
-    return float(total)
+        fit = np.trace(mse_weights[i] @ errors[i], axis1=-2, axis2=-1).real
+        terms.append(config.rate_weights[i] * (logdet + config.streams[i] - fit))
+    return _running_sum(np.concatenate(terms, -1))
 
 
-def weighted_rate(precoders, sigmas, g, config: SystemConfig) -> float:
+def weighted_rate(precoders, sigmas, g, config: SystemConfig):
     """sum_i omega_i sum_k rate_i^k in bits per channel use, on channels g
-    with their covariances sigmas."""
-    return float(sum(config.rate_weights[i]
-                     * np.sum(rate(precoders[i], sigmas[i], g[(i, i)]))
-                     for i in DIRECTIONS))
+    with their covariances sigmas; one per member of a fleet."""
+    return sum(config.rate_weights[i]
+               * np.sum(rate(precoders[i], sigmas[i], g[(i, i)]), -1)
+               for i in DIRECTIONS)
 
 
 def design_report(precoders, decoders, g, sigmas, config: SystemConfig) -> PerformanceReport:

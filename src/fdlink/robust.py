@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .altqcp import SolverOptions, run_altqcp_scenarios
+from .altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _sic_residual, _stack,
                     covariance_stacks)
@@ -64,8 +64,8 @@ def weighted_mse_with_errors(design: TransceiverDesign,
     shares, g = _stack([(1.0, g)])
     sigmas = covariance_stacks(design.precoders, g, config,
                                _sic_residual(g, channels.h_est))
-    return _design_objective(design.precoders, design.decoders, weights,
-                             shares, g, sigmas)
+    return float(_design_objective(design.precoders, design.decoders, weights,
+                                   shares, g, sigmas))
 
 
 def _kron_stack(b, a):
@@ -136,6 +136,11 @@ def _solve_forms(g, c, z):
     component on the top eigenspace; if the solve off that space stays inside
     the ball, a top-eigenvector component pads it to the boundary.
     """
+    # a map below the rounding of its offset moves nothing: like the power
+    # dual's roundoff weights, it counts as exactly zero
+    roundoff = (np.einsum("frn,frn->f", g, g.conj()).real * z * z
+                <= np.finfo(float).eps ** 2 * np.einsum("fr,fr->f", c, c.conj()).real)
+    g = np.where(roundoff[:, None, None], 0.0, g)
     m_mat = herm(dagger(g) @ g)
     m_vec = np.einsum("frn,fr->fn", g.conj(), c)
     lam, basis = np.linalg.eigh(m_mat)
@@ -214,11 +219,13 @@ def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,
 
 
 def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
-                    options: SolverOptions = None):
+                    options: SolverOptions = None, first_cut=None):
     """Robust weighted-MSE design: alternate between designing against the
     average of the scenario set and appending the current worst-case channel
     hypothesis, until the worst case is within CUT_REL_TOL of the design
-    objective (or MAX_CUTS designs have been made)."""
+    objective (or MAX_CUTS designs have been made). The first design is
+    run_altqcp's on the estimate; first_cut, a (design, report) of that run
+    made elsewhere, stands in for it (the report may gain extras)."""
     options = options or SolverOptions()
     scenarios = [channels.h_est]
     history = []
@@ -227,8 +234,11 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
     robust_converged = False
     for cut in range(MAX_CUTS):
         weighted = [(1.0 / len(scenarios), g) for g in scenarios]
-        design, report = run_altqcp_scenarios(weighted, config, options,
-                                              init_precoders_override=warm)
+        if cut == 0 and first_cut is not None:
+            design, report = first_cut
+        else:
+            (design,), (report,) = run_altqcp_scenarios(
+                [DesignProblem(weighted, config, init=warm)], options)
         warm = design.precoders
         design_value = report.objective_trace[-1]
         wc_value, worst = _worst_case(design, channels, config)

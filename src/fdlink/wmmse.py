@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .altqcp import SolverOptions, run_altqcp_scenarios
+from .altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
 from .model import (ChannelRealization, SystemConfig, TransceiverDesign,
                     covariance_stacks, mse_stacks, rate_surrogate)
 from .util import herm
@@ -46,5 +46,7 @@ def run_wmmse(channels: ChannelRealization, config: SystemConfig,
     objective_trace holds the surrogate (natural log); rate_trace holds the
     design-model weighted sum rate in bits per channel use.
     """
-    return run_altqcp_scenarios([(1.0, channels.h_est)], config,
-                                options or SolverOptions(), weight_block=True)
+    (design,), (report,) = run_altqcp_scenarios(
+        [DesignProblem([(1.0, channels.h_est)], config)], options or SolverOptions(),
+        weight_block=True)
+    return design, report

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import crandn_t, mmse_error, random_precoders
-from fdlink import (ChannelRealization, ConfigError, DualSearchError, SystemConfig,
-                    mse_matrix, power_usage, run_altqcp, run_baseline,
-                    update_precoders, update_receivers)
-from fdlink.altqcp import (SolverOptions, _capped_power_dual, _design_objective,
-                           _leakage_stacks, _precoder_step, _receiver_step,
-                           _solve_power_dual, _weighted_decoder_grams,
-                           identity_weights, init_precoders,
-                           run_altqcp_scenarios)
+from fdlink import (ChannelRealization, ChannelStats, ConfigError, DualSearchError,
+                    SystemConfig, draw_channels, mse_matrix, perturb_csi, power_usage,
+                    run_altqcp, run_baseline, update_precoders, update_receivers)
+from fdlink.altqcp import (DesignProblem, SolverOptions, _capped_power_dual,
+                           _design_objective, _leakage_stacks, _precoder_step,
+                           _receiver_step, _solve_power_dual, _weighted_decoder_grams,
+                           identity_weights, init_precoders, run_altqcp_scenarios)
+from fdlink.baselines import baseline_problem
 from fdlink.model import (DIRECTIONS, PAIRS, _sic_residual, _stack,
                           covariance_stacks)
 from fdlink.util import herm, stabilized
@@ -251,11 +251,11 @@ def test_stacked_precoder_step_matches_per_scenario_loop(default_config,
     for _, h in scenarios:
         shares, g = _stack([(1.0, h)])
         _precoder_step(u, weights, shares, g, h_est, _sic_residual(g, h_est), config)
-    for i in DIRECTIONS:
-        quad = sum(w * seen[2 * s + i][0] for s, (w, _) in enumerate(scenarios))
-        rhs = sum(w * seen[2 * s + i][1] for s, (w, _) in enumerate(scenarios))
-        _assert_close(stacked[i][0], quad)
-        _assert_close(stacked[i][1], rhs)
+    for i in DIRECTIONS:                # one call per step, both directions stacked
+        quad = sum(w * seen[s][0][i] for s, (w, _) in enumerate(scenarios))
+        rhs = sum(w * seen[s][1][i] for s, (w, _) in enumerate(scenarios))
+        _assert_close(stacked[0][0][i], quad)
+        _assert_close(stacked[0][1][i], rhs)
         scale = 1.0 + config.subcarriers * config.tx_distortion[i]
         v, iota = solve(quad, rhs, scale, config.p_max[i], 1e-9 * config.p_max[i])
         _assert_close(got[i], v)
@@ -380,17 +380,20 @@ def test_eigenbasis_power_dual_meets_kkt_conditions(rank, budget):
 def _power_dual_searches(monkeypatch, channels, config, cold):
     """Runs altqcp once, counting each power-dual search's Newton steps as its
     secular evaluations after the first; cold restarts every search at 0.
-    Returns (iterations, [(start, steps)])."""
+    A search solves both directions at once, so it gives one (start, steps)
+    per direction. Returns (iterations, [(start, steps)])."""
     import fdlink.altqcp as altqcp
     import fdlink.util as util
-    secular, root, searches = util._secular, altqcp._rational_root, []
+    secular, root, searches, call = util._secular, altqcp._rational_root, [], []
 
     def counted(*args):
-        searches[-1][1] += 1
+        for search in call:
+            search[1] += 1
         return secular(*args)
 
     def recorded(gap, weight, target, tol, start=0.0):
-        searches.append([start, -1])
+        call[:] = [[first, -1] for first in np.broadcast_to(start, len(gap)).tolist()]
+        searches.extend(call)
         return root(gap, weight, target, tol, 0.0 if cold else start)
 
     monkeypatch.setattr(util, "_secular", counted)
@@ -418,27 +421,27 @@ def test_warm_power_dual_saves_newton_steps(default_config, default_channels,
 
 
 def _recorded_cap_calls(monkeypatch, start=None):
-    """Wraps _capped_power_dual: each call appends [Newton steps, args,
-    result], the steps counted as its Hessian solves, the only 2-D
+    """Wraps _capped_power_dual: each call appends one [Newton steps, args,
+    result] per problem it solves (a direction of the driver's one-member
+    fleet), the steps counted as the call's Hessian solves, the only 3-D
     np.linalg.solve it makes; start, when given, replaces every call's
     (mu0, iota0)."""
     import fdlink.altqcp as altqcp
-    capped, solve, calls, inside = altqcp._capped_power_dual, np.linalg.solve, [], [False]
+    capped, solve, calls, steps = altqcp._capped_power_dual, np.linalg.solve, [], [0]
 
     def counted_solve(a, b):
-        if inside[0] and np.ndim(a) == 2:
-            calls[-1][0] += 1
+        if np.ndim(a) == 3:
+            steps[0] += 1
         return solve(a, b)
 
     def recorded(*args):
         args = args if start is None else (*args[:7], *start)
-        calls.append([0, args, None])
-        inside[0] = True
-        try:
-            calls[-1][2] = capped(*args)
-        finally:
-            inside[0] = False
-        return calls[-1][2]
+        steps[0] = 0
+        result = capped(*args)
+        for row in np.ndindex(args[0].shape[:-3]):
+            calls.append([steps[0], tuple(a[row] if np.ndim(a) else a for a in args),
+                          tuple(r[row] for r in result)])
+        return result
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(altqcp, "_capped_power_dual", recorded)
@@ -746,8 +749,8 @@ def test_scenario_average_stays_monotone(default_config, default_channels):
               + 0.01 * crandn_t(rng, default_channels.h_est[pair].shape)
               for pair in PAIRS}
     scenarios = [(0.5, default_channels.h_est), (0.5, bumped)]
-    _, report = run_altqcp_scenarios(scenarios, default_config,
-                                     SolverOptions())
+    _, (report,) = run_altqcp_scenarios([DesignProblem(scenarios, default_config)],
+                                        SolverOptions())
     trace = np.asarray(report.objective_trace)
     assert np.all(np.diff(trace) <= 1e-9)
 
@@ -797,10 +800,39 @@ def test_run_builds_one_covariance_per_scenario_and_iteration(
           + 0.01 * crandn_t(rng, default_channels.h_est[pair].shape)
           for pair in PAIRS}) for _ in range(n_scenarios - 1)]
     monkeypatch.setattr(driver, "covariance_stacks", counted)
-    _, report = run_altqcp_scenarios(scenarios, default_config,
-                                     SolverOptions())
+    _, (report,) = run_altqcp_scenarios([DesignProblem(scenarios, default_config)],
+                                        SolverOptions())
     assert report.iterations > 1
     assert len(calls) == 1 + report.iterations
+
+
+@pytest.mark.parametrize("weight_block", [False, True])
+def test_fleet_member_equals_its_solo_run(weight_block):
+    # altqcp, hd (no cross channels), kappa0, a non-binding pth_high, a
+    # binding pth_low and a 0 dB distortion member cut at max_iters, designed
+    # together: each member's run is its run alone, a fleet of one
+    config = SystemConfig.from_scalars()
+    true = draw_channels(config, ChannelStats(rho_si=0.3), [2])
+    _, channels = perturb_csi(true, config, [2, 1], mode="interior")
+    problems = ([DesignProblem([(1.0, channels.h_est)], config)]
+                + [baseline_problem(mode, channels, config)[0]
+                   for mode in ("hd", "kappa0", "pth_high", "pth_low")]
+                + [DesignProblem([(1.0, channels.h_est)],
+                                 SystemConfig.from_scalars(kappa=1.0))])
+    options = SolverOptions(max_iters=20)
+    designs, reports = run_altqcp_scenarios(problems, options, weight_block)
+    iterations = [report.iterations for report in reports]
+    assert min(iterations) < 10 and iterations[-1] == 20 and not reports[-1].converged
+    assert reports[3].extras["si_duals"] == (0.0, 0.0)
+    assert min(reports[4].extras["si_duals"]) > 0
+    for problem, design, report in zip(problems, designs, reports):
+        (alone,), (solo,) = run_altqcp_scenarios([problem], options, weight_block)
+        assert (report.iterations, report.converged) == (solo.iterations, solo.converged)
+        assert report.objective_trace == solo.objective_trace
+        assert report.rate_trace == solo.rate_trace and report.extras == solo.extras
+        for name in ("precoders", "decoders", "mse_weights"):
+            for got, want in zip(getattr(design, name), getattr(alone, name)):
+                assert np.array_equal(got, want)
 
 
 def test_solver_options_reject_bad_values():

@@ -8,7 +8,7 @@ import pytest
 
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_baseline)
-from fdlink.altqcp import SolverOptions, run_altqcp_scenarios
+from fdlink.altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
 from fdlink.baselines import BASELINE_MODES, DESIGNERS, half_duplex_world
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
@@ -202,8 +202,8 @@ def test_baseline_is_one_driver_call(mode, designer, default_config,
     design, _ = run_baseline(mode, default_channels, default_config, options,
                              designer=designer)
     h_est, config, caps = _driver_inputs(mode, default_channels, default_config)
-    direct, _ = run_altqcp_scenarios([(1.0, h_est)], config, options,
-                                     weight_block=designer == "wmmse", si_caps=caps)
+    (direct,), _ = run_altqcp_scenarios([DesignProblem([(1.0, h_est)], config, caps)],
+                                        options, weight_block=designer == "wmmse")
     repeats = default_config.subcarriers if mode == "sc" else 1
     for name in ("precoders", "decoders", "mse_weights"):
         for got, want in zip(getattr(design, name), getattr(direct, name)):

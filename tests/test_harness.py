@@ -278,18 +278,13 @@ def test_zeta_sweep_sets_the_radius_of_every_error_set(monkeypatch):
         sweep={"param": "zeta_db", "values": [-20.0, -10.0]},
         algorithms=["altqcp", "kappa0"], n_trials=1))
     seen = []
-    designer, baseline = harness.run_altqcp, harness.run_baseline
+    fleet = harness._design_fleet
 
-    def run_altqcp(channels, *args):
-        seen.append(channels)
-        return designer(channels, *args)
+    def design_fleet(algorithms, channels, *args):
+        seen.extend(channels for _ in algorithms)
+        return fleet(algorithms, channels, *args)
 
-    def run_baseline(mode, channels, *args, **kwargs):
-        seen.append(channels)
-        return baseline(mode, channels, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "run_altqcp", run_altqcp)
-    monkeypatch.setattr(harness, "run_baseline", run_baseline)
+    monkeypatch.setattr(harness, "_design_fleet", design_fleet)
     for value in spec.sweep_values:
         del seen[:]
         harness.run_trial(spec, value, 0)
@@ -299,6 +294,67 @@ def test_zeta_sweep_sets_the_radius_of_every_error_set(monkeypatch):
                 radii = channels.csi_radius[pair]
                 assert radii.shape == (spec.config["subcarriers"],)
                 assert np.all(radii == 10.0 ** (value / 10.0))
+
+
+def test_cell_makes_one_fleet_call(monkeypatch):
+    # an eight-algorithm K=4 cell: one driver call for altqcp, hd, kappa0
+    # and the pth_* pair, one each for wmmse and sc, and one per cut after
+    # the first, which is altqcp's design
+    from fdlink import altqcp, baselines, harness, robust, wmmse
+    spec = ExperimentSpec.from_json(dict(
+        TINY_SPEC, config=dict(TINY_SPEC["config"], subcarriers=4),
+        algorithms=list(KNOWN_ALGORITHMS)))
+    fleets, cuts = [], []
+    driver, cutting_set = altqcp.run_altqcp_scenarios, harness.run_cutting_set
+
+    def counted(problems, *args, **kwargs):
+        fleets.append(len(problems))
+        return driver(problems, *args, **kwargs)
+
+    def recorded(*args):
+        design, report = cutting_set(*args)
+        cuts.append(len(report.extras["cuts"]))
+        return design, report
+
+    for module in (altqcp, baselines, harness, robust, wmmse):
+        monkeypatch.setattr(module, "run_altqcp_scenarios", counted)
+    monkeypatch.setattr(harness, "run_cutting_set", recorded)
+    harness.run_trial(spec, spec.sweep_values[0], 0)
+    assert sorted(fleets[:3]) == [1, 1, 5]
+    assert fleets[3:] == [1] * (cuts[0] - 1)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_fleet_names_the_first_failing_algorithm(tmp_path, capsys, jobs):
+    # at -50 dB noise most pth_* designs of the default link raise, and so
+    # does the fleet holding them; its members are then rerun one at a
+    # time, so the message names the algorithm a run of each alone, in spec
+    # order, names first
+    from fdlink import DualSearchError, run_altqcp, run_baseline
+    from fdlink.channels import draw_channels, perturb_csi
+    spec = {"config": {"subcarriers": 4, "antennas": 2, "streams": 1},
+            "sweep": {"param": "sigma2_db", "values": [-50]},
+            "algorithms": ["altqcp", "kappa0", "pth_high", "pth_low"],
+            "n_trials": 2, "seed": 7}
+    parsed = ExperimentSpec.from_json(spec)
+    config, options = parsed.config_for(-50.0), parsed.solver_options()
+    true = draw_channels(config, parsed.channel_stats(-50.0), [7, 11, 0])
+    _, channels = perturb_csi(true, config, [7, 23, 0], mode="interior")
+    failed = []
+    for alg in parsed.algorithms:
+        try:
+            if alg == "altqcp":
+                run_altqcp(channels, config, options)
+            else:
+                run_baseline(alg, channels, config, options)
+        except (DualSearchError, np.linalg.LinAlgError):
+            failed.append(alg)
+    assert failed[0].startswith("pth_")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 3
+    assert f"trial=0 algorithm={failed[0]} " in capsys.readouterr().err
 
 
 def _assert_rejected_before_output(tmp_path, capsys, spec, jobs="1"):

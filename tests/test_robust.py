@@ -624,3 +624,20 @@ def test_cutting_set_history_shapes(default_config, default_channels,
         assert step["worst_case"] >= 0
         assert step["gap"] >= -1e-12
     assert report.extras["selected_cut"] < len(history)
+
+
+def test_shut_down_direction_gives_no_overflow():
+    # kappa = 0 dB, seed 7, trial 4 of the default link: the cut loop's
+    # design shuts a direction down to about 1e-150, so some forms' maps lie
+    # far below the rounding of their offsets; they count as zero, and the
+    # oracle gives their exact value |c|^2 without an overflow on the way
+    from fdlink.harness import ExperimentSpec, run_trial
+    spec = ExperimentSpec.from_json({
+        "config": {"subcarriers": 4, "antennas": 2, "streams": 1},
+        "sweep": {"param": "kappa_db", "values": [0]},
+        "algorithms": ["cutting_set"], "seed": 7})
+    rows, _ = run_trial(spec, 0.0, 4)
+    got = {r["metric"]: r["value"] for r in rows if r["iteration"] == -1}
+    assert all(np.isfinite(r["value"]) for r in rows)
+    assert min(got["power_1"], got["power_2"]) < 1e-100
+    assert got["wc_mse"] >= got["sum_mse"]
