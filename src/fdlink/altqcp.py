@@ -251,15 +251,12 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
         now, slope, base = x[r], grad[r].copy(), value[r].copy()
         bv = ops[r] @ v[r][:, None]
         hess = -2.0 * np.einsum("raknd,rbknd->rab", bv.conj(), inv[r][:, None] @ bv).real
+        # Newton on the free coordinates; a bound one gets an identity row
+        # and a zero gradient, so it stays put
         free = (now > 0) | (slope > 0)
-        if free.all():
-            delta = -np.linalg.solve(hess, slope[..., None])[..., 0]
-        else:                         # each pattern of free coordinates on its own
-            delta = np.zeros_like(now)
-            for pattern in {tuple(f) for f in free.tolist() if any(f)}:
-                same, cols = np.flatnonzero(np.all(free == pattern, 1))[:, None], np.flatnonzero(pattern)
-                delta[same, cols] = -np.linalg.solve(hess[same[..., None], cols[:, None], cols],
-                                                     slope[same, cols][..., None])[..., 0]
+        both = free[:, :, None] & free[:, None, :]
+        delta = -np.linalg.solve(np.where(both, hess, np.eye(2)),
+                                 np.where(free, slope, 0.0)[..., None])[..., 0]
         small = 1e-14 * (np.abs(base) + _dots(now, budget[r]))
         here, trial, todo = np.arange(len(live))[r], now.copy(), np.ones(len(now), bool)
         for alpha in 0.5 ** np.arange(60):    # backtrack, or stop in g's rounding
@@ -355,49 +352,57 @@ def _weight_block(precoders, decoders, g, sigmas, config):
 class DesignProblem:
     """One member of a driver fleet: weighted scenarios (weight, channel
     dict), the first of them the estimate; the config to design with; and,
-    optionally, per-direction self-interference caps and starting precoders."""
+    optionally, per-direction self-interference caps, starting precoders and
+    the MSE-weight block (on for the weighted sum-rate designer)."""
     scenarios: list
     config: SystemConfig
     si_caps: tuple = None
     init: tuple = None
+    weight_block: bool = False
+
+
+def fleet_key(problem: DesignProblem):
+    """What the members of one driver fleet share: every config field but
+    the distortion, the scenario count, the weight block and whether
+    starting precoders are given."""
+    c = problem.config
+    return (c.subcarriers, c.tx_antennas, c.rx_antennas, c.streams, c.p_max,
+            tuple(c.noise_var.ravel().tolist()), c.rate_weights, len(problem.scenarios),
+            problem.weight_block, problem.init is not None)
 
 
 def _fleet_config(configs):
     """configs[0] with each direction's distortion vectors stacked to (B, N),
-    one row per member; every other field must be the same for all."""
-    base = configs[0]
-    for c in configs[1:]:
-        if (any(getattr(c, name) != getattr(base, name) for name in
-                ("subcarriers", "tx_antennas", "rx_antennas", "streams", "p_max",
-                 "rate_weights")) or not np.array_equal(c.noise_var, base.noise_var)):
-            raise ConfigError("a fleet's configs may differ only in their distortion")
-    fleet = copy.copy(base)
+    one row per member."""
+    fleet = copy.copy(configs[0])
     for name in ("tx_distortion", "rx_distortion"):
         object.__setattr__(fleet, name, tuple(np.array([getattr(c, name)[i] for c in configs])
                                               for i in DIRECTIONS))
     return fleet
 
 
-def run_altqcp_scenarios(problems, options: SolverOptions, weight_block=False):
+def run_altqcp_scenarios(problems, options: SolverOptions):
     """The block-coordinate driver behind every designer, run on a fleet of
     DesignProblems at once; returns (designs, reports), one per problem.
 
     One iteration updates the precoders (exact QCQP; with si_caps also capping
     each direction's self-interference power), then the MMSE receivers, then,
-    with weight_block, the MSE weights S = E^{-1}, whose rate-weighted copy
-    omega_i S_i the next precoder step minimizes (WMMSE, Shi et al. 2011).
-    The tracked objective is the scenario-weighted MSE (identity weights), or
-    with weight_block the rate surrogate; a member stops when it moves by at
-    most rel_tol. A member's first scenario is its estimate: cancellation,
-    the surrogate and the report are referenced to it.
+    with the problems' weight_block, the MSE weights S = E^{-1}, whose
+    rate-weighted copy omega_i S_i the next precoder step minimizes (WMMSE,
+    Shi et al. 2011). The tracked objective is the scenario-weighted MSE
+    (identity weights), or with weight_block the rate surrogate; a member
+    stops when it moves by at most rel_tol. A member's first scenario is its
+    estimate: cancellation, the surrogate and the report are referenced to it.
 
-    The members share their scenario count and every config field but the
-    distortion. They are stacked on one leading fleet axis B, each update is
-    one batched call over it, and each member's arithmetic is that of its run
-    alone (a fleet of one). A member that stops leaves the fleet with its
-    state, trace and iteration count; the run ends when every member has.
+    The members share their fleet_key, or the call raises ConfigError. They
+    are stacked on one leading fleet axis B, each update is one batched call
+    over it, and each member's arithmetic is that of its run alone (a fleet
+    of one). A member that stops leaves the fleet with its state, trace and
+    iteration count; the run ends when every member has.
     """
-    configs = [p.config for p in problems]
+    if len({fleet_key(p) for p in problems}) > 1:
+        raise ConfigError("a fleet's problems must share their fleet_key")
+    weight_block, configs = problems[0].weight_block, [p.config for p in problems]
     config = _fleet_config(configs)
     shares = np.array([[w for w, _ in p.scenarios] for p in problems], dtype=float)
     g = {pair: np.array([[h[pair] for _, h in p.scenarios] for p in problems])
@@ -405,13 +410,8 @@ def run_altqcp_scenarios(problems, options: SolverOptions, weight_block=False):
     sic = {pair: g[pair][:, 0] for pair in PAIRS}
     residual = _sic_residual(g, {pair: g[pair][:, :1] for pair in PAIRS})
     caps = np.array([p.si_caps or (np.inf, np.inf) for p in problems]).T
-    if all(p.init is not None for p in problems):
-        precoders = [np.array([p.init[i] for p in problems]) for i in DIRECTIONS]
-    else:                             # in init_precoders' memory layout, as alone
-        precoders = init_precoders(sic, config)
-        for b, p in enumerate(problems):
-            for i in DIRECTIONS if p.init is not None else ():
-                precoders[i][b] = p.init[i]
+    precoders = (init_precoders(sic, config) if problems[0].init is None
+                 else [np.array([p.init[i] for p in problems]) for i in DIRECTIONS])
 
     def first():                      # the first scenario's covariances
         return [s[:, 0] for s in sigmas]

@@ -20,7 +20,9 @@ Each mode only sets the driver's inputs: the estimated channels to design
 on, the design config and the self-interference caps, plus the world it is
 evaluated in. Every design is then one call of the block-coordinate driver,
 altqcp.run_altqcp_scenarios, whose MSE-weight block the designer switches
-on ("wmmse") or leaves off ("altqcp").
+on ("wmmse") or leaves off ("altqcp"). design_problem builds the driver
+problem of the designers too, and evaluate_run finishes every algorithm's
+run, the cutting set's included.
 """
 
 from __future__ import annotations
@@ -75,42 +77,49 @@ def _single_carrier_pieces(channels: ChannelRealization, config: SystemConfig):
     return {pair: channels.h_est[pair].mean(axis=0, keepdims=True) for pair in PAIRS}, cfg
 
 
-def baseline_problem(mode: str, channels: ChannelRealization, config: SystemConfig):
-    """The driver problem of a baseline mode and the world its design is
-    evaluated in: hd designs on the half-duplex world, sc on the
-    subcarrier-averaged estimate, kappa0 on the distortion-blind config, and
-    pth_* as kappa0 with a self-interference cap."""
-    if mode not in BASELINE_MODES:
-        raise ConfigError(f"unknown baseline mode {mode!r}")
+def design_problem(algorithm: str, channels: ChannelRealization, config: SystemConfig,
+                   designer: str = "altqcp"):
+    """The driver problem of a one-call algorithm and the world its design is
+    evaluated in. altqcp and wmmse design on the estimate (wmmse with the
+    MSE-weight block on); of the baselines, which the designer runs, hd
+    designs on the half-duplex world, sc on the subcarrier-averaged estimate,
+    kappa0 on the distortion-blind config, and pth_* as kappa0 with a
+    self-interference cap."""
+    if algorithm not in DESIGNERS + BASELINE_MODES:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if designer not in DESIGNERS:
+        raise ConfigError(f"unknown designer {designer!r}")
     world, h_est, cfg, caps = channels, channels.h_est, config, None
-    if mode == "hd":
+    if algorithm == "hd":
         world = half_duplex_world(channels)
         h_est = world.h_est
-    elif mode == "sc":
+    elif algorithm == "sc":
         h_est, cfg = _single_carrier_pieces(channels, config)
-    else:                             # kappa0, and pth_* with a cap
+    elif algorithm not in DESIGNERS:  # kappa0, and pth_* with a cap
         cfg = _blind_config(config)
-        if mode in _CAP_DIVISOR:
-            caps = tuple(config.p_max[j] / _CAP_DIVISOR[mode] for j in DIRECTIONS)
-    return DesignProblem([(1.0, h_est)], cfg, caps), world
+        if algorithm in _CAP_DIVISOR:
+            caps = tuple(config.p_max[j] / _CAP_DIVISOR[algorithm] for j in DIRECTIONS)
+    runner = algorithm if algorithm in DESIGNERS else designer
+    return DesignProblem([(1.0, h_est)], cfg, caps, weight_block=runner == "wmmse"), world
 
 
-def baseline_report(mode: str, design, run_rep, world: ChannelRealization,
-                    config: SystemConfig):
-    """(design, report) of a baseline from its driver run: sc's flat design
-    replicated over the subcarriers, and the true-model evaluation in its
-    world (hd's rates halved) carrying the run's trace."""
-    if mode == "sc":
+def evaluate_run(algorithm: str, design, run_rep, world: ChannelRealization,
+                 config: SystemConfig):
+    """(design, report) of any algorithm from its design run: sc's flat
+    design replicated over the subcarriers, and the true-model evaluation in
+    its world (hd's rates halved) carrying the run's trace, iteration count,
+    convergence flag and extras."""
+    if algorithm == "sc":
         design = TransceiverDesign(*(
             tuple(np.repeat(stack, config.subcarriers, axis=0) for stack in stacks)
             for stacks in (design.precoders, design.decoders, design.mse_weights)))
     report = evaluate_design(design, world, config)
-    if mode == "hd":
+    if algorithm == "hd":
         report.rate_bits = 0.5 * report.rate_bits
     report.objective_trace = run_rep.objective_trace
     report.iterations = run_rep.iterations
     report.converged = run_rep.converged
-    report.extras = {**run_rep.extras, "mode": mode, "eval_channels": world}
+    report.extras = {**run_rep.extras, "mode": algorithm, "eval_channels": world}
     return design, report
 
 
@@ -118,14 +127,13 @@ def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
                  options: SolverOptions = None, designer: str = "altqcp"):
     """Design with the named simplified strategy, evaluate under the true model.
 
-    Each mode makes exactly one driver call, on baseline_problem's inputs (sc
+    Each mode makes exactly one driver call, on design_problem's inputs (sc
     then replicates its design over the subcarriers). designer ("altqcp" for
     weighted MSE, "wmmse" for weighted sum rate) switches the driver's
     MSE-weight block.
     """
-    problem, world = baseline_problem(mode, channels, config)
-    if designer not in DESIGNERS:
-        raise ConfigError(f"unknown designer {designer!r}")
-    (design,), (run_rep,) = run_altqcp_scenarios(
-        [problem], options or SolverOptions(), weight_block=designer == "wmmse")
-    return baseline_report(mode, design, run_rep, world, config)
+    if mode not in BASELINE_MODES:
+        raise ConfigError(f"unknown baseline mode {mode!r}")
+    problem, world = design_problem(mode, channels, config, designer)
+    (design,), (run_rep,) = run_altqcp_scenarios([problem], options or SolverOptions())
+    return evaluate_run(mode, design, run_rep, world, config)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -24,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
-from .baselines import BASELINE_MODES, DESIGNERS, baseline_problem, baseline_report
+from .altqcp import SolverOptions, fleet_key, run_altqcp_scenarios
+from .baselines import BASELINE_MODES, DESIGNERS, design_problem, evaluate_run
 from .channels import ChannelStats, draw_channels, perturb_csi
-from .model import SystemConfig, evaluate_design, identity_weights
+from .model import SystemConfig, identity_weights
 from .robust import run_cutting_set, worst_case_mse
 from .util import ConfigError, DualSearchError, as_count, parse_level
 
@@ -211,34 +210,15 @@ class ExperimentSpec:
         return ChannelStats(**params)
 
 
-def _weight_block_on(algorithm, designer):
-    """Whether the algorithm's driver run has its MSE-weight block on."""
-    return algorithm == "wmmse" or (algorithm in BASELINE_MODES and designer == "wmmse")
-
-
-def _design_fleet(algorithms, channels, config, options, designer):
-    """Design the named one-call algorithms of a cell (every algorithm but
-    the cutting set) in one driver call; they must share their problem's K
-    and weight-block flag. Returns [(design, run report, evaluation world)]:
-    the designers are evaluated on the cell's channels, a baseline in its
-    mode's world."""
-    members = [(DesignProblem([(1.0, channels.h_est)], config), channels)
-               if alg in DESIGNERS else baseline_problem(alg, channels, config)
-               for alg in algorithms]
-    designs, reports = run_altqcp_scenarios(
-        [problem for problem, _ in members], options,
-        weight_block=_weight_block_on(algorithms[0], designer))
-    return list(zip(designs, reports, (world for _, world in members)))
-
-
 def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
     """All result and timing rows for one (sweep value, trial) cell.
 
-    The one-call algorithms whose problems share K (sc designs on one
-    subcarrier) and the weight-block flag are designed in one driver call,
-    and each is charged an equal share of its seconds. If that call fails,
-    its members are designed one at a time, in spec order with the rest, so
-    a failure names the algorithm a run of each alone would name first."""
+    Every algorithm but the cutting set is one driver problem
+    (baselines.design_problem); the problems that share an altqcp.fleet_key
+    are designed in one driver call, and each is charged an equal share of
+    its seconds. If that call fails, its members are designed one at a time,
+    in spec order with the rest, so a failure names the algorithm a run of
+    each alone would name first. baselines.evaluate_run finishes every run."""
     config = spec.config_for(sweep_value)
     true_channels = draw_channels(config, spec.channel_stats(sweep_value),
                                   [spec.seed, 11, trial])
@@ -254,60 +234,49 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
                      "metric": metric, "iteration": iteration,
                      "value": float(value), "channel_hash": chash})
 
-    fleets, designed = {}, {}
-    for alg in spec.algorithms:
-        if alg != "cutting_set":      # keyed by the problem's K (sc's is 1) and weight block
-            key = (1 if alg == "sc" else config.subcarriers,
-                   _weight_block_on(alg, spec.baseline_designer))
-            fleets.setdefault(key, []).append(alg)
+    problems = {alg: design_problem(alg, channels, config, spec.baseline_designer)
+                for alg in spec.algorithms if alg != "cutting_set"}
+    fleets, runs = {}, {}
+    for alg, (problem, _) in problems.items():
+        fleets.setdefault(fleet_key(problem), []).append(alg)
     for members in fleets.values():
         t0 = time.perf_counter()
         try:
-            fleet = _design_fleet(members, channels, config, options,
-                                  spec.baseline_designer)
+            designs, reports = run_altqcp_scenarios([problems[alg][0] for alg in members],
+                                                    options)
         except _FAILURES:
             continue                  # its members are designed alone below
         share = (time.perf_counter() - t0) / len(members)
-        designed.update((alg, (*run, share)) for alg, run in zip(members, fleet))
+        runs.update((alg, (d, r, share)) for alg, d, r in zip(members, designs, reports))
 
     for algorithm in spec.algorithms:
         t0 = time.perf_counter()
-        share = 0.0
+        (problem, world), share = problems.get(algorithm, (None, channels)), 0.0
         try:
             if algorithm == "cutting_set":
-                # altqcp's design is the cut loop's first design
-                reuse = designed.get("altqcp")
-                first = () if reuse is None else (
-                    (reuse[0], dataclasses.replace(reuse[1], extras=dict(reuse[1].extras))),)
-                design, design_rep = run_cutting_set(channels, config, options, *first)
-                eval_rep = evaluate_design(design, channels, config)
-                # certified by the cut loop, also with identity weights
-                wc = design_rep.extras["worst_case"]
+                # altqcp's design, when the cell runs it, is the cut loop's first
+                reuse = [runs["altqcp"][:2]] if "altqcp" in runs else []
+                design, run_rep = run_cutting_set(channels, config, options, *reuse)
+            elif algorithm in runs:
+                design, run_rep, share = runs[algorithm]
             else:
-                design, design_rep, world, share = designed.get(algorithm) or (
-                    *_design_fleet([algorithm], channels, config, options,
-                                   spec.baseline_designer)[0], 0.0)
-                if algorithm in BASELINE_MODES:
-                    design, design_rep = baseline_report(algorithm, design, design_rep,
-                                                         world, config)
-                    eval_rep = design_rep
-                else:
-                    eval_rep = evaluate_design(design, channels, config)
-                wc = worst_case_mse(design, world, config,
-                                    mse_weights=identity_weights(config))
+                (design,), (run_rep,) = run_altqcp_scenarios([problem], options)
+            design, report = evaluate_run(algorithm, design, run_rep, world, config)
+            # the cut loop certified its design, also with identity weights
+            wc = (run_rep.extras["worst_case"] if algorithm == "cutting_set" else
+                  worst_case_mse(design, world, config, mse_weights=identity_weights(config)))
         except _FAILURES as err:
             raise type(err)(f"{spec.sweep_param}={float(sweep_value)} trial={trial} "
                             f"algorithm={algorithm} seed={spec.seed}: {err}") from err
         elapsed = time.perf_counter() - t0 + share
-        add(algorithm, "sum_mse", -1, eval_rep.sum_mse())
+        add(algorithm, "sum_mse", -1, report.sum_mse())
         add(algorithm, "wc_mse", -1, wc)
-        add(algorithm, "sum_rate", -1,
-            eval_rep.weighted_sum_rate(config.rate_weights))
-        add(algorithm, "power_1", -1, eval_rep.power[0])
-        add(algorithm, "power_2", -1, eval_rep.power[1])
-        add(algorithm, "iterations", -1, design_rep.iterations)
-        add(algorithm, "converged", -1, 1.0 if design_rep.converged else 0.0)
-        for t, value in enumerate(design_rep.objective_trace):
+        add(algorithm, "sum_rate", -1, report.weighted_sum_rate(config.rate_weights))
+        add(algorithm, "power_1", -1, report.power[0])
+        add(algorithm, "power_2", -1, report.power[1])
+        add(algorithm, "iterations", -1, report.iterations)
+        add(algorithm, "converged", -1, 1.0 if report.converged else 0.0)
+        for t, value in enumerate(report.objective_trace):
             add(algorithm, "objective", t, value)
         timings.append({"trial": trial, "sweep_param": spec.sweep_param,
                         "sweep_value": float(sweep_value),

@@ -314,35 +314,26 @@ def mse_stacks(precoders, decoders, g, sigmas):
     return [mse_matrix(decoders[i], precoders[i], sigmas[i], g[(i, i)]) for i in DIRECTIONS]
 
 
-def _running_sum(terms):
-    """Sums over the last axis, one float at a time from the left: a float,
-    or an array over the leading axes."""
-    out = []
-    for row in terms.reshape(-1, terms.shape[-1]).tolist():
-        total = 0.0
-        for value in row:
-            total += value
-        out.append(total)
-    return np.array(out).reshape(terms.shape[:-1])[()]
-
-
 def _design_objective(precoders, decoders, mse_weights, shares, g, sigmas):
     """sum_s shares[s] sum_i sum_k tr(S_i^k E_i^k) over a scenario stack:
     (S,) scenario weights, channels g and covariances sigmas with a leading
     S axis, or one sum per member of a fleet, (B, S) weights.
 
-    Terms are added one at a time in (scenario, i, k) order, the order the
-    recorded objective traces and worst-case values have always used."""
+    Terms are added one at a time, left to right, in (scenario, i, k) order,
+    the order the recorded objective traces and worst-case values have
+    always used; + 0.0 turns a sum of -0.0 terms into 0.0, as a running
+    total started at 0.0 does."""
     traces = np.concatenate([np.trace(w[..., None, :, :, :] @ e, axis1=-2, axis2=-1).real
                              for w, e in zip(mse_weights, mse_stacks(precoders, decoders,
                                                                      g, sigmas))], -1)
     terms = shares[..., None] * traces                    # (..., S, 2 K)
-    return _running_sum(terms.reshape(terms.shape[:-2] + (-1,)))
+    return np.add.accumulate(terms.reshape(terms.shape[:-2] + (-1,)), -1)[..., -1] + 0.0
 
 
 def rate_surrogate(errors, mse_weights, config: SystemConfig):
     """sum_i omega_i sum_k (ln det S_i^k + d_i - tr(S_i^k E_i^k)), natural log,
-    summed term by term in (i, k) order; one per member of a fleet.
+    summed term by term, left to right, in (i, k) order; one per member of a
+    fleet.
 
     Raises numpy.linalg.LinAlgError if a weight matrix is not positive definite.
     """
@@ -353,7 +344,7 @@ def rate_surrogate(errors, mse_weights, config: SystemConfig):
             raise np.linalg.LinAlgError("MSE weight matrix is not positive definite")
         fit = np.trace(mse_weights[i] @ errors[i], axis1=-2, axis2=-1).real
         terms.append(config.rate_weights[i] * (logdet + config.streams[i] - fit))
-    return _running_sum(np.concatenate(terms, -1))
+    return np.add.accumulate(np.concatenate(terms, -1), -1)[..., -1] + 0.0
 
 
 def weighted_rate(precoders, sigmas, g, config: SystemConfig):

@@ -16,7 +16,7 @@ reach a robust design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -225,7 +225,7 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
     hypothesis, until the worst case is within CUT_REL_TOL of the design
     objective (or MAX_CUTS designs have been made). The first design is
     run_altqcp's on the estimate; first_cut, a (design, report) of that run
-    made elsewhere, stands in for it (the report may gain extras)."""
+    made elsewhere, stands in for it and is left unchanged."""
     options = options or SolverOptions()
     scenarios = [channels.h_est]
     history = []
@@ -254,8 +254,6 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
     # the averaged objective is a proxy, so keep the incumbent with the best
     # certified worst case rather than whatever the last cut produced
     wc_value, cut, design, report = best
-    report.extras["cuts"] = history
-    report.extras["robust_converged"] = robust_converged
-    report.extras["selected_cut"] = cut
-    report.extras["worst_case"] = wc_value
-    return design, report
+    return design, replace(report, extras={
+        **report.extras, "cuts": history, "robust_converged": robust_converged,
+        "selected_cut": cut, "worst_case": wc_value})

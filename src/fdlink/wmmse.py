@@ -47,6 +47,6 @@ def run_wmmse(channels: ChannelRealization, config: SystemConfig,
     design-model weighted sum rate in bits per channel use.
     """
     (design,), (report,) = run_altqcp_scenarios(
-        [DesignProblem([(1.0, channels.h_est)], config)], options or SolverOptions(),
-        weight_block=True)
+        [DesignProblem([(1.0, channels.h_est)], config, weight_block=True)],
+        options or SolverOptions())
     return design, report

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import crandn_t, mmse_error, random_psd
-from fdlink import (SystemConfig, TransceiverDesign, evaluate_design,
-                    run_altqcp, run_baseline, run_cutting_set, run_wmmse)
-from fdlink.altqcp import identity_weights
+from fdlink import SystemConfig, run_altqcp, run_cutting_set, run_wmmse
+from fdlink.altqcp import SolverOptions, identity_weights, run_altqcp_scenarios
+from fdlink.baselines import design_problem, evaluate_run
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.distortion import freq_distortion_variance, simulate_blocks
 from fdlink.harness import ExperimentSpec, results_to_csv_text, run_experiment
@@ -47,15 +47,26 @@ def default_cfg():
     return SystemConfig.from_scalars()
 
 
+def _designed(cfg, channels_list, algorithms, designer="altqcp"):
+    """Each algorithm on every trial's channels, all in one driver fleet:
+    {algorithm: [(design, driver report, evaluation world)]}, in trial order.
+    Each member's run is its run alone."""
+    built = [(alg, *design_problem(alg, channels, cfg, designer))
+             for alg in algorithms for channels in channels_list]
+    designs, reports = run_altqcp_scenarios([p for _, p, _ in built], SolverOptions())
+    out = {alg: [] for alg in algorithms}
+    for (alg, _, world), design, report in zip(built, designs, reports):
+        out[alg].append((design, report, world))
+    return out
+
+
 @pytest.fixture(scope="module")
 def fleet(default_cfg):
     """100 default trials: (channels, design, report) from the MSE solver."""
-    out = []
-    for t in range(N_FLEET):
-        channels = _draw(default_cfg, t)
-        design, report = run_altqcp(channels, default_cfg)
-        out.append((channels, design, report))
-    return out
+    channels_list = [_draw(default_cfg, t) for t in range(N_FLEET)]
+    runs = _designed(default_cfg, channels_list, ["altqcp"])["altqcp"]
+    return [(channels, design, report)
+            for channels, (design, report, _) in zip(channels_list, runs)]
 
 
 @pytest.fixture(scope="module")
@@ -333,12 +344,17 @@ def trend_channels(default_cfg):
     return [_draw(default_cfg, t, base=9200) for t in range(N_FLEET)]
 
 
+def _evaluated(cfg, channels_list, algorithms, designer="altqcp"):
+    """{algorithm: [(design, true-model report)]}: _designed's runs, each
+    finished as the harness finishes it."""
+    return {alg: [evaluate_run(alg, design, report, world, cfg)
+                  for design, report, world in runs]
+            for alg, runs in _designed(cfg, channels_list, algorithms, designer).items()}
+
+
 def _mean_true_rate(cfg, channels_list):
-    total = []
-    for channels in channels_list:
-        design, _ = run_wmmse(channels, cfg)
-        total.append(evaluate_design(design, channels,
-                                     cfg).weighted_sum_rate())
+    total = [report.weighted_sum_rate()
+             for _, report in _evaluated(cfg, channels_list, ["wmmse"])["wmmse"]]
     return float(np.mean(total)), total
 
 
@@ -373,10 +389,9 @@ def test_criterion_09_trend_reproduction(default_cfg, trend_channels, capsys):
         cfg = SystemConfig.from_scalars(kappa=10 ** (kdb / 10))
         wins = 0
         fd_mean, hd_mean = 0.0, 0.0
-        for channels in trend_channels:
-            design, _ = run_wmmse(channels, cfg)
-            fd = evaluate_design(design, channels, cfg).weighted_sum_rate()
-            _, hd_rep = run_baseline("hd", channels, cfg, designer="wmmse")
+        runs = _evaluated(cfg, trend_channels, ["wmmse", "hd"], designer="wmmse")
+        for (_, fd_rep), (_, hd_rep) in zip(runs["wmmse"], runs["hd"]):
+            fd = fd_rep.weighted_sum_rate()
             hd = hd_rep.weighted_sum_rate()
             wins += fd > hd
             fd_mean += fd
@@ -394,10 +409,10 @@ def test_criterion_09_trend_reproduction(default_cfg, trend_channels, capsys):
     for kdb in (-20.0, 0.0):
         cfg = SystemConfig.from_scalars(kappa=10 ** (kdb / 10))
         blind_vals = []
-        for channels in trend_channels:
-            _, blind_rep = run_baseline("kappa0", channels, cfg)
+        runs = _evaluated(cfg, trend_channels, ["kappa0", "altqcp"])
+        for channels, (_, blind_rep), (design, _) in zip(trend_channels, runs["kappa0"],
+                                                          runs["altqcp"]):
             blind_vals.append(blind_rep.sum_mse())
-            design, _ = run_altqcp(channels, cfg)
             wc = worst_case_mse(design, channels, cfg)
             if wc > cap + 1e-9:
                 problems.append(f"(d) worst case {wc:.3f} above {cap}")

@@ -15,8 +15,9 @@ from fdlink import (ChannelRealization, ChannelStats, ConfigError, DualSearchErr
 from fdlink.altqcp import (DesignProblem, SolverOptions, _capped_power_dual,
                            _design_objective, _leakage_stacks, _precoder_step,
                            _receiver_step, _solve_power_dual, _weighted_decoder_grams,
-                           identity_weights, init_precoders, run_altqcp_scenarios)
-from fdlink.baselines import baseline_problem
+                           fleet_key, identity_weights, init_precoders,
+                           run_altqcp_scenarios)
+from fdlink.baselines import DESIGNERS, design_problem
 from fdlink.model import (DIRECTIONS, PAIRS, _sic_residual, _stack,
                           covariance_stacks)
 from fdlink.util import herm, stabilized
@@ -814,25 +815,38 @@ def test_fleet_member_equals_its_solo_run(weight_block):
     config = SystemConfig.from_scalars()
     true = draw_channels(config, ChannelStats(rho_si=0.3), [2])
     _, channels = perturb_csi(true, config, [2, 1], mode="interior")
-    problems = ([DesignProblem([(1.0, channels.h_est)], config)]
-                + [baseline_problem(mode, channels, config)[0]
-                   for mode in ("hd", "kappa0", "pth_high", "pth_low")]
-                + [DesignProblem([(1.0, channels.h_est)],
-                                 SystemConfig.from_scalars(kappa=1.0))])
+    designer = DESIGNERS[weight_block]
+    problems = ([design_problem(alg, channels, config, designer)[0]
+                 for alg in (designer, "hd", "kappa0", "pth_high", "pth_low")]
+                + [design_problem(designer, channels,
+                                  SystemConfig.from_scalars(kappa=1.0))[0]])
     options = SolverOptions(max_iters=20)
-    designs, reports = run_altqcp_scenarios(problems, options, weight_block)
+    designs, reports = run_altqcp_scenarios(problems, options)
     iterations = [report.iterations for report in reports]
     assert min(iterations) < 10 and iterations[-1] == 20 and not reports[-1].converged
     assert reports[3].extras["si_duals"] == (0.0, 0.0)
     assert min(reports[4].extras["si_duals"]) > 0
     for problem, design, report in zip(problems, designs, reports):
-        (alone,), (solo,) = run_altqcp_scenarios([problem], options, weight_block)
+        (alone,), (solo,) = run_altqcp_scenarios([problem], options)
         assert (report.iterations, report.converged) == (solo.iterations, solo.converged)
         assert report.objective_trace == solo.objective_trace
         assert report.rate_trace == solo.rate_trace and report.extras == solo.extras
         for name in ("precoders", "decoders", "mse_weights"):
             for got, want in zip(getattr(design, name), getattr(alone, name)):
                 assert np.array_equal(got, want)
+
+
+def test_fleet_of_mismatched_problems_raises(default_config, default_channels):
+    # members must share their fleet_key: here they differ in the weight
+    # block, in K, or in whether starting precoders are given
+    base = DesignProblem([(1.0, default_channels.h_est)], default_config)
+    flat = design_problem("sc", default_channels, default_config)[0]
+    start = dataclasses.replace(base, init=tuple(init_precoders(
+        default_channels.h_est, default_config)))
+    for other in (dataclasses.replace(base, weight_block=True), flat, start):
+        assert fleet_key(other) != fleet_key(base)
+        with pytest.raises(ConfigError, match="fleet_key"):
+            run_altqcp_scenarios([base, other], SolverOptions(max_iters=2))
 
 
 def test_solver_options_reject_bad_values():

@@ -202,8 +202,9 @@ def test_baseline_is_one_driver_call(mode, designer, default_config,
     design, _ = run_baseline(mode, default_channels, default_config, options,
                              designer=designer)
     h_est, config, caps = _driver_inputs(mode, default_channels, default_config)
-    (direct,), _ = run_altqcp_scenarios([DesignProblem([(1.0, h_est)], config, caps)],
-                                        options, weight_block=designer == "wmmse")
+    (direct,), _ = run_altqcp_scenarios(
+        [DesignProblem([(1.0, h_est)], config, caps, weight_block=designer == "wmmse")],
+        options)
     repeats = default_config.subcarriers if mode == "sc" else 1
     for name in ("precoders", "decoders", "mse_weights"):
         for got, want in zip(getattr(design, name), getattr(direct, name)):

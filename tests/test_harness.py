@@ -278,13 +278,13 @@ def test_zeta_sweep_sets_the_radius_of_every_error_set(monkeypatch):
         sweep={"param": "zeta_db", "values": [-20.0, -10.0]},
         algorithms=["altqcp", "kappa0"], n_trials=1))
     seen = []
-    fleet = harness._design_fleet
+    build = harness.design_problem
 
-    def design_fleet(algorithms, channels, *args):
-        seen.extend(channels for _ in algorithms)
-        return fleet(algorithms, channels, *args)
+    def design_problem(algorithm, channels, *args):
+        seen.append(channels)
+        return build(algorithm, channels, *args)
 
-    monkeypatch.setattr(harness, "_design_fleet", design_fleet)
+    monkeypatch.setattr(harness, "design_problem", design_problem)
     for value in spec.sweep_values:
         del seen[:]
         harness.run_trial(spec, value, 0)

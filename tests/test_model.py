@@ -9,7 +9,7 @@ from fdlink import (ChannelRealization, ConfigError, SystemConfig,
                     TransceiverDesign, aggregate_covariance, evaluate_design,
                     mse_matrix, power_usage, rate)
 from fdlink.model import (DIRECTIONS, PAIRS, _design_objective, _stack,
-                          covariance_stacks)
+                          covariance_stacks, mse_stacks)
 
 
 def _scalar_link(h00, h01, h10, h11, kappa, beta, noise, subcarriers=1):
@@ -288,6 +288,29 @@ def test_weighted_objective_is_sum_of_mse_traces():
                            channels.h[(i, i)][k])
             total += np.trace(e).real
     assert abs(weighted_mse_objective(design, channels, config) - total) < 1e-12
+
+
+@pytest.mark.parametrize("shares", [(0.25, 0.75), (-0.0, -0.0)])
+def test_design_objective_adds_terms_from_the_left(shares):
+    # reference: the (scenario, i, k) terms added one at a time to 0.0. On
+    # this draw, with the directions' weights five decades apart, a reversed
+    # or a pairwise sum differs in the last bits; all -0.0 terms sum to +0.0
+    rng = np.random.default_rng(16)
+    config, channels, precoders, decoders = _random_setup(rng)
+    shares, g = _stack([(shares[0], channels.h),
+                        (shares[1], {p: 1.1 * h for p, h in channels.h.items()})])
+    weights = [scale * np.broadcast_to(np.eye(config.streams[i], dtype=complex),
+                                       (config.subcarriers,) + (config.streams[i],) * 2)
+               for i, scale in zip(DIRECTIONS, (3.0, 1e-5))]
+    sigmas = covariance_stacks(precoders, g, config, (None, None))
+    errors = mse_stacks(precoders, decoders, g, sigmas)
+    total = 0.0
+    for s, share in enumerate(shares):
+        for i in DIRECTIONS:
+            for k in range(config.subcarriers):
+                total += share * np.trace(weights[i][k] @ errors[i][s, k]).real
+    value = _design_objective(precoders, decoders, weights, shares, g, sigmas)
+    assert np.float64(value).tobytes() == np.float64(total).tobytes()
 
 
 def test_evaluate_design_report_contents(perfect_channels, perfect_csi_config):

@@ -614,6 +614,20 @@ def test_cutting_set_certified_no_worse_than_nominal(default_config):
     assert wins >= 1
 
 
+def test_cutting_set_leaves_first_cut_unchanged():
+    # with no CSI error the loop selects its first cut, whose report comes
+    # back as a copy with the loop's extras; the passed report keeps its own
+    config = SystemConfig.from_scalars()
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), [99])
+    first = run_altqcp(channels, config)
+    extras = first[1].extras
+    before = dict(extras)
+    _, report = run_cutting_set(channels, config, None, first)
+    assert report.extras["selected_cut"] == 0
+    assert first[1].extras is extras and extras == before
+    assert "worst_case" not in extras and "worst_case" in report.extras
+
+
 def test_cutting_set_history_shapes(default_config, default_channels,
                                     monkeypatch):
     monkeypatch.setattr(robust, "MAX_CUTS", 4)
