@@ -8,8 +8,9 @@ design itself assumed. Modes:
             each direction keeps its full power budget, achieved rates halved.
   kappa0    distortion-blind: designed as if every chain were ideal, then
             evaluated under the true hardware model.
-  sc        single-carrier design on the subcarrier-averaged channel with a
-            per-subcarrier power split, replicated across all subcarriers.
+  sc        frequency-flat design: the subcarrier-averaged estimate and
+            noise on every subcarrier, so every subcarrier gets the same
+            precoder and an equal share of the budget.
   pth_*     classic interference-threshold design: ignore distortion, assume
             perfect cancellation, but cap the predicted self-interference
             power each transmitter may put into its own receiver
@@ -32,8 +33,7 @@ import dataclasses
 import numpy as np
 
 from .altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
-from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
-                    TransceiverDesign, evaluate_design)
+from .model import DIRECTIONS, PAIRS, ChannelRealization, SystemConfig, evaluate_design
 from .util import ConfigError
 
 DESIGNERS = ("altqcp", "wmmse")
@@ -61,30 +61,15 @@ def _blind_config(config: SystemConfig) -> SystemConfig:
     )
 
 
-def _single_carrier_pieces(channels: ChannelRealization, config: SystemConfig):
-    """Flat-design problem: subcarrier-averaged estimated channels, the
-    per-subcarrier share of the power budget, and per-chain distortion
-    coefficients restated for a one-subcarrier system."""
-    k = config.subcarriers
-    cfg = dataclasses.replace(
-        config,
-        subcarriers=1,
-        noise_var=config.noise_var.mean(axis=1, keepdims=True),
-        tx_distortion=tuple(k * config.tx_distortion[i] for i in DIRECTIONS),
-        rx_distortion=tuple(k * config.rx_distortion[i] for i in DIRECTIONS),
-        p_max=tuple(config.p_max[i] / k for i in DIRECTIONS),
-    )
-    return {pair: channels.h_est[pair].mean(axis=0, keepdims=True) for pair in PAIRS}, cfg
-
-
 def design_problem(algorithm: str, channels: ChannelRealization, config: SystemConfig,
                    designer: str = "altqcp"):
     """The driver problem of a one-call algorithm and the world its design is
     evaluated in. altqcp and wmmse design on the estimate (wmmse with the
     MSE-weight block on); of the baselines, which the designer runs, hd
-    designs on the half-duplex world, sc on the subcarrier-averaged estimate,
-    kappa0 on the distortion-blind config, and pth_* as kappa0 with a
-    self-interference cap."""
+    designs on the half-duplex world, sc on the subcarrier-averaged estimate
+    and noise (on each of the cell's K subcarriers), kappa0 on the
+    distortion-blind config, and pth_* as kappa0 with a self-interference
+    cap."""
     if algorithm not in DESIGNERS + BASELINE_MODES:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     if designer not in DESIGNERS:
@@ -94,7 +79,12 @@ def design_problem(algorithm: str, channels: ChannelRealization, config: SystemC
         world = half_duplex_world(channels)
         h_est = world.h_est
     elif algorithm == "sc":
-        h_est, cfg = _single_carrier_pieces(channels, config)
+        # noise averaged about its first entry: flat noise stays bit-equal,
+        # so sc keeps the cell's fleet_key (a plain mean can miss by an ulp)
+        nv = config.noise_var
+        h_est = {pair: np.broadcast_to(h.mean(axis=0), h.shape) for pair, h in h_est.items()}
+        cfg = dataclasses.replace(config, noise_var=np.broadcast_to(
+            nv[:, :1] + (nv - nv[:, :1]).mean(axis=1, keepdims=True), nv.shape))
     elif algorithm not in DESIGNERS:  # kappa0, and pth_* with a cap
         cfg = _blind_config(config)
         if algorithm in _CAP_DIVISOR:
@@ -105,14 +95,9 @@ def design_problem(algorithm: str, channels: ChannelRealization, config: SystemC
 
 def evaluate_run(algorithm: str, design, run_rep, world: ChannelRealization,
                  config: SystemConfig):
-    """(design, report) of any algorithm from its design run: sc's flat
-    design replicated over the subcarriers, and the true-model evaluation in
-    its world (hd's rates halved) carrying the run's trace, iteration count,
-    convergence flag and extras."""
-    if algorithm == "sc":
-        design = TransceiverDesign(*(
-            tuple(np.repeat(stack, config.subcarriers, axis=0) for stack in stacks)
-            for stacks in (design.precoders, design.decoders, design.mse_weights)))
+    """(design, report) of any algorithm from its design run: the true-model
+    evaluation in its world (hd's rates halved) carrying the run's trace,
+    iteration count, convergence flag and extras."""
     report = evaluate_design(design, world, config)
     if algorithm == "hd":
         report.rate_bits = 0.5 * report.rate_bits
@@ -127,10 +112,9 @@ def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,
                  options: SolverOptions = None, designer: str = "altqcp"):
     """Design with the named simplified strategy, evaluate under the true model.
 
-    Each mode makes exactly one driver call, on design_problem's inputs (sc
-    then replicates its design over the subcarriers). designer ("altqcp" for
-    weighted MSE, "wmmse" for weighted sum rate) switches the driver's
-    MSE-weight block.
+    Each mode makes exactly one driver call, on design_problem's inputs.
+    designer ("altqcp" for weighted MSE, "wmmse" for weighted sum rate)
+    switches the driver's MSE-weight block.
     """
     if mode not in BASELINE_MODES:
         raise ConfigError(f"unknown baseline mode {mode!r}")

@@ -15,11 +15,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,11 +41,10 @@ _FAILURES = (DualSearchError, np.linalg.LinAlgError, FloatingPointError)
 SWEEP_PARAMS = {"kappa_db": "kappa", "zeta_db": "csi_radius", "sigma2_db": "noise_var",
                 "pmax": "p_max", "K": "subcarriers", "M": "antennas"}
 
-_CONFIG_KEYS = {"subcarriers", "antennas", "streams", "p_max", "noise_var",
-                "kappa", "beta", "csi_radius", "rate_weights", "max_iters",
-                "rel_tol", "tx_antennas", "rx_antennas"}
+_SOLVER_CONFIG_KEYS = tuple(f.name for f in fields(SolverOptions))  # routed to SolverOptions
+_CONFIG_KEYS = {*inspect.signature(SystemConfig.from_scalars).parameters,
+                *_SOLVER_CONFIG_KEYS, "csi_radius"}
 _LEVEL_CONFIG_KEYS = {"noise_var", "kappa", "beta", "csi_radius"}
-_SOLVER_CONFIG_KEYS = ("max_iters", "rel_tol")    # routed to SolverOptions
 _CHANNEL_KEYS = {"rho", "rho_si", "k_rician"}
 _SPEC_KEYS = {"config", "channel", "sweep", "algorithms", "n_trials", "seed",
               "output", "baseline_designer"}
@@ -102,6 +102,8 @@ class ExperimentSpec:
             raise ConfigError(
                 f"unknown sweep param {self.sweep_param!r}; "
                 f"expected one of {tuple(SWEEP_PARAMS)}")
+        if self.sweep_param == "M" and {"tx_antennas", "rx_antennas"} & set(self.config):
+            raise ConfigError("an M sweep sets antennas, which tx_antennas/rx_antennas override")
         if not self.sweep_values:
             raise ConfigError("sweep needs at least one value")
         for alg in self.algorithms:

@@ -840,10 +840,11 @@ def test_fleet_of_mismatched_problems_raises(default_config, default_channels):
     # members must share their fleet_key: here they differ in the weight
     # block, in K, or in whether starting precoders are given
     base = DesignProblem([(1.0, default_channels.h_est)], default_config)
-    flat = design_problem("sc", default_channels, default_config)[0]
+    k2 = SystemConfig.from_scalars(subcarriers=2)
+    narrow = design_problem("altqcp", draw_channels(k2, ChannelStats(), [3]), k2)[0]
     start = dataclasses.replace(base, init=tuple(init_precoders(
         default_channels.h_est, default_config)))
-    for other in (dataclasses.replace(base, weight_block=True), flat, start):
+    for other in (dataclasses.replace(base, weight_block=True), narrow, start):
         assert fleet_key(other) != fleet_key(base)
         with pytest.raises(ConfigError, match="fleet_key"):
             run_altqcp_scenarios([base, other], SolverOptions(max_iters=2))

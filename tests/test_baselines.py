@@ -8,10 +8,11 @@ import pytest
 
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_baseline)
-from fdlink.altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
-from fdlink.baselines import BASELINE_MODES, DESIGNERS, half_duplex_world
+from fdlink.altqcp import DesignProblem, SolverOptions, fleet_key, run_altqcp_scenarios
+from fdlink.baselines import BASELINE_MODES, DESIGNERS, design_problem, half_duplex_world
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
-from fdlink.model import DIRECTIONS, PAIRS
+from fdlink.model import DIRECTIONS
+from fdlink.util import parse_level
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,17 @@ def test_single_carrier_replicates_and_respects_power(default_config,
         used = power_usage(v, default_config.tx_distortion[i])
         assert abs(used - default_config.p_max[i]) < 1e-9
     assert report.extras["mode"] == "sc"
+
+
+@pytest.mark.parametrize("k, noise", [(3, "-52 dB"), (64, "-40 dB")])
+def test_single_carrier_shares_the_cell_fleet(k, noise):
+    # sc is the cell's own problem on the averaged estimate; a plain mean of
+    # these flat noise levels misses them by one ulp and would split sc off
+    config = SystemConfig.from_scalars(subcarriers=k, noise_var=parse_level(noise))
+    channels = draw_channels(config, ChannelStats(), [503])
+    flat, plain = (design_problem(alg, channels, config)[0] for alg in ("sc", "altqcp"))
+    assert flat.config.subcarriers == k
+    assert fleet_key(flat) == fleet_key(plain)
 
 
 def test_half_duplex_halves_rate_and_silences_cross(default_config,
@@ -176,14 +188,10 @@ def _driver_inputs(mode, channels, config):
     if mode == "hd":
         return half_duplex_world(channels).h_est, config, None
     if mode == "sc":
-        k = config.subcarriers
-        flat = dataclasses.replace(
-            config, subcarriers=1, noise_var=config.noise_var.mean(axis=1, keepdims=True),
-            tx_distortion=tuple(k * d for d in config.tx_distortion),
-            rx_distortion=tuple(k * d for d in config.rx_distortion),
-            p_max=tuple(p / k for p in config.p_max))
-        return {pair: channels.h_est[pair].mean(axis=0, keepdims=True)
-                for pair in PAIRS}, flat, None
+        # the averaged estimate on all K subcarriers; flat noise (as
+        # from_scalars makes it) is its own average
+        return {pair: np.broadcast_to(h.mean(axis=0), h.shape)
+                for pair, h in channels.h_est.items()}, config, None
     blind = dataclasses.replace(
         config, tx_distortion=tuple(0.0 * d for d in config.tx_distortion),
         rx_distortion=tuple(0.0 * d for d in config.rx_distortion))
@@ -197,7 +205,7 @@ def _driver_inputs(mode, channels, config):
 def test_baseline_is_one_driver_call(mode, designer, default_config,
                                      default_channels):
     # every mode is the driver run once on its own inputs, the weight block
-    # on for the rate designer; sc then repeats its flat design over K
+    # on for the rate designer
     options = SolverOptions(max_iters=20)
     design, _ = run_baseline(mode, default_channels, default_config, options,
                              designer=designer)
@@ -205,7 +213,6 @@ def test_baseline_is_one_driver_call(mode, designer, default_config,
     (direct,), _ = run_altqcp_scenarios(
         [DesignProblem([(1.0, h_est)], config, caps, weight_block=designer == "wmmse")],
         options)
-    repeats = default_config.subcarriers if mode == "sc" else 1
     for name in ("precoders", "decoders", "mse_weights"):
         for got, want in zip(getattr(design, name), getattr(direct, name)):
-            assert np.array_equal(got, np.repeat(want, repeats, axis=0))
+            assert np.array_equal(got, want)

@@ -65,6 +65,9 @@ MALFORMED_SPECS = {
     "bool_sweep_value": dict(TINY_SPEC, sweep={"param": "kappa_db", "values": [True]}),
     "duplicate_sweep_value": dict(TINY_SPEC, sweep={"param": "kappa_db",
                                                     "values": [-30, -30.0]}),
+    "M_sweep_per_direction_antennas": dict(
+        TINY_SPEC, config=dict(TINY_SPEC["config"], tx_antennas=[2, 3], rx_antennas=[3, 2]),
+        sweep={"param": "M", "values": [2, 4]}),
 }
 
 
@@ -297,9 +300,9 @@ def test_zeta_sweep_sets_the_radius_of_every_error_set(monkeypatch):
 
 
 def test_cell_makes_one_fleet_call(monkeypatch):
-    # an eight-algorithm K=4 cell: one driver call for altqcp, hd, kappa0
-    # and the pth_* pair, one each for wmmse and sc, and one per cut after
-    # the first, which is altqcp's design
+    # an eight-algorithm K=4 cell: one driver call for altqcp, hd, kappa0,
+    # sc and the pth_* pair, one for wmmse, and one per cut after the
+    # first, which is altqcp's design
     from fdlink import altqcp, baselines, harness, robust, wmmse
     spec = ExperimentSpec.from_json(dict(
         TINY_SPEC, config=dict(TINY_SPEC["config"], subcarriers=4),
@@ -320,8 +323,8 @@ def test_cell_makes_one_fleet_call(monkeypatch):
         monkeypatch.setattr(module, "run_altqcp_scenarios", counted)
     monkeypatch.setattr(harness, "run_cutting_set", recorded)
     harness.run_trial(spec, spec.sweep_values[0], 0)
-    assert sorted(fleets[:3]) == [1, 1, 5]
-    assert fleets[3:] == [1] * (cuts[0] - 1)
+    assert sorted(fleets[:2]) == [1, 6]
+    assert fleets[2:] == [1] * (cuts[0] - 1)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
