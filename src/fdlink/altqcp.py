@@ -74,7 +74,7 @@ def init_precoders(h_est, config: SystemConfig):
 # (B, K, ., .) precoders, decoders and weights.
 # ---------------------------------------------------------------------------
 
-def _receiver_step(precoders, shares, g, sigmas, config):
+def _receiver_step(precoders, shares, g, sigmas):
     """Linear MMSE receivers for the scenario-weighted design objective."""
     out = []
     for i in DIRECTIONS:
@@ -179,11 +179,11 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
     <= cap: projected Newton from x = (iota0, mu0) maximizes the concave dual
     g(x) = -Re sum_k tr(C^H V) - x.(P, cap) over x >= 0, V = M^{-1} C, M = A +
     iota B + mu cross^H cross (Boyd & Vandenberghe 2004, sections 5 and 9.5).
-    At mu = 0 the exact uncapped solve is the answer if it meets the cap; a
-    cap of +inf leaves a problem uncapped. Returns (V stack, iota, mu); when
-    cap <= 0, V = 0, which meets the cap with any mu >= 0, and mu = 0.
-    Leading axes are independent problems, as in _solve_power_dual: each row
-    takes its own Newton and line-search steps, under row masks.
+    Returns (V stack, iota, mu); when cap <= 0, V = 0, which meets the cap
+    with any mu >= 0, and mu = 0. Leading axes are independent problems, as
+    in _solve_power_dual: one batched exact solve at mu = 0 answers each
+    problem started there whose cap (+inf: none) it meets, and each other
+    problem runs its own _cap_newton.
     """
     if np.all(np.isinf(cap)):
         v, iota = _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0)
@@ -191,95 +191,66 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
     lead, (k, n, d) = quad.shape[:-3], rhs.shape[-3:]
     quad, rhs = quad.reshape(-1, k, n, n), rhs.reshape(-1, k, n, d)
     scale, cross = _rows(lead, scale_diag, (n,)), _rows(lead, cross, cross.shape[-3:])
-    p_max, tol, cap, start = (_rows(lead, a) for a in (p_max, tol, cap, iota0))
-    x = np.where((cap > 0)[:, None], np.stack([start, _rows(lead, mu0)], 1), 0.0)
-    v, binds = np.zeros(rhs.shape, complex), np.zeros(len(quad), bool)
-    tols = np.stack([tol, np.maximum(tol, 1e-9 * cap)], 1)
-
-    def uncapped(r):                  # the exact solve at mu = 0; does it break the cap?
-        if not len(r):
-            return
+    p_max, tol, cap, iota0 = (_rows(lead, a) for a in (p_max, tol, cap, iota0))
+    x = np.where((cap > 0)[:, None], np.stack([iota0, _rows(lead, mu0)], 1), 0.0)
+    v, r = np.zeros(rhs.shape, complex), np.flatnonzero((cap > 0) & (x[:, 1] == 0))
+    if len(r):
         v[r], x[r, 0] = _solve_power_dual(quad[r], rhs[r], scale[r], p_max[r], tol[r], x[r, 0])
-        fv = cross[r] @ v[r]
-        binds[r] = _dots(fv, fv) > cap[r] + tols[r, 1]
-
-    uncapped(np.flatnonzero((cap > 0) & (x[:, 1] == 0)))
-    rows = np.flatnonzero((cap > 0) & ((x[:, 1] > 0) | binds))
-    out = (v, x)
-    # the rows left for Newton, as dense stacks
-    quad, rhs, scale, cross, p_max, tol, cap, start, tols, v, x, binds = (
-        a[rows] for a in (quad, rhs, scale, cross, p_max, tol, cap, start, tols, *out, binds))
+    budget, tols = np.stack([p_max, cap], 1), np.stack([tol, np.maximum(tol, 1e-9 * cap)], 1)
+    binds = _dots(cross @ v, cross @ v) > cap + tols[:, 1]
     ops = np.stack(np.broadcast_arrays((np.eye(n) * scale[:, :, None])[:, None],
                                        herm(dagger(cross) @ cross)), 1)
-    budget = np.stack([p_max, cap], 1)
-    inv, value, grad = np.zeros(quad.shape, complex), np.zeros(len(rows)), np.zeros_like(x)
-    has, live = np.zeros(len(rows), bool), np.ones(len(rows), bool)
+    for r in np.flatnonzero((x[:, 1] > 0) | binds):
+        one = slice(r, r + 1)
+        v[one], x[r] = _cap_newton(*(a[one] for a in (quad, rhs, scale, cross, ops, budget,
+                                                      tols, v, iota0)), x[r].tolist(), binds[r])
+    return v.reshape(lead + (k, n, d)), x[:, 0].reshape(lead), x[:, 1].reshape(lead)
 
-    def at(r, y):                     # V, M^{-1}, g and grad g of rows r at y
-        inv[r] = np.linalg.inv(quad[r] + np.einsum("ra,raknp->rknp", y, ops[r]))
-        v[r] = inv[r] @ rhs[r]
-        used = np.einsum("rknd,raknp,rkpd->ra", v[r].conj(), ops[r], v[r]).real
-        value[r] = -_dots(rhs[r], v[r]) - _dots(y, budget[r])
-        grad[r], has[r] = used - budget[r], True
 
-    def pick(mask):                   # the rows of a mask, as a view when all
-        return slice(None) if mask.all() else np.flatnonzero(mask)
+def _cap_newton(quad, rhs, scale, cross, ops, budget, tols, v, iota0, x, binds):
+    """The Newton of _capped_power_dual on one problem, its arrays with a
+    leading axis of one, from x = [iota, mu] (floats); at mu = 0, v is the
+    exact solve there and binds whether it breaks the cap. Returns (V, x)."""
+    point, tol, dual = None, tols[0].tolist(), (rhs, scale, budget[:, 0], tols[:, 0])
+
+    def at(y):                        # V, M^{-1}, g and grad g at y
+        inv = np.linalg.inv(quad + np.einsum("ra,raknp->rknp", np.array([y]), ops))
+        v = inv @ rhs
+        grad = (np.einsum("rknd,raknp,rkpd->ra", v.conj(), ops, v).real - budget)[0].tolist()
+        return v, inv, float(-_dots(rhs, v)[0] - np.dot(y, budget[0])), grad
 
     for step in range(CAP_NEWTON_STEPS):
-        r = np.flatnonzero(live & (x[:, 1] == 0)) if step else rows[:0]
-        if len(r):                    # the line search ended at mu = 0
-            has[r] = False
-            uncapped(r)
-            live[r] = binds[r]
-        r = np.flatnonzero(live & (x[:, 0] == 0) & ~has)
-        if len(r):                    # A may be singular: G on, iota exact
-            x[r, 1] = np.where(x[r, 1] > 0, x[r, 1], np.einsum("rknn->r", quad[r]).real
-                               / np.einsum("rknn->r", ops[r, 1]).real)
-            x[r, 0] = _solve_power_dual(quad[r] + x[r, 1][:, None, None, None] * ops[r, 1],
-                                        rhs[r], scale[r], p_max[r], tol[r], start[r])[1]
-        r = np.flatnonzero(live & ~has)
-        if len(r):
-            at(r, x[r])
-        r = pick(live)
-        live[np.arange(len(live))[r][np.all(np.where(x[r] > 0, np.abs(grad[r]), grad[r])
-                                            <= tols[r], 1)]] = False
-        if not live.any():
-            out[0][rows], out[1][rows] = v, x
-            return (out[0].reshape(lead + (k, n, d)), out[1][:, 0].reshape(lead),
-                    out[1][:, 1].reshape(lead))
-        r = pick(live)
-        now, slope, base = x[r], grad[r].copy(), value[r].copy()
-        bv = ops[r] @ v[r][:, None]
-        hess = -2.0 * np.einsum("raknd,rbknd->rab", bv.conj(), inv[r][:, None] @ bv).real
+        if step and x[1] == 0:        # the line search ended at mu = 0
+            v, (x[0],) = _solve_power_dual(quad, *dual, x[0])
+            binds = _dots(cross @ v, cross @ v)[0] > budget[0, 1] + tol[1]
+            if not binds:
+                return v, x
+        if x[0] == 0 and point is None:       # A may be singular: G on, iota exact
+            x[1] = x[1] or float(np.einsum("rknn->r", quad).real[0]
+                                 / np.einsum("rknn->r", ops[:, 1]).real[0])
+            x[0] = float(_solve_power_dual(quad + x[1] * ops[:, 1], *dual, iota0)[1][0])
+        v, inv, value, grad = point or at(x)
+        if all((abs(g) if xi > 0 else g) <= t for xi, g, t in zip(x, grad, tol)):
+            return v, x
+        bv = ops @ v[:, None]
+        hess = (-2.0 * np.einsum("raknd,rbknd->rab", bv.conj(), inv[:, None] @ bv).real)[0]
         # Newton on the free coordinates; a bound one gets an identity row
         # and a zero gradient, so it stays put
-        free = (now > 0) | (slope > 0)
-        both = free[:, :, None] & free[:, None, :]
-        delta = -np.linalg.solve(np.where(both, hess, np.eye(2)),
-                                 np.where(free, slope, 0.0)[..., None])[..., 0]
-        small = 1e-14 * (np.abs(base) + _dots(now, budget[r]))
-        here, trial, todo = np.arange(len(live))[r], now.copy(), np.ones(len(now), bool)
-        for alpha in 0.5 ** np.arange(60):    # backtrack, or stop in g's rounding
-            t = pick(todo)
-            trial[t] = np.maximum(now[t] + alpha * delta[t], 0.0)
-            gain = np.abs(_dots(slope[t], trial[t] - now[t]))
-            on, rt = trial[t, 1] > 0, here[t]
-            has[rt[~on]] = False      # no point at mu = 0: taken if the cap did not bind
-            taken = ~on & ~binds[rt]
-            if on.any():
-                on = pick(on)
-                at(rt[on], trial[t][on])
-                taken[on] = ((value[rt[on]] - base[t][on] >= 1e-4 * gain[on])
-                             | (gain[on] <= small[t][on]))
-            todo[np.arange(len(todo))[t][taken]] = False
-            if not todo.any():
+        free = [xi > 0 or g > 0 for xi, g in zip(x, grad)]
+        delta = (-np.linalg.solve(
+            [[hess[a, b] if free[a] and free[b] else float(a == b) for b in (0, 1)]
+             for a in (0, 1)], [g if f else 0.0 for g, f in zip(grad, free)])).tolist()
+        small = 1e-14 * (abs(value) + float(np.dot(x, budget[0])))
+        for alpha in (0.5 ** i for i in range(60)):   # backtrack, or stop in g's rounding
+            trial = [max(xi + alpha * d, 0.0) for xi, d in zip(x, delta)]
+            gain = abs(float(np.dot(grad, [t - xi for t, xi in zip(trial, x)])))
+            point = at(trial) if trial[1] > 0 else None   # mu = 0: taken if the cap did not bind
+            if (not binds if point is None
+                    else point[2] - value >= 1e-4 * gain or gain <= small):
                 break
-        x[here] = trial
-    r = np.flatnonzero(live)[:1]      # the residuals where the search stopped
-    if not has[r[0]]:
-        at(r, x[r])
-    (iota, mu), residual = x[r[0]], grad[r[0]]
-    raise DualSearchError(f"cap dual search stopped at iota={iota:.6g}, mu={mu:.6g}, "
+        x = trial
+    residual = (point or at(x))[3]    # the residuals where the search stopped
+    raise DualSearchError(f"cap dual search stopped at iota={x[0]:.6g}, mu={x[1]:.6g}, "
                           f"residuals {residual[0]:.3g} (power), {residual[1]:.3g} (cap)")
 
 
@@ -328,7 +299,7 @@ def _precoder_step(decoders, mse_weights, shares, g, sic, residual, config,
 def update_receivers(precoders, channels: ChannelRealization, config: SystemConfig):
     shares, g = _stack([(1.0, channels.h_est)])
     sigmas = covariance_stacks(precoders, g, config, (None, None))
-    return _receiver_step(precoders, shares, g, sigmas, config)
+    return _receiver_step(precoders, shares, g, sigmas)
 
 
 def update_precoders(decoders, mse_weights, channels: ChannelRealization,
@@ -423,7 +394,7 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
         return _design_objective(precoders, decoders, weights, shares, g, sigmas)
 
     sigmas = covariance_stacks(precoders, g, config, residual)
-    decoders = _receiver_step(precoders, shares, g, sigmas, config)
+    decoders = _receiver_step(precoders, shares, g, sigmas)
     # per problem: objective trace, half-step blocks, power slackness,
     # surrogate tightness and design-model rates
     runs = [([], [], [], [], [] if weight_block else None) for _ in problems]
@@ -468,7 +439,7 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
             si_duals, duals)
         sigmas = covariance_stacks(precoders, g, config, residual)
         block = [objective()]
-        decoders = _receiver_step(precoders, shares, g, sigmas, config)
+        decoders = _receiver_step(precoders, shares, g, sigmas)
         if weight_block:
             # the new point's MSE matrices also give the old-weight surrogate
             errors, new, value, rate_now = _weight_block(precoders, decoders, sic,

@@ -104,6 +104,8 @@ class ExperimentSpec:
                 f"expected one of {tuple(SWEEP_PARAMS)}")
         if self.sweep_param == "M" and {"tx_antennas", "rx_antennas"} & set(self.config):
             raise ConfigError("an M sweep sets antennas, which tx_antennas/rx_antennas override")
+        if {"antennas", "tx_antennas", "rx_antennas"} <= set(self.config):
+            raise ConfigError("antennas sizes nothing when tx_antennas and rx_antennas are set")
         if not self.sweep_values:
             raise ConfigError("sweep needs at least one value")
         for alg in self.algorithms:
@@ -356,14 +358,18 @@ def _format_cell(column, value):
     return str(value)
 
 
-def results_to_csv_text(rows, spec: ExperimentSpec) -> str:
+def _csv_text(kind, columns, rows, spec: ExperimentSpec) -> str:
     buf = io.StringIO()
-    buf.write(f"# fdlink results spec={spec.spec_hash()} seed={spec.seed}\r\n")
+    buf.write(f"# fdlink {kind} spec={spec.spec_hash()} seed={spec.seed}\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(RESULT_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_format_cell(c, row[c]) for c in RESULT_COLUMNS])
+        writer.writerow([_format_cell(c, row[c]) for c in columns])
     return buf.getvalue()
+
+
+def results_to_csv_text(rows, spec: ExperimentSpec) -> str:
+    return _csv_text("results", RESULT_COLUMNS, rows, spec)
 
 
 def write_results_csv(rows, path, spec: ExperimentSpec) -> None:
@@ -373,11 +379,7 @@ def write_results_csv(rows, path, spec: ExperimentSpec) -> None:
 
 def write_timings_csv(timings, path, spec: ExperimentSpec) -> None:
     with open(path, "w", newline="") as f:
-        f.write(f"# fdlink timings spec={spec.spec_hash()} seed={spec.seed}\r\n")
-        writer = csv.writer(f, lineterminator="\r\n")
-        writer.writerow(TIMING_COLUMNS)
-        for row in timings:
-            writer.writerow([_format_cell(c, row[c]) for c in TIMING_COLUMNS])
+        f.write(_csv_text("timings", TIMING_COLUMNS, timings, spec))
 
 
 def read_results_csv(path):

@@ -139,10 +139,6 @@ class ChannelRealization:
                 raise ConfigError(f"csi_radius{pair} must be finite, nonnegative, ({k0},)")
         object.__setattr__(self, "csi_radius", radii)
 
-    @property
-    def subcarriers(self) -> int:
-        return self.h[(0, 0)].shape[0]
-
     def hash_hex(self) -> str:
         digest = hashlib.sha256()
         for pair in PAIRS:

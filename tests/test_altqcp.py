@@ -215,7 +215,7 @@ def test_stacked_receiver_step_matches_per_scenario_loop(default_config,
     shares, g = _stack(scenarios)
     v = random_precoders(config, 3)
     sigmas = covariance_stacks(v, g, config, _sic_residual(g, h_est))
-    got = _receiver_step(v, shares, g, sigmas, config)
+    got = _receiver_step(v, shares, g, sigmas)
     for i in DIRECTIONS:
         acc, rhs = 0.0, 0.0
         for s, (weight, scenario) in enumerate(scenarios):
@@ -424,24 +424,24 @@ def test_warm_power_dual_saves_newton_steps(default_config, default_channels,
 def _recorded_cap_calls(monkeypatch, start=None):
     """Wraps _capped_power_dual: each call appends one [Newton steps, args,
     result] per problem it solves (a direction of the driver's one-member
-    fleet), the steps counted as the call's Hessian solves, the only 3-D
-    np.linalg.solve it makes; start, when given, replaces every call's
-    (mu0, iota0)."""
+    fleet), the steps counted as the Hessian solves of that problem solved
+    alone, the only 2-D np.linalg.solve its Newton makes; start, when given,
+    replaces every call's (mu0, iota0)."""
     import fdlink.altqcp as altqcp
     capped, solve, calls, steps = altqcp._capped_power_dual, np.linalg.solve, [], [0]
 
     def counted_solve(a, b):
-        if np.ndim(a) == 3:
+        if np.ndim(a) == 2:
             steps[0] += 1
         return solve(a, b)
 
     def recorded(*args):
         args = args if start is None else (*args[:7], *start)
-        steps[0] = 0
         result = capped(*args)
         for row in np.ndindex(args[0].shape[:-3]):
-            calls.append([steps[0], tuple(a[row] if np.ndim(a) else a for a in args),
-                          tuple(r[row] for r in result)])
+            alone, steps[0] = tuple(a[row] if np.ndim(a) else a for a in args), 0
+            capped(*alone)
+            calls.append([steps[0], alone, tuple(r[row] for r in result)])
         return result
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
@@ -553,26 +553,112 @@ def _cap_calls(case, config, channels, monkeypatch):
     return [(args, _capped_power_dual(*args, *start))]
 
 
+def _assert_cap_kkt(args, result):
+    """Primal feasibility and complementary slackness for both constraints,
+    and a vanishing Lagrangian gradient (A + iota B + mu G) V - C in V, of
+    one _capped_power_dual problem."""
+    (quad, rhs, scale, p_max, tol, cross, cap, *_), (v, iota, mu) = args, result
+    si_tol = max(tol, 1e-9 * cap)
+    power = float(np.einsum("knd,n,knd->", v.conj(), scale, v).real)
+    si = float(np.vdot(cross @ v, cross @ v).real)
+    assert iota >= 0 and mu >= 0
+    assert power <= p_max + tol and si <= cap + si_tol
+    assert abs(iota * (power - p_max)) <= iota * tol
+    assert abs(mu * (si - cap)) <= mu * si_tol
+    gram = cross.conj().swapaxes(1, 2) @ cross
+    residual = (quad + iota * np.diag(scale) + mu * gram) @ v - rhs
+    assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(rhs)
+
+
 @pytest.mark.parametrize("case", ["active", "inactive", "singular_start",
                                   "warm_1e-06", "warm_1e+06", "pth_runs"])
 def test_capped_step_meets_kkt_conditions(default_config, default_channels,
                                           monkeypatch, case):
-    # primal feasibility and complementary slackness for both constraints,
-    # and a vanishing Lagrangian gradient (A + iota B + mu G) V - C in V
     calls = _cap_calls(case, default_config, default_channels, monkeypatch)
-    for (quad, rhs, scale, p_max, tol, cross, cap, *_), (v, iota, mu) in calls:
-        si_tol = max(tol, 1e-9 * cap)
-        power = float(np.einsum("knd,n,knd->", v.conj(), scale, v).real)
-        si = float(np.vdot(cross @ v, cross @ v).real)
-        assert iota >= 0 and mu >= 0
-        assert power <= p_max + tol and si <= cap + si_tol
-        assert abs(iota * (power - p_max)) <= iota * tol
-        assert abs(mu * (si - cap)) <= mu * si_tol
-        gram = cross.conj().swapaxes(1, 2) @ cross
-        residual = (quad + iota * np.diag(scale) + mu * gram) @ v - rhs
-        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(rhs)
+    for args, result in calls:
+        _assert_cap_kkt(args, result)
     if case != "pth_runs":            # the one call is the case it names
         assert (calls[0][1][2] == 0.0) == (case == "inactive")
+
+
+def _assert_rows_equal(stacked, results):
+    """Each row of a stacked _capped_power_dual result is, bit for bit, the
+    result of that row's problem solved alone."""
+    for n, result in enumerate(results):
+        for got, want in zip(stacked, result):
+            assert np.asarray(got[n]).tobytes() == np.asarray(want).tobytes()
+
+
+def test_stacked_cap_step_equals_each_problem_alone():
+    # one call on every kind of problem: cap 0, cap +inf, a cap that does
+    # not bind, a binding one from a cold start and from warm multipliers
+    # far below and far above the root, and a singular start
+    quad, rhs, cross, si_free = _cap_problem()
+    cap = 0.1 * si_free
+    _, iota, mu = _capped_power_dual(quad, rhs, np.ones(2), 1.0, 1e-9, cross, cap, 0.0)
+    rows = [((quad, rhs, cross), c, start) for c, start in (
+        (0.0, (0.0, 0.0)), (np.inf, (0.0, 0.0)), (2.0 * si_free, (0.0, 3.7)),
+        (cap, (0.0, 0.0)), (cap, (1e-6 * mu, 1e-6 * iota)), (cap, (1e6 * mu, 1e6 * iota)))]
+    *singular, si_singular = _rank_deficient_cap_problem()
+    rows.append((singular, 0.1 * si_singular, (0.0, 0.0)))
+    quads, rhss, crosses = (np.array(column) for column in zip(*(p for p, _, _ in rows)))
+    mu0, iota0 = np.array([start for _, _, start in rows]).T
+    caps = np.array([c for _, c, _ in rows])
+    stacked = _capped_power_dual(quads, rhss, np.ones(2), 1.0, 1e-9, crosses, caps, mu0, iota0)
+    assert [m > 0 for m in stacked[2]] == [False] * 3 + [True] * 4
+    _assert_rows_equal(stacked, [_capped_power_dual(q, c, np.ones(2), 1.0, 1e-9, x, cap, *start)
+                                 for (q, c, x), cap, start in rows])
+
+
+def _fuzzed_cap_rows(seed, count=6):
+    """count random _capped_power_dual problems of one shape (K 1-6, n 1-4,
+    d <= n, 1-4 cross rows), each as (quad, rhs, scale, p_max, tol, cross,
+    cap, mu0, iota0): A of random rank, so singular on some draws, with C in
+    its range on half of them; a cap at 0.01-2x the uncapped
+    self-interference; multipliers started at 0, near the cold root or 1e4
+    from it."""
+    rng = np.random.default_rng(seed)
+    k, n, m = rng.integers(1, 7), rng.integers(1, 5), rng.integers(1, 5)
+    d, rows = rng.integers(1, n + 1), []
+    for _ in range(count):
+        a = crandn_t(rng, (k, n, rng.integers(1, n + 1)))
+        rhs = (a @ crandn_t(rng, (k, a.shape[2], d)) if rng.random() < 0.5
+               else crandn_t(rng, (k, n, d)))
+        quad, cross = a @ a.conj().swapaxes(1, 2), crandn_t(rng, (k, m, n))
+        scale, p_max = rng.uniform(1.0, 2.0, n), rng.uniform(0.5, 2.0)
+        v, _ = _solve_power_dual(quad, rhs, scale, p_max, 1e-9 * p_max)
+        cap = 10 ** rng.uniform(-2, np.log10(2)) * float(np.vdot(cross @ v, cross @ v).real)
+        row = (quad, rhs, scale, p_max, 1e-9 * p_max, cross, cap)
+        try:
+            _, iota, mu = _capped_power_dual(*row, 0.0)
+        except DualSearchError:
+            iota = mu = 0.0
+        factor = (0.0, 1.0 + 1e-3 * rng.standard_normal(), 1e4 ** rng.choice([-1, 1]))[
+            rng.integers(3)]
+        rows.append(row + (factor * mu, factor * iota))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fuzzed_cap_steps_meet_kkt_alone_and_stacked(seed):
+    # each problem either meets the KKT conditions or raises DualSearchError,
+    # and does the same inside one stacked call
+    rows, results = _fuzzed_cap_rows(seed), []
+    for row in rows:
+        try:
+            results.append(_capped_power_dual(*row))
+        except DualSearchError as failure:
+            results.append(str(failure))
+        else:
+            _assert_cap_kkt(row, results[-1])
+    stack = [np.array(column) for column in zip(*rows)]
+    failures = [r for r in results if isinstance(r, str)]
+    if failures:                      # the first failing problem ends the call
+        with pytest.raises(DualSearchError) as failure:
+            _capped_power_dual(*stack)
+        assert str(failure.value) == failures[0]
+    else:
+        _assert_rows_equal(_capped_power_dual(*stack), results)
 
 
 def test_cap_search_failure_names_where_it_stopped(monkeypatch):

@@ -68,6 +68,8 @@ MALFORMED_SPECS = {
     "M_sweep_per_direction_antennas": dict(
         TINY_SPEC, config=dict(TINY_SPEC["config"], tx_antennas=[2, 3], rx_antennas=[3, 2]),
         sweep={"param": "M", "values": [2, 4]}),
+    "antennas_with_both_directions": dict(
+        TINY_SPEC, config=dict(TINY_SPEC["config"], tx_antennas=[2, 3], rx_antennas=[3, 2])),
 }
 
 
