@@ -4,7 +4,10 @@ Both directions' precoders and receive filters are updated in turn. The
 receiver step is an MMSE filter against all the design model predicts the
 receiver will see; the precoder step solves a per-direction convex QCQP exactly:
 by a scalar power dual, searched by Newton's method from the last iteration's
-value, or under a self-interference cap by Newton on two duals.
+value; under a self-interference cap, by probes of that exact solve at trial
+multipliers mu of the cap. Its self-interference si(mu) can jump only at mu =
+0, as for mu > 0 each null direction of the step's matrix carries none; that
+hard case is closed in _capped_power_dual.
 
 run_altqcp_scenarios is the one block-coordinate driver of the package: the
 weighted sum-rate designer (wmmse), the cutting-set inner design (robust) and
@@ -33,7 +36,7 @@ from .util import (LN2, ConfigError, DualSearchError, _rational_root, dagger,
 
 # the power dual stops when the power is within this fraction of the budget
 POWER_REL_TOL = 1e-9
-CAP_NEWTON_STEPS = 50   # Newton steps of a capped precoder step before DualSearchError
+CAP_PROBES = 60         # power-dual probes of a capped precoder step before DualSearchError
 
 
 @dataclass(frozen=True)
@@ -130,11 +133,11 @@ def _dots(a, b):
     return (a.reshape(len(a), 1, -1).conj() @ b.reshape(len(b), -1, 1))[:, 0, 0].real
 
 
-def _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0=0.0):
+def _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0=0.0, spectrum=False):
     """min_V sum_k tr(V^H A^k V) - 2 Re tr(C^k^H V) s.t. tr(B sum_k V V^H) <= P
-    with A Hermitian and B = diag(scale_diag) > 0; returns (V stack, iota >= 0).
-    Leading axes of the arguments are independent problems, and V and iota
-    carry them.
+    with A Hermitian and B = diag(scale_diag) > 0; returns (V stack, iota >= 0)
+    and, with spectrum, Lambda + iota and B^(-1/2) Q below, one row per problem.
+    Leading axes of the arguments are independent problems; V and iota carry them.
 
     With B^(-1/2) A B^(-1/2) = Q Lambda Q^H, one batched eigendecomposition,
     V(iota) = B^(-1/2) Q (Lambda + iota)^{-1} Q^H B^(-1/2) C, and the power is
@@ -153,37 +156,45 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0=0.0):
     coeff = dagger(basis) @ rhs
     weight = np.add.reduce((coeff * coeff.conj()).real, 3)
     total = np.add.reduce(weight.reshape(rows, k * n), 1)
-    # iota = 0 where the power at iota -> 0+ fits the budget. Null-space
-    # weights of an exactly-consistent system are pure roundoff and count as
-    # zero; a live weight on a zero eigenvalue makes that power infinite
+    # iota = 0 where the minimum-norm V at iota = 0, read off the eigenvalues
+    # above a relative floor, fits the budget. Null-space weights of an
+    # exactly-consistent system are pure roundoff and count as zero; a live
+    # weight on a zero eigenvalue makes the power at iota -> 0+ infinite
     live = weight > total[:, None, None] * 1e-13
-    power = np.divide(weight, lam ** 2, out=np.zeros(weight.shape), where=live & (lam > 0))
+    kept = lam > 1e-14 * np.maximum(lam.max((1, 2)), 1.0)[:, None, None]
+    power = np.divide(weight, lam ** 2, out=np.zeros(weight.shape), where=kept)
     some = (p_max > 0) & (total > 0)
-    fits = some & (np.where(live, lam, np.inf).min((1, 2)) > 1e-14 * np.maximum(
-        lam.max((1, 2)), 1.0)) & (np.add.reduce(power.reshape(rows, k * n), 1) <= p_max)
-    root = some & ~fits
-    v, iota = np.zeros(rhs.shape, complex), np.zeros(rows)
-    if fits.any():
-        v[fits] = np.linalg.solve(stabilized(quad[fits]), rhs[fits])
+    fits = some & ~(live & ~kept).any((1, 2)) & (
+        np.add.reduce(power.reshape(rows, k * n), 1) <= p_max)
+    root, iota = some & ~fits, np.zeros(rows)
     if root.any():
         root = slice(None) if root.all() else root
         iota[root] = _rational_root(lam[root].reshape(-1, k * n),
                                     weight[root].reshape(-1, k * n), p_max[root],
                                     tol[root], _rows(lead, iota0)[root])
-        v[root] = basis[root] @ (coeff[root] / (lam[root] + iota[root, None, None])[..., None])
-    return v.reshape(lead + (k, n, d)), iota.reshape(lead)
+    shifted = np.where(kept | (iota > 0)[:, None, None], lam + iota[:, None, None], np.inf)
+    v = (basis @ (coeff / shifted[..., None])) * some[:, None, None, None]
+    v, iota = v.reshape(lead + (k, n, d)), iota.reshape(lead)
+    return (v, iota, shifted, basis) if spectrum else (v, iota)
 
 
 def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0=0.0):
     """_solve_power_dual with one more constraint, si(V) = sum_k ||cross^k V^k||^2
-    <= cap: projected Newton from x = (iota0, mu0) maximizes the concave dual
-    g(x) = -Re sum_k tr(C^H V) - x.(P, cap) over x >= 0, V = M^{-1} C, M = A +
-    iota B + mu cross^H cross (Boyd & Vandenberghe 2004, sections 5 and 9.5).
-    Returns (V stack, iota, mu); when cap <= 0, V = 0, which meets the cap
-    with any mu >= 0, and mu = 0. Leading axes are independent problems, as
-    in _solve_power_dual: one batched exact solve at mu = 0 answers each
-    problem started there whose cap (+inf: none) it meets, and each other
-    problem runs its own _cap_newton.
+    <= cap; returns (V stack, iota, mu), with V = 0 and mu = 0 where cap <= 0.
+    Leading axes are independent problems.
+
+    At a fixed multiplier mu the step is the power-dual problem on A + mu G,
+    G = cross^H cross, and si(mu) does not increase (the parametric Lagrangian,
+    Boyd & Vandenberghe 2004, ch. 5). Each probe is one batched
+    _solve_power_dual, warm in iota; mu steps from mu0 by Newton on si^(-1/2)
+    inside a bracket, until |si - cap| <= max(tol, 1e-9 cap) or mu = 0 with
+    si <= cap. For mu > 0 each null direction z of A + iota B + mu G has
+    G z = 0 (all three are PSD), so si(mu) can jump only at mu = 0, where A is
+    singular and the budget slack (the hard case, More and Sorensen 1983).
+    There, and below the mu a probe resolves, the bracket closes short of the
+    cap: a bracketed row also stops where si = cap on the segment between its
+    ends (si and the power are convex on it), with the ends' multipliers
+    interpolated, once its stationarity residual is within 1e-10 of C.
     """
     if np.all(np.isinf(cap)):
         v, iota = _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0)
@@ -191,67 +202,55 @@ def _capped_power_dual(quad, rhs, scale_diag, p_max, tol, cross, cap, mu0, iota0
     lead, (k, n, d) = quad.shape[:-3], rhs.shape[-3:]
     quad, rhs = quad.reshape(-1, k, n, n), rhs.reshape(-1, k, n, d)
     scale, cross = _rows(lead, scale_diag, (n,)), _rows(lead, cross, cross.shape[-3:])
-    p_max, tol, cap, iota0 = (_rows(lead, a) for a in (p_max, tol, cap, iota0))
-    x = np.where((cap > 0)[:, None], np.stack([iota0, _rows(lead, mu0)], 1), 0.0)
-    v, r = np.zeros(rhs.shape, complex), np.flatnonzero((cap > 0) & (x[:, 1] == 0))
-    if len(r):
-        v[r], x[r, 0] = _solve_power_dual(quad[r], rhs[r], scale[r], p_max[r], tol[r], x[r, 0])
-    budget, tols = np.stack([p_max, cap], 1), np.stack([tol, np.maximum(tol, 1e-9 * cap)], 1)
-    binds = _dots(cross @ v, cross @ v) > cap + tols[:, 1]
-    ops = np.stack(np.broadcast_arrays((np.eye(n) * scale[:, :, None])[:, None],
-                                       herm(dagger(cross) @ cross)), 1)
-    for r in np.flatnonzero((x[:, 1] > 0) | binds):
-        one = slice(r, r + 1)
-        v[one], x[r] = _cap_newton(*(a[one] for a in (quad, rhs, scale, cross, ops, budget,
-                                                      tols, v, iota0)), x[r].tolist(), binds[r])
-    return v.reshape(lead + (k, n, d)), x[:, 0].reshape(lead), x[:, 1].reshape(lead)
-
-
-def _cap_newton(quad, rhs, scale, cross, ops, budget, tols, v, iota0, x, binds):
-    """The Newton of _capped_power_dual on one problem, its arrays with a
-    leading axis of one, from x = [iota, mu] (floats); at mu = 0, v is the
-    exact solve there and binds whether it breaks the cap. Returns (V, x)."""
-    point, tol, dual = None, tols[0].tolist(), (rhs, scale, budget[:, 0], tols[:, 0])
-
-    def at(y):                        # V, M^{-1}, g and grad g at y
-        inv = np.linalg.inv(quad + np.einsum("ra,raknp->rknp", np.array([y]), ops))
-        v = inv @ rhs
-        grad = (np.einsum("rknd,raknp,rkpd->ra", v.conj(), ops, v).real - budget)[0].tolist()
-        return v, inv, float(-_dots(rhs, v)[0] - np.dot(y, budget[0])), grad
-
-    for step in range(CAP_NEWTON_STEPS):
-        if step and x[1] == 0:        # the line search ended at mu = 0
-            v, (x[0],) = _solve_power_dual(quad, *dual, x[0])
-            binds = _dots(cross @ v, cross @ v)[0] > budget[0, 1] + tol[1]
-            if not binds:
-                return v, x
-        if x[0] == 0 and point is None:       # A may be singular: G on, iota exact
-            x[1] = x[1] or float(np.einsum("rknn->r", quad).real[0]
-                                 / np.einsum("rknn->r", ops[:, 1]).real[0])
-            x[0] = float(_solve_power_dual(quad + x[1] * ops[:, 1], *dual, iota0)[1][0])
-        v, inv, value, grad = point or at(x)
-        if all((abs(g) if xi > 0 else g) <= t for xi, g, t in zip(x, grad, tol)):
-            return v, x
-        bv = ops @ v[:, None]
-        hess = (-2.0 * np.einsum("raknd,rbknd->rab", bv.conj(), inv[:, None] @ bv).real)[0]
-        # Newton on the free coordinates; a bound one gets an identity row
-        # and a zero gradient, so it stays put
-        free = [xi > 0 or g > 0 for xi, g in zip(x, grad)]
-        delta = (-np.linalg.solve(
-            [[hess[a, b] if free[a] and free[b] else float(a == b) for b in (0, 1)]
-             for a in (0, 1)], [g if f else 0.0 for g, f in zip(grad, free)])).tolist()
-        small = 1e-14 * (abs(value) + float(np.dot(x, budget[0])))
-        for alpha in (0.5 ** i for i in range(60)):   # backtrack, or stop in g's rounding
-            trial = [max(xi + alpha * d, 0.0) for xi, d in zip(x, delta)]
-            gain = abs(float(np.dot(grad, [t - xi for t, xi in zip(trial, x)])))
-            point = at(trial) if trial[1] > 0 else None   # mu = 0: taken if the cap did not bind
-            if (not binds if point is None
-                    else point[2] - value >= 1e-4 * gain or gain <= small):
-                break
-        x = trial
-    residual = (point or at(x))[3]    # the residuals where the search stopped
-    raise DualSearchError(f"cap dual search stopped at iota={x[0]:.6g}, mu={x[1]:.6g}, "
-                          f"residuals {residual[0]:.3g} (power), {residual[1]:.3g} (cap)")
+    p_max, tol, cap = (_rows(lead, a) for a in (p_max, tol, cap))
+    gram, r = herm(dagger(cross) @ cross), np.flatnonzero(cap > 0)
+    mu, iota = (np.where(cap > 0, _rows(lead, a), 0.0) for a in (mu0, iota0))
+    # the bracket: V and (mu, iota) of the last probe over (0) and under (1) the cap
+    v, ends = np.zeros(rhs.shape, complex), np.zeros((2,) + rhs.shape, complex)
+    duals = np.array([[[-np.inf, 0.0]], [[np.inf, 0.0]]]).repeat(len(quad), 1)
+    for probe in range(CAP_PROBES + 1):
+        if not len(r):
+            return v.reshape(lead + (k, n, d)), iota.reshape(lead), mu.reshape(lead)
+        if probe == CAP_PROBES:
+            raise DualSearchError(f"cap dual search stopped at mu={m[0]:.6g} in [{lo[0]:.6g}, "
+                                  f"{hi[0]:.6g}], cap residual {miss[0]:.3g}")
+        m, c, g = mu[r], cap[r], gram[r]
+        vr, io, shift, basis = _solve_power_dual(
+            quad[r] + m[:, None, None, None] * g, rhs[r], scale[r], p_max[r], tol[r], iota[r],
+            spectrum=True)
+        v[r], iota[r], gv = vr, io, cross[r] @ vr
+        si = _dots(gv, gv)
+        ends[(si <= c) * 1, r], duals[(si <= c) * 1, r] = vr, np.stack([m, io], 1)
+        lo, hi = duals[:, r, 0]
+        done = (np.abs(si - c) <= np.maximum(tol[r], 1e-9 * c)) | ((m == 0) & (si <= c))
+        # -si'/2 from <x, M^+ y>, x, y in {G V, B V}, M = A + iota B + mu G; where iota > 0
+        # the power dual holds the power and takes a share, until iota runs out at m + kink
+        ya, yb = (dagger(basis) @ x for x in (g @ vr, scale[r, None, :, None] * vr))
+        aa, ab, bb = (_dots(x, y / shift[..., None]) for x, y in ((ya, ya), (ya, yb), (yb, yb)))
+        step = si * (np.sqrt(si / c) - 1.0)   # Newton on si^(-1/2), times the slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = aa - np.where(io > 0, ab * ab / bb, 0.0)
+            kink = np.where((io > 0) & (ab > 0), io * bb / ab, np.inf)
+            new = np.maximum(m + np.minimum(step / slope, kink)
+                             + np.maximum(step - slope * kink, 0.0) / aa, 0.0)
+            new = np.where((new > lo) & (new < hi), new, np.where(hi < np.inf, np.where(
+                lo > 0, 0.5 * (lo + hi), np.where(lo < 0, 0.0, 1e-3 * hi)), m + step / aa))
+        h = r[~done & (lo >= 0) & (hi < np.inf)]
+        if len(h):
+            gv, gd = cross[h] @ ends[1, h], cross[h] @ (ends[0, h] - ends[1, h])
+            alpha, beta, gap = _dots(gd, gd), _dots(gv, gd), cap[h] - _dots(gv, gv)
+            root = np.sqrt(beta * beta + alpha * gap)
+            t = np.minimum(np.where(beta >= 0, gap / (beta + root), (root - beta) / alpha), 1.0)
+            point = ends[1, h] + t[:, None, None, None] * (ends[0, h] - ends[1, h])
+            at_mu, at_iota = ((1 - t)[:, None] * duals[1, h] + t[:, None] * duals[0, h]).T
+            at_iota *= _dots(point, scale[h, None, :, None] * point) >= p_max[h] - tol[h]
+            res = ((quad[h] + at_mu[:, None, None, None] * gram[h]) @ point
+                   + at_iota[:, None, None, None] * scale[h, None, :, None] * point - rhs[h])
+            ok = _dots(res, res) <= 1e-20 * _dots(rhs[h], rhs[h])
+            v[h[ok]], iota[h[ok]], mu[h[ok]] = point[ok], at_iota[ok], at_mu[ok]
+            done |= np.isin(r, h[ok])
+        mu[r[~done]] = new[~done]
+        r, m, miss, lo, hi = (x[~done] for x in (r, m, si - c, lo, hi))
 
 
 def _precoder_step(decoders, mse_weights, shares, g, sic, residual, config,

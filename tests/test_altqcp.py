@@ -12,12 +12,13 @@ from conftest import crandn_t, mmse_error, random_precoders
 from fdlink import (ChannelRealization, ChannelStats, ConfigError, DualSearchError,
                     SystemConfig, draw_channels, mse_matrix, perturb_csi, power_usage,
                     run_altqcp, run_baseline, update_precoders, update_receivers)
-from fdlink.altqcp import (DesignProblem, SolverOptions, _capped_power_dual,
+from fdlink.altqcp import (POWER_REL_TOL, DesignProblem, SolverOptions, _capped_power_dual,
                            _design_objective, _leakage_stacks, _precoder_step,
                            _receiver_step, _solve_power_dual, _weighted_decoder_grams,
                            fleet_key, identity_weights, init_precoders,
                            run_altqcp_scenarios)
 from fdlink.baselines import DESIGNERS, design_problem
+from fdlink.harness import ExperimentSpec
 from fdlink.model import (DIRECTIONS, PAIRS, _sic_residual, _stack,
                           covariance_stacks)
 from fdlink.util import herm, stabilized
@@ -422,29 +423,28 @@ def test_warm_power_dual_saves_newton_steps(default_config, default_channels,
 
 
 def _recorded_cap_calls(monkeypatch, start=None):
-    """Wraps _capped_power_dual: each call appends one [Newton steps, args,
-    result] per problem it solves (a direction of the driver's one-member
-    fleet), the steps counted as the Hessian solves of that problem solved
-    alone, the only 2-D np.linalg.solve its Newton makes; start, when given,
-    replaces every call's (mu0, iota0)."""
+    """Wraps _capped_power_dual: each call appends one [probes, args, result]
+    per problem it solves (a direction of the driver's one-member fleet), the
+    probes counted as the _solve_power_dual calls of that problem solved
+    alone; start, when given, replaces every call's (mu0, iota0)."""
     import fdlink.altqcp as altqcp
-    capped, solve, calls, steps = altqcp._capped_power_dual, np.linalg.solve, [], [0]
+    capped, solve = altqcp._capped_power_dual, altqcp._solve_power_dual
+    calls, probes = [], [0]
 
-    def counted_solve(a, b):
-        if np.ndim(a) == 2:
-            steps[0] += 1
-        return solve(a, b)
+    def counted(*args, **kwargs):
+        probes[0] += 1
+        return solve(*args, **kwargs)
 
     def recorded(*args):
         args = args if start is None else (*args[:7], *start)
         result = capped(*args)
         for row in np.ndindex(args[0].shape[:-3]):
-            alone, steps[0] = tuple(a[row] if np.ndim(a) else a for a in args), 0
+            alone, probes[0] = tuple(a[row] if np.ndim(a) else a for a in args), 0
             capped(*alone)
-            calls.append([steps[0], alone, tuple(r[row] for r in result)])
+            calls.append([probes[0], alone, tuple(r[row] for r in result)])
         return result
 
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(altqcp, "_solve_power_dual", counted)
     monkeypatch.setattr(altqcp, "_capped_power_dual", recorded)
     return calls
 
@@ -452,12 +452,12 @@ def _recorded_cap_calls(monkeypatch, start=None):
 @pytest.mark.parametrize("designer", ["altqcp", "wmmse"])
 def test_capped_dual_newton_steps_and_cap_residual(default_config, default_channels,
                                                    monkeypatch, designer):
-    # projected Newton on (iota, mu) from the previous step's multipliers;
-    # counts the Newton steps of each _capped_power_dual call
+    # the search on mu from the previous step's multipliers; counts the
+    # probes (exact power-dual solves) of each _capped_power_dual problem
     calls = _recorded_cap_calls(monkeypatch)
     for mode in ("pth_low", "pth_high"):
         run_baseline(mode, default_channels, default_config, designer=designer)
-    assert max(steps for steps, _, _ in calls) <= 12
+    assert max(probes for probes, _, _ in calls) <= 12
     assert any(mu > 0 for _, _, (_, _, mu) in calls)
     for _, args, (v, _, mu) in calls:
         fv, cap, tol = args[5] @ v, args[6], args[4]
@@ -478,12 +478,13 @@ def test_warm_cap_multiplier_saves_newton_steps(default_config, default_channels
                                    designer=designer)[1].iterations
                       for mode in ("pth_low", "pth_high")
                       for designer in ("altqcp", "wmmse")]
-        return iterations, sum(steps for steps, _, _ in calls), len(calls)
+        return iterations, sum(probes for probes, _, _ in calls), len(calls)
 
+    # a probe is one exact power-dual solve, the first of them at mu0
     warm_iterations, warm, n_calls = runs(None)
     cold_iterations, cold, _ = runs((0.0, 0.0))
     assert warm_iterations == cold_iterations
-    assert warm <= 3 * n_calls and warm < cold
+    assert warm <= 4 * n_calls and warm < cold
 
 
 def _cap_problem():
@@ -517,6 +518,9 @@ def test_warm_cap_multiplier_drops_to_zero_when_cap_inactive():
     v, iota, mu = _capped_power_dual(*args, 3.7)
     assert mu == mu_cold == 0.0
     assert iota == iota_cold and np.array_equal(v, v_cold)
+    # C = 0: V = 0 meets every cap, and the warm start's Newton step is null
+    v, iota, mu = _capped_power_dual(quad, 0 * rhs, *args[2:6], 0.1 * si_free, 3.7)
+    assert mu == iota == 0.0 and not v.any()
 
 
 def _rank_deficient_cap_problem():
@@ -639,7 +643,8 @@ def _fuzzed_cap_rows(seed, count=6):
     return rows
 
 
-@pytest.mark.parametrize("seed", range(20))
+# seeds 30 and 34 draw K = n = 1 problems, where G V and B V are parallel
+@pytest.mark.parametrize("seed", [*range(20), 30, 34])
 def test_fuzzed_cap_steps_meet_kkt_alone_and_stacked(seed):
     # each problem either meets the KKT conditions or raises DualSearchError,
     # and does the same inside one stacked call
@@ -661,25 +666,88 @@ def test_fuzzed_cap_steps_meet_kkt_alone_and_stacked(seed):
         _assert_rows_equal(_capped_power_dual(*stack), results)
 
 
+@pytest.mark.parametrize("seed", [1400, 1503])
+def test_power_dual_fit_on_singular_quad_stays_within_budget(seed):
+    # the first fuzzed problem of these seeds has a rank-one A with C in its
+    # range, and its minimum-norm V fits the budget: V is read off the
+    # eigenbasis, so no ridge lifts roundoff off A's range into the power
+    quad, rhs, scale, p_max, tol, *_ = _fuzzed_cap_rows(seed)[0]
+    v, iota = _solve_power_dual(quad, rhs, scale, p_max, tol)
+    power = float(np.einsum("knd,n,knd->", v.conj(), scale, v).real)
+    assert iota == 0.0 and power <= p_max + tol
+    assert np.linalg.norm(quad @ v - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+def _cell_channels(spec, value, trial):
+    """(config, estimated channels) of one cell, drawn as harness.run_trial
+    draws them."""
+    spec = ExperimentSpec.from_json(spec)
+    config = spec.config_for(value)
+    true = draw_channels(config, spec.channel_stats(value), [spec.seed, 11, trial])
+    return config, perturb_csi(true, config, [spec.seed, 23, trial], mode="interior")[1]
+
+
+def test_benchmark_hard_case_cell_meets_kkt(monkeypatch):
+    # sweep_k4_full's cell of trial 54 (seed 1, kappa -60 dB): the blind
+    # pth_low step's A is singular, and from the second iteration on, one
+    # direction's minimum-norm solution at mu = 0 leaves the budget slack and
+    # breaks the cap by more than any mu > 0 does: si(mu) jumps at mu = 0
+    config, channels = _cell_channels(
+        {"config": {"subcarriers": 4, "antennas": 2, "streams": 1, "noise_var": "-30 dB"},
+         "sweep": {"param": "kappa_db", "values": [-60]}, "algorithms": ["pth_low"],
+         "n_trials": 55, "seed": 1}, -60.0, 54)
+    calls = _recorded_cap_calls(monkeypatch)
+    run_baseline("pth_low", channels, config)
+    jumps = 0
+    for _, args, result in calls:
+        _assert_cap_kkt(args, result)
+        quad, rhs, scale, p_max, tol, cross, cap, *_ = args
+        (v, iota), (v_near, _) = (_solve_power_dual(
+            quad + mu * herm(cross.conj().swapaxes(1, 2) @ cross), rhs, scale, p_max, tol)
+            for mu in (0.0, 1e-9))
+        si, si_near = (np.vdot(cross @ x, cross @ x).real for x in (v, v_near))
+        jumps += iota == 0.0 and si > 1.2 * si_near > cap
+    assert jumps >= len(calls) // 3
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_threshold_designs_meet_cap_and_budget_at_low_noise(trial, monkeypatch):
+    # sigma^2 = -50 dB: the blind precoder quadratic is nearly singular and
+    # the cap multiplier's root can lie near 0; every capped step meets KKT
+    config, channels = _cell_channels(
+        {"config": {"subcarriers": 4, "antennas": 2, "streams": 1},
+         "sweep": {"param": "sigma2_db", "values": [-50]}, "algorithms": ["pth_low"],
+         "n_trials": 2, "seed": 7}, -50.0, trial)
+    calls = _recorded_cap_calls(monkeypatch)
+    for mode, fraction in (("pth_high", 1.0), ("pth_low", 0.1)):
+        design, _ = run_baseline(mode, channels, config)
+        for i in DIRECTIONS:
+            v, budget = design.precoders[i], config.p_max[i]
+            si = np.vdot(channels.h_est[(1 - i, i)] @ v, channels.h_est[(1 - i, i)] @ v).real
+            assert np.vdot(v, v).real <= budget * (1 + POWER_REL_TOL)
+            assert si <= fraction * budget + max(POWER_REL_TOL * budget, 1e-9 * fraction * budget)
+    for _, args, result in calls:
+        _assert_cap_kkt(args, result)
+
+
 def test_cap_search_failure_names_where_it_stopped(monkeypatch):
-    # one Newton step from a cold start far from the root: the error names
-    # the multipliers it stopped at and the residuals there
+    # one probe, at a cold start far from the root: the error names the mu
+    # it probed, the bracket there and the cap residual of that probe
     import fdlink.altqcp as altqcp
-    monkeypatch.setattr(altqcp, "CAP_NEWTON_STEPS", 1)
+    monkeypatch.setattr(altqcp, "CAP_PROBES", 1)
     quad, rhs, cross, si_free = _cap_problem()
     cap = 1e-3 * si_free
     with pytest.raises(DualSearchError) as failure:
         _capped_power_dual(quad, rhs, np.ones(2), 1.0, 1e-9, cross, cap, 0.0)
-    found = re.search(r"iota=(\S+), mu=(\S+), residuals (\S+) \(power\), "
-                      r"(\S+) \(cap\)", str(failure.value))
-    iota, mu, power_residual, cap_residual = map(float, found.groups())
-    v = np.linalg.solve(quad + iota * np.eye(2) + mu * cross.conj().swapaxes(1, 2)
-                        @ cross, rhs)
-    assert mu > 0
-    assert power_residual == pytest.approx(np.vdot(v, v).real - 1.0, rel=1e-2, abs=1e-9)
+    found = re.search(r"at mu=(\S+) in \[(\S+), (\S+)\], cap residual (\S+)$",
+                      str(failure.value))
+    mu, lo, hi, cap_residual = map(float, found.groups())
+    v, _ = _solve_power_dual(quad + mu * cross.conj().swapaxes(1, 2) @ cross, rhs,
+                             np.ones(2), 1.0, 1e-9)
+    assert (mu, lo, hi) == (0.0, 0.0, np.inf)
     assert cap_residual == pytest.approx(np.vdot(cross @ v, cross @ v).real - cap,
                                          rel=1e-2)
-    assert abs(cap_residual) > 1e-9 * cap
+    assert cap_residual > 1e-9 * cap
 
 
 def _recover_quadratic(func, n, step=0.5):

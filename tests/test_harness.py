@@ -331,19 +331,19 @@ def test_cell_makes_one_fleet_call(monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failing_fleet_names_the_first_failing_algorithm(tmp_path, capsys, jobs):
-    # at -50 dB noise most pth_* designs of the default link raise, and so
-    # does the fleet holding them; its members are then rerun one at a
-    # time, so the message names the algorithm a run of each alone, in spec
-    # order, names first
+    # without noise the distortion-blind designs (kappa0, pth_*) meet a
+    # singular covariance and raise, and so does the fleet holding them; its
+    # members are then rerun one at a time, so the message names the
+    # algorithm a run of each alone, in spec order, names first
     from fdlink import DualSearchError, run_altqcp, run_baseline
     from fdlink.channels import draw_channels, perturb_csi
-    spec = {"config": {"subcarriers": 4, "antennas": 2, "streams": 1},
-            "sweep": {"param": "sigma2_db", "values": [-50]},
-            "algorithms": ["altqcp", "kappa0", "pth_high", "pth_low"],
+    spec = {"config": {"subcarriers": 4, "antennas": 2, "streams": 1, "noise_var": 0},
+            "sweep": {"param": "pmax", "values": [1.0]},
+            "algorithms": ["altqcp", "hd", "kappa0", "pth_high"],
             "n_trials": 2, "seed": 7}
     parsed = ExperimentSpec.from_json(spec)
-    config, options = parsed.config_for(-50.0), parsed.solver_options()
-    true = draw_channels(config, parsed.channel_stats(-50.0), [7, 11, 0])
+    config, options = parsed.config_for(1.0), parsed.solver_options()
+    true = draw_channels(config, parsed.channel_stats(1.0), [7, 11, 0])
     _, channels = perturb_csi(true, config, [7, 23, 0], mode="interior")
     failed = []
     for alg in parsed.algorithms:
@@ -354,7 +354,7 @@ def test_failing_fleet_names_the_first_failing_algorithm(tmp_path, capsys, jobs)
                 run_baseline(alg, channels, config, options)
         except (DualSearchError, np.linalg.LinAlgError):
             failed.append(alg)
-    assert failed[0].startswith("pth_")
+    assert failed[0] == "kappa0"
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
@@ -537,6 +537,17 @@ def test_cli_numerical_failure_names_the_cell(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     for name in ("pmax=1.0", "trial=0", "algorithm=altqcp", "seed=3"):
         assert name in err
+
+
+def test_single_antenna_threshold_spec_exits_0(tmp_path):
+    # K = 1 and one antenna: the power budget and the cap bound the same
+    # |v|^2, so only one of the capped step's two multipliers is determined
+    spec = {"config": {"subcarriers": 1, "antennas": 1, "streams": 1, "noise_var": "-30 dB"},
+            "sweep": {"param": "kappa_db", "values": [-60, -40, -20]},
+            "algorithms": ["pth_high", "pth_low"], "n_trials": 5, "seed": 7}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_out_env_override(tmp_path, monkeypatch):
