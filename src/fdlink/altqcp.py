@@ -30,7 +30,7 @@ from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _sic_residual, _stack,
                     covariance_stacks, design_report, identity_weights, mse_stacks,
                     power_usage, rate_surrogate, weighted_rate)
-from .util import (LN2, ConfigError, DualSearchError, _rational_root, dagger,
+from .util import (LN2, ConfigError, DualSearchError, _secular_solve, dagger,
                    herm, stabilized)
 
 
@@ -141,40 +141,19 @@ def _solve_power_dual(quad, rhs, scale_diag, p_max, tol, iota0=0.0, spectrum=Fal
 
     With B^(-1/2) A B^(-1/2) = Q Lambda Q^H, one batched eigendecomposition,
     V(iota) = B^(-1/2) Q (Lambda + iota)^{-1} Q^H B^(-1/2) C, and the power is
-    a sum of inverse squares in iota: its roots are searched on scalars, from
+    a sum of inverse squares in iota: util._secular_solve finds its roots from
     iota0 (the last iteration's duals), and V is read off the same basis.
     """
     lead, (k, n, d) = quad.shape[:-3], rhs.shape[-3:]
     quad, rhs = quad.reshape(-1, k, n, n), rhs.reshape(-1, k, n, d)
-    p_max, tol, rows = _rows(lead, p_max), _rows(lead, tol), len(quad)
     col = _rows(lead, scale_diag, (n,))[:, None, :, None] ** -0.5
     # eigh reads one triangle; scaling by a symmetric outer product keeps an
     # exactly Hermitian quad exactly Hermitian
     lam, basis = np.linalg.eigh(quad * (col * col.swapaxes(2, 3)))
-    lam = np.maximum(lam, 0.0)
     basis = col * basis                 # B^(-1/2) Q
-    coeff = dagger(basis) @ rhs
-    weight = np.add.reduce((coeff * coeff.conj()).real, 3)
-    total = np.add.reduce(weight.reshape(rows, k * n), 1)
-    # iota = 0 where the minimum-norm V at iota = 0, read off the eigenvalues
-    # above a relative floor, fits the budget. Null-space weights of an
-    # exactly-consistent system are pure roundoff and count as zero; a live
-    # weight on a zero eigenvalue makes the power at iota -> 0+ infinite
-    live = weight > total[:, None, None] * 1e-13
-    kept = lam > 1e-14 * np.maximum(lam.max((1, 2)), 1.0)[:, None, None]
-    power = np.divide(weight, lam ** 2, out=np.zeros(weight.shape), where=kept)
-    some = (p_max > 0) & (total > 0)
-    fits = some & ~(live & ~kept).any((1, 2)) & (
-        np.add.reduce(power.reshape(rows, k * n), 1) <= p_max)
-    root, iota = some & ~fits, np.zeros(rows)
-    if root.any():
-        root = slice(None) if root.all() else root
-        iota[root] = _rational_root(lam[root].reshape(-1, k * n),
-                                    weight[root].reshape(-1, k * n), p_max[root],
-                                    tol[root], _rows(lead, iota0)[root])
-    shifted = np.where(kept | (iota > 0)[:, None, None], lam + iota[:, None, None], np.inf)
-    v = (basis @ (coeff / shifted[..., None])) * some[:, None, None, None]
-    v, iota = v.reshape(lead + (k, n, d)), iota.reshape(lead)
+    x, iota, shifted = _secular_solve(np.maximum(lam, 0.0), dagger(basis) @ rhs,
+                                      *(_rows(lead, a) for a in (p_max, tol, iota0)))
+    v, iota = (basis @ x).reshape(lead + (k, n, d)), iota.reshape(lead)
     return (v, iota, shifted, basis) if spectrum else (v, iota)
 
 

@@ -58,8 +58,7 @@ def _cmd_summarize(args) -> int:
     by = tuple(c.strip() for c in args.by.split(",") if c.strip())
     aggregates = harness.summarize(rows, by=by)
     columns = by + ("mean", "std", "count", "min", "max")
-    text = harness.plot_table_to_csv_text(
-        columns, [tuple(a[c] for c in columns) for a in aggregates])
+    text = harness._csv_text(columns, [[a[c] for c in columns] for a in aggregates])
     return _write_or_print(text, args.out, len(aggregates), "aggregate rows")
 
 
@@ -67,7 +66,7 @@ def _cmd_plotdata(args) -> int:
     rows = harness.read_results_csv(args.results)
     aggregates = harness.summarize(rows)
     columns, table = harness.emit_plot_data(aggregates, args.figure)
-    return _write_or_print(harness.plot_table_to_csv_text(columns, table),
+    return _write_or_print(harness._csv_text(columns, table),
                            args.out, len(table), "rows")
 
 

@@ -350,26 +350,26 @@ def run_experiment(spec: ExperimentSpec, processes: int = 1):
 # CSV round trip
 # ---------------------------------------------------------------------------
 
-def _format_cell(column, value):
-    if column in ("trial", "iteration"):
-        return str(int(value))
-    if column in ("sweep_value", "value", "seconds"):
-        return repr(float(value))
-    return str(value)
-
-
-def _csv_text(kind, columns, rows, spec: ExperimentSpec) -> str:
+def _csv_text(columns, rows, comment=None) -> str:
+    """CSV text, CRLF line ends: an optional '# ' comment, the header and the
+    rows; floats (numpy's too) as repr(float(x)), everything else as str."""
     buf = io.StringIO()
-    buf.write(f"# fdlink {kind} spec={spec.spec_hash()} seed={spec.seed}\r\n")
+    if comment is not None:
+        buf.write(f"# {comment}\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(c, row[c]) for c in columns])
+    writer.writerows([repr(float(x)) if isinstance(x, float) else str(x) for x in row]
+                     for row in rows)
     return buf.getvalue()
 
 
+def _spec_csv_text(kind, columns, rows, spec: ExperimentSpec) -> str:
+    return _csv_text(columns, ([row[c] for c in columns] for row in rows),
+                     f"fdlink {kind} spec={spec.spec_hash()} seed={spec.seed}")
+
+
 def results_to_csv_text(rows, spec: ExperimentSpec) -> str:
-    return _csv_text("results", RESULT_COLUMNS, rows, spec)
+    return _spec_csv_text("results", RESULT_COLUMNS, rows, spec)
 
 
 def write_results_csv(rows, path, spec: ExperimentSpec) -> None:
@@ -379,7 +379,7 @@ def write_results_csv(rows, path, spec: ExperimentSpec) -> None:
 
 def write_timings_csv(timings, path, spec: ExperimentSpec) -> None:
     with open(path, "w", newline="") as f:
-        f.write(_csv_text("timings", TIMING_COLUMNS, timings, spec))
+        f.write(_spec_csv_text("timings", TIMING_COLUMNS, timings, spec))
 
 
 def read_results_csv(path):
@@ -484,12 +484,3 @@ def emit_plot_data(aggregates, figure: str):
             for a in picked]
     rows.sort(key=lambda r: (r[0], r[1]))
     return columns, rows
-
-
-def plot_table_to_csv_text(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else str(x) for x in row])
-    return buf.getvalue()

@@ -7,11 +7,11 @@ receive-distortion pickup), and no term couples two different error matrices.
 The objective therefore splits exactly into a Delta-independent remainder plus
 one convex quadratic ||C vec(Delta) + c||^2 per (receiver, transmitter,
 subcarrier) triple, each maximized in closed form over its own Frobenius
-ball ||Delta_ij^k||_F <= zeta through a trust-region-style secular equation,
-solved by the same Newton search as the precoder's power dual. One oracle
-pass gives both the certified worst case and the pessimizing channel that
-attains it; a cutting-set loop appends that channel to its scenario set to
-reach a robust design.
+ball ||Delta_ij^k||_F <= zeta through a trust-region-style secular equation:
+the precoder's power dual on the reversed spectrum, read off by the same
+util._secular_solve. One oracle pass gives both the certified worst case and
+the pessimizing channel that attains it; a cutting-set loop appends that
+channel to its scenario set to reach a robust design.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .altqcp import DesignProblem, SolverOptions, run_altqcp_scenarios
 from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
                     TransceiverDesign, _design_objective, _sic_residual, _stack,
                     covariance_stacks)
-from .util import ConfigError, _rational_root, dagger, herm
+from .util import ConfigError, _secular_solve, dagger, herm
 
 # the cut loop stops once the certified worst case is within this fraction of
 # the design objective
@@ -128,51 +128,39 @@ def build_quadratic_form(design: TransceiverDesign,
 def _solve_forms(g, c, z):
     """max_{||b|| <= z} ||G b + c||^2 for (F, rows, n) maps G, (F, rows)
     offsets c and (F,) radii z > 0: (maximizers, multipliers rho, values,
-    hard-case flags, KKT residuals), one per form.
+    hard-case flags), one per form.
 
-    Boundary stationarity gives (rho I - M) b = m with rho >= lam_max,
-    M = G^H G, m = G^H c: one stacked eigh of M and one batched secular
-    equation solve it. In the hard case of More and Sorensen (1983), m has no
-    component on the top eigenspace; if the solve off that space stays inside
-    the ball, a top-eigenvector component pads it to the boundary.
+    With M = G^H G and m = G^H c, the maximum lies on the sphere ||b|| = z,
+    where ||G b + c||^2 = lam_max z^2 + ||c||^2 - (b^H (lam_max I - M) b
+    - 2 Re m^H b): the precoder's power dual on the reversed spectrum
+    lam_max - lam with budget z^2, and rho = lam_max + iota. One stacked eigh
+    of M and util._secular_solve solve it. Where iota = 0, its hard case, b
+    is padded to the sphere along the top-space part of m the read-off
+    dropped, or along the top eigenvector where there is none.
     """
     # a map below the rounding of its offset moves nothing: like the power
     # dual's roundoff weights, it counts as exactly zero
     roundoff = (np.einsum("frn,frn->f", g, g.conj()).real * z * z
                 <= np.finfo(float).eps ** 2 * np.einsum("fr,fr->f", c, c.conj()).real)
     g = np.where(roundoff[:, None, None], 0.0, g)
-    m_mat = herm(dagger(g) @ g)
-    m_vec = np.einsum("frn,fr->fn", g.conj(), c)
-    lam, basis = np.linalg.eigh(m_mat)
+    lam, basis = np.linalg.eigh(herm(dagger(g) @ g))
     lam = np.maximum(lam, 0.0)
-    lam_top, top_vec = lam[:, -1:], basis[:, :, -1]
-    mh = np.einsum("fnm,fn->fm", basis.conj(), m_vec)
-    w = (mh * mh.conj()).real
-    top = lam >= lam_top - 1e-12 * np.maximum(lam_top, 1.0)
-    hard = np.sqrt(np.where(top, w, 0.0).sum(axis=1)) <= 1e-10 * np.sqrt(w.sum(axis=1))
-    coeff = np.divide(mh, lam_top - lam, out=np.zeros_like(mh), where=~top)
-    b_perp = np.einsum("fnm,fm->fn", basis, coeff)
-    norm_perp = np.linalg.norm(b_perp, axis=1)
-    padded = hard & (norm_perp < z)
-    # the rest solve sum_n w_n / (rho - lam_n)^2 = z^2 on rho >= lam_top for
-    # t = rho - lam_top, so the top gap carries no cancellation; hard forms
-    # drop their (zero-weight) top terms
-    w, mh = np.where(hard[:, None] & top, 0.0, w), np.where(hard[:, None] & top, 0.0, mh)
-    t, zs = np.zeros(z.shape), z[~padded]
-    t[~padded] = _rational_root((lam_top - lam)[~padded], w[~padded], zs * zs,
-                                1e-13 * zs * zs)
-    gap = (lam_top - lam) + t[:, None]
-    gap[gap <= 0] = np.inf                # only zero-weight terms can hit this
-    b = np.einsum("fnm,fm->fn", basis, mh / gap)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b *= (z / np.linalg.norm(b, axis=1))[:, None]   # onto the boundary exactly
-    # m = 0 with M = 0: nothing depends on b, so b stays 0
-    tau = np.sqrt(np.maximum(z * z - norm_perp * norm_perp, 0.0)) * (lam_top[:, 0] > 0)
-    b = np.where(padded[:, None], b_perp + tau[:, None] * top_vec, b)
-    rho = lam_top[:, 0] + t
+    mh = np.einsum("fnm,fn->fm", basis.conj(), np.einsum("frn,fr->fn", g.conj(), c))
+    x, iota, shifted = _secular_solve((lam[:, -1:] - lam)[:, None], mh[:, None, :, None],
+                                      z * z, 1e-13 * z * z, np.zeros(len(z)))
+    b = np.einsum("fnm,fm->fn", basis, x[:, 0, :, 0])
+    norm, pad = np.linalg.norm(b, axis=1), iota == 0
+    with np.errstate(divide="ignore", invalid="ignore"):   # onto the sphere exactly
+        b = np.where(pad[:, None], b, b * (z / norm)[:, None])
+    if pad.any():
+        # pad along the dropped top-space part of m: to first order it adds
+        # 2 tau ||m_top||; M = 0 with m = 0 leaves nothing to pad, so b stays 0
+        tau = np.sqrt(np.maximum(z * z - norm * norm, 0.0)) * (lam[:, -1] > 0) * pad
+        drop = np.where(np.isinf(shifted[:, 0]), mh, 0.0)
+        drop[:, -1] += np.linalg.norm(drop, axis=1) == 0
+        b += np.einsum("fnm,fm->fn", basis, drop * (tau / np.linalg.norm(drop, axis=1))[:, None])
     r = np.einsum("frn,fn->fr", g, b) + c
-    kkt = rho[:, None] * b - np.einsum("fnm,fm->fn", m_mat, b) - m_vec
-    return b, rho, (r * r.conj()).real.sum(axis=1), padded, np.linalg.norm(kkt, axis=1)
+    return b, lam[:, -1] + iota, (r * r.conj()).real.sum(axis=1), pad
 
 
 def worst_case_error(form: QuadraticErrorForm) -> WorstCaseResult:
@@ -182,7 +170,7 @@ def worst_case_error(form: QuadraticErrorForm) -> WorstCaseResult:
         b = np.zeros(form.map.shape[1], dtype=complex)
         rho, value, hard = np.inf, np.vdot(form.offset, form.offset).real, False
     else:
-        b, rho, value, hard, _ = (x[0] for x in _solve_forms(
+        b, rho, value, hard = (x[0] for x in _solve_forms(
             form.map[None], form.offset[None], np.array([form.radius])))
     return WorstCaseResult(b_star=b, rho_star=float(rho), value=float(value),
                            hard_case=bool(hard))
@@ -203,7 +191,7 @@ def _worst_case(design, channels, config, mse_weights=None):
             continue
         maps, offsets = _pair_forms(design, channels, config, i, j, weights)
         c = offsets[live]
-        b, _, value, _, _ = _solve_forms(maps[live], c, radii[live])
+        b, _, value, _ = _solve_forms(maps[live], c, radii[live])
         total += float(np.maximum(value - (c * c.conj()).real.sum(axis=1), 0.0).sum())
         rows, cols = worst[(i, j)].shape[1:]
         worst[(i, j)][live] += b.reshape(-1, cols, rows).swapaxes(1, 2)

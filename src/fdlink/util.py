@@ -1,5 +1,6 @@
 """Small shared helpers: dB conversion, complex RNG draws, linear algebra glue,
-and the Newton secular-equation solver behind the power dual and the oracle."""
+and the secular-equation read-off, one Newton root search and one hard-case
+rule, shared by the precoder's power dual and the worst-case oracle."""
 
 from __future__ import annotations
 
@@ -125,6 +126,38 @@ def _rational_root(gap, weight, target, tol, start=0.0):
         raise DualSearchError(f"root search did not reach tolerance "
                               f"{min(tol[e] for e in live):g} in {_ROOT_ITERS} steps")
     return np.array(t)
+
+
+def _secular_solve(lam, coeff, budget, tol, start):
+    """The read-off shared by the power dual and the worst-case oracle: per row
+    of a (F, K, n) spectrum lam >= 0, (F, K, n, d) right-hand sides coeff in
+    its eigenbasis and (F,) budgets, tolerances and starts, min sum lam |x|^2
+    - 2 Re <coeff, x> s.t. ||x||^2 <= budget. Returns x = (Lambda + iota)^(-1)
+    coeff, iota >= 0 and Lambda + iota, inf where a term is dropped.
+
+    iota = 0 where x at iota = 0, read off the eigenvalues above a relative
+    floor, fits the budget (the hard case of More and Sorensen 1983): weights
+    below 1e-13 of the total are roundoff and count as zero, but a live weight
+    on a dropped eigenvalue never fits. The other rows with budget > 0 and
+    coeff != 0 take iota from _rational_root; the rest return x = 0, iota = 0.
+    """
+    rows, size = len(lam), lam[0].size
+    weight = np.add.reduce((coeff * coeff.conj()).real, 3)
+    total = np.add.reduce(weight.reshape(rows, size), 1)
+    live = weight > total[:, None, None] * 1e-13
+    kept = lam > 1e-14 * np.maximum(lam.max((1, 2)), 1.0)[:, None, None]
+    power = np.divide(weight, lam ** 2, out=np.zeros(weight.shape), where=kept)
+    some = (budget > 0) & (total > 0)
+    fits = some & ~(live & ~kept).any((1, 2)) & (
+        np.add.reduce(power.reshape(rows, size), 1) <= budget)
+    root, iota = some & ~fits, np.zeros(rows)
+    if root.any():
+        root = slice(None) if root.all() else root
+        iota[root] = _rational_root(lam[root].reshape(-1, size),
+                                    weight[root].reshape(-1, size), budget[root],
+                                    tol[root], start[root])
+    shifted = np.where(kept | (iota > 0)[:, None, None], lam + iota[:, None, None], np.inf)
+    return coeff / shifted[..., None] * some[:, None, None, None], iota, shifted
 
 
 def rng_from(seed) -> np.random.Generator:

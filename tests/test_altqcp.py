@@ -384,9 +384,8 @@ def _power_dual_searches(monkeypatch, channels, config, cold):
     secular evaluations after the first; cold restarts every search at 0.
     A search solves both directions at once, so it gives one (start, steps)
     per direction. Returns (iterations, [(start, steps)])."""
-    import fdlink.altqcp as altqcp
     import fdlink.util as util
-    secular, root, searches, call = util._secular, altqcp._rational_root, [], []
+    secular, root, searches, call = util._secular, util._rational_root, [], []
 
     def counted(*args):
         for search in call:
@@ -399,7 +398,7 @@ def _power_dual_searches(monkeypatch, channels, config, cold):
         return root(gap, weight, target, tol, 0.0 if cold else start)
 
     monkeypatch.setattr(util, "_secular", counted)
-    monkeypatch.setattr(altqcp, "_rational_root", recorded)
+    monkeypatch.setattr(util, "_rational_root", recorded)
     try:
         report = run_altqcp(channels, config)[1]
     finally:

@@ -11,7 +11,7 @@ import fdlink.robust as robust
 from conftest import crandn_t, random_psd
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_cutting_set)
-from fdlink.altqcp import identity_weights
+from fdlink.altqcp import _solve_power_dual, identity_weights
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
 from fdlink.robust import (QuadraticErrorForm, _worst_case,
@@ -421,6 +421,12 @@ def _reference_solve(g, c, z):
     return b, float(np.linalg.norm(g @ b + c) ** 2), False
 
 
+def _kkt_residual(g, c, b, rho):
+    """||rho b - M b - m||, M = G^H G and m = G^H c: boundary stationarity of
+    one form's maximizer."""
+    return float(np.linalg.norm(rho * b - g.conj().T @ (g @ b) - g.conj().T @ c))
+
+
 def _reference_worst_case(design, channels, config, weights):
     weights = weights if weights is not None else design.mse_weights
     total = weighted_mse_with_errors(design, channels, config,
@@ -480,14 +486,72 @@ def test_stacked_solve_matches_scalar_reference_on_hard_cases():
     g = np.stack([f[0] for f in forms])
     c = np.stack([f[1] for f in forms])
     z = np.array([f[2] for f in forms])
-    b, rho, value, hard, kkt = robust._solve_forms(g, c, z)
+    b, rho, value, hard = robust._solve_forms(g, c, z)
     assert list(hard[:3]) == [True, False, True] and not hard[3:].any()
     for n, (gf, cf, zf) in enumerate(forms):
         ref_b, ref_value, _ = _reference_solve(gf, cf, zf)
         assert abs(value[n] - ref_value) <= 1e-12 * max(ref_value, 1.0)
         assert np.max(np.abs(b[n] - ref_b)) <= 1e-9 * zf
-        assert kkt[n] < 1e-9
+        assert _kkt_residual(gf, cf, b[n], rho[n]) < 1e-9
     assert rho[0] == pytest.approx(4.0) and rho[1] == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("top_share", [0.0, 1e-18, 1e-14, 1e-8])
+def test_near_hard_forms_match_reference(top_share):
+    """Forms whose m = G^H c puts top_share of its weight on the top
+    eigenvector of M, the band where a 1e-20 and a 1e-13 roundoff rule
+    disagree, with the solve off the top space inside the ball (hard when
+    the top weight is below the read-off's floor) and outside it (never
+    hard). Value, boundary and stationarity hold either way; a padded form
+    leaves at most its dropped top component in the KKT residual."""
+    rng = np.random.default_rng(31)
+    u, _ = np.linalg.qr(crandn_t(rng, (3, 3)))
+    w, _ = np.linalg.qr(crandn_t(rng, (3, 3)))
+    s = np.array([2.0, 1.5, 1.0])
+    g = u @ np.diag(s) @ w.conj().T               # M = w diag(s^2) w^H
+    mh = crandn_t(rng, (3,))
+    off = np.linalg.norm(mh[1:])
+    mh[0] *= np.sqrt(top_share / (1.0 - top_share)) * off / abs(mh[0])
+    c = u @ (mh / s)                              # m = w mh
+    norm_perp = np.linalg.norm(mh[1:] / (s[0] ** 2 - s[1:] ** 2))
+    z = norm_perp * np.array([2.0, 0.5])          # inside, outside
+    b, rho, value, hard = robust._solve_forms(np.stack([g, g]), np.stack([c, c]), z)
+    assert list(hard) == [top_share <= 1e-14, False]
+    for n in range(2):
+        _, ref_value, _ = _reference_solve(g, c, z[n])
+        assert abs(value[n] - ref_value) <= 1e-12 * ref_value
+        assert abs(np.linalg.norm(b[n]) - z[n]) <= 1e-12 * z[n]
+        assert _kkt_residual(g, c, b[n], rho[n]) <= 1e-9 * off + hard[n] * abs(mh[0])
+
+
+def test_forms_solve_as_power_dual_on_reversed_spectrum():
+    """On the sphere, max ||G b + c||^2 is min b^H (lam_max I - M) b
+    - 2 Re m^H b: random dense forms, and diagonal ones whose m misses the
+    top eigenvector inside the ball, give _solve_power_dual's minimizer at
+    budget z^2, padded along the top eigenvector where its iota is 0."""
+    rng = np.random.default_rng(32)
+    dense = [(crandn_t(rng, (3, 3)), crandn_t(rng, (3,)), rng.uniform(0.1, 2.0))
+             for _ in range(12)]
+    diagonal = []
+    for _ in range(4):
+        s = np.sort(rng.uniform(0.5, 2.0, 3))
+        c = crandn_t(rng, (3,)) * np.array([1.0, 1.0, 0.0])
+        diagonal.append((np.diag(s.astype(complex)), c,
+                         2.0 * np.linalg.norm(s[:2] * c[:2] / (s[2] ** 2 - s[:2] ** 2))))
+    g, c, z = (np.stack(x) for x in zip(*dense, *diagonal))
+    b, rho, _, hard = robust._solve_forms(g, c, z)
+    assert list(hard) == [False] * 12 + [True] * 4
+    m_mat = g.conj().swapaxes(1, 2) @ g
+    lam, basis = np.linalg.eigh(m_mat)
+    quad = lam[:, -1, None, None] * np.eye(3) - m_mat
+    m_vec = np.einsum("frn,fr->fn", g.conj(), c)
+    v, iota = _solve_power_dual(quad[:, None], m_vec[:, None, :, None], np.ones(3),
+                                z * z, 1e-13 * z * z)
+    v = v[:, 0, :, 0]
+    tau = np.sqrt(np.maximum(z * z - np.linalg.norm(v, axis=1) ** 2, 0.0))
+    v += np.where(iota == 0, tau, 0.0)[:, None] * basis[:, :, -1]
+    assert np.all(np.linalg.norm(b - v, axis=1) <= 1e-9 * z)
+    assert np.allclose(rho, lam[:, -1] + iota, rtol=1e-9)
 
 
 def test_root_search_batch_equals_batches_of_one():
