@@ -14,9 +14,8 @@ from .harness import (ExperimentSpec, emit_plot_data, read_results_csv,
 from .model import (ChannelRealization, PerformanceReport, SystemConfig,
                     TransceiverDesign, aggregate_covariance, evaluate_design,
                     mse_matrix, power_usage, rate)
-from .robust import (QuadraticErrorForm, WorstCaseResult, build_quadratic_form,
-                     run_cutting_set, weighted_mse_with_errors,
-                     worst_case_error, worst_case_mse)
+from .robust import (build_quadratic_form, run_cutting_set,
+                     weighted_mse_with_errors, worst_case_error, worst_case_mse)
 from .util import ConfigError, DualSearchError, db_to_linear
 from .wmmse import run_wmmse, surrogate_objective, update_weights
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .util import ConfigError, DualSearchError
+from .util import _NUMERICAL_FAILURES, ConfigError
 
 
 def _cmd_run(args) -> int:
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:      # bad spec, missing or unwritable path
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DualSearchError, np.linalg.LinAlgError, FloatingPointError) as err:
+    except _NUMERICAL_FAILURES as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -29,14 +29,13 @@ from .baselines import BASELINE_MODES, DESIGNERS, design_problem, evaluate_run
 from .channels import ChannelStats, draw_channels, perturb_csi
 from .model import SystemConfig, identity_weights
 from .robust import run_cutting_set, worst_case_mse
-from .util import ConfigError, DualSearchError, as_count, parse_level
+from .util import _NUMERICAL_FAILURES, ConfigError, as_count, parse_level
 
 RESULT_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm",
                   "metric", "iteration", "value", "channel_hash")
 TIMING_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm", "seconds")
 
 KNOWN_ALGORITHMS = DESIGNERS + ("cutting_set",) + BASELINE_MODES
-_FAILURES = (DualSearchError, np.linalg.LinAlgError, FloatingPointError)
 # sweep parameter -> the config key its value sets; a *_db value is a dB level
 SWEEP_PARAMS = {"kappa_db": "kappa", "zeta_db": "csi_radius", "sigma2_db": "noise_var",
                 "pmax": "p_max", "K": "subcarriers", "M": "antennas"}
@@ -248,7 +247,7 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
         try:
             designs, reports = run_altqcp_scenarios([problems[alg][0] for alg in members],
                                                     options)
-        except _FAILURES:
+        except _NUMERICAL_FAILURES:
             continue                  # its members are designed alone below
         share = (time.perf_counter() - t0) / len(members)
         runs.update((alg, (d, r, share)) for alg, d, r in zip(members, designs, reports))
@@ -269,7 +268,7 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
             # the cut loop certified its design, also with identity weights
             wc = (run_rep.extras["worst_case"] if algorithm == "cutting_set" else
                   worst_case_mse(design, world, config, mse_weights=identity_weights(config)))
-        except _FAILURES as err:
+        except _NUMERICAL_FAILURES as err:
             raise type(err)(f"{spec.sweep_param}={float(sweep_value)} trial={trial} "
                             f"algorithm={algorithm} seed={spec.seed}: {err}") from err
         elapsed = time.perf_counter() - t0 + share
@@ -286,11 +285,6 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
                         "sweep_value": float(sweep_value),
                         "algorithm": algorithm, "seconds": elapsed})
     return rows, timings
-
-
-def _trial_task(args):
-    spec, value, trial = args
-    return run_trial(spec, value, trial)
 
 
 def _pad_traces(rows):
@@ -330,14 +324,15 @@ def run_experiment(spec: ExperimentSpec, processes: int = 1):
     most one worker per cell."""
     if processes < 1:
         raise ConfigError(f"need at least one worker process, got {processes}")
-    tasks = [(spec, value, trial) for value in spec.sweep_values
-             for trial in range(spec.n_trials)]
-    workers = min(processes, len(tasks))
+    values = [value for value in spec.sweep_values for _ in range(spec.n_trials)]
+    trials = list(range(spec.n_trials)) * len(spec.sweep_values)
+    columns = ([spec] * len(values), values, trials)   # run_trial's arguments
+    workers = min(processes, len(values))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_trial_task, tasks))
+            cells = list(pool.map(run_trial, *columns))
     else:
-        cells = [_trial_task(task) for task in tasks]
+        cells = list(map(run_trial, *columns))
     rows = [row for cell_rows, _ in cells for row in cell_rows]
     timings = [row for _, cell_timings in cells for row in cell_timings]
     _pad_traces(rows)

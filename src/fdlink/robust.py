@@ -9,14 +9,16 @@ one convex quadratic ||C vec(Delta) + c||^2 per (receiver, transmitter,
 subcarrier) triple, each maximized in closed form over its own Frobenius
 ball ||Delta_ij^k||_F <= zeta through a trust-region-style secular equation:
 the precoder's power dual on the reversed spectrum, read off by the same
-util._secular_solve. One oracle pass gives both the certified worst case and
+util._secular_solve. build_quadratic_form builds one pair's K forms as a
+stack and worst_case_error solves a stack of forms; the oracle runs each
+pair through both. One oracle pass gives both the certified worst case and
 the pessimizing channel that attains it; a cutting-set loop appends that
 channel to its scenario set to reach a robust design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,23 +33,6 @@ from .util import ConfigError, _secular_solve, dagger, herm
 CUT_REL_TOL = 1e-3
 # and makes at most this many designs
 MAX_CUTS = 8
-
-
-@dataclass(frozen=True)
-class QuadraticErrorForm:
-    """||map @ vec(Delta) + offset||^2 as a function of one error matrix,
-    vec column-major, over the ball ||vec(Delta)|| <= radius."""
-    map: np.ndarray
-    offset: np.ndarray
-    radius: float
-
-
-@dataclass(frozen=True)
-class WorstCaseResult:
-    b_star: np.ndarray
-    rho_star: float
-    value: float
-    hard_case: bool = False
 
 
 def weighted_mse_with_errors(design: TransceiverDesign,
@@ -74,10 +59,12 @@ def _kron_stack(b, a):
     return np.einsum("knc,krm->kcrnm", b, a).reshape(len(a), b.shape[2] * a.shape[1], -1)
 
 
-def _pair_forms(design, channels, config, i, j, weights):
+def build_quadratic_form(design: TransceiverDesign, channels: ChannelRealization,
+                         config: SystemConfig, i: int, j: int, mse_weights=None):
     """Exact quadratic dependence of the weighted MSE on Delta_ij^k for all k
     at once, from pair-level pieces built once: (K, rows, M_i N_j) maps and
-    (K, rows) offsets.
+    (K, rows) offsets, ||maps^k vec(Delta_ij^k) + offsets^k||^2 with
+    column-major vec.
 
     Three stacked blocks: (1) the filtered direct/residual term
     W^H U^H Delta V (minus the nominal target when j == i; cancellation
@@ -85,6 +72,9 @@ def _pair_forms(design, channels, config, i, j, weights):
     leakage through Delta with chain power profile Q_tx^(1/2); (3) the
     receive-distortion pickup, one row scaling sqrt(g_hat) per antenna.
     """
+    if i not in DIRECTIONS or j not in DIRECTIONS:
+        raise ConfigError(f"direction indices must be 0 or 1, got ({i}, {j})")
+    weights = mse_weights if mse_weights is not None else design.mse_weights
     # weights enter as W with tr(W E) = tr(W^(1/2)^H E W^(1/2)); use a factor
     lam, q = np.linalg.eigh(herm(weights[i]))
     if np.any(lam.min(axis=1) < -1e-12 * np.maximum(abs(lam).max(axis=1), 1.0)):
@@ -110,25 +100,11 @@ def _pair_forms(design, channels, config, i, j, weights):
     return maps, offsets
 
 
-def build_quadratic_form(design: TransceiverDesign,
-                         channels: ChannelRealization, config: SystemConfig,
-                         i: int, j: int, k: int,
-                         mse_weights=None) -> QuadraticErrorForm:
-    """The form of Delta_ij^k alone: subcarrier k of the pair's stack."""
-    if i not in DIRECTIONS or j not in DIRECTIONS:
-        raise ConfigError(f"direction indices must be 0 or 1, got ({i}, {j})")
-    if not 0 <= k < config.subcarriers:
-        raise ConfigError(f"subcarrier index {k} out of range")
-    weights = mse_weights if mse_weights is not None else design.mse_weights
-    maps, offsets = _pair_forms(design, channels, config, i, j, weights)
-    return QuadraticErrorForm(map=maps[k], offset=offsets[k],
-                              radius=float(channels.csi_radius[(i, j)][k]))
-
-
-def _solve_forms(g, c, z):
+def worst_case_error(maps, offsets, radii):
     """max_{||b|| <= z} ||G b + c||^2 for (F, rows, n) maps G, (F, rows)
-    offsets c and (F,) radii z > 0: (maximizers, multipliers rho, values,
-    hard-case flags), one per form.
+    offsets c and (F,) radii z >= 0: the tuple (maximizers, multipliers rho,
+    values, hard-case pad flags), one per form. At z = 0 the maximizer is
+    b = 0 and the value ||c||^2; rho and the pad flag mean nothing there.
 
     With M = G^H G and m = G^H c, the maximum lies on the sphere ||b|| = z,
     where ||G b + c||^2 = lam_max z^2 + ||c||^2 - (b^H (lam_max I - M) b
@@ -138,6 +114,10 @@ def _solve_forms(g, c, z):
     is padded to the sphere along the top-space part of m the read-off
     dropped, or along the top eigenvector where there is none.
     """
+    z = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(z) & (z >= 0)):
+        raise ConfigError(f"error radii must be finite and nonnegative, got {z}")
+    g, c = maps, offsets
     # a map below the rounding of its offset moves nothing: like the power
     # dual's roundoff weights, it counts as exactly zero
     roundoff = (np.einsum("frn,frn->f", g, g.conj()).real * z * z
@@ -163,19 +143,6 @@ def _solve_forms(g, c, z):
     return b, lam[:, -1] + iota, (r * r.conj()).real.sum(axis=1), pad
 
 
-def worst_case_error(form: QuadraticErrorForm) -> WorstCaseResult:
-    """max_{||b|| <= radius} ||map b + offset||^2: one form through the
-    stacked solve."""
-    if form.radius == 0.0:
-        b = np.zeros(form.map.shape[1], dtype=complex)
-        rho, value, hard = np.inf, np.vdot(form.offset, form.offset).real, False
-    else:
-        b, rho, value, hard = (x[0] for x in _solve_forms(
-            form.map[None], form.offset[None], np.array([form.radius])))
-    return WorstCaseResult(b_star=b, rho_star=float(rho), value=float(value),
-                           hard_case=bool(hard))
-
-
 def _worst_case(design, channels, config, mse_weights=None):
     """(worst_case_mse, the channel dict attaining it): each pair builds and
     solves its positive-radius forms as one stack; their increments join the
@@ -189,9 +156,9 @@ def _worst_case(design, channels, config, mse_weights=None):
         live = radii > 0
         if not live.any():
             continue
-        maps, offsets = _pair_forms(design, channels, config, i, j, weights)
+        maps, offsets = build_quadratic_form(design, channels, config, i, j, weights)
         c = offsets[live]
-        b, _, value, _ = _solve_forms(maps[live], c, radii[live])
+        b, _, value, _ = worst_case_error(maps[live], c, radii[live])
         total += float(np.maximum(value - (c * c.conj()).real.sum(axis=1), 0.0).sum())
         rows, cols = worst[(i, j)].shape[1:]
         worst[(i, j)][live] += b.reshape(-1, cols, rows).swapaxes(1, 2)

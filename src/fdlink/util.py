@@ -19,6 +19,10 @@ class DualSearchError(RuntimeError):
     """A scalar dual search failed to converge (CLI exit code 3)."""
 
 
+# the numerical failures a design can end in (CLI exit code 3)
+_NUMERICAL_FAILURES = (DualSearchError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 

@@ -20,9 +20,8 @@ from fdlink.distortion import freq_distortion_variance, simulate_blocks
 from fdlink.harness import ExperimentSpec, results_to_csv_text, run_experiment
 from fdlink.model import (DIRECTIONS, PAIRS, aggregate_covariance,
                           covariance_stacks, mse_matrix, rate)
-from fdlink.robust import (QuadraticErrorForm, build_quadratic_form,
-                           weighted_mse_with_errors, worst_case_error,
-                           worst_case_mse)
+from fdlink.robust import (build_quadratic_form, weighted_mse_with_errors,
+                           worst_case_error, worst_case_mse)
 from fdlink.util import LN2
 
 STATS = ChannelStats()
@@ -256,17 +255,18 @@ def test_criterion_07_worst_case_oracle(capsys):
         n = int(rng.integers(1, 5))
         out_dim = int(rng.integers(1, 5))
         zeta = float(rng.uniform(0.1, 1.5))
-        form = QuadraticErrorForm(map=crandn_t(rng, (out_dim, n)),
-                                  offset=crandn_t(rng, (out_dim,)), radius=zeta)
-        result = worst_case_error(form)
-        m_mat = form.map.conj().T @ form.map
-        m_vec = form.map.conj().T @ form.offset
-        c_sq = float(np.linalg.norm(form.offset) ** 2)
+        mapping = crandn_t(rng, (out_dim, n))
+        offset = crandn_t(rng, (out_dim,))
+        b_star, rho_star, value, _ = (x[0] for x in worst_case_error(
+            mapping[None], offset[None], np.array([zeta])))
+        m_mat = mapping.conj().T @ mapping
+        m_vec = mapping.conj().T @ offset
+        c_sq = float(np.linalg.norm(offset) ** 2)
         samples = crandn_t(rng, (10_000, n))
         samples *= zeta / np.linalg.norm(samples, axis=1, keepdims=True)
         vals = (np.einsum("sn,nm,sm->s", samples.conj(), m_mat, samples).real
                 + 2 * np.einsum("sn,n->s", samples.conj(), m_vec).real + c_sq)
-        if result.value < float(vals.max()) - 1e-12 * max(result.value, 1.0):
+        if value < float(vals.max()) - 1e-12 * max(value, 1.0):
             problems.append(f"trial {trial}: beaten by a sample")
         best = samples[int(np.argmax(vals))]
         for _ in range(300):
@@ -277,12 +277,11 @@ def test_criterion_07_worst_case_oracle(capsys):
             best = zeta * g / norm
         refined = float(np.real(best.conj() @ m_mat @ best
                                 + 2 * np.real(best.conj() @ m_vec)) + c_sq)
-        if abs(result.value - refined) > 1e-6 * max(refined, 1.0) \
-                and result.value < refined:
+        if abs(value - refined) > 1e-6 * max(refined, 1.0) \
+                and value < refined:
             problems.append(f"trial {trial}: refined sample ahead by "
-                            f"{refined - result.value:.2e}")
-        resid = np.linalg.norm((result.rho_star * np.eye(n) - m_mat)
-                               @ result.b_star - m_vec)
+                            f"{refined - value:.2e}")
+        resid = np.linalg.norm((rho_star * np.eye(n) - m_mat) @ b_star - m_vec)
         if resid >= 1e-8:
             problems.append(f"trial {trial}: KKT residual {resid:.2e}")
     # scalar closed form
@@ -291,10 +290,10 @@ def test_criterion_07_worst_case_oracle(capsys):
         a = crandn_t(rng, (1,))[0]
         c = crandn_t(rng, (1,))[0]
         zeta = float(rng.uniform(0.05, 2.0))
-        form = QuadraticErrorForm(map=np.array([[a]]), offset=np.array([c]),
-                                  radius=zeta)
+        value = worst_case_error(np.array([[[a]]]), np.array([[c]]),
+                                 np.array([zeta]))[2][0]
         expected = (abs(a) * zeta + abs(c)) ** 2
-        gap = abs(worst_case_error(form).value - expected) / max(expected, 1.0)
+        gap = abs(value - expected) / max(expected, 1.0)
         worst_scalar = max(worst_scalar, gap)
     if worst_scalar >= 1e-12:
         problems.append(f"scalar closed form off by {worst_scalar:.2e}")
@@ -314,9 +313,9 @@ def test_criterion_08_quadratic_form_fidelity(default_cfg, fleet, capsys):
     checked = 0
     for i in DIRECTIONS:
         for j in DIRECTIONS:
+            maps, offsets = build_quadratic_form(design, channels, default_cfg,
+                                                 i, j, mse_weights=weights)
             for k in range(default_cfg.subcarriers):
-                form = build_quadratic_form(design, channels, default_cfg,
-                                            i, j, k, mse_weights=weights)
                 for _ in range(7):
                     delta = 0.1 * crandn_t(rng, channels.h[(i, j)][k].shape)
                     deltas = {p: zero[p] for p in PAIRS}
@@ -326,10 +325,10 @@ def test_criterion_08_quadratic_form_fidelity(default_cfg, fleet, capsys):
                         design, channels, default_cfg, deltas=deltas,
                         mse_weights=weights)
                     b = delta.reshape(-1, order="F")
-                    lifted = float(np.linalg.norm(form.map @ b
-                                                  + form.offset) ** 2)
+                    lifted = float(np.linalg.norm(maps[k] @ b
+                                                  + offsets[k]) ** 2)
                     predicted = base - float(
-                        np.linalg.norm(form.offset) ** 2) + lifted
+                        np.linalg.norm(offsets[k]) ** 2) + lifted
                     rel = abs(direct - predicted) / max(abs(direct), 1.0)
                     worst = max(worst, rel)
                     checked += 1

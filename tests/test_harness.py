@@ -244,8 +244,8 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *columns):
+            return map(fn, *columns)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
     return made

@@ -45,3 +45,21 @@ def test_declared_workloads_set_up_at_tiny_size(bench):
     for entry in declared:
         _, workload, _ = bench.set_up(entry["name"], 1, tiny=True)
         assert isinstance(workload, (bench.SweepWorkload, bench.SimulateWorkload))
+
+
+def test_oracle_spans_record_calls(bench):
+    # the robust.form and robust.solve spans wrap the kernels the oracle
+    # calls, so a traced cell times every form build and solve
+    _, workload, _ = bench.set_up("sweep_k4_full", 1, tiny=True)
+    tracer = bench.Tracer()
+    try:
+        for module, attr, span, callers in bench.LAYER_SPANS:
+            assert tracer.wrap(module, attr, span, callers)
+        tracer.active = True
+        workload.run(0)
+    finally:
+        tracer.active = False
+        tracer.unwrap()
+    calls = {span: entry["calls"] for span, entry in tracer.totals().items()}
+    assert calls.get("robust.form", 0) > 0
+    assert calls.get("robust.solve", 0) > 0

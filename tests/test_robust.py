@@ -14,18 +14,24 @@ from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
 from fdlink.altqcp import _solve_power_dual, identity_weights
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
-from fdlink.robust import (QuadraticErrorForm, _worst_case,
-                           build_quadratic_form, weighted_mse_with_errors,
-                           worst_case_error, worst_case_mse)
+from fdlink.robust import (_worst_case, build_quadratic_form,
+                           weighted_mse_with_errors, worst_case_error,
+                           worst_case_mse)
 from fdlink.util import _rational_root
 
 
-def _make_form(rng, out_dim, n, radius, scale=1.0):
-    # map sends an n-vector error (an n x 1 matrix, vectorized) to an
-    # out_dim-vector
+def _make_form(rng, out_dim, n, scale=1.0):
+    # (map, offset): map sends an n-vector error (an n x 1 matrix,
+    # vectorized) to an out_dim-vector
     mapping = scale * crandn_t(rng, (out_dim, n))
     offset = scale * crandn_t(rng, (out_dim,))
-    return QuadraticErrorForm(map=mapping, offset=offset, radius=radius)
+    return mapping, offset
+
+
+def _solve_one(mapping, offset, radius):
+    """worst_case_error on a stack of one form: (b, rho, value, hard)."""
+    return tuple(x[0] for x in worst_case_error(mapping[None], offset[None],
+                                                np.array([radius])))
 
 
 def _zero_deltas(channels):
@@ -65,9 +71,9 @@ def test_forms_reproduce_objective_shift(default_config, default_channels,
     checked = 0
     for i in DIRECTIONS:
         for j in DIRECTIONS:
+            maps, offsets = build_quadratic_form(designed, channels, config,
+                                                 i, j, mse_weights=weights)
             for k in range(config.subcarriers):
-                form = build_quadratic_form(designed, channels, config,
-                                            i, j, k, mse_weights=weights)
                 for _ in range(7):
                     delta = 0.1 * crandn_t(rng, channels.h[(i, j)][k].shape)
                     deltas = _zero_deltas(channels)
@@ -77,9 +83,9 @@ def test_forms_reproduce_objective_shift(default_config, default_channels,
                         designed, channels, config, deltas=deltas,
                         mse_weights=weights)
                     b = delta.reshape(-1, order="F")
-                    lifted = float(np.linalg.norm(form.map @ b
-                                                  + form.offset) ** 2)
-                    offset_sq = float(np.linalg.norm(form.offset) ** 2)
+                    lifted = float(np.linalg.norm(maps[k] @ b
+                                                  + offsets[k]) ** 2)
+                    offset_sq = float(np.linalg.norm(offsets[k]) ** 2)
                     predicted = base - offset_sq + lifted
                     assert abs(direct - predicted) \
                         < 1e-9 * max(abs(direct), 1.0)
@@ -91,21 +97,27 @@ def test_weights_indefinite_on_one_subcarrier_raise(two_stream_case):
     config, channels, design = two_stream_case
     weights = identity_weights(config)
     weights[0][2] = np.diag([1.0, 0.0]).astype(complex)      # PSD, singular
-    build_quadratic_form(design, channels, config, 0, 0, 0,
-                         mse_weights=weights)
+    build_quadratic_form(design, channels, config, 0, 0, mse_weights=weights)
     weights[0][2] = np.diag([1.0, -1.0]).astype(complex)     # indefinite
     with pytest.raises(ConfigError):
-        build_quadratic_form(design, channels, config, 0, 0, 0,
+        build_quadratic_form(design, channels, config, 0, 0,
                              mse_weights=weights)
 
 
 def test_form_index_validation(default_config, default_channels, designed):
     with pytest.raises(ConfigError):
-        build_quadratic_form(designed, default_channels, default_config,
-                             2, 0, 0)
+        build_quadratic_form(designed, default_channels, default_config, 2, 0)
     with pytest.raises(ConfigError):
-        build_quadratic_form(designed, default_channels, default_config,
-                             0, 0, 99)
+        build_quadratic_form(designed, default_channels, default_config, 0, -1)
+
+
+@pytest.mark.parametrize("radius", [-0.7, np.nan, np.inf])
+def test_radius_validation(radius):
+    # a negative radius would solve the ball of its magnitude, then flip the
+    # maximizer to the far side of the sphere
+    mapping, offset = _make_form(np.random.default_rng(22), 4, 3)
+    with pytest.raises(ConfigError):
+        _solve_one(mapping, offset, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -114,42 +126,37 @@ def test_form_index_validation(default_config, default_channels, designed):
 
 def test_zero_radius_returns_center_value():
     rng = np.random.default_rng(22)
-    form = _make_form(rng, 4, 3, radius=0.0)
-    result = worst_case_error(form)
-    assert result.value == pytest.approx(
-        float(np.linalg.norm(form.offset) ** 2))
-    assert np.all(result.b_star == 0)
+    mapping, offset = _make_form(rng, 4, 3)
+    b, _, value, _ = _solve_one(mapping, offset, 0.0)
+    assert value == pytest.approx(float(np.linalg.norm(offset) ** 2))
+    assert np.all(b == 0)
 
 
 def test_scalar_closed_form_and_alignment():
     # |a b + c|^2 over |b| <= zeta peaks at (|a| zeta + |c|)^2 with b aligned
-    form = QuadraticErrorForm(map=np.array([[1.0 + 0j]]),
-                              offset=np.array([1.0 + 0j]), radius=0.5)
-    result = worst_case_error(form)
-    assert abs(result.value - 2.25) < 1e-12
-    assert abs(result.b_star[0] - 0.5) < 1e-10
+    b, _, value, _ = _solve_one(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), 0.5)
+    assert abs(value - 2.25) < 1e-12
+    assert abs(b[0] - 0.5) < 1e-10
     rng = np.random.default_rng(23)
     for _ in range(50):
         a = crandn_t(rng, (1,))[0]
         c = crandn_t(rng, (1,))[0]
         zeta = float(rng.uniform(0.05, 2.0))
-        form = QuadraticErrorForm(map=np.array([[a]]), offset=np.array([c]),
-                                  radius=zeta)
-        result = worst_case_error(form)
+        _, _, value, _ = _solve_one(np.array([[a]]), np.array([c]), zeta)
         expected = (abs(a) * zeta + abs(c)) ** 2
-        assert abs(result.value - expected) < 1e-12 * max(expected, 1.0)
+        assert abs(value - expected) < 1e-12 * max(expected, 1.0)
 
 
 def test_gradient_vanishes_only_at_stationary_center():
     # at b = 0 the ascent direction is 2 M b + 2 m = 2 m: finite differences
     # of the quadratic must match it to 1e-6
     rng = np.random.default_rng(24)
-    form = _make_form(rng, 5, 4, radius=1.0)
-    m_mat = form.map.conj().T @ form.map
-    m_vec = form.map.conj().T @ form.offset
+    mapping, offset = _make_form(rng, 5, 4)
+    m_mat = mapping.conj().T @ mapping
+    m_vec = mapping.conj().T @ offset
 
     def value(b):
-        return float(np.linalg.norm(form.map @ b + form.offset) ** 2)
+        return float(np.linalg.norm(mapping @ b + offset) ** 2)
 
     h = 1e-5
     for a in range(4):
@@ -170,14 +177,13 @@ def test_engineered_degenerate_instance():
     # column: M = diag(4, 1), m = (0, 1).  Interior solve reaches
     # ||b_perp|| = 1/3 < zeta = 1, so the top direction is padded to the
     # boundary: value = 4 * 8/9 + (1/3 + 1)^2 = 16/3.
-    form = QuadraticErrorForm(map=np.diag([2.0 + 0j, 1.0]),
-                              offset=np.array([0.0j, 1.0]), radius=1.0)
-    result = worst_case_error(form)
-    assert result.hard_case
-    assert abs(result.value - 16.0 / 3.0) < 1e-10
-    assert abs(np.linalg.norm(result.b_star) - 1.0) < 1e-10
-    assert abs(abs(result.b_star[1]) - 1.0 / 3.0) < 1e-10
-    assert abs(result.rho_star - 4.0) < 1e-10
+    b, rho, value, hard = _solve_one(np.diag([2.0 + 0j, 1.0]),
+                                     np.array([0.0j, 1.0]), 1.0)
+    assert hard
+    assert abs(value - 16.0 / 3.0) < 1e-10
+    assert abs(np.linalg.norm(b) - 1.0) < 1e-10
+    assert abs(abs(b[1]) - 1.0 / 3.0) < 1e-10
+    assert abs(rho - 4.0) < 1e-10
 
 
 def test_degenerate_instance_reaching_the_ball_uses_secular_root():
@@ -185,13 +191,12 @@ def test_degenerate_instance_reaching_the_ball_uses_secular_root():
     # solve alone leaves the ball: G = diag(2, 1), c = (0, 3), M = diag(4, 1),
     # m = (0, 3), ||b_perp|| = 3 / (4 - 1) = 1 >= zeta = 0.5.  The top terms
     # drop out and 9 / (rho - 1)^2 = 1/4 gives rho = 7, b = (0, 0.5).
-    form = QuadraticErrorForm(map=np.diag([2.0 + 0j, 1.0]),
-                              offset=np.array([0.0j, 3.0]), radius=0.5)
-    result = worst_case_error(form)
-    assert not result.hard_case
-    assert abs(result.value - 12.25) < 1e-12
-    assert np.max(np.abs(result.b_star - np.array([0.0, 0.5]))) < 1e-12
-    assert abs(result.rho_star - 7.0) < 1e-10
+    b, rho, value, hard = _solve_one(np.diag([2.0 + 0j, 1.0]),
+                                     np.array([0.0j, 3.0]), 0.5)
+    assert not hard
+    assert abs(value - 12.25) < 1e-12
+    assert np.max(np.abs(b - np.array([0.0, 0.5]))) < 1e-12
+    assert abs(rho - 7.0) < 1e-10
 
 
 def test_brute_force_never_beats_oracle():
@@ -203,11 +208,11 @@ def test_brute_force_never_beats_oracle():
         n = int(rng.integers(1, 5))
         rows = int(rng.integers(1, 6))
         zeta = float(rng.uniform(0.1, 1.5))
-        form = _make_form(rng, rows, n, radius=zeta)
-        result = worst_case_error(form)
-        m_mat = form.map.conj().T @ form.map
-        m_vec = form.map.conj().T @ form.offset
-        c_sq = float(np.linalg.norm(form.offset) ** 2)
+        mapping, offset = _make_form(rng, rows, n)
+        _, _, result_value, _ = _solve_one(mapping, offset, zeta)
+        m_mat = mapping.conj().T @ mapping
+        m_vec = mapping.conj().T @ offset
+        c_sq = float(np.linalg.norm(offset) ** 2)
 
         def value(b):
             return float(np.real(b.conj() @ m_mat @ b
@@ -227,9 +232,9 @@ def test_brute_force_never_beats_oracle():
                 break
             best_b = zeta * g / norm
         refined = value(best_b)
-        assert result.value >= max(float(vals.max()), refined) - 1e-12 \
-            * max(result.value, 1.0)
-        assert result.value <= refined + 1e-6 * max(refined, 1.0)
+        assert result_value >= max(float(vals.max()), refined) - 1e-12 \
+            * max(result_value, 1.0)
+        assert result_value <= refined + 1e-6 * max(refined, 1.0)
 
 
 def test_kkt_and_duality_certificates():
@@ -237,12 +242,11 @@ def test_kkt_and_duality_certificates():
     for _ in range(40):
         n = int(rng.integers(1, 6))
         zeta = float(rng.uniform(0.1, 2.0))
-        form = _make_form(rng, int(rng.integers(1, 7)), n, radius=zeta)
-        result = worst_case_error(form)
-        m_mat = form.map.conj().T @ form.map
-        m_vec = form.map.conj().T @ form.offset
+        mapping, offset = _make_form(rng, int(rng.integers(1, 7)), n)
+        b, rho, value, hard = _solve_one(mapping, offset, zeta)
+        m_mat = mapping.conj().T @ mapping
+        m_vec = mapping.conj().T @ offset
         lam_top = float(np.linalg.eigvalsh(m_mat)[-1])
-        b, rho = result.b_star, result.rho_star
         # primal feasibility and boundary attainment
         assert np.linalg.norm(b) <= zeta + 1e-10
         assert abs(np.linalg.norm(b) - zeta) < 1e-8 * max(zeta, 1.0)
@@ -251,10 +255,10 @@ def test_kkt_and_duality_certificates():
         assert resid < 1e-8 * max(np.linalg.norm(m_vec), 1.0)
         assert rho >= lam_top - 1e-10 * max(lam_top, 1.0)
         # value never below the center value
-        assert result.value >= float(np.linalg.norm(form.offset) ** 2) - 1e-12
+        assert value >= float(np.linalg.norm(offset) ** 2) - 1e-12
         # weak duality: value <= g(rho') for feasible rho' > lam_max, and
         # g(rho*) matches the value when the solve is non-degenerate
-        c_sq = float(np.linalg.norm(form.offset) ** 2)
+        c_sq = float(np.linalg.norm(offset) ** 2)
 
         def dual(rho_val):
             shift = rho_val * np.eye(n) - m_mat
@@ -263,11 +267,10 @@ def test_kkt_and_duality_certificates():
                                    @ np.linalg.solve(shift, m_vec)))
 
         for bump in (1e-3, 1e-1, 1.0):
-            assert result.value <= dual(rho + bump
+            assert value <= dual(rho + bump
                                         + max(lam_top - rho, 0.0)) + 1e-8
-        if not result.hard_case and rho > lam_top + 1e-8:
-            assert abs(dual(rho) - result.value) < 1e-6 * max(result.value,
-                                                              1.0)
+        if not hard and rho > lam_top + 1e-8:
+            assert abs(dual(rho) - value) < 1e-6 * max(value, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +466,13 @@ def test_stacked_oracle_matches_per_form_reference(name, default_config,
         scale = np.max(np.abs(expected_worst[pair]))
         assert np.max(np.abs(worst[pair] - expected_worst[pair])) <= 1e-9 * scale
         k = 1
-        form = build_quadratic_form(design, channels, config, *pair, k,
-                                    mse_weights=weights)
+        maps, offsets = build_quadratic_form(design, channels, config, *pair,
+                                             mse_weights=weights)
         mapping, offset = _reference_form(
             design, channels, config, *pair, k,
             weights if weights is not None else design.mse_weights)
-        assert np.max(np.abs(form.map - mapping)) <= 1e-12 * np.max(np.abs(mapping))
-        assert np.max(np.abs(form.offset - offset)) <= 1e-12 * max(
+        assert np.max(np.abs(maps[k] - mapping)) <= 1e-12 * np.max(np.abs(mapping))
+        assert np.max(np.abs(offsets[k] - offset)) <= 1e-12 * max(
             np.max(np.abs(offset)), 1.0)
 
 
@@ -486,7 +489,7 @@ def test_stacked_solve_matches_scalar_reference_on_hard_cases():
     g = np.stack([f[0] for f in forms])
     c = np.stack([f[1] for f in forms])
     z = np.array([f[2] for f in forms])
-    b, rho, value, hard = robust._solve_forms(g, c, z)
+    b, rho, value, hard = worst_case_error(g, c, z)
     assert list(hard[:3]) == [True, False, True] and not hard[3:].any()
     for n, (gf, cf, zf) in enumerate(forms):
         ref_b, ref_value, _ = _reference_solve(gf, cf, zf)
@@ -515,7 +518,7 @@ def test_near_hard_forms_match_reference(top_share):
     c = u @ (mh / s)                              # m = w mh
     norm_perp = np.linalg.norm(mh[1:] / (s[0] ** 2 - s[1:] ** 2))
     z = norm_perp * np.array([2.0, 0.5])          # inside, outside
-    b, rho, value, hard = robust._solve_forms(np.stack([g, g]), np.stack([c, c]), z)
+    b, rho, value, hard = worst_case_error(np.stack([g, g]), np.stack([c, c]), z)
     assert list(hard) == [top_share <= 1e-14, False]
     for n in range(2):
         _, ref_value, _ = _reference_solve(g, c, z[n])
@@ -539,7 +542,7 @@ def test_forms_solve_as_power_dual_on_reversed_spectrum():
         diagonal.append((np.diag(s.astype(complex)), c,
                          2.0 * np.linalg.norm(s[:2] * c[:2] / (s[2] ** 2 - s[:2] ** 2))))
     g, c, z = (np.stack(x) for x in zip(*dense, *diagonal))
-    b, rho, _, hard = robust._solve_forms(g, c, z)
+    b, rho, _, hard = worst_case_error(g, c, z)
     assert list(hard) == [False] * 12 + [True] * 4
     m_mat = g.conj().swapaxes(1, 2) @ g
     lam, basis = np.linalg.eigh(m_mat)
@@ -626,22 +629,28 @@ def test_cutting_set_solves_each_form_once_per_cut(default_config,
                                                    default_channels,
                                                    monkeypatch):
     # one oracle pass per cut gives both the certified value and the next
-    # scenario: one stacked build of each pair's K forms per cut, none after
-    # the last cut
-    built = []
-    inner = robust._pair_forms
+    # scenario: one stacked build and one stacked solve of each pair's K forms
+    # per cut, none after the last cut
+    built, solved = [], []
+    build, solve = robust.build_quadratic_form, robust.worst_case_error
 
-    def counted(*args, **kwargs):
+    def counted_build(*args, **kwargs):
         built.append(args[3:5])
-        return inner(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(robust, "_pair_forms", counted)
+    def counted_solve(*args, **kwargs):
+        solved.append(len(args[2]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(robust, "build_quadratic_form", counted_build)
+    monkeypatch.setattr(robust, "worst_case_error", counted_solve)
     monkeypatch.setattr(robust, "MAX_CUTS", 3)
     _, report = run_cutting_set(default_channels, default_config)
     cuts = len(report.extras["cuts"])
     assert cuts == 3 and not report.extras["robust_converged"]
     assert all(np.all(r > 0) for r in default_channels.csi_radius.values())
     assert built == list(PAIRS) * cuts
+    assert solved == [default_config.subcarriers] * len(PAIRS) * cuts
 
 
 def test_cutting_set_zero_radius_single_cut():
