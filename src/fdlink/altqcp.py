@@ -21,15 +21,15 @@ driver designs a fleet of problems at once, on one more leading axis.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
-from .model import (DIRECTIONS, PAIRS, ChannelRealization, SystemConfig,
-                    TransceiverDesign, _design_objective, _sic_residual, _stack,
-                    covariance_stacks, design_report, identity_weights, mse_stacks,
-                    power_usage, rate_surrogate, weighted_rate)
+from .model import (DIRECTIONS, PAIRS, ChannelRealization, PerformanceReport,
+                    SystemConfig, TransceiverDesign, _design_objective, _sic_residual,
+                    _stack, covariance_stacks, identity_weights, mse_stacks, power_usage,
+                    rate_surrogate, weighted_rate)
 from .util import (LN2, ConfigError, DualSearchError, _secular_solve, dagger,
                    herm, stabilized)
 
@@ -332,7 +332,7 @@ def _fleet_config(configs):
 
 def run_altqcp_scenarios(problems, options: SolverOptions):
     """The block-coordinate driver behind every designer, run on a fleet of
-    DesignProblems at once; returns (designs, reports), one per problem.
+    DesignProblems at once; returns (designs, run reports), one per problem.
 
     One iteration updates the precoders (exact QCQP; with si_caps also capping
     each direction's self-interference power), then the MMSE receivers, then,
@@ -341,7 +341,7 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
     Shi et al. 2011). The tracked objective is the scenario-weighted MSE
     (identity weights), or with weight_block the rate surrogate; a member
     stops when it moves by at most rel_tol. A member's first scenario is its
-    estimate: cancellation, the surrogate and the report are referenced to it.
+    estimate: cancellation and the surrogate are referenced to it.
 
     The members share their fleet_key, or the call raises ConfigError. They
     are stacked on one leading fleet axis B, each update is one batched call
@@ -402,12 +402,11 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
                 extras["half_step_objectives"] = blocks
             if problems[b].si_caps is not None:
                 extras["si_duals"] = tuple(si_duals[:, n].tolist())
-            state = [[x[n] for x in xs] for xs in (precoders, decoders, weights)]
-            report = design_report(*state[:2], {p: h[n] for p, h in sic.items()},
-                                   [s[n] for s in first()], configs[b])
-            out[b] = (TransceiverDesign(*map(tuple, state)),
-                      replace(report, objective_trace=trace, iterations=len(blocks),
-                              converged=converged, rate_trace=rates, extras=extras))
+            out[b] = (TransceiverDesign(*(tuple(x[n] for x in xs) for xs in
+                                          (precoders, decoders, weights))),
+                      PerformanceReport(objective_trace=trace, iterations=len(blocks),
+                                        converged=converged, rate_trace=rates,
+                                        extras=extras))
 
     for _ in range(options.max_iters):
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
@@ -462,7 +461,7 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
 def run_altqcp(channels: ChannelRealization, config: SystemConfig,
                options: SolverOptions = None):
     """Sum-MSE minimizer designing on the estimated channels. Returns
-    (TransceiverDesign, PerformanceReport)."""
+    (TransceiverDesign, run report); evaluate_design gives the metrics."""
     (design,), (report,) = run_altqcp_scenarios(
         [DesignProblem([(1.0, channels.h_est)], config)], options or SolverOptions())
     return design, report

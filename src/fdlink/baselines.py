@@ -95,17 +95,13 @@ def design_problem(algorithm: str, channels: ChannelRealization, config: SystemC
 
 def evaluate_run(algorithm: str, design, run_rep, world: ChannelRealization,
                  config: SystemConfig):
-    """(design, report) of any algorithm from its design run: the true-model
-    evaluation in its world (hd's rates halved) carrying the run's trace,
-    iteration count, convergence flag and extras."""
-    report = evaluate_design(design, world, config)
-    if algorithm == "hd":
-        report.rate_bits = 0.5 * report.rate_bits
-    report.objective_trace = run_rep.objective_trace
-    report.iterations = run_rep.iterations
-    report.converged = run_rep.converged
-    report.extras = {**run_rep.extras, "mode": algorithm, "eval_channels": world}
-    return design, report
+    """(design, report) of any algorithm from its design run: the run's
+    report with the true-model metrics of its world (hd's rates halved)."""
+    metrics = evaluate_design(design, world, config)
+    return design, dataclasses.replace(
+        run_rep, mse=metrics.mse, power=metrics.power,
+        rate_bits=0.5 * metrics.rate_bits if algorithm == "hd" else metrics.rate_bits,
+        extras={**run_rep.extras, "mode": algorithm, "eval_channels": world})
 
 
 def run_baseline(mode: str, channels: ChannelRealization, config: SystemConfig,

@@ -78,6 +78,8 @@ def _cmd_validate_model(args) -> int:
     from .distortion import simulate_blocks
     from .model import SystemConfig, covariance_stacks
 
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     config = SystemConfig.from_scalars(kappa=10 ** -2)
     channels = draw_channels(config, ChannelStats(csi_radius=0.0), args.seed)
     design, report = run_altqcp(channels, config, SolverOptions(max_iters=25))

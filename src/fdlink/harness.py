@@ -107,10 +107,14 @@ class ExperimentSpec:
             raise ConfigError("antennas sizes nothing when tx_antennas and rx_antennas are set")
         if not self.sweep_values:
             raise ConfigError("sweep needs at least one value")
-        for alg in self.algorithms:
+        if not self.algorithms:
+            raise ConfigError("a spec needs at least one algorithm")
+        for n, alg in enumerate(self.algorithms):
             if alg not in KNOWN_ALGORITHMS:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; expected one of {KNOWN_ALGORITHMS}")
+            if alg in self.algorithms[:n]:
+                raise ConfigError(f"algorithm {alg!r} appears more than once")
         if self.baseline_designer not in DESIGNERS:
             raise ConfigError(f"baseline_designer must be one of {DESIGNERS}")
         with _spec_values():

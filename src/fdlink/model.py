@@ -162,9 +162,11 @@ class TransceiverDesign:
 
 @dataclass
 class PerformanceReport:
-    mse: np.ndarray                 # (2, K), unweighted tr(E)
-    rate_bits: np.ndarray           # (2, K)
-    power: np.ndarray               # (2,)
+    """A design run's record; a run's own report leaves the metrics None
+    until it is evaluated (evaluate_design, baselines.evaluate_run)."""
+    mse: np.ndarray = None          # (2, K), unweighted tr(E)
+    rate_bits: np.ndarray = None    # (2, K)
+    power: np.ndarray = None        # (2,)
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
@@ -351,18 +353,6 @@ def weighted_rate(precoders, sigmas, g, config: SystemConfig):
                for i in DIRECTIONS)
 
 
-def design_report(precoders, decoders, g, sigmas, config: SystemConfig) -> PerformanceReport:
-    """Per-(i, k) unweighted MSE tr(E) with the given decoders, MMSE-receiver
-    rates, and the distortion-aware power of each direction, on channels g
-    with their covariances sigmas."""
-    errors = mse_stacks(precoders, decoders, g, sigmas)
-    mse = np.array([np.trace(errors[i], axis1=1, axis2=2).real for i in DIRECTIONS])
-    rate_bits = np.array([rate(precoders[i], sigmas[i], g[(i, i)]) for i in DIRECTIONS])
-    power = np.array([power_usage(precoders[i], config.tx_distortion[i])
-                      for i in DIRECTIONS])
-    return PerformanceReport(mse=mse, rate_bits=rate_bits, power=power)
-
-
 def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
                     config: SystemConfig) -> PerformanceReport:
     """True-model evaluation: actual channels, actual distortion profile, SIC
@@ -371,6 +361,10 @@ def evaluate_design(design: TransceiverDesign, channels: ChannelRealization,
     MSE uses the design's own decoders (identity weights); rates assume the
     desired-link receiver can realize the MMSE front end for the true channel.
     """
-    sigmas = covariance_stacks(design.precoders, channels.h, config,
-                               _sic_residual(channels.h, channels.h_est))
-    return design_report(design.precoders, design.decoders, channels.h, sigmas, config)
+    v, h = design.precoders, channels.h
+    sigmas = covariance_stacks(v, h, config, _sic_residual(h, channels.h_est))
+    errors = mse_stacks(v, design.decoders, h, sigmas)
+    return PerformanceReport(
+        mse=np.array([np.trace(e, axis1=1, axis2=2).real for e in errors]),
+        rate_bits=np.array([rate(v[i], sigmas[i], h[(i, i)]) for i in DIRECTIONS]),
+        power=np.array([power_usage(v[i], config.tx_distortion[i]) for i in DIRECTIONS]))

@@ -180,7 +180,8 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
     hypothesis, until the worst case is within CUT_REL_TOL of the design
     objective (or MAX_CUTS designs have been made). The first design is
     run_altqcp's on the estimate; first_cut, a (design, report) of that run
-    made elsewhere, stands in for it and is left unchanged."""
+    made elsewhere, stands in for it and is left unchanged. Returns (design,
+    run report, the cuts in extras); evaluate_design gives the metrics."""
     options = options or SolverOptions()
     scenarios = [channels.h_est]
     history = []

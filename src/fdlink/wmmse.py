@@ -41,7 +41,8 @@ def surrogate_objective(design: TransceiverDesign, channels: ChannelRealization,
 
 def run_wmmse(channels: ChannelRealization, config: SystemConfig,
               options: SolverOptions = None):
-    """Weighted sum-rate design on the estimated channels.
+    """Weighted sum-rate design on the estimated channels; returns (design,
+    run report), whose metrics evaluate_design gives.
 
     objective_trace holds the surrogate (natural log); rate_trace holds the
     design-model weighted sum rate in bits per channel use.

@@ -9,7 +9,8 @@ import pytest
 from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
                     run_baseline)
 from fdlink.altqcp import DesignProblem, SolverOptions, fleet_key, run_altqcp_scenarios
-from fdlink.baselines import BASELINE_MODES, DESIGNERS, design_problem, half_duplex_world
+from fdlink.baselines import (BASELINE_MODES, DESIGNERS, design_problem, evaluate_run,
+                              half_duplex_world)
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS
 from fdlink.util import parse_level
@@ -216,3 +217,23 @@ def test_baseline_is_one_driver_call(mode, designer, default_config,
     for name in ("precoders", "decoders", "mse_weights"):
         for got, want in zip(getattr(design, name), getattr(direct, name)):
             assert np.array_equal(got, want)
+
+
+def test_run_reports_are_not_evaluated(monkeypatch, default_config, default_channels):
+    # a driver run reports what it ran: a fleet without the weight block
+    # computes no rate, and evaluate_run adds the true-model metrics to the
+    # run's own report, its rate trace included
+    from fdlink import model
+    calls = []
+    rate = model.rate
+    monkeypatch.setattr(model, "rate", lambda *args: calls.append(1) or rate(*args))
+    problems = [design_problem(alg, default_channels, default_config)[0]
+                for alg in ("altqcp", "kappa0", "hd")]
+    _, reports = run_altqcp_scenarios(problems, SolverOptions(max_iters=20))
+    assert calls == []
+    assert all(r.mse is None and r.rate_bits is None and r.power is None for r in reports)
+    problem, world = design_problem("kappa0", default_channels, default_config, "wmmse")
+    (design,), (run_rep,) = run_altqcp_scenarios([problem], SolverOptions(max_iters=20))
+    _, report = evaluate_run("kappa0", design, run_rep, world, default_config)
+    assert report.rate_trace == run_rep.rate_trace and len(report.rate_trace) > 0
+    assert np.array_equal(report.mse, evaluate_design(design, world, default_config).mse)

@@ -15,7 +15,7 @@ from fdlink import (ChannelStats, ConfigError, SystemConfig, distortion,
 from fdlink.cli import main
 from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
                             emit_plot_data, read_results_csv, results_to_csv_text,
-                            run_experiment, summarize, write_results_csv)
+                            run_experiment, run_trial, summarize, write_results_csv)
 from fdlink.model import PAIRS, identity_weights
 from fdlink.util import as_count
 
@@ -65,6 +65,8 @@ MALFORMED_SPECS = {
     "bool_sweep_value": dict(TINY_SPEC, sweep={"param": "kappa_db", "values": [True]}),
     "duplicate_sweep_value": dict(TINY_SPEC, sweep={"param": "kappa_db",
                                                     "values": [-30, -30.0]}),
+    "no_algorithms": dict(TINY_SPEC, algorithms=[]),
+    "duplicate_algorithm": dict(TINY_SPEC, algorithms=["altqcp", "kappa0", "altqcp"]),
     "M_sweep_per_direction_antennas": dict(
         TINY_SPEC, config=dict(TINY_SPEC["config"], tx_antennas=[2, 3], rx_antennas=[3, 2]),
         sweep={"param": "M", "values": [2, 4]}),
@@ -112,15 +114,19 @@ def test_spec_rejects_garbage():
     # the config itself holds the whole-number rule for its counts
     with pytest.raises(ConfigError):
         dataclasses.replace(SystemConfig.from_scalars(), streams=(1.5, 1))
-    # JSON true/false would pass as the numbers 1/0, and a repeated sweep
-    # value would run its cells twice: the error names the key or the value,
-    # and library callers meet the same rules
+    # JSON true/false would pass as the numbers 1/0, a repeated sweep value
+    # or algorithm would run its cells twice and no algorithm none: the error
+    # names the key or the value, and library callers meet the same rules
     with pytest.raises(ConfigError, match=r"config\.max_iters"):
         ExperimentSpec.from_json(MALFORMED_SPECS["bool_max_iters"])
     with pytest.raises(ConfigError, match=r"sweep\.values\[0\]"):
         ExperimentSpec.from_json(MALFORMED_SPECS["bool_sweep_value"])
     with pytest.raises(ConfigError, match="-30.0"):
         ExperimentSpec.from_json(MALFORMED_SPECS["duplicate_sweep_value"])
+    with pytest.raises(ConfigError, match="'altqcp' appears more than once"):
+        ExperimentSpec.from_json(MALFORMED_SPECS["duplicate_algorithm"])
+    with pytest.raises(ConfigError, match="at least one algorithm"):
+        ExperimentSpec.from_json(MALFORMED_SPECS["no_algorithms"])
     for bad in ({"n_trials": True}, {"seed": False}, {"sweep_values": (1, 1.0)},
                 {"sweep_values": (True,)}, {"config": {"kappa": True}},
                 {"config": {"p_max": True}}, {"config": {"rate_weights": [True, 1.0]}},
@@ -331,27 +337,33 @@ def test_cell_makes_one_fleet_call(monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failing_fleet_names_the_first_failing_algorithm(tmp_path, capsys, jobs):
-    # without noise the distortion-blind designs (kappa0, pth_*) meet a
-    # singular covariance and raise, and so does the fleet holding them; its
-    # members are then rerun one at a time, so the message names the
-    # algorithm a run of each alone, in spec order, names first
-    from fdlink import DualSearchError, run_altqcp, run_baseline
+    # without noise, the weight block of a distortion-blind design (kappa0,
+    # pth_*) meets an all-zero covariance in its rate and raises, and so does
+    # the one wmmse-designer fleet holding them; its members are then rerun
+    # one at a time, so the message names the algorithm a run of each alone,
+    # in spec order, names first
+    from fdlink import DualSearchError
+    from fdlink.altqcp import fleet_key, run_altqcp_scenarios
+    from fdlink.baselines import design_problem, evaluate_run
     from fdlink.channels import draw_channels, perturb_csi
     spec = {"config": {"subcarriers": 4, "antennas": 2, "streams": 1, "noise_var": 0},
             "sweep": {"param": "pmax", "values": [1.0]},
-            "algorithms": ["altqcp", "hd", "kappa0", "pth_high"],
-            "n_trials": 2, "seed": 7}
+            "algorithms": ["wmmse", "hd", "kappa0", "pth_high"],
+            "n_trials": 2, "seed": 7, "baseline_designer": "wmmse"}
     parsed = ExperimentSpec.from_json(spec)
     config, options = parsed.config_for(1.0), parsed.solver_options()
     true = draw_channels(config, parsed.channel_stats(1.0), [7, 11, 0])
     _, channels = perturb_csi(true, config, [7, 23, 0], mode="interior")
+    problems = {alg: design_problem(alg, channels, config, "wmmse")
+                for alg in parsed.algorithms}
+    assert len({fleet_key(problem) for problem, _ in problems.values()}) == 1
+    with pytest.raises(np.linalg.LinAlgError):
+        run_altqcp_scenarios([problem for problem, _ in problems.values()], options)
     failed = []
-    for alg in parsed.algorithms:
+    for alg, (problem, world) in problems.items():
         try:
-            if alg == "altqcp":
-                run_altqcp(channels, config, options)
-            else:
-                run_baseline(alg, channels, config, options)
+            (design,), (run_rep,) = run_altqcp_scenarios([problem], options)
+            evaluate_run(alg, design, run_rep, world, config)
         except (DualSearchError, np.linalg.LinAlgError):
             failed.append(alg)
     assert failed[0] == "kappa0"
@@ -369,6 +381,20 @@ def _assert_rejected_before_output(tmp_path, capsys, spec, jobs="1"):
                  "--jobs", jobs]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_blind_designs_return_without_noise():
+    # noise_var 0 on the default link: the distortion-blind designs see an
+    # all-zero design-view covariance, which their design runs never invert;
+    # their rows come from the true model, whose distortion keeps it regular
+    spec = ExperimentSpec.from_json(
+        {"config": {"subcarriers": 4, "antennas": 2, "streams": 1, "noise_var": 0},
+         "sweep": {"param": "pmax", "values": [1.0]},
+         "algorithms": ["kappa0", "pth_high", "pth_low"], "n_trials": 2, "seed": 7})
+    for trial in range(spec.n_trials):
+        rows, _ = run_trial(spec, 1.0, trial)
+        assert {row["algorithm"] for row in rows} == set(spec.algorithms)
+        assert all(np.isfinite(row["value"]) for row in rows)
 
 
 def test_negative_csi_radius_exits_2(tmp_path, capsys):
@@ -585,6 +611,12 @@ def test_module_entry_point_runs_cli():
                           env=env, timeout=120)
     assert proc.returncode == 2
     assert "n_blocks must be at least 1" in proc.stderr
+
+
+def test_cli_validate_model_rejects_negative_seed(capsys):
+    # as run --seed -1 does: exit 2 with a one-line error, not a traceback
+    assert main(["validate-model", "--seed", "-1", "--blocks", "200"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_validate_model_rejects_empty_and_nan(monkeypatch):
