@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DIRECTIONS, ChannelRealization, SystemConfig, TransceiverDesign
-from .util import ConfigError, crandn, rng_from
+from .util import ConfigError, as_count, rng_from
 
 
 def time_to_freq(x: np.ndarray) -> np.ndarray:
@@ -49,8 +49,8 @@ _MAX_BATCH, _BATCH_BYTES = 20000, 256 * 2 ** 20
 def _batch_blocks(config: SystemConfig) -> int:
     """Blocks per batch: at most _MAX_BATCH, and at most _BATCH_BYTES at 16 bytes
     per block for each symbol, 4 per transmit chain and 6 per receive chain, an
-    upper bound: a batch peaks at about half of it. The split fixes the draw
-    order, so a new split moves every run's draws."""
+    upper bound: a batch peaks at 0.29 of it. The split fixes the draw order,
+    so a new split moves every run's draws."""
     per_block = 16 * config.subcarriers * sum(
         config.streams[i] + 4 * config.tx_antennas[i] + 6 * config.rx_antennas[i]
         for i in DIRECTIONS)
@@ -58,9 +58,14 @@ def _batch_blocks(config: SystemConfig) -> int:
 
 
 def _draw(rng: np.random.Generator, n: int, k: int, chains: int, var=1.0):
-    """crandn draws of shape (n, K, chains), stored subcarrier-major as
-    (K, n, chains) so that each subcarrier's n blocks form one matrix."""
-    return np.ascontiguousarray(crandn(rng, (n, k, chains), var).swapaxes(0, 1))
+    """crandn draws of shape (n, K, chains), written through a transposed view
+    into a (K, n, chains) buffer: each subcarrier's n blocks form one matrix."""
+    out = np.empty((k, n, chains), dtype=complex)
+    view = out.swapaxes(0, 1)
+    view.real = rng.standard_normal((n, k, chains))
+    view.imag = rng.standard_normal((n, k, chains))
+    view *= np.sqrt(np.asarray(var, dtype=float) / 2.0)
+    return out
 
 
 def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,67 +79,62 @@ def _gram(x: np.ndarray) -> np.ndarray:
 
 
 def _simulate_batch(design: TransceiverDesign, channels: ChannelRealization,
-                    config: SystemConfig, n: int, rng: np.random.Generator):
-    """Simulate n blocks at once; returns per direction the (K, n, chains)
-    precoded symbols, frequency-domain transmit distortion and post-SIC
-    residual. Draw order: per direction the symbols, then the transmit
-    distortion; then per direction the noise, then the receive distortion."""
-    k = config.subcarriers
-    v = design.precoders
-    symbols, v_freq, et_freq, residual = [], [], [], []
+                    config: SystemConfig, n: int, rng: np.random.Generator, sums):
+    """Simulate n blocks and add each statistic to sums, simulate_blocks'
+    per-direction (nu, ee, ev, v2), once its inputs exist: a batch keeps the
+    (K, n, chains) symbols and x_freq per direction, one residual and one draw.
+    Draw order: per direction the symbols, then the transmit distortion; then
+    per direction the noise, then the receive distortion."""
+    k, v = config.subcarriers, design.precoders
+    nu, ee, ev, v2 = sums
+    symbols, x_freq = [], []
 
     # transmit side: white in time, so E|e_t(t)|^2 is the flat per-subcarrier variance
     tx_var = [freq_distortion_variance(v[j], config.tx_distortion[j]) for j in DIRECTIONS]
     for j in DIRECTIONS:
         symbols.append(_draw(rng, n, k, v[j].shape[2]))
-        v_freq.append(_apply(v[j], symbols[j]))
-        et_freq.append(time_to_freq(_draw(rng, n, k, v[j].shape[1], tx_var[j])))
-    # the DFT is linear, so x_freq = DFT(v_time + et_time) = v_freq + et_freq
-    x_freq = [v_freq[j] + et_freq[j] for j in DIRECTIONS]
+        vf = _apply(v[j], symbols[j])
+        et = time_to_freq(_draw(rng, n, k, v[j].shape[1], tx_var[j]))
+        ee[j] += _gram(et)
+        ev[j] += np.einsum("kbn,kbn->kn", et, vf.conj())
+        v2[j] += np.einsum("kbn,kbn->kn", vf, vf.conj()).real
+        # the DFT is linear, so x_freq = DFT(v_time + et_time) = v_freq + et_freq
+        x_freq.append(np.add(vf, et, out=et))
+        del vf
 
     # receive side: the received signal builds up in place, starting from the noise
     for i in DIRECTIONS:
         m_i = config.rx_antennas[i]
         y = _draw(rng, n, k, m_i, config.noise_var[i][None, :, None])
         received_power = config.noise_var[i].sum() * np.ones(m_i)  # sum_k E|u^k|^2 per chain
-        hv = []
+        hv = [channels.h[(i, j)] @ v[j] for j in DIRECTIONS]
         for j in DIRECTIONS:
             h = channels.h[(i, j)]
             y += _apply(h, x_freq[j])
-            hv.append(h @ v[j])
             received_power += np.einsum("kmd,kmd->m", hv[j], hv[j].conj()).real
             received_power += np.einsum("kmn,n,kmn->m", h, tx_var[j], h.conj()).real
         # beta_l E|u_l(t)|^2 = (K rx_distortion_l) (1/K) sum_k E|u_l^k|^2
         y += time_to_freq(_draw(rng, n, k, m_i, config.rx_distortion[i] * received_power))
-
         # SIC with the estimated loopback channel, then strip the desired signal
         j = 1 - i
         y -= _apply(channels.h_est[(i, j)] @ v[j], symbols[j])
         y -= _apply(hv[i], symbols[i])
-        residual.append(y)
-    return v_freq, et_freq, residual
+        nu[i] += _gram(y)
 
 
 def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
                     config: SystemConfig, n_blocks: int, seed) -> SimulationStats:
     """Monte Carlo over n_blocks OFDM blocks; accumulates sample covariances of
     the post-SIC residual and the per-chain distortion statistics."""
-    n_blocks = int(n_blocks)
+    n_blocks = as_count(n_blocks, "n_blocks")
     if n_blocks < 1:
         raise ConfigError(f"n_blocks must be at least 1, got {n_blocks}")
     rng = rng_from(seed)
     # per-direction sums over the blocks; the first batch sets their shapes
-    nu_acc, ee, ev, v2 = ([0.0, 0.0] for _ in range(4))
-
+    sums = nu_acc, ee, ev, v2 = tuple([0.0, 0.0] for _ in range(4))
     step = _batch_blocks(config)
     for start in range(0, n_blocks, step):
-        v_freq, et_freq, residual = _simulate_batch(
-            design, channels, config, min(step, n_blocks - start), rng)
-        for i, (vf, et) in enumerate(zip(v_freq, et_freq)):
-            nu_acc[i] += _gram(residual[i])
-            ee[i] += _gram(et)
-            ev[i] += np.einsum("kbn,kbn->kn", et, vf.conj())
-            v2[i] += np.einsum("kbn,kbn->kn", vf, vf.conj()).real
+        _simulate_batch(design, channels, config, min(step, n_blocks - start), rng, sums)
 
     et2 = [np.einsum("knn->kn", acc).real for acc in ee]   # the Gram diagonal
     stats = SimulationStats(n_blocks=n_blocks, nu_cov=[acc / n_blocks for acc in nu_acc],

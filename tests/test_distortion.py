@@ -12,8 +12,9 @@ from fdlink import (ChannelStats, ConfigError, SystemConfig, TransceiverDesign,
                     aggregate_covariance, distortion, draw_channels,
                     freq_distortion_variance, perturb_csi, run_altqcp,
                     simulate_blocks)
-from fdlink.distortion import time_to_freq
+from fdlink.distortion import SimulationStats, time_to_freq
 from fdlink.model import DIRECTIONS, _sic_residual, covariance_stacks
+from fdlink.util import crandn
 
 # the bytes _batch_blocks counts per block at K=4, 2x2 and one stream: 16 per
 # symbol, 4 per transmit chain and 6 per receive chain, in each direction
@@ -203,7 +204,7 @@ def _reference_block(design, channels, config, seed):
     return residual
 
 
-def test_block_simulation_matches_per_block_reference():
+def test_block_simulation_matches_per_block_reference(monkeypatch):
     # asymmetric antennas, per-chain coefficients, per-subcarrier noise and
     # an estimation error on every channel
     base = SystemConfig.from_scalars(subcarriers=4, tx_antennas=(3, 2),
@@ -218,9 +219,19 @@ def test_block_simulation_matches_per_block_reference():
     design = _random_design(np.random.default_rng(23), config)
     expected = _reference_block(design, channels, config, 24)
 
-    _, _, residual = distortion._simulate_batch(design, channels, config, 1,
-                                                np.random.default_rng(24))
+    # a batch hands _gram each direction's transmit distortion, then each
+    # direction's post-SIC residual, which it drops after
+    grams = []
+    inner = distortion._gram
+
+    def recorded(x):
+        grams.append(x.copy())
+        return inner(x)
+
+    monkeypatch.setattr(distortion, "_gram", recorded)
     stats = simulate_blocks(design, channels, config, 1, 24)
+    assert len(grams) == 4
+    residual = grams[2:]
     for i in DIRECTIONS:
         scale = np.max(np.abs(expected[i]))
         assert np.max(np.abs(residual[i][:, 0] - expected[i])) <= 1e-12 * scale
@@ -234,6 +245,110 @@ def test_simulate_blocks_rejects_empty_run(perfect_csi_config, perfect_channels,
     design, _ = run_altqcp(perfect_channels, perfect_csi_config)
     with pytest.raises(ConfigError):
         simulate_blocks(design, perfect_channels, perfect_csi_config, n_blocks, 0)
+
+
+@pytest.mark.parametrize("n_blocks", [2.5, True])
+def test_simulate_blocks_rejects_non_whole_count(perfect_csi_config,
+                                                 perfect_channels, n_blocks):
+    design = _random_design(np.random.default_rng(0), perfect_csi_config)
+    with pytest.raises(ConfigError, match="whole number"):
+        simulate_blocks(design, perfect_channels, perfect_csi_config, n_blocks, 0)
+    stats = simulate_blocks(design, perfect_channels, perfect_csi_config,
+                            np.int64(4), 0)
+    assert stats.n_blocks == 4
+
+
+def _materialized_batch(design, channels, config, n, rng):
+    """One batch the way a simulator that keeps every signal runs it, with the
+    same draws: crandn (n, K, chains) draws copied to (K, n, chains), and per
+    direction the precoded symbols, the transmit distortion, the transmitted
+    signal and the post-SIC residual all held at once."""
+    k, v = config.subcarriers, design.precoders
+
+    def draw(chains, var=1.0):
+        return np.ascontiguousarray(crandn(rng, (n, k, chains), var).swapaxes(0, 1))
+
+    def apply(a, x):
+        return np.matmul(x, a.swapaxes(1, 2))
+
+    tx_var = [freq_distortion_variance(v[j], config.tx_distortion[j]) for j in DIRECTIONS]
+    symbols, v_freq, et_freq = [], [], []
+    for j in DIRECTIONS:
+        symbols.append(draw(v[j].shape[2]))
+        v_freq.append(apply(v[j], symbols[j]))
+        et_freq.append(time_to_freq(draw(v[j].shape[1], tx_var[j])))
+    x_freq = [v_freq[j] + et_freq[j] for j in DIRECTIONS]
+    residual = []
+    for i in DIRECTIONS:
+        m_i = config.rx_antennas[i]
+        y = draw(m_i, config.noise_var[i][None, :, None])
+        power = config.noise_var[i].sum() * np.ones(m_i)
+        hv = []
+        for j in DIRECTIONS:
+            h = channels.h[(i, j)]
+            y += apply(h, x_freq[j])
+            hv.append(h @ v[j])
+            power += np.einsum("kmd,kmd->m", hv[j], hv[j].conj()).real
+            power += np.einsum("kmn,n,kmn->m", h, tx_var[j], h.conj()).real
+        y += time_to_freq(draw(m_i, config.rx_distortion[i] * power))
+        y -= apply(channels.h_est[(i, 1 - i)] @ v[1 - i], symbols[1 - i])
+        y -= apply(hv[i], symbols[i])
+        residual.append(y)
+    return v_freq, et_freq, residual
+
+
+def _materialized_stats(design, channels, config, split, seed):
+    """SimulationStats from materialized batches of the given sizes, each
+    summed only after the whole batch exists."""
+    rng = np.random.default_rng(seed)
+    nu, ee, ev, v2 = ([0.0, 0.0] for _ in range(4))
+    for n in split:
+        v_freq, et_freq, residual = _materialized_batch(design, channels, config, n, rng)
+        for i in DIRECTIONS:
+            nu[i] += distortion._gram(residual[i])
+            ee[i] += distortion._gram(et_freq[i])
+            ev[i] += np.einsum("kbn,kbn->kn", et_freq[i], v_freq[i].conj())
+            v2[i] += np.einsum("kbn,kbn->kn", v_freq[i], v_freq[i].conj()).real
+    n_blocks = sum(split)
+    et2 = [np.einsum("knn->kn", acc).real for acc in ee]
+    stats = SimulationStats(n_blocks, [acc / n_blocks for acc in nu],
+                            [acc / n_blocks for acc in et2], [], [])
+    for i in DIRECTIONS:
+        denom = np.sqrt(et2[i] * np.maximum(v2[i], 1e-300))
+        stats.et_signal_corr.append(np.abs(ev[i]) / np.maximum(denom, 1e-300))
+        d = np.sqrt(et2[i])
+        corr = np.abs(ee[i]) / np.maximum(d[:, :, None] * d[:, None, :], 1e-300)
+        corr[:, np.eye(corr.shape[1], dtype=bool)] = 0.0
+        stats.et_chain_corr.append(corr.reshape(len(corr), -1).max(axis=1))
+    return stats
+
+
+@pytest.mark.parametrize("case", ["default_k4", "asymmetric_k3_csi_error",
+                                  "split_3_3_1"])
+def test_simulation_is_bit_identical_to_materialized_batches(case, monkeypatch):
+    # folding each statistic in as soon as its inputs exist keeps every draw,
+    # every operation and so every output bit of a batch that holds them all
+    if case == "asymmetric_k3_csi_error":
+        config = SystemConfig.from_scalars(subcarriers=3, tx_antennas=(3, 2),
+                                           rx_antennas=(2, 4), streams=(2, 1),
+                                           kappa=1e-2)
+        true = draw_channels(config, ChannelStats(csi_radius=0.1), [51, 0])
+        _, channels = perturb_csi(true, config, [51, 1], "boundary")
+        split = [777]
+    else:
+        config = SystemConfig.from_scalars()
+        channels = draw_channels(config, ChannelStats(csi_radius=0.0), 51)
+        split = [2_000]
+    if case == "split_3_3_1":
+        monkeypatch.setattr(distortion, "_BATCH_BYTES", 3 * _PER_BLOCK_K4 + 1)
+        split = [3, 3, 1]
+    design = _random_design(np.random.default_rng(52), config)
+    stats = simulate_blocks(design, channels, config, sum(split), 53)
+    expected = _materialized_stats(design, channels, config, split, 53)
+    assert stats.n_blocks == expected.n_blocks
+    for field in ("nu_cov", "et_var", "et_signal_corr", "et_chain_corr"):
+        for got, want in zip(getattr(stats, field), getattr(expected, field)):
+            assert np.array_equal(got, want), field
 
 
 def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
@@ -254,9 +369,9 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
     sizes = []
     inner = distortion._simulate_batch
 
-    def counted(design, channels, config, n, rng):
+    def counted(design, channels, config, n, rng, sums):
         sizes.append(n)
-        return inner(design, channels, config, n, rng)
+        return inner(design, channels, config, n, rng, sums)
 
     monkeypatch.setattr(distortion, "_simulate_batch", counted)
     for n_blocks, split in ((3, [3]), (7, [3, 3, 1])):
@@ -265,7 +380,8 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
         assert sizes == split
         # the batches draw one after another from one generator
         rng = np.random.default_rng(41)
-        batches = [inner(design, channels, config, n, rng) for n in split]
+        batches = [_materialized_batch(design, channels, config, n, rng)
+                   for n in split]
         for i in DIRECTIONS:
             gram = sum(distortion._gram(residual[i]) for _, _, residual in batches)
             assert np.array_equal(stats.nu_cov[i], gram / n_blocks)
@@ -274,18 +390,28 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
 def test_batch_peak_memory_is_half_the_byte_count(perfect_csi_config,
                                                   perfect_channels):
     # the byte count of _batch_blocks bounds a batch from above. In units of
-    # one chain's 16 * K bytes, the count is 42 per block here; a batch holds
-    # the symbols, v_freq, et_freq and x_freq of both directions and the two
-    # residuals (18), and at its peak a receive draw and its copies (4 more),
-    # so 22/42 = 0.52. The 0.6 bound leaves room for one more receive-chain
-    # temporary; a batch that kept every signal it computed read 1.05.
-    config, channels = perfect_csi_config, perfect_channels
-    design, _ = run_altqcp(channels, config)
+    # one chain's 16 * K bytes, the count is 42 per block at K=4 with 2x2
+    # antennas and one stream, and 84 at K=64 with 4x4 and two streams. A
+    # batch folds each statistic in as soon as its inputs exist, so it keeps
+    # the symbols and x_freq of both directions (6 and 12); at its peak a
+    # receive direction adds its residual, the receive distortion draw and
+    # that draw's DFT (6 and 12), so 12/42 = 24/84 = 0.29. The 0.4 bound
+    # leaves room for one more residual-sized temporary; a batch that kept
+    # v_freq, et_freq and both residuals read 0.52, and one that kept every
+    # signal it computed read 1.05.
+    big = SystemConfig.from_scalars(subcarriers=64, antennas=4, streams=2)
+    cases = ((perfect_csi_config, perfect_channels,
+              run_altqcp(perfect_channels, perfect_csi_config)[0], _PER_BLOCK_K4),
+             (big, draw_channels(big, ChannelStats(csi_radius=0.0), 44),
+              _random_design(np.random.default_rng(45), big),
+              16 * 64 * 2 * (2 + 4 * 4 + 6 * 4)))
     n_blocks = 2_000
-    tracemalloc.start()
-    try:
-        simulate_blocks(design, channels, config, n_blocks, 43)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.6 * n_blocks * _PER_BLOCK_K4
+    for config, channels, design, per_block in cases:
+        assert distortion._batch_blocks(config) >= n_blocks
+        tracemalloc.start()
+        try:
+            simulate_blocks(design, channels, config, n_blocks, 43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.4 * n_blocks * per_block
