@@ -43,18 +43,18 @@ class SimulationStats:
     et_chain_corr: list     # per direction (K,) max |corr| across chain pairs
 
 
-_MAX_BATCH, _BATCH_BYTES = 20000, 256 * 2 ** 20
+_BATCH_BYTES = 16 * 2 ** 20
 
 
 def _batch_blocks(config: SystemConfig) -> int:
-    """Blocks per batch: at most _MAX_BATCH, and at most _BATCH_BYTES at 16 bytes
-    per block for each symbol, 4 per transmit chain and 6 per receive chain, an
-    upper bound: a batch peaks at 0.29 of it. The split fixes the draw order,
-    so a new split moves every run's draws."""
+    """Blocks per batch: _BATCH_BYTES at 16 bytes per block for each symbol, 4
+    per transmit chain and 6 per receive chain, an upper bound: a batch peaks
+    at 0.29 of it. The split fixes the draw order, so a new split moves the
+    draws of every run longer than one batch."""
     per_block = 16 * config.subcarriers * sum(
         config.streams[i] + 4 * config.tx_antennas[i] + 6 * config.rx_antennas[i]
         for i in DIRECTIONS)
-    return max(1, min(_MAX_BATCH, _BATCH_BYTES // per_block))
+    return max(1, _BATCH_BYTES // per_block)
 
 
 def _draw(rng: np.random.Generator, n: int, k: int, chains: int, var=1.0):
@@ -124,8 +124,8 @@ def _simulate_batch(design: TransceiverDesign, channels: ChannelRealization,
 
 def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
                     config: SystemConfig, n_blocks: int, seed) -> SimulationStats:
-    """Monte Carlo over n_blocks OFDM blocks; accumulates sample covariances of
-    the post-SIC residual and the per-chain distortion statistics."""
+    """Monte Carlo over n_blocks OFDM blocks in batches, so memory does not grow
+    with n_blocks; sums the residual covariances and distortion statistics."""
     n_blocks = as_count(n_blocks, "n_blocks")
     if n_blocks < 1:
         raise ConfigError(f"n_blocks must be at least 1, got {n_blocks}")

@@ -19,7 +19,6 @@ import inspect
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -333,6 +332,8 @@ def run_experiment(spec: ExperimentSpec, processes: int = 1):
     columns = ([spec] * len(values), values, trials)   # run_trial's arguments
     workers = min(processes, len(values))
     if workers > 1:
+        # imported here, so that importing fdlink does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(run_trial, *columns))
     else:

@@ -17,8 +17,14 @@ from fdlink.model import DIRECTIONS, _sic_residual, covariance_stacks
 from fdlink.util import crandn
 
 # the bytes _batch_blocks counts per block at K=4, 2x2 and one stream: 16 per
-# symbol, 4 per transmit chain and 6 per receive chain, in each direction
+# symbol, 4 per transmit chain and 6 per receive chain, in each direction;
+# and at K=64, 4x4 and two streams
 _PER_BLOCK_K4 = 16 * 4 * 2 * (1 + 4 * 2 + 6 * 2)
+_PER_BLOCK_K64 = 16 * 64 * 2 * (2 + 4 * 4 + 6 * 4)
+
+
+def _k64_config():
+    return SystemConfig.from_scalars(subcarriers=64, antennas=4, streams=2)
 
 
 def _random_design(rng, config):
@@ -324,11 +330,16 @@ def _materialized_stats(design, channels, config, split, seed):
 
 
 @pytest.mark.parametrize("case", ["default_k4", "asymmetric_k3_csi_error",
-                                  "split_3_3_1"])
+                                  "split_3_3_1", "k64_multi_batch"])
 def test_simulation_is_bit_identical_to_materialized_batches(case, monkeypatch):
     # folding each statistic in as soon as its inputs exist keeps every draw,
-    # every operation and so every output bit of a batch that holds them all
-    if case == "asymmetric_k3_csi_error":
+    # every operation and so every output bit of a batch that holds them all,
+    # and the fold carries across batches at the default budget
+    if case == "k64_multi_batch":
+        config = _k64_config()
+        channels = draw_channels(config, ChannelStats(csi_radius=0.0), 51)
+        split = [195] * 10 + [50]
+    elif case == "asymmetric_k3_csi_error":
         config = SystemConfig.from_scalars(subcarriers=3, tx_antennas=(3, 2),
                                            rx_antennas=(2, 4), streams=(2, 1),
                                            kappa=1e-2)
@@ -355,11 +366,10 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
                                      monkeypatch):
     config, channels = perfect_csi_config, perfect_channels
     design, _ = run_altqcp(channels, config)
-    # the default budget keeps K=4 runs at 20,000-block batches and 2,000
-    # K=64, M=N=4 blocks in one batch, so their draws do not move
-    assert distortion._batch_blocks(config) == 20_000
-    big = SystemConfig.from_scalars(subcarriers=64, antennas=4, streams=2)
-    assert 2_000 <= distortion._batch_blocks(big) < 20_000
+    # the default 16 MiB budget: 6,241 blocks per batch at K=4 and 195 at
+    # K=64 with M=N=4 and two streams, so 2,000 K=64 blocks are 10 x 195 + 50
+    assert distortion._batch_blocks(config) == 6_241
+    assert distortion._batch_blocks(_k64_config()) == 195
     per_block = _PER_BLOCK_K4
     monkeypatch.setattr(distortion, "_BATCH_BYTES", per_block - 1)
     assert distortion._batch_blocks(config) == 1
@@ -398,20 +408,27 @@ def test_batch_peak_memory_is_half_the_byte_count(perfect_csi_config,
     # that draw's DFT (6 and 12), so 12/42 = 24/84 = 0.29. The 0.4 bound
     # leaves room for one more residual-sized temporary; a batch that kept
     # v_freq, et_freq and both residuals read 0.52, and one that kept every
-    # signal it computed read 1.05.
-    big = SystemConfig.from_scalars(subcarriers=64, antennas=4, streams=2)
+    # signal it computed read 1.05. Batches run one after another, so the
+    # peak is that of the largest batch, whatever n_blocks.
+    big = _k64_config()
+    assert distortion._batch_blocks(big) < 2_000      # both K=64 runs span batches
     cases = ((perfect_csi_config, perfect_channels,
-              run_altqcp(perfect_channels, perfect_csi_config)[0], _PER_BLOCK_K4),
+              run_altqcp(perfect_channels, perfect_csi_config)[0], _PER_BLOCK_K4,
+              (2_000,)),
              (big, draw_channels(big, ChannelStats(csi_radius=0.0), 44),
-              _random_design(np.random.default_rng(45), big),
-              16 * 64 * 2 * (2 + 4 * 4 + 6 * 4)))
-    n_blocks = 2_000
-    for config, channels, design, per_block in cases:
-        assert distortion._batch_blocks(config) >= n_blocks
-        tracemalloc.start()
-        try:
-            simulate_blocks(design, channels, config, n_blocks, 43)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.4 * n_blocks * per_block
+              _random_design(np.random.default_rng(45), big), _PER_BLOCK_K64,
+              (2_000, 6_000)))
+    for config, channels, design, per_block, runs in cases:
+        peaks = []
+        for n_blocks in runs:
+            tracemalloc.start()
+            try:
+                simulate_blocks(design, channels, config, n_blocks, 43)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            batch = min(n_blocks, distortion._batch_blocks(config))
+            assert batch * per_block <= distortion._BATCH_BYTES
+            assert peaks[-1] <= 0.4 * batch * per_block
+        # K=64: 2,000 and 6,000 blocks are 11 and 31 batches of at most 195
+        assert max(peaks) <= 1.01 * peaks[0], peaks

@@ -233,11 +233,30 @@ def test_worker_processes_do_not_change_results():
     assert results_to_csv_text(pooled, spec) == results_to_csv_text(serial, spec)
 
 
+def _python(*args):
+    """Runs a fresh interpreter that imports fdlink from this checkout."""
+    import fdlink
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdlink.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a run with more than one worker process loads the process pool
+    proc = _python("-c", "import sys, fdlink, fdlink.cli; "
+                   "print(sorted(m for m in sys.modules if m.startswith("
+                   "('multiprocessing', 'concurrent.futures.process'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Replaces the harness's process pool with one that records its
-    max_workers and runs the cells in this process; returns the record."""
-    import fdlink.harness as harness
+    """Replaces the process pool that run_experiment imports with one that
+    records its max_workers and runs the cells in this process; returns the
+    record."""
+    import concurrent.futures
     made = []
 
     class FakePool:
@@ -253,7 +272,7 @@ def fake_pool(monkeypatch):
         def map(self, fn, *columns):
             return map(fn, *columns)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return made
 
 
@@ -603,12 +622,7 @@ def test_cli_validate_model_smoke():
 
 
 def test_module_entry_point_runs_cli():
-    import fdlink
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fdlink.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "fdlink", "validate-model",
-                           "--blocks", "0"], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = _python("-m", "fdlink", "validate-model", "--blocks", "0")
     assert proc.returncode == 2
     assert "n_blocks must be at least 1" in proc.stderr
 
