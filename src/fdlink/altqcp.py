@@ -20,8 +20,7 @@ driver designs a fleet of problems at once, on one more leading axis.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -323,11 +322,9 @@ def fleet_key(problem: DesignProblem):
 def _fleet_config(configs):
     """configs[0] with each direction's distortion vectors stacked to (B, N),
     one row per member."""
-    fleet = copy.copy(configs[0])
-    for name in ("tx_distortion", "rx_distortion"):
-        object.__setattr__(fleet, name, tuple(np.array([getattr(c, name)[i] for c in configs])
-                                              for i in DIRECTIONS))
-    return fleet
+    return replace(configs[0], **{
+        name: tuple(np.array([getattr(c, name)[i] for c in configs]) for i in DIRECTIONS)
+        for name in ("tx_distortion", "rx_distortion")})
 
 
 def run_altqcp_scenarios(problems, options: SolverOptions):

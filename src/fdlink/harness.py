@@ -5,9 +5,10 @@ A run is: for every sweep value and trial, draw one channel realization
 (shared verbatim by every algorithm in the trial, witnessed by a hash column),
 design with each requested algorithm, evaluate under the true hardware model,
 and append long-format rows. Scalar metrics use iteration -1; convergence
-traces append one row per iteration under metric "objective". Wall-clock
-times go to a separate timings table so the results file stays byte-identical
-across reruns of the same spec and seed.
+traces append one row per iteration that ran under metric "objective", so a
+trace ends at its run's last iteration; summarize extends finished traces for
+per-iteration aggregates. Wall-clock times go to a separate timings table so
+the results file stays byte-identical across reruns of the same spec and seed.
 """
 
 from __future__ import annotations
@@ -290,31 +291,6 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
     return rows, timings
 
 
-def _pad_traces(rows):
-    """Extend every objective trace to its (sweep value, algorithm) group's
-    maximum length by repeating the final value, so per-iteration aggregates
-    average over every trial."""
-    traces = {}
-    for row in rows:
-        if row["metric"] != "objective":
-            continue
-        key = (row["sweep_value"], row["algorithm"], row["trial"])
-        traces.setdefault(key, []).append(row)
-    group_max = {}
-    for (value, alg, _trial), items in traces.items():
-        group_max[(value, alg)] = max(group_max.get((value, alg), 0), len(items))
-    padded = []
-    for (value, alg, trial), items in traces.items():
-        items.sort(key=lambda r: r["iteration"])
-        last = items[-1]
-        for t in range(len(items), group_max[(value, alg)]):
-            filler = dict(last)
-            filler["iteration"] = t
-            padded.append(filler)
-    rows.extend(padded)
-    return rows
-
-
 def _sort_rows(rows):
     rows.sort(key=lambda r: (r["sweep_value"], r["trial"], r["algorithm"],
                              r["metric"], r["iteration"]))
@@ -323,8 +299,8 @@ def _sort_rows(rows):
 
 def run_experiment(spec: ExperimentSpec, processes: int = 1):
     """Execute the whole sweep; returns (result_rows, timing_rows), both in
-    canonical order. processes > 1 distributes (value, trial) cells over at
-    most one worker per cell."""
+    canonical order: the result rows are run_trial's rows, sorted. processes
+    > 1 distributes (value, trial) cells over at most one worker per cell."""
     if processes < 1:
         raise ConfigError(f"need at least one worker process, got {processes}")
     values = [value for value in spec.sweep_values for _ in range(spec.n_trials)]
@@ -338,10 +314,8 @@ def run_experiment(spec: ExperimentSpec, processes: int = 1):
             cells = list(pool.map(run_trial, *columns))
     else:
         cells = list(map(run_trial, *columns))
-    rows = [row for cell_rows, _ in cells for row in cell_rows]
+    rows = _sort_rows([row for cell_rows, _ in cells for row in cell_rows])
     timings = [row for _, cell_timings in cells for row in cell_timings]
-    _pad_traces(rows)
-    _sort_rows(rows)
     timings.sort(key=lambda r: (r["sweep_value"], r["trial"], r["algorithm"]))
     return rows, timings
 
@@ -420,13 +394,32 @@ def read_results_csv(path):
 def summarize(rows, by=("sweep_param", "sweep_value", "algorithm", "metric",
                         "iteration")):
     """Group rows by the named columns and aggregate the value column into
-    mean / std (population) / count / min / max."""
+    mean / std (population) / count / min / max.
+
+    A finished objective trace first counts as holding its final value up to
+    the longest trace of its (sweep value, algorithm) group, so that every
+    per-iteration aggregate counts every trial. Rows already extended this
+    way (an older results file) aggregate the same. The caller's rows are
+    left unchanged."""
     if not rows:
         raise ConfigError("no rows to summarize")
     by = tuple(by)
     for column in by:
         if column not in rows[0]:
             raise ConfigError(f"unknown group-by column {column!r}")
+    # each trace's last row and each group's longest trace; traces run
+    # contiguously from iteration 0
+    last, longest = {}, {}
+    for row in rows:
+        if row["metric"] == "objective":
+            group = (row["sweep_value"], row["algorithm"])
+            trace = (group, row["trial"])
+            last[trace] = max(last.get(trace, row), row, key=lambda r: r["iteration"])
+            longest[group] = max(longest.get(group, 0), row["iteration"] + 1)
+    filler = [dict(row, iteration=t) for (group, _), row in last.items()
+              for t in range(row["iteration"] + 1, longest[group])]
+    # numpy sums a group in row order: the canonical order keeps every bit
+    rows = _sort_rows(list(rows) + filler)
     groups = {}
     for row in rows:
         groups.setdefault(tuple(row[c] for c in by), []).append(row["value"])
@@ -458,7 +451,9 @@ def emit_plot_data(aggregates, figure: str):
 
     Sweep figures give one row per (sweep value, algorithm) with mean/std/count
     of the named metric; "convergence" gives one row per (sweep value,
-    algorithm, iteration) with mean and min of the objective trace."""
+    algorithm, iteration) with mean and min of the objective trace over every
+    trial, a trace that finished earlier holding its final value (summarize's
+    rule)."""
     if figure == "convergence":
         picked = [a for a in aggregates if a.get("metric") == "objective"]
         if not picked:

@@ -46,8 +46,8 @@ class SystemConfig:
     streams: tuple
     p_max: tuple
     noise_var: np.ndarray          # (2, K)
-    tx_distortion: tuple           # per direction: (N_i,) = kappa_l / K
-    rx_distortion: tuple           # per direction: (M_i,) = beta_l / K
+    tx_distortion: tuple           # per direction: (N_i,) = kappa_l / K, or a fleet's (B, N_i)
+    rx_distortion: tuple           # per direction: (M_i,) = beta_l / K, or a fleet's (B, M_i)
     rate_weights: tuple = (1.0, 1.0)
 
     def __post_init__(self):
@@ -75,9 +75,10 @@ class SystemConfig:
             vecs = []
             for i in DIRECTIONS:
                 v = np.asarray(getattr(self, name)[i], dtype=float)
-                if v.shape != (sizes[i],) or not np.all((v >= 0) & (v < np.inf)):
-                    raise ConfigError(
-                        f"{name}[{i}] must be a finite, nonnegative ({sizes[i]},) vector")
+                if (v.ndim not in (1, 2) or v.shape[-1] != sizes[i]
+                        or not np.all((v >= 0) & (v < np.inf))):
+                    raise ConfigError(f"{name}[{i}] must be a finite, nonnegative "
+                                      f"({sizes[i]},) vector or (B, {sizes[i]}) stack")
                 vecs.append(_freeze(v))
             object.__setattr__(self, name, tuple(vecs))
         if not all(0 < w < np.inf for w in self.rate_weights):

@@ -13,7 +13,7 @@ import pytest
 from fdlink import (ChannelStats, ConfigError, SystemConfig, distortion,
                     worst_case_mse)
 from fdlink.cli import main
-from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec,
+from fdlink.harness import (KNOWN_ALGORITHMS, RESULT_COLUMNS, ExperimentSpec, _sort_rows,
                             emit_plot_data, read_results_csv, results_to_csv_text,
                             run_experiment, run_trial, summarize, write_results_csv)
 from fdlink.model import PAIRS, identity_weights
@@ -77,7 +77,10 @@ MALFORMED_SPECS = {
 
 @pytest.fixture(scope="module")
 def tiny_rows():
-    spec = ExperimentSpec.from_json(json.dumps(TINY_SPEC))
+    # 30 iterations, not 15: every run stops at 15, while at 30 runs stop
+    # after 15 to 22, so a group's traces differ in length
+    spec = ExperimentSpec.from_json(json.dumps(
+        dict(TINY_SPEC, config=dict(TINY_SPEC["config"], max_iters=30))))
     rows, timings = run_experiment(spec)
     return spec, rows, timings
 
@@ -195,18 +198,24 @@ def test_rows_schema_and_grouping(tiny_rows):
     for trial, hashes in by_trial.items():
         assert len(hashes) == 1, f"trial {trial} saw several channels"
     assert len(set(r["channel_hash"] for r in rows)) == spec.n_trials
-    # scalar metrics carry iteration -1; traces are padded per group
+    # scalar metrics carry iteration -1; a trace holds the iterations that
+    # ran, 0 through its run's iteration count, and nothing more
     scalars = [r for r in rows if r["metric"] == "sum_rate"]
     assert all(r["iteration"] == -1 for r in scalars)
-    lengths = {}
+    iterations = {(r["sweep_value"], r["trial"], r["algorithm"]): r["value"]
+                  for r in rows if r["metric"] == "iterations"}
+    traces = {}
     for r in rows:
         if r["metric"] == "objective":
-            key = (r["sweep_value"], r["algorithm"], r["trial"])
-            lengths[key] = max(lengths.get(key, 0), r["iteration"])
-    for (v, a, t), n in lengths.items():
-        peers = [m for (vv, aa, _), m in lengths.items()
-                 if vv == v and aa == a]
-        assert len(set(peers)) == 1
+            key = (r["sweep_value"], r["trial"], r["algorithm"])
+            traces.setdefault(key, []).append(r["iteration"])
+    assert traces.keys() == iterations.keys()
+    for key, steps in traces.items():
+        assert steps == list(range(int(iterations[key]) + 1)), key
+    # the rows are run_trial's rows in canonical order
+    cells = [row for value in spec.sweep_values for trial in range(spec.n_trials)
+             for row in run_trial(spec, value, trial)[0]]
+    assert rows == _sort_rows(cells)
     assert timings and all(t["seconds"] > 0 for t in timings)
 
 
@@ -472,13 +481,39 @@ def test_cutting_set_row_reuses_certified_worst_case(monkeypatch):
                                     identity_weights(config))
 
 
+def _padded(rows):
+    """Reference padding, as results files held it before traces stopped at
+    their last iteration: every objective trace extended to its (sweep value,
+    algorithm) group's longest by repeating its final value; a new list, in
+    canonical order."""
+    traces = {}
+    for row in rows:
+        if row["metric"] != "objective":
+            continue
+        key = (row["sweep_value"], row["algorithm"], row["trial"])
+        traces.setdefault(key, []).append(row)
+    group_max = {}
+    for (value, alg, _trial), items in traces.items():
+        group_max[(value, alg)] = max(group_max.get((value, alg), 0), len(items))
+    padded = []
+    for (value, alg, trial), items in traces.items():
+        items.sort(key=lambda r: r["iteration"])
+        last = items[-1]
+        for t in range(len(items), group_max[(value, alg)]):
+            filler = dict(last)
+            filler["iteration"] = t
+            padded.append(filler)
+    return _sort_rows(list(rows) + padded)
+
+
 def test_summarize_matches_manual_stats(tiny_rows):
     spec, rows, _ = tiny_rows
     del spec
     groups = summarize(rows)
     assert groups
+    padded = _padded(rows)
     for g in groups:
-        matching = [r["value"] for r in rows
+        matching = [r["value"] for r in padded
                     if r["sweep_param"] == g["sweep_param"]
                     and r["sweep_value"] == g["sweep_value"]
                     and r["algorithm"] == g["algorithm"]
@@ -493,6 +528,31 @@ def test_summarize_matches_manual_stats(tiny_rows):
         summarize([])
     with pytest.raises(ConfigError):
         summarize(rows, by=("flavor",))
+
+
+def test_summarize_extends_finished_traces():
+    # trial 0 stops after one iteration, trial 1 after three: trial 0's
+    # final value stands in at iterations 2 and 3
+    base = {"sweep_param": "kappa_db", "sweep_value": -40.0, "algorithm": "altqcp",
+            "metric": "objective", "channel_hash": "h"}
+    rows = [dict(base, trial=trial, iteration=t, value=v)
+            for trial, trace in ((0, [3.0, 2.0]), (1, [5.0, 4.0, 3.0, 1.0]))
+            for t, v in enumerate(trace)]
+    kept = [dict(r) for r in rows]
+    means = {g["iteration"]: (g["mean"], g["count"]) for g in summarize(rows)}
+    assert means == {0: (4.0, 2), 1: (3.0, 2), 2: (2.5, 2), 3: (1.5, 2)}
+    assert rows == kept                    # the caller's rows are unchanged
+
+
+def test_summarize_of_padded_rows_is_unchanged(tiny_rows):
+    # rows padded the way older results files hold them aggregate to the
+    # same bits, and so do rows in any order
+    _, rows, _ = tiny_rows
+    padded = _padded(rows)
+    assert len(padded) > len(rows), "the spec should have traces to extend"
+    expected = summarize(rows)
+    assert summarize(padded) == expected
+    assert summarize(rows[::-1]) == expected
 
 
 def test_plot_tables(tiny_rows):

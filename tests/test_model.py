@@ -1,6 +1,8 @@
 """Closed-form model oracles: hand expansions, loop-based recomputations, and
 algebraic identities for the covariance, MSE, rate, and power expressions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,19 @@ def test_mse_aligned_receiver_leaves_noise_term():
     s = 0.37
     e = mse_matrix(u, v, s * np.eye(2), h)
     assert np.max(np.abs(e - s * u.conj().T @ u)) < 1e-12
+
+
+def test_config_takes_fleet_distortion_stacks():
+    # a fleet's config stacks each direction's vectors to (B, N), one row per
+    # member, and is validated like any other
+    base = SystemConfig.from_scalars(tx_antennas=(2, 3), rx_antennas=(3, 2))
+    stack = tuple(np.stack([v, 2 * v]) for v in base.tx_distortion)
+    fleet = dataclasses.replace(base, tx_distortion=stack)
+    assert [v.shape for v in fleet.tx_distortion] == [(2, 2), (2, 3)]
+    assert all(np.array_equal(a, b) for a, b in zip(fleet.tx_distortion, stack))
+    for bad in (stack[::-1], tuple(v[None] for v in stack), (stack[0], -stack[1])):
+        with pytest.raises(ConfigError, match="tx_distortion"):
+            dataclasses.replace(base, tx_distortion=bad)
 
 
 def test_mse_dimension_mismatch_raises():
