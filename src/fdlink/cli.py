@@ -81,11 +81,11 @@ def _cmd_validate_model(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
     config = SystemConfig.from_scalars(kappa=10 ** -2)
-    channels = draw_channels(config, ChannelStats(csi_radius=0.0), args.seed)
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), [args.seed, 11])
     design, report = run_altqcp(channels, config, SolverOptions(max_iters=25))
     trace = np.asarray(report.objective_trace)
     monotone = bool(np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1.0)))
-    stats = simulate_blocks(design, channels, config, args.blocks, args.seed)
+    stats = simulate_blocks(design, channels, config, args.blocks, [args.seed, 29])
     predicted = covariance_stacks(design.precoders, channels.h, config, (None, None))
     mismatch = [np.linalg.norm(stats.nu_cov[i][k] - predicted[i][k])
                 / np.linalg.norm(predicted[i][k])

@@ -18,9 +18,9 @@ from .model import DIRECTIONS, ChannelRealization, SystemConfig, TransceiverDesi
 from .util import ConfigError, as_count, rng_from
 
 
-def time_to_freq(x: np.ndarray) -> np.ndarray:
-    """Unitary DFT (1/sqrt(K) scaling) over the leading (subcarrier) axis."""
-    return np.fft.fft(x, axis=0, norm="ortho")
+def time_to_freq(x: np.ndarray, out=None) -> np.ndarray:
+    """Unitary DFT (1/sqrt(K) scaling) over the leading axis, into out if given."""
+    return np.fft.fft(x, axis=0, norm="ortho", out=out)
 
 
 def freq_distortion_variance(precoders_i: np.ndarray,
@@ -57,20 +57,16 @@ def _batch_blocks(config: SystemConfig) -> int:
     return max(1, _BATCH_BYTES // per_block)
 
 
-def _draw(rng: np.random.Generator, n: int, k: int, chains: int, var=1.0):
-    """crandn draws of shape (n, K, chains), written through a transposed view
-    into a (K, n, chains) buffer: each subcarrier's n blocks form one matrix."""
-    out = np.empty((k, n, chains), dtype=complex)
-    view = out.swapaxes(0, 1)
-    view.real = rng.standard_normal((n, k, chains))
-    view.imag = rng.standard_normal((n, k, chains))
-    view *= np.sqrt(np.asarray(var, dtype=float) / 2.0)
-    return out
+def _fill(rng: np.random.Generator, out: np.ndarray, scale) -> np.ndarray:
+    """crandn draws of variance 2 scale^2 into a C-order complex buffer: one
+    standard_normal fill of its float view (re, im interleaved), one scale in place."""
+    rng.standard_normal(out=out.view(float))
+    return np.multiply(out, scale, out=out)
 
 
-def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a^k x_b^k for a (K, P, Q) stack and (K, n, Q) blocks; (K, n, P)."""
-    return np.matmul(x, a.swapaxes(1, 2))
+def _apply(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a^k x_b^k for a (K, P, Q) stack and (K, n, Q) blocks, into (K, n, P) out."""
+    return np.matmul(x, a.swapaxes(1, 2), out=out)
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -78,63 +74,77 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return np.matmul(x.swapaxes(1, 2), x.conj())
 
 
-def _simulate_batch(design: TransceiverDesign, channels: ChannelRealization,
-                    config: SystemConfig, n: int, rng: np.random.Generator, sums):
-    """Simulate n blocks and add each statistic to sums, simulate_blocks'
-    per-direction (nu, ee, ev, v2), once its inputs exist: a batch keeps the
-    (K, n, chains) symbols and x_freq per direction, one residual and one draw.
-    Draw order: per direction the symbols, then the transmit distortion; then
-    per direction the noise, then the receive distortion."""
-    k, v = config.subcarriers, design.precoders
-    nu, ee, ev, v2 = sums
-    symbols, x_freq = [], []
+def _simulate_batch(link, buffers, n: int, rng: np.random.Generator, sums):
+    """Simulate n blocks at the start of simulate_blocks' buffers and add each
+    statistic to sums, its per-direction (nu, ee, ev, v2), once its inputs
+    exist. Draw order: per direction the symbols, then the transmit
+    distortion; then per direction the noise, then the receive distortion."""
+    v, h, hv, sic, tx_scale, noise_scale, rx_scale = link
+    (sym_buf, xf_buf, (y_buf, r_buf)), (nu, ee, ev, v2) = buffers, sums
+    k = len(v[0])
 
-    # transmit side: white in time, so E|e_t(t)|^2 is the flat per-subcarrier variance
-    tx_var = [freq_distortion_variance(v[j], config.tx_distortion[j]) for j in DIRECTIONS]
+    def head(flat, chains):         # the (K, n, chains) C-order view at its start
+        return flat[:k * n * chains].reshape(k, n, chains)
+
+    symbols, x_freq = [], []
     for j in DIRECTIONS:
-        symbols.append(_draw(rng, n, k, v[j].shape[2]))
-        vf = _apply(v[j], symbols[j])
-        et = time_to_freq(_draw(rng, n, k, v[j].shape[1], tx_var[j]))
+        n_tx, d = v[j].shape[1:]
+        symbols.append(_fill(rng, head(sym_buf[j], d), np.sqrt(0.5)))
+        et = time_to_freq(_fill(rng, head(r_buf, n_tx), tx_scale[j]), head(xf_buf[j], n_tx))
+        vf = _apply(v[j], symbols[j], head(y_buf, n_tx))   # y is idle until the receive side
         ee[j] += _gram(et)
         ev[j] += np.einsum("kbn,kbn->kn", et, vf.conj())
         v2[j] += np.einsum("kbn,kbn->kn", vf, vf.conj()).real
         # the DFT is linear, so x_freq = DFT(v_time + et_time) = v_freq + et_freq
         x_freq.append(np.add(vf, et, out=et))
-        del vf
 
-    # receive side: the received signal builds up in place, starting from the noise
+    # receive side: the received signal builds up in place, starting from the
+    # noise; each product lands in the draw buffer before it is added
     for i in DIRECTIONS:
-        m_i = config.rx_antennas[i]
-        y = _draw(rng, n, k, m_i, config.noise_var[i][None, :, None])
-        received_power = config.noise_var[i].sum() * np.ones(m_i)  # sum_k E|u^k|^2 per chain
-        hv = [channels.h[(i, j)] @ v[j] for j in DIRECTIONS]
+        y, r = head(y_buf, h[(i, i)].shape[1]), head(r_buf, h[(i, i)].shape[1])
+        _fill(rng, y, noise_scale[i])
         for j in DIRECTIONS:
-            h = channels.h[(i, j)]
-            y += _apply(h, x_freq[j])
-            received_power += np.einsum("kmd,kmd->m", hv[j], hv[j].conj()).real
-            received_power += np.einsum("kmn,n,kmn->m", h, tx_var[j], h.conj()).real
-        # beta_l E|u_l(t)|^2 = (K rx_distortion_l) (1/K) sum_k E|u_l^k|^2
-        y += time_to_freq(_draw(rng, n, k, m_i, config.rx_distortion[i] * received_power))
+            y += _apply(h[(i, j)], x_freq[j], r)
+        y += time_to_freq(_fill(rng, r, rx_scale[i]), r)
         # SIC with the estimated loopback channel, then strip the desired signal
-        j = 1 - i
-        y -= _apply(channels.h_est[(i, j)] @ v[j], symbols[j])
-        y -= _apply(hv[i], symbols[i])
+        y -= _apply(sic[i], symbols[1 - i], r)
+        y -= _apply(hv[(i, i)], symbols[i], r)
         nu[i] += _gram(y)
 
 
 def simulate_blocks(design: TransceiverDesign, channels: ChannelRealization,
                     config: SystemConfig, n_blocks: int, seed) -> SimulationStats:
     """Monte Carlo over n_blocks OFDM blocks in batches, so memory does not grow
-    with n_blocks; sums the residual covariances and distortion statistics."""
+    with n_blocks; sums the residual covariances and distortion statistics.
+    An int or sequence seed draws from SFC64; a Generator is used as it is."""
     n_blocks = as_count(n_blocks, "n_blocks")
     if n_blocks < 1:
         raise ConfigError(f"n_blocks must be at least 1, got {n_blocks}")
-    rng = rng_from(seed)
+    rng = rng_from(seed, np.random.SFC64)
     # per-direction sums over the blocks; the first batch sets their shapes
     sums = nu_acc, ee, ev, v2 = tuple([0.0, 0.0] for _ in range(4))
-    step = _batch_blocks(config)
+    v, h = design.precoders, channels.h
+    k, c = config.subcarriers, max(*config.tx_antennas, *config.rx_antennas)
+    step = min(_batch_blocks(config), n_blocks)
+    # flat buffers every batch reuses: symbols, x_freq, received signal, one draw
+    buffers = [[np.empty(k * step * m, dtype=complex) for m in chains]
+               for chains in ([x.shape[2] for x in v], [x.shape[1] for x in v], (c, c))]
+    # per-call constants; white in time, E|e_t(t)|^2 is flat over subcarriers
+    tx_var = [freq_distortion_variance(v[j], config.tx_distortion[j]) for j in DIRECTIONS]
+    hv = {(i, j): h[(i, j)] @ v[j] for i in DIRECTIONS for j in DIRECTIONS}
+    rx_var = []
+    for i in DIRECTIONS:
+        power = config.noise_var[i].sum() * np.ones(config.rx_antennas[i])  # sum_k E|u^k|^2
+        for j in DIRECTIONS:
+            power += np.einsum("kmd,kmd->m", hv[(i, j)], hv[(i, j)].conj()).real
+            power += np.einsum("kmn,n,kmn->m", h[(i, j)], tx_var[j], h[(i, j)].conj()).real
+        # beta_l E|u_l(t)|^2 = (K rx_distortion_l) (1/K) sum_k E|u_l^k|^2
+        rx_var.append(config.rx_distortion[i] * power)
+    link = (v, h, hv, [channels.h_est[(i, 1 - i)] @ v[1 - i] for i in DIRECTIONS],
+            *([np.sqrt(var / 2.0) for var in group] for group in (
+                tx_var, [nv[:, None, None] for nv in config.noise_var], rx_var)))
     for start in range(0, n_blocks, step):
-        _simulate_batch(design, channels, config, min(step, n_blocks - start), rng, sums)
+        _simulate_batch(link, buffers, min(step, n_blocks - start), rng, sums)
 
     et2 = [np.einsum("knn->kn", acc).real for acc in ee]   # the Gram diagonal
     stats = SimulationStats(n_blocks=n_blocks, nu_cov=[acc / n_blocks for acc in nu_acc],

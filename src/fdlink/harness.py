@@ -396,11 +396,11 @@ def summarize(rows, by=("sweep_param", "sweep_value", "algorithm", "metric",
     """Group rows by the named columns and aggregate the value column into
     mean / std (population) / count / min / max.
 
-    A finished objective trace first counts as holding its final value up to
-    the longest trace of its (sweep value, algorithm) group, so that every
-    per-iteration aggregate counts every trial. Rows already extended this
-    way (an older results file) aggregate the same. The caller's rows are
-    left unchanged."""
+    Grouped by iteration, a finished objective trace first counts as holding
+    its final value up to the longest trace of its (sweep value, algorithm)
+    group, so every per-iteration aggregate counts every trial; other groupings
+    count only the iterations that ran. Rows already extended this way (an
+    older results file) aggregate the same. The caller's rows are unchanged."""
     if not rows:
         raise ConfigError("no rows to summarize")
     by = tuple(by)
@@ -411,7 +411,7 @@ def summarize(rows, by=("sweep_param", "sweep_value", "algorithm", "metric",
     # contiguously from iteration 0
     last, longest = {}, {}
     for row in rows:
-        if row["metric"] == "objective":
+        if row["metric"] == "objective" and "iteration" in by:
             group = (row["sweep_value"], row["algorithm"])
             trace = (group, row["trial"])
             last[trace] = max(last.get(trace, row), row, key=lambda r: r["iteration"])

@@ -164,7 +164,7 @@ def _secular_solve(lam, coeff, budget, tol, start):
     return coeff / shifted[..., None] * some[:, None, None, None], iota, shifted
 
 
-def rng_from(seed) -> np.random.Generator:
+def rng_from(seed, bit_generator=None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(seed if bit_generator is None else bit_generator(seed))

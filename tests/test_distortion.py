@@ -14,7 +14,6 @@ from fdlink import (ChannelStats, ConfigError, SystemConfig, TransceiverDesign,
                     simulate_blocks)
 from fdlink.distortion import SimulationStats, time_to_freq
 from fdlink.model import DIRECTIONS, _sic_residual, covariance_stacks
-from fdlink.util import crandn
 
 # the bytes _batch_blocks counts per block at K=4, 2x2 and one stream: 16 per
 # symbol, 4 per transmit chain and 6 per receive chain, in each direction;
@@ -160,20 +159,45 @@ def test_block_sample_deterministic():
         assert np.array_equal(a.et_var[i], b.et_var[i])
 
 
+@pytest.mark.parametrize("n_blocks", [1, 7])
+def test_generator_advances_by_the_draw_count(monkeypatch, n_blocks):
+    # every batch draws 2 K n normals per chain of its eight draws (per
+    # direction the symbols and the transmit distortion, then the noise and
+    # the receive distortion), whatever the split: 7 blocks run as 3 + 3 + 1
+    config = SystemConfig.from_scalars(subcarriers=3, tx_antennas=(3, 2),
+                                       rx_antennas=(2, 4), streams=(2, 1))
+    monkeypatch.setattr(distortion, "_BATCH_BYTES",
+                        3 * 16 * 3 * (2 + 4 * 3 + 6 * 2 + 1 + 4 * 2 + 6 * 4))
+    assert distortion._batch_blocks(config) == 3
+    channels = draw_channels(config, ChannelStats(csi_radius=0.0), 61)
+    design = _random_design(np.random.default_rng(62), config)
+    rng, twin = (np.random.Generator(np.random.SFC64(63)) for _ in range(2))
+    stats = simulate_blocks(design, channels, config, n_blocks, rng)
+    chains = sum(config.streams[i] + config.tx_antennas[i] + 2 * config.rx_antennas[i]
+                 for i in DIRECTIONS)
+    twin.standard_normal(2 * config.subcarriers * n_blocks * chains)
+    assert np.array_equal(rng.bit_generator.random_raw(4),
+                          twin.bit_generator.random_raw(4))
+    # an int seed draws from SFC64 seeded with it
+    again = simulate_blocks(design, channels, config, n_blocks, 63)
+    for i in DIRECTIONS:
+        assert np.array_equal(again.nu_cov[i], stats.nu_cov[i])
+
+
 def _reference_block(design, channels, config, seed):
     """One block by the textbook recipe: an explicit unitary DFT matrix, a
-    per-subcarrier matrix product loop, and the simulator's draw order (per
+    per-subcarrier matrix product loop, and the simulator's draws (SFC64; per
     direction the symbols then the transmit distortion, then per direction
-    the noise then the receive distortion; real parts before imaginary)."""
-    rng = np.random.default_rng(seed)
+    the noise then the receive distortion; each a (K, chains) array of
+    interleaved real and imaginary parts)."""
+    rng = np.random.Generator(np.random.SFC64(seed))
     k = config.subcarriers
     idx = np.arange(k)
     dft = np.exp(-2j * np.pi * np.outer(idx, idx) / k) / np.sqrt(k)
 
     def draw(chains, var):
-        re = rng.standard_normal((k, chains))
-        im = rng.standard_normal((k, chains))
-        return np.sqrt(np.asarray(var) / 2.0) * (re + 1j * im)
+        z = rng.standard_normal((k, chains, 2))
+        return np.sqrt(np.asarray(var) / 2.0) * (z[..., 0] + 1j * z[..., 1])
 
     symbols, x_freq, tx_var = [], [], []
     for j in DIRECTIONS:
@@ -266,13 +290,15 @@ def test_simulate_blocks_rejects_non_whole_count(perfect_csi_config,
 
 def _materialized_batch(design, channels, config, n, rng):
     """One batch the way a simulator that keeps every signal runs it, with the
-    same draws: crandn (n, K, chains) draws copied to (K, n, chains), and per
-    direction the precoded symbols, the transmit distortion, the transmitted
-    signal and the post-SIC residual all held at once."""
+    same draws: (K, n, chains) complex draws whose real and imaginary parts
+    come interleaved in C order, and per direction the precoded symbols, the
+    transmit distortion, the transmitted signal and the post-SIC residual all
+    held at once."""
     k, v = config.subcarriers, design.precoders
 
     def draw(chains, var=1.0):
-        return np.ascontiguousarray(crandn(rng, (n, k, chains), var).swapaxes(0, 1))
+        z = rng.standard_normal((k, n, chains, 2))
+        return np.sqrt(np.asarray(var, dtype=float) / 2.0) * (z[..., 0] + 1j * z[..., 1])
 
     def apply(a, x):
         return np.matmul(x, a.swapaxes(1, 2))
@@ -287,7 +313,7 @@ def _materialized_batch(design, channels, config, n, rng):
     residual = []
     for i in DIRECTIONS:
         m_i = config.rx_antennas[i]
-        y = draw(m_i, config.noise_var[i][None, :, None])
+        y = draw(m_i, config.noise_var[i][:, None, None])
         power = config.noise_var[i].sum() * np.ones(m_i)
         hv = []
         for j in DIRECTIONS:
@@ -306,7 +332,7 @@ def _materialized_batch(design, channels, config, n, rng):
 def _materialized_stats(design, channels, config, split, seed):
     """SimulationStats from materialized batches of the given sizes, each
     summed only after the whole batch exists."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     nu, ee, ev, v2 = ([0.0, 0.0] for _ in range(4))
     for n in split:
         v_freq, et_freq, residual = _materialized_batch(design, channels, config, n, rng)
@@ -379,9 +405,9 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
     sizes = []
     inner = distortion._simulate_batch
 
-    def counted(design, channels, config, n, rng, sums):
+    def counted(link, buffers, n, rng, sums):
         sizes.append(n)
-        return inner(design, channels, config, n, rng, sums)
+        return inner(link, buffers, n, rng, sums)
 
     monkeypatch.setattr(distortion, "_simulate_batch", counted)
     for n_blocks, split in ((3, [3]), (7, [3, 3, 1])):
@@ -389,7 +415,7 @@ def test_batches_fit_the_byte_budget(perfect_csi_config, perfect_channels,
         stats = simulate_blocks(design, channels, config, n_blocks, 41)
         assert sizes == split
         # the batches draw one after another from one generator
-        rng = np.random.default_rng(41)
+        rng = np.random.Generator(np.random.SFC64(41))
         batches = [_materialized_batch(design, channels, config, n, rng)
                    for n in split]
         for i in DIRECTIONS:
@@ -402,14 +428,15 @@ def test_batch_peak_memory_is_half_the_byte_count(perfect_csi_config,
     # the byte count of _batch_blocks bounds a batch from above. In units of
     # one chain's 16 * K bytes, the count is 42 per block at K=4 with 2x2
     # antennas and one stream, and 84 at K=64 with 4x4 and two streams. A
-    # batch folds each statistic in as soon as its inputs exist, so it keeps
-    # the symbols and x_freq of both directions (6 and 12); at its peak a
-    # receive direction adds its residual, the receive distortion draw and
-    # that draw's DFT (6 and 12), so 12/42 = 24/84 = 0.29. The 0.4 bound
-    # leaves room for one more residual-sized temporary; a batch that kept
-    # v_freq, et_freq and both residuals read 0.52, and one that kept every
-    # signal it computed read 1.05. Batches run one after another, so the
-    # peak is that of the largest batch, whatever n_blocks.
+    # call's buffers hold the symbols and x_freq of both directions (6 and
+    # 12), the received signal and one draw (4 and 8); each statistic is
+    # folded in as soon as its inputs exist, and the transmit side holds its
+    # precoded signal in the idle received-signal buffer, so a batch peaks
+    # with one more chain-sized temporary (2 and 4): 12/42 = 24/84 = 0.29.
+    # The 0.4 bound leaves room for one more; a batch that kept v_freq,
+    # et_freq and both residuals read 0.52, and one that kept every signal
+    # it computed read 1.05. Batches reuse the buffers one after another, so
+    # the peak is that of the largest batch, whatever n_blocks.
     big = _k64_config()
     assert distortion._batch_blocks(big) < 2_000      # both K=64 runs span batches
     cases = ((perfect_csi_config, perfect_channels,

@@ -541,6 +541,9 @@ def test_summarize_extends_finished_traces():
     kept = [dict(r) for r in rows]
     means = {g["iteration"]: (g["mean"], g["count"]) for g in summarize(rows)}
     assert means == {0: (4.0, 2), 1: (3.0, 2), 2: (2.5, 2), 3: (1.5, 2)}
+    # grouped without iteration, only the six iterations that ran count
+    (total,) = summarize(rows, by=("algorithm", "metric"))
+    assert (total["count"], total["mean"]) == (6, 3.0)
     assert rows == kept                    # the caller's rows are unchanged
 
 
