@@ -28,7 +28,7 @@ from .altqcp import SolverOptions, fleet_key, run_altqcp_scenarios
 from .baselines import BASELINE_MODES, DESIGNERS, design_problem, evaluate_run
 from .channels import ChannelStats, draw_channels, perturb_csi
 from .model import SystemConfig, identity_weights
-from .robust import run_cutting_set, worst_case_mse
+from .robust import _worst_cases, run_cutting_set, worst_case_mse
 from .util import _NUMERICAL_FAILURES, ConfigError, as_count, parse_level
 
 RESULT_COLUMNS = ("trial", "sweep_param", "sweep_value", "algorithm",
@@ -222,9 +222,9 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
 
     Every algorithm but the cutting set is one driver problem
     (baselines.design_problem); the problems that share an altqcp.fleet_key
-    are designed in one driver call, and each is charged an equal share of
-    its seconds. If that call fails, its members are designed one at a time,
-    in spec order with the rest, so a failure names the algorithm a run of
+    are designed in one driver call and certified in one oracle pass, each
+    charged an equal share of both; a failed call's designs are made or
+    certified alone in spec order, so a failure names the algorithm a run of
     each alone would name first. baselines.evaluate_run finishes every run."""
     config = spec.config_for(sweep_value)
     true_channels = draw_channels(config, spec.channel_stats(sweep_value),
@@ -255,6 +255,14 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
             continue                  # its members are designed alone below
         share = (time.perf_counter() - t0) / len(members)
         runs.update((alg, (d, r, share)) for alg, d, r in zip(members, designs, reports))
+    certified, weights, t0 = {}, identity_weights(config), time.perf_counter()
+    with contextlib.suppress(*_NUMERICAL_FAILURES):     # then each is certified alone below
+        if runs:
+            values = _worst_cases([d for d, _, _ in runs.values()],
+                                  [problems[alg][1] for alg in runs], config, [weights] * len(runs))
+            share = (time.perf_counter() - t0) / len(runs)
+            for (alg, (d, r, s)), (value, _) in zip(list(runs.items()), values):
+                runs[alg], certified[alg] = (d, r, s + share), value
 
     for algorithm in spec.algorithms:
         t0 = time.perf_counter()
@@ -270,8 +278,8 @@ def run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
                 (design,), (run_rep,) = run_altqcp_scenarios([problem], options)
             design, report = evaluate_run(algorithm, design, run_rep, world, config)
             # the cut loop certified its design, also with identity weights
-            wc = (run_rep.extras["worst_case"] if algorithm == "cutting_set" else
-                  worst_case_mse(design, world, config, mse_weights=identity_weights(config)))
+            wc = (certified[algorithm] if algorithm in certified else run_rep.extras["worst_case"]
+                  if algorithm == "cutting_set" else worst_case_mse(design, world, config, weights))
         except _NUMERICAL_FAILURES as err:
             raise type(err)(f"{spec.sweep_param}={float(sweep_value)} trial={trial} "
                             f"algorithm={algorithm} seed={spec.seed}: {err}") from err

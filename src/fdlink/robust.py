@@ -9,11 +9,11 @@ one convex quadratic ||C vec(Delta) + c||^2 per (receiver, transmitter,
 subcarrier) triple, each maximized in closed form over its own Frobenius
 ball ||Delta_ij^k||_F <= zeta through a trust-region-style secular equation:
 the precoder's power dual on the reversed spectrum, read off by the same
-util._secular_solve. build_quadratic_form builds one pair's K forms as a
-stack and worst_case_error solves a stack of forms; the oracle runs each
-pair through both. One oracle pass gives both the certified worst case and
-the pessimizing channel that attains it; a cutting-set loop appends that
-channel to its scenario set to reach a robust design.
+util._secular_solve. build_quadratic_form builds the K forms of any number
+of (design, pair) on a leading axis and worst_case_error solves a stack of
+forms; an oracle pass runs its designs' pairs through both, once per form
+shape. It gives both the certified worst cases and the pessimizing channels
+that attain them; a cutting-set loop appends that channel to its scenario set.
 """
 
 from __future__ import annotations
@@ -54,17 +54,19 @@ def weighted_mse_with_errors(design: TransceiverDesign,
 
 
 def _kron_stack(b, a):
-    """kron(b^k^T, a^k) for every k of a (K, n, c) and a (K, r, m) stack: the
-    (K, c r, n m) maps with vec(a^k X b^k) = map^k vec(X), column-major vec."""
-    return np.einsum("knc,krm->kcrnm", b, a).reshape(len(a), b.shape[2] * a.shape[1], -1)
+    """kron(b^k^T, a^k) for every k of (..., K, n, c) and (..., K, r, m) stacks:
+    the (..., K, c r, n m) maps with vec(a^k X b^k) = map^k vec(X), column-major vec."""
+    x = np.einsum("...nc,...rm->...crnm", b, a)
+    return x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], -1))
 
 
-def build_quadratic_form(design: TransceiverDesign, channels: ChannelRealization,
-                         config: SystemConfig, i: int, j: int, mse_weights=None):
+def build_quadratic_form(precoders, decoders, mse_weights, h_nom, tx_distortion,
+                         rx_distortion, pairs):
     """Exact quadratic dependence of the weighted MSE on Delta_ij^k for all k
-    at once, from pair-level pieces built once: (K, rows, M_i N_j) maps and
-    (K, rows) offsets, ||maps^k vec(Delta_ij^k) + offsets^k||^2 with
-    column-major vec.
+    of F forms, from (F, K, ., .) stacks of V_j, U_i, S_i and h_nom = h_est_ij,
+    (F, .) ones of theta_tx,j and theta_rx,i, and their (i, j) in pairs: (F, K,
+    rows, M_i N_j) maps and (F, K, rows) offsets, ||maps^k vec(Delta_ij^k) +
+    offsets^k||^2 with column-major vec.
 
     Three stacked blocks: (1) the filtered direct/residual term
     W^H U^H Delta V (minus the nominal target when j == i; cancellation
@@ -72,31 +74,30 @@ def build_quadratic_form(design: TransceiverDesign, channels: ChannelRealization
     leakage through Delta with chain power profile Q_tx^(1/2); (3) the
     receive-distortion pickup, one row scaling sqrt(g_hat) per antenna.
     """
-    if i not in DIRECTIONS or j not in DIRECTIONS:
-        raise ConfigError(f"direction indices must be 0 or 1, got ({i}, {j})")
-    weights = mse_weights if mse_weights is not None else design.mse_weights
+    if not all(i in DIRECTIONS and j in DIRECTIONS for i, j in pairs):
+        raise ConfigError(f"direction indices must be 0 or 1, got {pairs}")
     # weights enter as W with tr(W E) = tr(W^(1/2)^H E W^(1/2)); use a factor
-    lam, q = np.linalg.eigh(herm(weights[i]))
-    if np.any(lam.min(axis=1) < -1e-12 * np.maximum(abs(lam).max(axis=1), 1.0)):
+    lam, q = np.linalg.eigh(herm(mse_weights))
+    if np.any(lam.min(axis=-1) < -1e-12 * np.maximum(abs(lam).max(axis=-1), 1.0)):
         raise ConfigError("MSE weight matrices must be positive semidefinite")
-    w_fac = q * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
-    u, v, h_nom = design.decoders[i], design.precoders[j], channels.h_est[(i, j)]
-    k, m_i, n_j = h_nom.shape
-    a1 = dagger(w_fac) @ dagger(u)                          # (K, d_i, M_i)
-    c1 = (a1 @ h_nom @ v - dagger(w_fac) if j == i     # cancelled nominally
-          else np.zeros((k, a1.shape[1], v.shape[2])))
+    w_fac = q * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
+    u, v, direct = decoders, precoders, np.array([i == j for i, j in pairs])
+    a1 = dagger(w_fac) @ dagger(u)                          # (F, K, d_i, M_i)
+    c1 = np.zeros(a1.shape[:3] + v.shape[3:], complex)     # cancelled nominally
+    if direct.any():
+        c1[direct] = a1[direct] @ h_nom[direct] @ v[direct] - dagger(w_fac[direct])
     # (2) white across chains, flat across k
-    q_tx = np.sqrt(config.tx_distortion[j] * np.einsum("knd,knd->n", v, v.conj()).real)
-    b2 = np.broadcast_to(np.diag(q_tx.astype(complex)), (k, n_j, n_j))
+    q_tx = np.sqrt(tx_distortion * np.einsum("...knd,...knd->...n", v, v.conj()).real)
+    b2 = (np.eye(v.shape[2]) * q_tx[:, None, None]).astype(complex)  # (F, 1, N_j, N_j)
     # (3) every subcarrier's chain power feels Delta_ij^k, so the K rows
     # collapse into one with summed filter gains
-    gw = np.einsum("kmd,kde->kme", u, w_fac)
-    g_hat = config.rx_distortion[i] * np.einsum("kme,kme->m", gw, gw.conj()).real
-    a3 = np.broadcast_to(np.diag(np.sqrt(g_hat).astype(complex)), (k, m_i, m_i))
+    gw = np.einsum("...kmd,...kde->...kme", u, w_fac)
+    g_hat = rx_distortion * np.einsum("...kme,...kme->...m", gw, gw.conj()).real
+    a3 = (np.eye(u.shape[2]) * np.sqrt(g_hat)[:, None, None]).astype(complex)
     maps = np.concatenate([_kron_stack(v, a1), _kron_stack(b2, a1),
-                           _kron_stack(v, a3)], axis=1)
-    offsets = np.concatenate([x.swapaxes(1, 2).reshape(k, -1) for x in   # vec
-                              (c1, a1 @ h_nom @ b2, a3 @ h_nom @ v)], axis=1)
+                           _kron_stack(v, a3)], axis=2)
+    offsets = np.concatenate([x.swapaxes(2, 3).reshape(x.shape[:2] + (-1,)) for x in  # vec
+                              (c1, a1 @ h_nom @ b2, a3 @ h_nom @ v)], axis=2)
     return maps, offsets
 
 
@@ -143,26 +144,40 @@ def worst_case_error(maps, offsets, radii):
     return b, lam[:, -1] + iota, (r * r.conj()).real.sum(axis=1), pad
 
 
-def _worst_case(design, channels, config, mse_weights=None):
-    """(worst_case_mse, the channel dict attaining it): each pair builds and
-    solves its positive-radius forms as one stack; their increments join the
-    nominal objective and their maximizers are added to h_est^k."""
-    weights = mse_weights if mse_weights is not None else design.mse_weights
-    total = weighted_mse_with_errors(design, channels, config, deltas={},
-                                     mse_weights=weights)
-    worst = {pair: channels.h_est[pair].copy() for pair in PAIRS}
-    for (i, j) in PAIRS:
-        radii = channels.csi_radius[(i, j)]
-        live = radii > 0
-        if not live.any():
-            continue
-        maps, offsets = build_quadratic_form(design, channels, config, i, j, weights)
-        c = offsets[live]
+def _worst_cases(designs, worlds, config, weights):
+    """[(worst_case_mse, the channel dict attaining it)] of each design in its
+    world with its MSE weights, from one fleet nominal evaluation and one build
+    and one solve per form shape; each design sums its pairs left to right."""
+    v, u, w = ([np.array([x[i] for x in xs]) for i in DIRECTIONS] for xs in
+               ([d.precoders for d in designs], [d.decoders for d in designs], weights))
+    g = {pair: np.array([world.h_est[pair] for world in worlds])[:, None] for pair in PAIRS}
+    totals = np.zeros((len(designs), 1 + len(PAIRS)))   # nominal, then each pair's increment
+    totals[:, 0] = _design_objective(v, u, w, np.ones((len(designs), 1)), g,
+                                     covariance_stacks(v, g, config, (None, None)))
+    worst = [{pair: world.h_est[pair].copy() for pair in PAIRS} for world in worlds]
+    live_forms = [(n, (i, j), (u[i].shape, v[j].shape)) for i, j in PAIRS
+                  for n, world in enumerate(worlds) if (world.csi_radius[(i, j)] > 0).any()]
+    for shape in dict.fromkeys(key for *_, key in live_forms):
+        forms = [(n, pair) for n, pair, key in live_forms if key == shape]
+        maps, offsets = build_quadratic_form(*map(np.array, zip(*[
+            (v[j][n], u[i][n], w[i][n], g[(i, j)][n, 0], config.tx_distortion[j],
+             config.rx_distortion[i]) for n, (i, j) in forms])), [pair for _, pair in forms])
+        radii = np.array([worlds[n].csi_radius[pair] for n, pair in forms])
+        live, c = radii > 0, offsets[radii > 0]
         b, _, value, _ = worst_case_error(maps[live], c, radii[live])
-        total += float(np.maximum(value - (c * c.conj()).real.sum(axis=1), 0.0).sum())
-        rows, cols = worst[(i, j)].shape[1:]
-        worst[(i, j)][live] += b.reshape(-1, cols, rows).swapaxes(1, 2)
-    return float(total), worst
+        ends = np.cumsum(live.sum(axis=1))[:-1]
+        gains = np.split(np.maximum(value - (c * c.conj()).real.sum(axis=1), 0.0), ends)
+        for (n, pair), gain, form_b, form_live in zip(forms, gains, np.split(b, ends), live):
+            totals[n, 1 + PAIRS.index(pair)] = gain.sum()
+            rows, cols = worst[n][pair].shape[1:]
+            worst[n][pair][form_live] += form_b.reshape(-1, cols, rows).swapaxes(1, 2)
+    return [(float(t), x) for t, x in zip(np.cumsum(totals, axis=1)[:, -1], worst)]
+
+
+def _worst_case(design, channels, config, mse_weights=None):
+    """_worst_cases of one design, with its own MSE weights by default."""
+    weights = mse_weights if mse_weights is not None else design.mse_weights
+    return _worst_cases([design], [channels], config, [weights])[0]
 
 
 def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,

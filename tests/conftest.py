@@ -4,6 +4,7 @@ import pytest
 from fdlink import (ChannelStats, SystemConfig, draw_channels, mse_matrix,
                     perturb_csi, power_usage)
 from fdlink.model import DIRECTIONS
+from fdlink.robust import build_quadratic_form
 from fdlink.util import crandn, stabilized
 
 
@@ -59,3 +60,13 @@ def random_precoders(config, seed):
         out.append(v * np.sqrt(config.p_max[i] / power_usage(v, config.tx_distortion[i])))
     return out
 
+
+def pair_form(design, channels, config, i, j, mse_weights=None):
+    """build_quadratic_form of one design's pair (i, j) alone: its
+    (K, rows, M_i N_j) maps and (K, rows) offsets."""
+    weights = mse_weights if mse_weights is not None else design.mse_weights
+    maps, offsets = build_quadratic_form(
+        design.precoders[j][None], design.decoders[i][None], weights[i][None],
+        channels.h_est[(i, j)][None], config.tx_distortion[j][None],
+        config.rx_distortion[i][None], [(i, j)])
+    return maps[0], offsets[0]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import crandn_t, mmse_error, random_psd
+from conftest import crandn_t, mmse_error, pair_form, random_psd
 from fdlink import SystemConfig, run_altqcp, run_cutting_set, run_wmmse
 from fdlink.altqcp import SolverOptions, identity_weights, run_altqcp_scenarios
 from fdlink.baselines import design_problem, evaluate_run
@@ -20,8 +20,8 @@ from fdlink.distortion import freq_distortion_variance, simulate_blocks
 from fdlink.harness import ExperimentSpec, results_to_csv_text, run_experiment
 from fdlink.model import (DIRECTIONS, PAIRS, aggregate_covariance,
                           covariance_stacks, mse_matrix, rate)
-from fdlink.robust import (build_quadratic_form, weighted_mse_with_errors,
-                           worst_case_error, worst_case_mse)
+from fdlink.robust import (weighted_mse_with_errors, worst_case_error,
+                           worst_case_mse)
 from fdlink.util import LN2
 
 STATS = ChannelStats()
@@ -313,8 +313,8 @@ def test_criterion_08_quadratic_form_fidelity(default_cfg, fleet, capsys):
     checked = 0
     for i in DIRECTIONS:
         for j in DIRECTIONS:
-            maps, offsets = build_quadratic_form(design, channels, default_cfg,
-                                                 i, j, mse_weights=weights)
+            maps, offsets = pair_form(design, channels, default_cfg, i, j,
+                                      mse_weights=weights)
             for k in range(default_cfg.subcarriers):
                 for _ in range(7):
                     delta = 0.1 * crandn_t(rng, channels.h[(i, j)][k].shape)

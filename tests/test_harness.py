@@ -481,6 +481,76 @@ def test_cutting_set_row_reuses_certified_worst_case(monkeypatch):
                                     identity_weights(config))
 
 
+def test_cell_makes_one_oracle_pass(monkeypatch):
+    # every design but the cut loop's is certified by one stacked build and
+    # one stacked solve of the forms with a positive radius: the full-duplex
+    # designs' four pairs and hd's two direct ones, K rows each; each cut
+    # makes one more pass
+    import fdlink.robust as robust
+    spec = ExperimentSpec.from_json(dict(
+        TINY_SPEC, algorithms=["altqcp", "wmmse", "cutting_set", "hd", "kappa0"]))
+    calls = []
+    for kernel in ("build_quadratic_form", "worst_case_error"):
+        def counted(*args, _kernel=getattr(robust, kernel), _name=kernel):
+            calls.append((_name, len(args[2])))
+            return _kernel(*args)
+        monkeypatch.setattr(robust, kernel, counted)
+    monkeypatch.setattr(robust, "MAX_CUTS", 2)
+    rows, _ = run_trial(spec, spec.sweep_values[0], 0)
+    k = spec.config["subcarriers"]
+    cut = [("build_quadratic_form", len(PAIRS)), ("worst_case_error", len(PAIRS) * k)]
+    cell = [("build_quadratic_form", 3 * len(PAIRS) + 2),
+            ("worst_case_error", (3 * len(PAIRS) + 2) * k)]
+    assert calls == cell + cut * 2
+    assert len([r for r in rows if r["metric"] == "wc_mse"]) == 5
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_oracle_pass_names_the_first_failing_algorithm(tmp_path, capsys,
+                                                               monkeypatch, jobs):
+    # the solve fails on every stack but one full-duplex design's own 4 K
+    # forms (worker processes fork, so they inherit the patch): the cell's
+    # stacked pass fails, each design's pass then runs alone in spec order,
+    # and hd's, with only its two direct pairs, is the first to fail
+    import concurrent.futures
+    import functools
+    import multiprocessing
+
+    import fdlink.robust as robust
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    solve = robust.worst_case_error
+
+    def failing(maps, offsets, radii):
+        if len(radii) != len(PAIRS) * TINY_SPEC["config"]["subcarriers"]:
+            raise np.linalg.LinAlgError("forced")
+        return solve(maps, offsets, radii)
+
+    monkeypatch.setattr(robust, "worst_case_error", failing)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(TINY_SPEC, algorithms=["altqcp", "kappa0", "hd",
+                                                                "sc"])))
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 3
+    assert "kappa_db=-40.0 trial=0 algorithm=hd seed=7: forced" in capsys.readouterr().err
+
+
+def test_failed_oracle_pass_certifies_each_design_alone(monkeypatch):
+    # when the cell's stacked pass fails, each design's pass alone gives the
+    # same rows, bit for bit
+    import fdlink.harness as harness
+    spec = ExperimentSpec.from_json(dict(
+        TINY_SPEC, algorithms=["altqcp", "wmmse", "cutting_set", "hd", "kappa0"]))
+    stacked, _ = run_trial(spec, spec.sweep_values[0], 0)
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(harness, "_worst_cases", failing)
+    alone, _ = run_trial(spec, spec.sweep_values[0], 0)
+    assert alone == stacked
+
+
 def _padded(rows):
     """Reference padding, as results files held it before traces stopped at
     their last iteration: every objective trace extended to its (sweep value,

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import fdlink.robust as robust
-from conftest import crandn_t, random_psd
-from fdlink import (ConfigError, SystemConfig, evaluate_design, run_altqcp,
-                    run_cutting_set)
+from conftest import crandn_t, pair_form, random_psd
+from fdlink import (ConfigError, SystemConfig, evaluate_design,
+                    half_duplex_world, run_altqcp, run_baseline, run_cutting_set)
 from fdlink.altqcp import _solve_power_dual, identity_weights
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
@@ -71,8 +71,8 @@ def test_forms_reproduce_objective_shift(default_config, default_channels,
     checked = 0
     for i in DIRECTIONS:
         for j in DIRECTIONS:
-            maps, offsets = build_quadratic_form(designed, channels, config,
-                                                 i, j, mse_weights=weights)
+            maps, offsets = pair_form(designed, channels, config, i, j,
+                                      mse_weights=weights)
             for k in range(config.subcarriers):
                 for _ in range(7):
                     delta = 0.1 * crandn_t(rng, channels.h[(i, j)][k].shape)
@@ -97,18 +97,19 @@ def test_weights_indefinite_on_one_subcarrier_raise(two_stream_case):
     config, channels, design = two_stream_case
     weights = identity_weights(config)
     weights[0][2] = np.diag([1.0, 0.0]).astype(complex)      # PSD, singular
-    build_quadratic_form(design, channels, config, 0, 0, mse_weights=weights)
+    pair_form(design, channels, config, 0, 0, mse_weights=weights)
     weights[0][2] = np.diag([1.0, -1.0]).astype(complex)     # indefinite
     with pytest.raises(ConfigError):
-        build_quadratic_form(design, channels, config, 0, 0,
-                             mse_weights=weights)
+        pair_form(design, channels, config, 0, 0, mse_weights=weights)
 
 
 def test_form_index_validation(default_config, default_channels, designed):
-    with pytest.raises(ConfigError):
-        build_quadratic_form(designed, default_channels, default_config, 2, 0)
-    with pytest.raises(ConfigError):
-        build_quadratic_form(designed, default_channels, default_config, 0, -1)
+    stacks = (designed.precoders[0][None], designed.decoders[0][None],
+              designed.mse_weights[0][None], default_channels.h_est[(0, 0)][None],
+              default_config.tx_distortion[0][None], default_config.rx_distortion[0][None])
+    for pair in ((2, 0), (0, -1)):
+        with pytest.raises(ConfigError):
+            build_quadratic_form(*stacks, [pair])
 
 
 @pytest.mark.parametrize("radius", [-0.7, np.nan, np.inf])
@@ -466,14 +467,95 @@ def test_stacked_oracle_matches_per_form_reference(name, default_config,
         scale = np.max(np.abs(expected_worst[pair]))
         assert np.max(np.abs(worst[pair] - expected_worst[pair])) <= 1e-9 * scale
         k = 1
-        maps, offsets = build_quadratic_form(design, channels, config, *pair,
-                                             mse_weights=weights)
+        maps, offsets = pair_form(design, channels, config, *pair,
+                                  mse_weights=weights)
         mapping, offset = _reference_form(
             design, channels, config, *pair, k,
             weights if weights is not None else design.mse_weights)
         assert np.max(np.abs(maps[k] - mapping)) <= 1e-12 * np.max(np.abs(mapping))
         assert np.max(np.abs(offsets[k] - offset)) <= 1e-12 * max(
             np.max(np.abs(offset)), 1.0)
+
+
+def _pass_case(name, default_config, default_channels, designed,
+               two_stream_case):
+    """(config, designs, worlds, weights) of one oracle pass over several
+    designs: _oracle_case's design and a distortion-blind one, or in the
+    half-duplex case the full- and half-duplex designs, or an asymmetric
+    link whose four pairs have four form shapes."""
+    if name == "asymmetric":
+        config = SystemConfig.from_scalars(subcarriers=3, tx_antennas=(2, 3),
+                                           rx_antennas=(3, 2))
+        channels = draw_channels(config, ChannelStats(), 71)
+        _, channels = perturb_csi(channels, config, 72, "interior")
+        designs = [run_altqcp(channels, config)[0],
+                   run_baseline("kappa0", channels, config)[0]]
+        return config, designs, [channels] * 2, [d.mse_weights for d in designs]
+    if name == "half_duplex":
+        config, channels = default_config, default_channels
+        return (config, [designed, run_baseline("hd", channels, config)[0]],
+                [channels, half_duplex_world(channels)],
+                [identity_weights(config)] * 2)
+    config, channels, design, weights = _oracle_case(
+        name, default_config, default_channels, designed, two_stream_case)
+    blind = run_baseline("kappa0", channels, config)[0]
+    weights = weights if weights is not None else design.mse_weights
+    return config, [design, blind, design], [channels] * 3, [weights] * 3
+
+
+PASS_CASES = ["identity", "weighted", "zero_radii", "half_duplex", "asymmetric"]
+
+
+@pytest.mark.parametrize("name", PASS_CASES)
+def test_stacked_build_equals_per_pair_builds(name, default_config,
+                                              default_channels, designed,
+                                              two_stream_case):
+    """One build over every design and pair of a form shape gives, bit for
+    bit, each design's pair built alone."""
+    config, designs, worlds, weights = _pass_case(
+        name, default_config, default_channels, designed, two_stream_case)
+    groups = {}
+    for n, design in enumerate(designs):
+        for i, j in PAIRS:
+            key = (design.decoders[i].shape, design.precoders[j].shape)
+            groups.setdefault(key, []).append((n, i, j))
+    assert len(groups) == (4 if name == "asymmetric" else 1)
+    for forms in groups.values():
+        maps, offsets = build_quadratic_form(
+            np.array([designs[n].precoders[j] for n, _, j in forms]),
+            np.array([designs[n].decoders[i] for n, i, _ in forms]),
+            np.array([weights[n][i] for n, i, _ in forms]),
+            np.array([worlds[n].h_est[(i, j)] for n, i, j in forms]),
+            np.array([config.tx_distortion[j] for _, _, j in forms]),
+            np.array([config.rx_distortion[i] for _, i, _ in forms]),
+            [(i, j) for _, i, j in forms])
+        for f, (n, i, j) in enumerate(forms):
+            alone = pair_form(designs[n], worlds[n], config, i, j, weights[n])
+            assert np.array_equal(maps[f], alone[0])
+            assert np.array_equal(offsets[f], alone[1])
+
+
+@pytest.mark.parametrize("name", PASS_CASES)
+def test_stacked_pass_equals_each_design_alone(name, default_config,
+                                               default_channels, designed,
+                                               two_stream_case, monkeypatch):
+    """_worst_cases over several designs gives each design's _worst_case
+    bits, with one build and one solve per form shape."""
+    config, designs, worlds, weights = _pass_case(
+        name, default_config, default_channels, designed, two_stream_case)
+    alone = [_worst_case(d, w, config, s) for d, w, s in zip(designs, worlds, weights)]
+    calls = []
+    for kernel in ("build_quadratic_form", "worst_case_error"):
+        def counted(*args, _kernel=getattr(robust, kernel), _name=kernel):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(robust, kernel, counted)
+    stacked = robust._worst_cases(designs, worlds, config, weights)
+    assert len(calls) == (8 if name == "asymmetric" else 2)
+    for (value, worst), (value_alone, worst_alone) in zip(stacked, alone):
+        assert value == value_alone
+        for pair in PAIRS:
+            assert np.array_equal(worst[pair], worst_alone[pair])
 
 
 def test_stacked_solve_matches_scalar_reference_on_hard_cases():
@@ -629,13 +711,13 @@ def test_cutting_set_solves_each_form_once_per_cut(default_config,
                                                    default_channels,
                                                    monkeypatch):
     # one oracle pass per cut gives both the certified value and the next
-    # scenario: one stacked build and one stacked solve of each pair's K forms
-    # per cut, none after the last cut
+    # scenario: one stacked build and one stacked solve of every pair's K
+    # forms per cut, none after the last cut
     built, solved = [], []
     build, solve = robust.build_quadratic_form, robust.worst_case_error
 
     def counted_build(*args, **kwargs):
-        built.append(args[3:5])
+        built.append(list(args[6]))
         return build(*args, **kwargs)
 
     def counted_solve(*args, **kwargs):
@@ -649,8 +731,8 @@ def test_cutting_set_solves_each_form_once_per_cut(default_config,
     cuts = len(report.extras["cuts"])
     assert cuts == 3 and not report.extras["robust_converged"]
     assert all(np.all(r > 0) for r in default_channels.csi_radius.values())
-    assert built == list(PAIRS) * cuts
-    assert solved == [default_config.subcarriers] * len(PAIRS) * cuts
+    assert built == [list(PAIRS)] * cuts
+    assert solved == [len(PAIRS) * default_config.subcarriers] * cuts
 
 
 def test_cutting_set_zero_radius_single_cut():
