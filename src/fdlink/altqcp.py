@@ -370,40 +370,34 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
 
     sigmas = covariance_stacks(precoders, g, config, residual)
     decoders = _receiver_step(precoders, shares, g, sigmas)
-    # per problem: objective trace, half-step blocks, power slackness,
-    # surrogate tightness and design-model rates
-    runs = [([], [], [], [], [] if weight_block else None) for _ in problems]
     if weight_block:
         _, weights, value, rate_now = _weight_block(precoders, decoders, sic,
                                                     first(), config)
-        for run, rate in zip(runs, rate_now.tolist()):
-            run[4].append(rate)
+        rate_traces = [[rate] for rate in rate_now.tolist()]
     else:
         weights = [np.broadcast_to(w, (len(problems),) + w.shape).copy()
                    for w in identity_weights(config)]
-        value = objective()
-    for run, start in zip(runs, value.tolist()):
-        run[0].append(start)
+        value, rate_traces = objective(), [None] * len(problems)
+    # each problem's report fills in as its run goes: its traces, and in
+    # extras its power slackness, half-step blocks and surrogate tightness
+    blocks = "surrogate_blocks" if weight_block else "half_step_objectives"
+    keys = ("power_slackness", blocks) + (("tightness_gap",) if weight_block else ())
+    reports = [PerformanceReport(objective_trace=[start], rate_trace=rate_trace,
+                                 extras={key: [] for key in keys})
+               for start, rate_trace in zip(value.tolist(), rate_traces)]
+    designs = [None] * len(problems)
     members = list(range(len(problems)))          # the problem of each fleet row
     si_duals = duals = np.zeros((2, len(problems)))
-    out = [None] * len(problems)
 
     def finish(rows, converged):      # the members of these rows stop here
         for n in rows:
             b = members[n]
-            trace, blocks, slackness, tightness, rates = runs[b]
-            extras = {"power_slackness": slackness}
-            if weight_block:
-                extras.update(surrogate_blocks=blocks, tightness_gap=tightness)
-            else:
-                extras["half_step_objectives"] = blocks
+            report = reports[b]
+            report.iterations, report.converged = len(report.objective_trace) - 1, converged
             if problems[b].si_caps is not None:
-                extras["si_duals"] = tuple(si_duals[:, n].tolist())
-            out[b] = (TransceiverDesign(*(tuple(x[n] for x in xs) for xs in
-                                          (precoders, decoders, weights))),
-                      PerformanceReport(objective_trace=trace, iterations=len(blocks),
-                                        converged=converged, rate_trace=rates,
-                                        extras=extras))
+                report.extras["si_duals"] = tuple(si_duals[:, n].tolist())
+            designs[b] = TransceiverDesign(*(tuple(x[n] for x in xs) for xs in
+                                             (precoders, decoders, weights)))
 
     for _ in range(options.max_iters):
         step_weights = ([config.rate_weights[i] * weights[i] for i in DIRECTIONS]
@@ -427,12 +421,14 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
         dual, rates = duals.tolist(), rate_now.tolist() if weight_block else None
         stopped = []
         for n, values in enumerate(zip(*(x.tolist() for x in block))):
-            trace, blocks, slackness, tightness, rate_trace = runs[members[n]]
-            blocks.append(values)
-            slackness.append(tuple((dual[i][n], used[i][n]) for i in DIRECTIONS))
+            report = reports[members[n]]
+            trace, extras = report.objective_trace, report.extras
+            extras[blocks].append(values)
+            extras["power_slackness"].append(tuple((dual[i][n], used[i][n])
+                                                   for i in DIRECTIONS))
             if weight_block:
-                rate_trace.append(rates[n])
-                tightness.append(abs(values[-1] - LN2 * rates[n]))
+                report.rate_trace.append(rates[n])
+                extras["tightness_gap"].append(abs(values[-1] - LN2 * rates[n]))
             trace.append(values[-1])
             if abs(trace[-1] - trace[-2]) <= options.rel_tol * max(abs(trace[-2]), 1e-300):
                 stopped.append(n)
@@ -451,8 +447,7 @@ def run_altqcp_scenarios(problems, options: SolverOptions):
             config = _fleet_config([configs[b] for b in members])
     else:
         finish(range(len(members)), False)
-    designs, reports = zip(*out)
-    return list(designs), list(reports)
+    return designs, reports
 
 
 def run_altqcp(channels: ChannelRealization, config: SystemConfig,

@@ -402,7 +402,8 @@ def read_results_csv(path):
 def summarize(rows, by=("sweep_param", "sweep_value", "algorithm", "metric",
                         "iteration")):
     """Group rows by the named columns and aggregate the value column into
-    mean / std (population) / count / min / max.
+    mean / std (population) / count / min / max, one entry per group in the
+    order of the group's column values (numbers as numbers).
 
     Grouped by iteration, a finished objective trace first counts as holding
     its final value up to the longest trace of its (sweep value, algorithm)
@@ -432,7 +433,7 @@ def summarize(rows, by=("sweep_param", "sweep_value", "algorithm", "metric",
     for row in rows:
         groups.setdefault(tuple(row[c] for c in by), []).append(row["value"])
     out = []
-    for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
+    for key in sorted(groups):           # by value: each column holds one type
         values = np.asarray(groups[key], dtype=float)
         entry = dict(zip(by, key))
         entry.update(mean=float(values.mean()), std=float(values.std()),

@@ -174,18 +174,14 @@ def _worst_cases(designs, worlds, config, weights):
     return [(float(t), x) for t, x in zip(np.cumsum(totals, axis=1)[:, -1], worst)]
 
 
-def _worst_case(design, channels, config, mse_weights=None):
-    """_worst_cases of one design, with its own MSE weights by default."""
-    weights = mse_weights if mse_weights is not None else design.mse_weights
-    return _worst_cases([design], [channels], config, [weights])[0]
-
-
 def worst_case_mse(design: TransceiverDesign, channels: ChannelRealization,
                    config: SystemConfig, mse_weights=None) -> float:
     """Exact worst-case weighted MSE over the product of per-(i, j, k) error
     balls: the nominal objective plus each form's worst-case increment
-    (the objective is additively separable across error matrices)."""
-    return _worst_case(design, channels, config, mse_weights)[0]
+    (the objective is additively separable across error matrices); with
+    the design's own MSE weights by default."""
+    weights = mse_weights if mse_weights is not None else design.mse_weights
+    return _worst_cases([design], [channels], config, [weights])[0][0]
 
 
 def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
@@ -212,7 +208,8 @@ def run_cutting_set(channels: ChannelRealization, config: SystemConfig,
                 [DesignProblem(weighted, config, init=warm)], options)
         warm = design.precoders
         design_value = report.objective_trace[-1]
-        wc_value, worst = _worst_case(design, channels, config)
+        ((wc_value, worst),) = _worst_cases([design], [channels], config,
+                                            [design.mse_weights])
         gap = (wc_value - design_value) / max(abs(design_value), 1e-300)
         history.append({"scenarios": len(scenarios), "design": design_value,
                         "worst_case": wc_value, "gap": gap})

@@ -989,6 +989,37 @@ def test_fleet_member_equals_its_solo_run(weight_block):
                 assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("weight_block", [False, True])
+def test_zero_iteration_fleet_reports_its_start(weight_block):
+    # with max_iters 0 every member stops where it starts, unconverged: its
+    # traces hold the start alone, its per-iteration extras are empty, only
+    # the capped member reports cap duals, and it equals its run alone
+    config = SystemConfig.from_scalars()
+    channels = draw_channels(config, ChannelStats(), [4])
+    designer = DESIGNERS[weight_block]
+    problems = [design_problem(alg, channels, config, designer)[0]
+                for alg in (designer, "kappa0", "pth_low")]
+    options = SolverOptions(max_iters=0)
+    designs, reports = run_altqcp_scenarios(problems, options)
+    blocks = "surrogate_blocks" if weight_block else "half_step_objectives"
+    for problem, design, report in zip(problems, designs, reports):
+        assert (report.iterations, report.converged) == (0, False)
+        assert len(report.objective_trace) == 1
+        if weight_block:
+            assert len(report.rate_trace) == 1 and report.extras["tightness_gap"] == []
+        else:
+            assert report.rate_trace is None
+        assert report.extras[blocks] == [] and report.extras["power_slackness"] == []
+        assert ("si_duals" in report.extras) == (problem.si_caps is not None)
+        (alone,), (solo,) = run_altqcp_scenarios([problem], options)
+        assert report == solo
+        for name in ("precoders", "decoders", "mse_weights"):
+            for got, want in zip(getattr(design, name), getattr(alone, name)):
+                assert np.array_equal(got, want)
+    assert [p.si_caps is not None for p in problems] == [False, False, True]
+    assert reports[2].extras["si_duals"] == (0.0, 0.0)
+
+
 def test_fleet_of_mismatched_problems_raises(default_config, default_channels):
     # members must share their fleet_key: here they differ in the weight
     # block, in K, or in whether starting precoders are given

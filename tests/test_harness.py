@@ -460,7 +460,7 @@ def test_cutting_set_row_reuses_certified_worst_case(monkeypatch):
     import fdlink.robust as robust
     spec = ExperimentSpec.from_json(dict(TINY_SPEC, algorithms=["cutting_set"]))
     passes, runs = [], []
-    oracle, designer = robust._worst_case, harness.run_cutting_set
+    oracle, designer = robust._worst_cases, harness.run_cutting_set
 
     def counted(*args, **kwargs):
         passes.append(1)
@@ -471,7 +471,7 @@ def test_cutting_set_row_reuses_certified_worst_case(monkeypatch):
         runs.append((design, report, channels, config))
         return design, report
 
-    monkeypatch.setattr(robust, "_worst_case", counted)
+    monkeypatch.setattr(robust, "_worst_cases", counted)
     monkeypatch.setattr(harness, "run_cutting_set", recorded)
     rows, _ = harness.run_trial(spec, spec.sweep_values[0], 0)
     (design, report, channels, config), = runs
@@ -615,6 +615,16 @@ def test_summarize_extends_finished_traces():
     (total,) = summarize(rows, by=("algorithm", "metric"))
     assert (total["count"], total["mean"]) == (6, 3.0)
     assert rows == kept                    # the caller's rows are unchanged
+
+
+def test_summarize_orders_groups_by_value():
+    # numbers sort as numbers: iteration 2 before 10, and -60 dB before -20 dB
+    base = {"sweep_param": "kappa_db", "algorithm": "altqcp", "metric": "objective",
+            "channel_hash": "h", "trial": 0, "value": 1.0}
+    rows = [dict(base, sweep_value=kappa, iteration=t)
+            for kappa in (-20.0, -60.0) for t in range(11)]
+    keys = [(g["sweep_value"], g["iteration"]) for g in summarize(rows)]
+    assert keys == [(kappa, t) for kappa in (-60.0, -20.0) for t in range(11)]
 
 
 def test_summarize_of_padded_rows_is_unchanged(tiny_rows):

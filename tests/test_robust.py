@@ -14,7 +14,7 @@ from fdlink import (ConfigError, SystemConfig, evaluate_design,
 from fdlink.altqcp import _solve_power_dual, identity_weights
 from fdlink.channels import ChannelStats, draw_channels, perturb_csi
 from fdlink.model import DIRECTIONS, PAIRS
-from fdlink.robust import (_worst_case, build_quadratic_form,
+from fdlink.robust import (_worst_cases, build_quadratic_form,
                            weighted_mse_with_errors, worst_case_error,
                            worst_case_mse)
 from fdlink.util import _rational_root
@@ -346,7 +346,8 @@ def test_worst_scenario_attains_certified_value(name, default_config,
     error matrices, so the per-form maximizers are jointly worst."""
     config, channels, design, weights = _oracle_case(
         name, default_config, default_channels, designed, two_stream_case)
-    _, worst = _worst_case(design, channels, config, weights)
+    own = weights if weights is not None else design.mse_weights
+    ((_, worst),) = _worst_cases([design], [channels], config, [own])
     certified = worst_case_mse(design, channels, config, mse_weights=weights)
     deltas = {p: worst[p] - channels.h_est[p] for p in PAIRS}
     attained = weighted_mse_with_errors(design, channels, config,
@@ -460,7 +461,8 @@ def test_stacked_oracle_matches_per_form_reference(name, default_config,
         name, default_config, default_channels, designed, two_stream_case)
     expected, expected_worst = _reference_worst_case(design, channels, config,
                                                      weights)
-    value, worst = _worst_case(design, channels, config, weights)
+    own = weights if weights is not None else design.mse_weights
+    ((value, worst),) = _worst_cases([design], [channels], config, [own])
     assert abs(value - expected) <= 1e-12 * abs(expected)
     assert worst_case_mse(design, channels, config, mse_weights=weights) == value
     for pair in PAIRS:
@@ -539,11 +541,12 @@ def test_stacked_build_equals_per_pair_builds(name, default_config,
 def test_stacked_pass_equals_each_design_alone(name, default_config,
                                                default_channels, designed,
                                                two_stream_case, monkeypatch):
-    """_worst_cases over several designs gives each design's _worst_case
-    bits, with one build and one solve per form shape."""
+    """_worst_cases over several designs gives each design's bits from a
+    pass of its own, with one build and one solve per form shape."""
     config, designs, worlds, weights = _pass_case(
         name, default_config, default_channels, designed, two_stream_case)
-    alone = [_worst_case(d, w, config, s) for d, w, s in zip(designs, worlds, weights)]
+    alone = [_worst_cases([d], [w], config, [s])[0]
+             for d, w, s in zip(designs, worlds, weights)]
     calls = []
     for kernel in ("build_quadratic_form", "worst_case_error"):
         def counted(*args, _kernel=getattr(robust, kernel), _name=kernel):
